@@ -14,7 +14,6 @@ from .conformity import (
     KnnRule,
     RidgeRule,
     SupportSet,
-    score,
     support_set_assignment,
     support_set_e_values,
     train_conformity,
@@ -74,17 +73,13 @@ from .predictors import (
     OnlineTrace,
     SplitEPredictor,
     cross_p_merge,
-    cross_predict,
     e_prediction_set,
     e_to_p,
     fit_cross,
     fit_cross_from_partition,
     fit_split,
-    full_conformal_e_predict,
     harmonic_mean,
     p_to_e,
-    split_p_predict,
-    split_predict,
 )
 from .validity import (
     DEFAULT_EPSILONS,

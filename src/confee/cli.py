@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -25,21 +26,9 @@ import sys
 import numpy as np
 
 from .core import ClassificationTask, RegressionTask, derive_seed
-from .data import (
-    SCENARIO_PRESETS,
-    Scenario,
-    get_scenario,
-    load_csv,
-    sample,
-    save_csv,
-)
-from .errors import ConfeeError, OutOfRangeError, ParseError, RaggedRowsError
-from .predictors import (
-    CrossEPredictor,
-    FullEPredictor,
-    SplitEPredictor,
-    e_prediction_set,
-)
+from .data import SCENARIO_PRESETS, get_scenario, load_csv, read_csv, sample, save_csv
+from .errors import ConfeeError
+from .predictors import CrossTable, FullTable, SplitTable, e_prediction_set
 from .validity import (
     DEFAULT_EPSILONS,
     PredictorSpec,
@@ -72,9 +61,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _floats(text: str) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        ok = all(math.isfinite(v) for v in values)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
+    return values
 
 
 def _labels(text: str) -> list:
@@ -147,7 +140,7 @@ def build_parser() -> _Parser:
     validate.add_argument("--normalizer", choices=["sum", "mean"])
     validate.add_argument("--epsilons", type=_floats, help="compare mode levels")
     validate.add_argument("--threads", type=int, default=1,
-                          help="worker threads; does not affect results")
+                          help="worker threads, at least 1; does not affect results")
     validate.add_argument("--seed", type=int)
     validate.add_argument("--config")
     validate.add_argument("--out", help="report path (default: stdout)")
@@ -219,10 +212,6 @@ def _parse_predictor(parser: _Parser, text: str) -> tuple:
     parser.error(f"unknown predictor {text!r}")
 
 
-def _scenario_from_name(name: str) -> Scenario:
-    return get_scenario(name)
-
-
 def _spec_from(cfg: dict, parser: _Parser) -> PredictorSpec:
     kind, const_value = _parse_predictor(parser, cfg["predictor"])
     return PredictorSpec(
@@ -242,12 +231,17 @@ def _spec_from(cfg: dict, parser: _Parser) -> PredictorSpec:
 
 
 def _write_report(report: dict, out) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Stream the JSON to its destination; no copy of the whole text is built."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _dump(report, sys.stdout)
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        _dump(report, fh)
+
+
+def _dump(report: dict, fh) -> None:
+    json.dump(report, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _check_command(parser: _Parser, config: dict, command: str) -> None:
@@ -265,7 +259,7 @@ def cmd_gen(parser: _Parser, args) -> int:
         "n": 100,
         "seed": _env_seed(parser),
     })
-    dataset = sample(_scenario_from_name(cfg["scenario"]), cfg["n"], cfg["seed"])
+    dataset = sample(get_scenario(cfg["scenario"]), cfg["n"], cfg["seed"])
     if args.out is None:
         save_csv(dataset, sys.stdout)
     else:
@@ -308,7 +302,7 @@ def _training_data(parser: _Parser, cfg: dict):
     if has_scenario:
         if cfg["labels"] or cfg["grid"]:
             parser.error("--labels/--grid apply to --input only")
-        scenario = _scenario_from_name(cfg["scenario"])
+        scenario = get_scenario(cfg["scenario"])
         return sample(scenario, cfg["n"], cfg["seed"])
     if bool(cfg["labels"]) == bool(cfg["grid"]):
         parser.error("--input needs exactly one of --labels or --grid")
@@ -323,7 +317,9 @@ def _test_objects(parser: _Parser, cfg: dict, task, dim: int) -> list:
     """(x, true_label_or_None) pairs: --test rows first, then --x objects."""
     objects = []
     if cfg["test"] is not None:
-        objects.extend(_load_test_csv(cfg["test"], task, dim))
+        X, labels = read_csv(cfg["test"], task)
+        rows = [tuple(row) for row in X.tolist()]
+        objects.extend(zip(rows, labels or [None] * len(rows)))
     for vec in cfg["x"] or []:
         objects.append((tuple(float(v) for v in vec), None))
     if not objects:
@@ -334,75 +330,23 @@ def _test_objects(parser: _Parser, cfg: dict, task, dim: int) -> list:
     return objects
 
 
-def _load_test_csv(path, task, dim: int) -> list:
-    import csv as _csv
-
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = list(_csv.reader(fh))
-    if not rows:
-        raise ParseError(1, "header", "file is empty")
-    header = [h.strip() for h in rows[0]]
-    with_labels = header and header[-1] == "y"
-    d = len(header) - 1 if with_labels else len(header)
-    expected = [f"x{j + 1}" for j in range(d)] + (["y"] if with_labels else [])
-    if d < 1 or header != expected:
-        raise ParseError(1, "header", f"expected x1..xd[,y], got {','.join(header)}")
-    out = []
-    label_map = (
-        {str(lab): lab for lab in task.labels}
-        if isinstance(task, ClassificationTask)
-        else None
-    )
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise RaggedRowsError(r, len(header), len(row))
-        try:
-            vec = tuple(float(tok) for tok in row[:d])
-        except ValueError:
-            raise ParseError(r, "x", "not a number") from None
-        label = None
-        if with_labels:
-            token = row[d]
-            if label_map is not None:
-                if token not in label_map:
-                    raise ParseError(r, "y", f"label {token!r} not in task labels")
-                label = label_map[token]
-            else:
-                try:
-                    label = float(token)
-                except ValueError:
-                    raise ParseError(r, "y", f"not a number: {token!r}") from None
-        out.append((vec, label))
-    return out
-
-
-def _details_for(predictor, x, labels) -> dict:
-    if isinstance(predictor, SplitEPredictor):
+def _details_for(table) -> dict:
+    """Verbose report details, read off the table of the one query pass."""
+    keys = [_label_key(y) for y in table.labels]
+    if isinstance(table, SplitTable):
         return {
-            "calibration_summaries": list(predictor.calibration_summaries.values),
-            "candidate_summaries": {
-                _label_key(y): predictor.sigma_at(x, y) for y in labels
-            },
-            "normalized": {
-                _label_key(y): list(predictor.alphas_at(x, y).values) for y in labels
-            },
+            "calibration_summaries": list(table.calibration),
+            "candidate_summaries": dict(zip(keys, table.sigmas)),
+            "normalized": {k: list(a.values) for k, a in zip(keys, table.alphas)},
         }
-    if isinstance(predictor, CrossEPredictor):
+    if isinstance(table, CrossTable):
         return {
             "folds": [
-                {
-                    "fold": k + 1,
-                    **_details_for(fp, x, labels),
-                }
-                for k, fp in enumerate(predictor.fold_predictors)
+                {"fold": k + 1, **_details_for(fold)} for k, fold in enumerate(table.folds)
             ]
         }
-    if isinstance(predictor, FullEPredictor):
-        return {
-            "assignment_vectors": {
-                _label_key(y): list(predictor.vector_at(x, y).values) for y in labels
-            }
-        }
+    if isinstance(table, FullTable):
+        return {"assignment_vectors": {k: list(v.values) for k, v in zip(keys, table.vectors)}}
     return {}
 
 
@@ -430,15 +374,17 @@ def cmd_predict(parser: _Parser, args) -> int:
                 for eps in epsilons
             },
         }
-        if isinstance(predictor, CrossEPredictor):
-            fold_tables = predictor.fold_tables(x, labels)
+        if isinstance(table, CrossTable):
             entry["fold_e_values"] = {
-                _label_key(y): [t.values[i] for t in fold_tables]
+                _label_key(y): [t.values[i] for t in table.folds]
                 for i, y in enumerate(labels)
             }
         if cfg["verbose"]:
-            entry["details"] = _details_for(predictor, x, labels)
+            entry["details"] = _details_for(table)
         results.append(entry)
+        # a table holds every normalized vector of its pass: free it before
+        # the next query builds another
+        del table
 
     if isinstance(task, ClassificationTask):
         task_obj = {"type": "classification", "labels": [_label_key(y) for y in labels]}
@@ -482,9 +428,11 @@ def cmd_validate(parser: _Parser, args) -> int:
     config = _load_config(parser, args.config)
     _check_command(parser, config, "validate")
     cfg = _resolve(args, config, _validate_defaults(parser))
-    scenario = _scenario_from_name(cfg["scenario"])
+    scenario = get_scenario(cfg["scenario"])
     spec = _spec_from(cfg, parser)
     threads = args.threads
+    if threads < 1:
+        parser.error(f"--threads must be at least 1, got {threads}")
 
     if cfg["mode"] == "space":
         body = mc_space_validity(

@@ -185,11 +185,6 @@ def train_conformity(kind: str, proper: Dataset, **params) -> ConformityRule:
     raise OutOfRangeError(f"unknown conformity kind {kind!r}")
 
 
-def score(rule: ConformityRule, z: Observation) -> float:
-    """Summary of one observation under a fitted rule."""
-    return rule.score_one(z.x, z.y)
-
-
 @dataclass(frozen=True)
 class SupportSet:
     """0-based indices of designated points within a length-m sequence."""

@@ -5,7 +5,8 @@ longer sample extends a shorter one unchanged, and the draw for any single
 observation can be reproduced in isolation.
 
 CSV format: header x1,...,xd,y then one observation per row. Floats are
-written with repr, so a save/load round trip is exact.
+written with repr, so a save/load round trip is exact. The y column is
+optional for files of test objects (see read_csv).
 """
 
 from __future__ import annotations
@@ -180,21 +181,26 @@ def save_csv(dataset: Dataset, path) -> None:
         _write_rows(dataset, fh)
 
 
-def load_csv(path, task: Task) -> Dataset:
-    """Read an x1..xd,y file back into a Dataset under the given task.
+def read_csv(path, task: Task) -> tuple:
+    """Parse an x1..xd[,y] file into (X, labels); labels is None without y.
 
-    Classification labels are matched by string form against the task's
-    label set; anything else raises LabelOutOfSpaceError with the line.
+    This is the package's one reader of the format: training files
+    (`load_csv`) and `predict --test` files both go through it. Every
+    feature and regression label must be a finite number; classification
+    labels are matched by string form against the task's label set, and
+    anything else raises LabelOutOfSpaceError with the line. A header-only
+    file gives zero rows.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ParseError(1, "header", "file is empty")
     header = [h.strip() for h in rows[0]]
-    d = len(header) - 1
-    expected = [f"x{j + 1}" for j in range(d)] + ["y"]
+    has_y = header[-1:] == ["y"]
+    d = len(header) - has_y
+    expected = [f"x{j + 1}" for j in range(d)] + ["y"] * has_y
     if d < 1 or header != expected:
-        raise ParseError(1, "header", f"expected {','.join(expected) if d >= 1 else 'x1..xd,y'}, got {','.join(header)}")
+        raise ParseError(1, "header", f"expected x1..xd[,y], got {','.join(header)}")
 
     label_map: Optional[dict] = None
     if isinstance(task, ClassificationTask):
@@ -203,27 +209,35 @@ def load_csv(path, task: Task) -> Dataset:
     X = np.empty((len(rows) - 1, d))
     labels = []
     for r, row in enumerate(rows[1:], start=2):
-        if len(row) != d + 1:
-            raise RaggedRowsError(r, d + 1, len(row))
+        if len(row) != len(header):
+            raise RaggedRowsError(r, len(header), len(row))
         for j, token in enumerate(row[:d]):
-            try:
-                value = float(token)
-            except ValueError:
-                raise ParseError(r, f"x{j + 1}", f"not a number: {token!r}") from None
-            if not math.isfinite(value):
-                raise ParseError(r, f"x{j + 1}", f"non-finite value {token!r}")
-            X[r - 2, j] = value
+            X[r - 2, j] = _finite(token, r, f"x{j + 1}")
+        if not has_y:
+            continue
         token = row[d]
-        if label_map is not None:
-            if token not in label_map:
-                raise LabelOutOfSpaceError(f"line {r}: label {token!r} not in task labels")
+        if label_map is None:
+            labels.append(_finite(token, r, "y"))
+        elif token in label_map:
             labels.append(label_map[token])
         else:
-            try:
-                y = float(token)
-            except ValueError:
-                raise ParseError(r, "y", f"not a number: {token!r}") from None
-            if not math.isfinite(y):
-                raise ParseError(r, "y", f"non-finite value {token!r}")
-            labels.append(y)
+            raise LabelOutOfSpaceError(f"line {r}: label {token!r} not in task labels")
+    return X, (tuple(labels) if has_y else None)
+
+
+def _finite(token: str, line: int, column: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(line, column, f"not a number: {token!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(line, column, f"non-finite value {token!r}")
+    return value
+
+
+def load_csv(path, task: Task) -> Dataset:
+    """Read an x1..xd,y file back into a Dataset under the given task."""
+    X, labels = read_csv(path, task)
+    if labels is None:
+        raise ParseError(1, "header", f"expected a y column after x{X.shape[1]}")
     return Dataset(X, np.array(labels), task)

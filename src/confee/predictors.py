@@ -9,9 +9,15 @@ complement) and merges fold e-values by an arithmetic mean, which keeps the
 result an e-value. The full predictor applies an e-assignment to the
 training sequence extended by the candidate example.
 
+Every query is one pass: `predict` scores and normalizes each (fold,
+candidate label) pair once and returns a table that also carries what the
+e-values were computed from (summaries, normalized vectors, fold tables),
+so reports and the p-value side need no second pass.
+
 p-value counterparts are included for comparison experiments: the split
-conformal p-value and the cross-conformal merge, whose arithmetic mean of
-fold p-values needs the factor-2 adjustment to be usable at face value.
+conformal p-value (`SplitTable.p_values`) and the cross-conformal merge,
+whose arithmetic mean of fold p-values needs the factor-2 adjustment to be
+usable at face value.
 """
 
 from __future__ import annotations
@@ -32,13 +38,32 @@ from .core import (
     SplitConfig,
     SummaryVector,
     complement_indices,
-    make_e_vector,
     make_fold_partition,
 )
 from .errors import DimensionMismatchError, NonFiniteEntryError, OutOfRangeError
 from .normalize import Normalizer, get_normalizer
 
 WEIGHTINGS = ("uniform", "size_proportional")
+
+
+@dataclass(frozen=True)
+class SplitTable(PlausibilityTable):
+    """A split predictor's e-values with the summaries they come from.
+
+    sigmas[i] is the summary of candidate labels[i]; alphas[i] normalizes
+    the calibration summaries followed by sigmas[i], and values[i] is its
+    last component.
+    """
+
+    calibration: tuple = ()
+    sigmas: tuple = ()
+    alphas: tuple = ()
+
+    @property
+    def p_values(self) -> tuple:
+        """Split conformal p-values: (#{sigma_i <= sigma_y} + 1) / (c + 1)."""
+        cal = np.asarray(self.calibration)
+        return tuple((int(np.count_nonzero(cal <= s)) + 1) / (cal.size + 1) for s in self.sigmas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,40 +76,18 @@ class SplitEPredictor:
     split: SplitConfig
     task: object
 
-    def _sigmas(self, x: Sequence[float], labels: Sequence) -> np.ndarray:
-        X = np.tile(np.asarray(x, dtype=float), (len(labels), 1))
-        return np.asarray(self.rule.score_many(X, list(labels)), dtype=float)
-
-    def _alpha_last(self, sigma_y: float) -> float:
-        joint = self.normalizer.apply((*self.calibration_summaries.values, sigma_y))
-        return joint.values[-1]
-
-    def sigma_at(self, x: Sequence[float], y) -> float:
-        """Conformity summary of the candidate example (x, y)."""
-        return float(self._sigmas(x, (y,))[0])
-
-    def alphas_at(self, x: Sequence[float], y) -> EValueVector:
-        """Full normalized vector (alpha_1..alpha_c, alpha_y) for one candidate."""
-        return self.normalizer.apply((*self.calibration_summaries.values, self.sigma_at(x, y)))
-
     def e_at(self, x: Sequence[float], y) -> float:
         """E-value of candidate label y at object x."""
-        return self._alpha_last(float(self._sigmas(x, (y,))[0]))
+        return self.predict(x, (y,)).values[0]
 
-    def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> PlausibilityTable:
+    def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> SplitTable:
+        """Score every candidate in one batch and normalize each one once."""
         labels = tuple(self.task.candidates if labels is None else labels)
-        sigmas = self._sigmas(x, labels)
-        return PlausibilityTable(labels, tuple(self._alpha_last(float(s)) for s in sigmas))
-
-    def p_at(self, x: Sequence[float], y) -> float:
-        """Split conformal p-value: (#{sigma_i <= sigma_y} + 1) / (c + 1)."""
-        sigma_y = float(self._sigmas(x, (y,))[0])
-        cal = np.asarray(self.calibration_summaries.values)
-        return (int(np.count_nonzero(cal <= sigma_y)) + 1) / (len(cal) + 1)
-
-    def p_predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> dict:
-        labels = tuple(self.task.candidates if labels is None else labels)
-        return {y: self.p_at(x, y) for y in labels}
+        X = np.tile(np.asarray(x, dtype=float), (len(labels), 1))
+        sigmas = tuple(float(s) for s in self.rule.score_many(X, list(labels)))
+        cal = self.calibration_summaries.values
+        alphas = tuple(self.normalizer.apply((*cal, s)) for s in sigmas)
+        return SplitTable(labels, tuple(a.values[-1] for a in alphas), cal, sigmas, alphas)
 
 
 def fit_split(
@@ -110,6 +113,13 @@ def fit_split(
         SplitConfig(proper.n, calibration.n),
         proper.task,
     )
+
+
+@dataclass(frozen=True)
+class CrossTable(PlausibilityTable):
+    """Merged cross-conformal e-values with the SplitTable of every fold."""
+
+    folds: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,26 +156,15 @@ class CrossEPredictor:
         sizes = (len(fold) for fold in self.partition.folds)
         return math.fsum(s * a for s, a in zip(sizes, fold_alphas)) / self.partition.n
 
-    def fold_e_at(self, x: Sequence[float], y) -> tuple:
-        return tuple(fp.e_at(x, y) for fp in self.fold_predictors)
-
     def e_at(self, x: Sequence[float], y) -> float:
-        return self._merge(self.fold_e_at(x, y))
+        return self.predict(x, (y,)).values[0]
 
-    def fold_tables(self, x: Sequence[float], labels: Optional[Sequence] = None) -> tuple:
+    def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> CrossTable:
+        """Merge one pass per fold; the fold tables ride along in the result."""
         labels = tuple(self.task.candidates if labels is None else labels)
-        return tuple(fp.predict(x, labels) for fp in self.fold_predictors)
-
-    def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> PlausibilityTable:
-        labels = tuple(self.task.candidates if labels is None else labels)
-        tables = self.fold_tables(x, labels)
-        merged = tuple(
-            self._merge(tuple(t.values[i] for t in tables)) for i in range(len(labels))
-        )
-        return PlausibilityTable(labels, merged)
-
-    def fold_p_at(self, x: Sequence[float], y) -> tuple:
-        return tuple(fp.p_at(x, y) for fp in self.fold_predictors)
+        folds = tuple(fp.predict(x, labels) for fp in self.fold_predictors)
+        merged = tuple(self._merge(column) for column in zip(*(t.values for t in folds)))
+        return CrossTable(labels, merged, folds)
 
 
 def fit_cross_from_partition(
@@ -201,6 +200,13 @@ def fit_cross(
     return fit_cross_from_partition(training, partition, kind, normalizer, weighting, **rule_params)
 
 
+@dataclass(frozen=True)
+class FullTable(PlausibilityTable):
+    """E-values with the assignment vector each was read from (candidate last)."""
+
+    vectors: tuple = ()
+
+
 @dataclass(frozen=True, eq=False)
 class FullEPredictor:
     """Applies an e-assignment to the training sequence plus the candidate.
@@ -220,45 +226,16 @@ class FullEPredictor:
     def task(self):
         return self.training.task
 
-    def vector_at(self, x: Sequence[float], y) -> EValueVector:
-        """Assignment over the extended sequence; the candidate is last."""
-        extended = (*self._observations, Observation(tuple(x), y))
-        return self.assignment(extended)
-
     def e_at(self, x: Sequence[float], y) -> float:
-        return float(self.vector_at(x, y).values[-1])
+        return self.predict(x, (y,)).values[0]
 
-    def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> PlausibilityTable:
+    def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> FullTable:
+        """One assignment per candidate label, kept alongside its e-value."""
         labels = tuple(self.task.candidates if labels is None else labels)
-        return PlausibilityTable(labels, tuple(self.e_at(x, y) for y in labels))
-
-
-def full_conformal_e_predict(
-    training: Dataset,
-    x: Sequence[float],
-    labels: Sequence,
-    assignment: Callable[[Sequence[Observation]], EValueVector],
-) -> PlausibilityTable:
-    """One-shot full conformal prediction at object x over candidate labels."""
-    return FullEPredictor(training, assignment).predict(x, labels)
-
-
-def split_predict(
-    predictor: SplitEPredictor, x: Sequence[float], labels: Optional[Sequence] = None
-) -> PlausibilityTable:
-    return predictor.predict(x, labels)
-
-
-def split_p_predict(
-    predictor: SplitEPredictor, x: Sequence[float], labels: Optional[Sequence] = None
-) -> dict:
-    return predictor.p_predict(x, labels)
-
-
-def cross_predict(
-    predictor: CrossEPredictor, x: Sequence[float], labels: Optional[Sequence] = None
-) -> PlausibilityTable:
-    return predictor.predict(x, labels)
+        vectors = tuple(
+            self.assignment((*self._observations, Observation(tuple(x), y))) for y in labels
+        )
+        return FullTable(labels, tuple(v.values[-1] for v in vectors), vectors)
 
 
 def cross_p_merge(p_values: Sequence[float], adjusted: bool = True) -> float:

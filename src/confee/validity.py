@@ -20,6 +20,7 @@ p-side merging rules are measured on identical draws.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -137,11 +138,33 @@ def build_predictor(spec: PredictorSpec, training: Dataset, fold_seed: int):
 
 
 def _map_trials(fn, trials: int, threads: int) -> list:
-    """Run fn(0..trials-1); results are positionally ordered either way."""
-    if threads <= 1:
+    """Run fn(0..trials-1); results are positionally ordered either way.
+
+    The pool never holds more than os.cpu_count() threads.
+    """
+    if threads < 1:
+        raise OutOfRangeError(f"threads={threads}; need at least 1")
+    workers = min(threads, os.cpu_count() or 1)
+    if workers == 1:
         return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(trials)))
+
+
+def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
+    """Trial t: a fresh training set and test point, one fitted predictor.
+
+    Returns read(predictor, test_observation) for every trial, in order;
+    the space and compare harnesses draw their trials only through here.
+    """
+
+    def one_trial(t: int):
+        training = sample(scenario, n_train, derive_seed(seed, t, 0))
+        test = sample(scenario, 1, derive_seed(seed, t, 1))
+        predictor = build_predictor(spec, training, derive_seed(seed, t, 2))
+        return read(predictor, test.observation(0))
+
+    return _map_trials(one_trial, trials, threads)
 
 
 def _mean_and_se(values: Sequence[float]) -> tuple:
@@ -194,14 +217,10 @@ def mc_space_validity(
     if any(t <= 1 for t in thresholds):
         raise OutOfRangeError("tail thresholds must exceed 1")
 
-    def one_trial(t: int) -> float:
-        training = sample(scenario, n_train, derive_seed(seed, t, 0))
-        test = sample(scenario, 1, derive_seed(seed, t, 1))
-        predictor = build_predictor(spec, training, derive_seed(seed, t, 2))
-        z = test.observation(0)
-        return float(predictor.e_at(z.x, z.y))
-
-    es = _map_trials(one_trial, trials, threads)
+    es = _run_trials(
+        scenario, spec, trials, seed, n_train, threads,
+        lambda predictor, z: float(predictor.e_at(z.x, z.y)),
+    )
     mean, se = _mean_and_se(es)
     verdict = VIOLATION if mean > 1.0 + 3.0 * se else CONSISTENT
     return SpaceValidityReport(
@@ -359,11 +378,12 @@ def compare_e_vs_p(
 ) -> ComparisonReport:
     """Cross-conformal e-merging versus p-merging on the same draws.
 
-    Per trial the fold predictors are fitted once; the e-side reads the
-    arithmetic-mean merge at the true label, the p-side reads the fold
-    p-values and both the raw mean and the factor-2 adjusted merge. The
-    report also tracks the harmonic mean of fold p-values and its identity
-    with the reciprocal of the mean calibrated e-value, 1/mean(1/p).
+    Per trial the fold predictors are fitted once and queried once at the
+    true label; the e-side reads the arithmetic-mean merge, the p-side
+    reads the fold p-values of the same pass and both the raw mean and the
+    factor-2 adjusted merge. The report also tracks the harmonic mean of
+    fold p-values and its identity with the reciprocal of the mean
+    calibrated e-value, 1/mean(1/p).
     """
     if spec.kind != "cross":
         raise OutOfRangeError("comparison runs on a cross predictor spec")
@@ -373,21 +393,17 @@ def compare_e_vs_p(
     if any(not 0 < e < 1 for e in eps):
         raise OutOfRangeError("epsilons must lie in (0, 1)")
 
-    def one_trial(t: int) -> tuple:
-        training = sample(scenario, n_train, derive_seed(seed, t, 0))
-        test = sample(scenario, 1, derive_seed(seed, t, 1))
-        predictor = build_predictor(spec, training, derive_seed(seed, t, 2))
-        z = test.observation(0)
-        e = float(predictor.e_at(z.x, z.y))
-        ps = predictor.fold_p_at(z.x, z.y)
+    def read(predictor, z) -> tuple:
+        table = predictor.predict(z.x, (z.y,))
+        ps = tuple(fold.p_values[0] for fold in table.folds)
         unadjusted = cross_p_merge(ps, adjusted=False)
         adjusted = cross_p_merge(ps, adjusted=True)
         harm = harmonic_mean(ps)
         inverse_mean = math.fsum(1.0 / p for p in ps) / len(ps)
         deviation = abs(harm - 1.0 / inverse_mean)
-        return e, unadjusted, adjusted, harm, deviation
+        return table.values[0], unadjusted, adjusted, harm, deviation
 
-    rows = _map_trials(one_trial, trials, threads)
+    rows = _run_trials(scenario, spec, trials, seed, n_train, threads, read)
     es = [r[0] for r in rows]
     unadj = [r[1] for r in rows]
     adj = [r[2] for r in rows]

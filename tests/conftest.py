@@ -25,3 +25,40 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in sorted(_LINES):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture()
+def query_rows(monkeypatch):
+    """Count knn rows scored by each query, fitting excluded.
+
+    `query_rows(module)` wraps `module.build_predictor`: every build opens a
+    new count, the calibration rows scored while fitting are dropped, and
+    each later `KnnRule.score_many` row adds to the open count. Returns the
+    list of counts, one per built predictor.
+    """
+    from confee import KnnRule
+
+    counts = []
+    score_many = KnnRule.score_many
+
+    def counting(rule, X, y):
+        out = score_many(rule, X, y)
+        if counts:
+            counts[-1] += len(out)
+        return out
+
+    monkeypatch.setattr(KnnRule, "score_many", counting)
+
+    def watch(module):
+        build = module.build_predictor
+
+        def fitted(*args, **kwargs):
+            counts.append(0)
+            predictor = build(*args, **kwargs)
+            counts[-1] = 0
+            return predictor
+
+        monkeypatch.setattr(module, "build_predictor", fitted)
+        return counts
+
+    return watch

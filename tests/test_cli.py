@@ -134,6 +134,48 @@ class TestPredict:
         assert report["results"][0]["x"] == [-2.0, 1.5]
         assert report["results"][1]["x"] == [-0.001, -0.25]
 
+    def test_non_finite_test_feature_names_line_and_column(self, train_csv, tmp_path, capsys):
+        test_path = tmp_path / "test.csv"
+        test_path.write_text("x1,x2\n0.5,0.5\n0.0,inf\n")
+        assert _run("predict", "--input", str(train_csv), "--labels", "0,1",
+                    "--test", str(test_path)) == 1
+        assert "line 3, column x2: non-finite value 'inf'" in capsys.readouterr().err
+
+    def test_nan_regression_label_in_test_file_rejected(self, tmp_path, capsys):
+        train = tmp_path / "reg.csv"
+        _run("gen", "--scenario", "linreg3", "--n", "20", "--seed", "1", "--out", str(train))
+        test_path = tmp_path / "test.csv"
+        test_path.write_text("x1,x2,x3,y\n0.1,0.2,0.3,nan\n")
+        assert _run("predict", "--input", str(train), "--grid=-3,0,3", "--rule", "ridge",
+                    "--test", str(test_path), "--out", str(tmp_path / "rep.json")) == 1
+        assert "line 2, column y: non-finite value 'nan'" in capsys.readouterr().err
+
+    def test_non_finite_x_is_usage_error(self, train_csv, capsys):
+        for value in ("nan,1", "1e400,0"):
+            assert _run("predict", "--input", str(train_csv), "--labels", "0,1",
+                        "--x", value) == 1
+            assert "argument --x: expected comma-separated finite numbers" in (
+                capsys.readouterr().err
+            )
+
+    def test_header_only_test_file_adds_no_objects(self, train_csv, tmp_path):
+        test_path = tmp_path / "test.csv"
+        test_path.write_text("x1,x2\n")
+        out = tmp_path / "rep.json"
+        assert _run("predict", "--input", str(train_csv), "--labels", "0,1",
+                    "--test", str(test_path), "--x", "0.1,0.2", "--out", str(out)) == 0
+        assert [r["x"] for r in _load(out)["results"]] == [[0.1, 0.2]]
+
+    @pytest.mark.parametrize("verbose", [(), ("--verbose",)])
+    def test_cross_query_scores_each_fold_and_label_once(
+        self, train_csv, tmp_path, query_rows, verbose
+    ):
+        counts = query_rows(cli)
+        assert _run("predict", "--input", str(train_csv), "--labels", "0,1",
+                    "--predictor", "cross", "--K", "5", "--x", "0.1,0.2", *verbose,
+                    "--out", str(tmp_path / "rep.json")) == 0
+        assert counts == [5 * 2]
+
 
 class TestValidate:
     def test_space_consistent_exit_zero(self, tmp_path):
@@ -182,6 +224,11 @@ class TestValidate:
         assert _run("validate", "--mode", "sideways") == 1
         assert _run("validate", "--trials", "10") == 1  # below minimum
         assert _run("validate", "--mode", "time", "--predictor", "full") == 1
+
+    def test_threads_must_be_positive(self, capsys):
+        for value in ("0", "-2"):
+            assert _run("validate", "--trials", "100", "--threads", value) == 1
+            assert f"error: --threads must be at least 1, got {value}" in capsys.readouterr().err
 
 
 class TestConfigAndEnv:

@@ -15,7 +15,6 @@ from confee import (
     RegressionTask,
     SingularSystemError,
     SupportSet,
-    score,
     support_set_assignment,
     support_set_e_values,
     train_conformity,
@@ -150,7 +149,7 @@ class TestDeterminism:
         ridge = train_conformity("ridge", reg, lam=0.3)
         for ds, rule in ((cls, knn), (reg, ridge)):
             batch = rule.score_many(ds.X, ds.y)
-            singles = [score(rule, z) for z in ds.observations()]
+            singles = [rule.score_one(z.x, z.y) for z in ds.observations()]
             assert list(batch) == singles
 
     def test_unknown_kind(self):

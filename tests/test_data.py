@@ -20,6 +20,7 @@ from confee import (
     sample,
     save_csv,
 )
+from confee.data import read_csv
 
 
 class TestScenario:
@@ -183,3 +184,32 @@ class TestCsv:
         with pytest.raises(ParseError) as err:
             load_csv(path, RegressionTask((0.0, 1.0)))
         assert err.value.column == "y"
+
+    def test_y_column_is_optional_for_read_csv(self, tmp_path):
+        path = tmp_path / "objects.csv"
+        path.write_text("x1,x2\n0.5,-1.0\n2.0,3.0\n")
+        X, labels = read_csv(path, ClassificationTask((0, 1)))
+        assert X.tolist() == [[0.5, -1.0], [2.0, 3.0]]
+        assert labels is None
+
+    def test_read_csv_labels_and_header_only(self, tmp_path):
+        path = tmp_path / "labelled.csv"
+        path.write_text("x1,y\n0.5,1\n")
+        assert read_csv(path, ClassificationTask((0, 1)))[1] == (1,)
+        path.write_text("x1,x2\n")
+        X, labels = read_csv(path, ClassificationTask((0, 1)))
+        assert X.shape == (0, 2) and labels is None
+
+    def test_load_csv_needs_y_column(self, tmp_path):
+        path = tmp_path / "nolabels.csv"
+        path.write_text("x1,x2\n0.0,1.0\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path, ClassificationTask((0,)))
+        assert err.value.line == 1
+
+    def test_non_finite_regression_label(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("x1,y\n0.0,nan\n")
+        with pytest.raises(ParseError) as err:
+            read_csv(path, RegressionTask((0.0, 1.0)))
+        assert (err.value.line, err.value.column) == (2, "y")

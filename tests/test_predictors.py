@@ -13,20 +13,16 @@ from confee import (
     PlausibilityTable,
     RegressionTask,
     cross_p_merge,
-    cross_predict,
     e_prediction_set,
     e_to_p,
     fit_cross,
     fit_cross_from_partition,
     fit_split,
-    full_conformal_e_predict,
     get_scenario,
     harmonic_mean,
     make_fold_partition,
     p_to_e,
     sample,
-    split_p_predict,
-    split_predict,
     support_set_assignment,
     unit_margin_provider,
 )
@@ -48,17 +44,18 @@ class TestSplit:
         # mean-normalizing (1, 1) and (1, 1/4) gives 1.0 and 0.4
         assert abs(pred.e_at((3.0,), 3.0) - 1.0) <= 1e-9
         assert abs(pred.e_at((3.0,), 0.0) - 0.4) <= 1e-9
-        assert pred.alphas_at((3.0,), 0.0).values == (1.6, 0.4)
-        table = split_predict(pred, (3.0,))
+        assert pred.predict((3.0,), (0.0,)).alphas[0].values == (1.6, 0.4)
+        table = pred.predict((3.0,))
         assert table.labels == (0.0, 3.0)
         assert table[3.0] == pred.e_at((3.0,), 3.0)
 
     def test_p_values(self):
         pred = _ridge_split_example()
         # one calibration summary equal to 1: p = (#{<=} + 1) / (c + 1)
-        assert pred.p_at((3.0,), 3.0) == 1.0
-        assert pred.p_at((3.0,), 0.0) == 0.5
-        assert split_p_predict(pred, (3.0,)) == {0.0: 0.5, 3.0: 1.0}
+        assert pred.predict((3.0,), (3.0,)).p_values == (1.0,)
+        assert pred.predict((3.0,), (0.0,)).p_values == (0.5,)
+        table = pred.predict((3.0,))
+        assert dict(zip(table.labels, table.p_values)) == {0.0: 0.5, 3.0: 1.0}
 
     def test_calibration_order_equivariance_bitwise(self):
         rng = np.random.default_rng(314)
@@ -90,7 +87,7 @@ class TestCross:
     def test_merge_is_arithmetic_mean(self):
         data, pred = self._fitted()
         z = data.observation(3)
-        folds = pred.fold_e_at(z.x, z.y)
+        folds = tuple(t.values[0] for t in pred.predict(z.x, (z.y,)).folds)
         assert len(folds) == 5
         assert pred.e_at(z.x, z.y) == math.fsum(folds) / 5
 
@@ -98,7 +95,7 @@ class TestCross:
         data = sample(get_scenario("gm2d"), 23, 8)
         pred = fit_cross(data, 5, 17, "knn", "mean", weighting="size_proportional", k=3)
         z = data.observation(3)
-        folds = pred.fold_e_at(z.x, z.y)
+        folds = tuple(t.values[0] for t in pred.predict(z.x, (z.y,)).folds)
         sizes = [len(f) for f in pred.partition.folds]
         expected = math.fsum(s * a for s, a in zip(sizes, folds)) / 23
         assert pred.e_at(z.x, z.y) == expected
@@ -106,7 +103,7 @@ class TestCross:
     def test_predict_matches_pointwise_queries(self):
         data, pred = self._fitted()
         x = (0.1, 0.4)
-        table = cross_predict(pred, x)
+        table = pred.predict(x)
         assert table.values == tuple(pred.e_at(x, y) for y in (0, 1))
 
     def test_fold_relabelling_symmetry(self):
@@ -173,18 +170,16 @@ class TestFull:
     ASSIGN = staticmethod(support_set_assignment(unit_margin_provider((1.0,), 0.0, 1)))
 
     def test_margin_oracle(self):
-        table = full_conformal_e_predict(self.TRAIN, (1.5,), (-1, 1), self.ASSIGN)
+        table = FullEPredictor(self.TRAIN, self.ASSIGN).predict((1.5,), (-1, 1))
         assert table[-1] == 5.0 / 3.0
         assert table[1] == 0.0
 
     def test_training_order_equivariance(self):
         rng = np.random.default_rng(31)
-        base = full_conformal_e_predict(self.TRAIN, (1.5,), (-1, 1), self.ASSIGN).values
+        base = FullEPredictor(self.TRAIN, self.ASSIGN).predict((1.5,), (-1, 1)).values
         for _ in range(50):
             perm = rng.permutation(4)
-            moved = full_conformal_e_predict(
-                self.TRAIN.subset(perm), (1.5,), (-1, 1), self.ASSIGN
-            )
+            moved = FullEPredictor(self.TRAIN.subset(perm), self.ASSIGN).predict((1.5,), (-1, 1))
             assert moved.values == base
 
     def test_brute_force_cross_check(self):

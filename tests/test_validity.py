@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from confee import validity
 from confee import (
     ConstantEPredictor,
     KTooLargeError,
@@ -17,6 +18,7 @@ from confee import (
     online_time_validity,
     sample,
 )
+from confee.validity import _map_trials
 
 GM2D = get_scenario("gm2d")
 CROSS_KNN = PredictorSpec(kind="cross", rule="knn", normalizer="mean")
@@ -161,6 +163,46 @@ class TestComparison:
         a = compare_e_vs_p(GM2D, CROSS_KNN, 120, 9, n_train=30, threads=1)
         b = compare_e_vs_p(GM2D, CROSS_KNN, 120, 9, n_train=30, threads=4)
         assert a == b
+
+
+class TestTrialDrawing:
+    @pytest.mark.parametrize("harness", [mc_space_validity, compare_e_vs_p])
+    def test_trial_scores_one_row_per_fold(self, query_rows, harness):
+        counts = query_rows(validity)
+        harness(GM2D, CROSS_KNN, 100, 4, n_train=20)
+        assert counts == [CROSS_KNN.folds] * 100
+
+
+class TestThreads:
+    def test_below_one_rejected(self):
+        for threads in (0, -3):
+            with pytest.raises(OutOfRangeError):
+                _map_trials(lambda t: t, 5, threads)
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for ThreadPoolExecutor; starts no threads."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(validity, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(validity.os, "cpu_count", lambda: 3)
+        assert _map_trials(lambda t: t * t, 4, 10**6) == [0, 1, 4, 9]
+        assert _map_trials(lambda t: t, 2, 2) == [0, 1]
+        assert _map_trials(lambda t: t, 2, 1) == [0, 1]
+        assert sizes == [3, 2]
 
 
 class TestBuildPredictor:
