@@ -145,6 +145,9 @@ def build_parser() -> _Parser:
     validate.add_argument("--config")
     validate.add_argument("--out", help="report path (default: stdout)")
 
+    # subcommand -> its parser; values read from --config are checked
+    # against the flags defined there
+    parser.commands = sub.choices
     return parser
 
 
@@ -174,18 +177,53 @@ def _load_config(parser: _Parser, path) -> dict:
     return config
 
 
-def _resolve(args, config: dict, defaults: dict) -> dict:
+def _resolve(parser: _Parser, args, config: dict, defaults: dict) -> dict:
     """flag > config file > default, key by key."""
+    flags = {action.dest: action for action in parser.commands[args.command]._actions}
     resolved = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
         elif config.get(key) is not None:
-            resolved[key] = config[key]
+            try:
+                resolved[key] = _config_value(flags.get(key), config[key])
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"config key {key!r}: {exc}")
         else:
             resolved[key] = default
     return resolved
+
+
+def _config_value(action, value):
+    """Put a config value through the type and choices of its flag.
+
+    Values are spelled as the flag's text would be: a list is joined by
+    commas, so [0.1, 0.05] reads as "0.1,0.05". A repeatable flag takes a
+    list of such values.
+    """
+    if action is None or (action.type is None and action.choices is None):
+        return value
+    if isinstance(action, argparse._AppendAction):
+        if not isinstance(value, list):
+            raise argparse.ArgumentTypeError(f"expected a list, got {value!r}")
+        return [_flag_value(action, v) for v in value]
+    return _flag_value(action, value)
+
+
+def _flag_value(action, value):
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    if action.type is not None:
+        try:
+            value = action.type(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {action.type.__name__} value: {text!r}"
+            ) from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from {choices})")
+    return value
 
 
 def _jsonify(value):
@@ -253,7 +291,7 @@ def _check_command(parser: _Parser, config: dict, command: str) -> None:
 def cmd_gen(parser: _Parser, args) -> int:
     config = _load_config(parser, args.config)
     _check_command(parser, config, "gen")
-    cfg = _resolve(args, config, {
+    cfg = _resolve(parser, args, config, {
         "command": "gen",
         "scenario": "gm2d",
         "n": 100,
@@ -353,7 +391,7 @@ def _details_for(table) -> dict:
 def cmd_predict(parser: _Parser, args) -> int:
     config = _load_config(parser, args.config)
     _check_command(parser, config, "predict")
-    cfg = _resolve(args, config, _predict_defaults(parser))
+    cfg = _resolve(parser, args, config, _predict_defaults(parser))
     training = _training_data(parser, cfg)
     task = training.task
     labels = task.candidates
@@ -427,7 +465,7 @@ def _validate_defaults(parser: _Parser) -> dict:
 def cmd_validate(parser: _Parser, args) -> int:
     config = _load_config(parser, args.config)
     _check_command(parser, config, "validate")
-    cfg = _resolve(args, config, _validate_defaults(parser))
+    cfg = _resolve(parser, args, config, _validate_defaults(parser))
     scenario = get_scenario(cfg["scenario"])
     spec = _spec_from(cfg, parser)
     threads = args.threads

@@ -8,7 +8,15 @@ this orientation; new rules must follow it.
 
 Fitting is insensitive to the order of the training set proper at the bit
 level: ridge sorts its rows into a canonical order before solving, and the
-knn score sorts each distance vector before averaging the k smallest.
+knn score picks the k smallest distances of each row with np.partition and
+sorts only those before averaging them.
+
+The knn distance kernel adds squared coordinate differences column by
+column in the order numpy's own pairwise summation uses, so its distances
+equal np.sqrt((diff * diff).sum(axis=2)) bit for bit without building the
+(a, b, d) difference tensor; it relies on that summation order, which
+tests/test_conformity.py::TestDistanceKernel checks against the tensor
+reference.
 """
 
 from __future__ import annotations
@@ -33,10 +41,54 @@ from .errors import (
 EPSILON_FLOOR = 1e-6
 
 
+#: numpy's pairwise summation adds up to this many terms in 8 lanes before
+#: it splits a sum in two (PW_BLOCKSIZE in its loops).
+_PAIRWISE_BLOCK = 128
+
+
 def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Euclidean distances between rows of A and rows of B, exact per entry."""
-    diff = A[:, None, :] - B[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    """Euclidean distances between rows of A and rows of B, exact per entry.
+
+    Bit-identical to np.sqrt(((A[:, None] - B[None]) ** 2).sum(axis=2)), but
+    only (a, b) arrays are built: the squared differences of one coordinate
+    at a time are added in the order numpy's pairwise sum adds a row's terms.
+    """
+
+    def square(j: int) -> np.ndarray:
+        sq = np.subtract.outer(A[:, j], B[:, j])
+        return np.multiply(sq, sq, out=sq)
+
+    def total(lo: int, n: int) -> np.ndarray:
+        if n < 8:
+            # the sum starts from 0.0, and 0.0 + s == s for a square s
+            acc = square(lo)
+            for j in range(lo + 1, lo + n):
+                acc += square(j)
+            return acc
+        if n <= _PAIRWISE_BLOCK:
+            r = [square(lo + j) for j in range(8)]
+            tail = lo + n - n % 8
+            for i in range(lo + 8, tail, 8):
+                for j in range(8):
+                    r[j] += square(i + j)
+            # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place
+            r[0] += r[1]
+            r[2] += r[3]
+            r[0] += r[2]
+            r[4] += r[5]
+            r[6] += r[7]
+            r[4] += r[6]
+            r[0] += r[4]
+            for j in range(tail, lo + n):
+                r[0] += square(j)
+            return r[0]
+        half = n // 2
+        half -= half % 8
+        acc = total(lo, half)
+        acc += total(lo + half, n - half)
+        return acc
+
+    return np.sqrt(total(0, A.shape[1]))
 
 
 class ConformityRule:
@@ -84,27 +136,39 @@ class KnnRule(ConformityRule):
         self.k = k
         self.dim = proper.dim
         self._X = proper.X
-        self._rows_by_label = {}
-        for i, label in enumerate(proper.y):
-            self._rows_by_label.setdefault(_as_key(label), []).append(i)
         self._rows_by_label = {
-            lab: np.asarray(rows, dtype=int) for lab, rows in self._rows_by_label.items()
+            label: np.asarray(rows, dtype=int)
+            for label, rows in _positions_by_label(proper.y).items()
         }
 
     def score_many(self, X, y) -> np.ndarray:
         X = self._check_batch(X)
         out = np.full(X.shape[0], EPSILON_FLOOR)
-        groups: dict = {}
-        for i, label in enumerate(y):
-            groups.setdefault(_as_key(label), []).append(i)
-        for label, rows in groups.items():
+        for label, rows in _positions_by_label(y).items():
             proper_rows = self._rows_by_label.get(label)
             if proper_rows is None:
                 continue
-            D = np.sort(_pairwise_distances(X[rows], self._X[proper_rows]), axis=1)
+            D = _pairwise_distances(X[rows], self._X[proper_rows])
             kk = min(self.k, proper_rows.size)
-            out[rows] = 1.0 / (1.0 + D[:, :kk].mean(axis=1))
+            # the kk smallest, sorted: the same values in the same order as
+            # the head of a full sort, so the mean is bit for bit the same
+            if kk < D.shape[1]:
+                D = np.partition(D, kk - 1, axis=1)
+            out[rows] = 1.0 / (1.0 + np.sort(D[:, :kk], axis=1).mean(axis=1))
         return out
+
+
+def _positions_by_label(y) -> dict:
+    """label -> positions in y, in order of first appearance.
+
+    An array's labels come out of tolist() as Python scalars; numpy scalars
+    in a plain sequence hash and compare like the Python ones they hold.
+    """
+    labels = y.tolist() if isinstance(y, np.ndarray) else y
+    groups: dict = {}
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    return groups
 
 
 class RidgeRule(ConformityRule):
@@ -151,17 +215,10 @@ class RidgeRule(ConformityRule):
         return 1.0 / (1.0 + np.abs(yf - preds))
 
 
-def _as_key(label):
-    """Hashable lookup key for a label; numpy scalars fold into Python ones."""
-    if isinstance(label, np.generic):
-        return label.item()
-    return label
-
-
 def _numeric_labels(proper: Dataset) -> np.ndarray:
     if isinstance(proper.task, RegressionTask):
         return np.asarray(proper.y, dtype=float)
-    values = set(_as_key(v) for v in proper.y)
+    values = set(proper.y.tolist())
     if not values <= {-1, 1}:
         raise OutOfRangeError(
             f"ridge on classification needs -1/+1 labels, got {sorted(map(str, values))}"

@@ -367,5 +367,6 @@ def make_fold_partition(n: int, K: int, seed: int) -> FoldPartition:
 
 def complement_indices(partition: FoldPartition, k: int) -> tuple:
     """All observation indices outside fold k (1-based), sorted."""
-    held_out = set(partition.fold(k))
-    return tuple(i for i in range(partition.n) if i not in held_out)
+    keep = np.ones(partition.n, dtype=bool)
+    keep[list(partition.fold(k))] = False
+    return tuple(np.flatnonzero(keep).tolist())

@@ -1,4 +1,13 @@
+import os
+from pathlib import Path
+
 import pytest
+
+# pyproject's `pythonpath` puts src/ on the path of this process only;
+# export it so that processes the tests start (`python -m confee`) import
+# the same checkout
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 _LINES = []
 

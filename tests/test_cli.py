@@ -241,6 +241,22 @@ class TestConfigAndEnv:
         assert _run("validate", "--config", str(first), "--out", str(second)) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("scenario, task_flags", [
+        ("gm2d", ["--labels", "0,1", "--rule", "knn", "--k", "2"]),
+        ("linreg3", ["--grid", "-3,0,3", "--rule", "ridge", "--lam", "0.5"]),
+    ])
+    def test_predict_config_rerun_is_byte_identical(self, tmp_path, scenario, task_flags):
+        train = tmp_path / "train.csv"
+        _run("gen", "--scenario", scenario, "--n", "30", "--seed", "2", "--out", str(train))
+        dim = len(train.read_text().splitlines()[0].split(",")) - 1
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        x1, x2 = ",".join(["0.5"] * dim), ",".join(["-1"] * dim)
+        assert _run("predict", "--input", str(train), *task_flags, "--K", "3",
+                    "--x", x1, "--x", x2, "--epsilons", "0.1,0.05", "--verbose",
+                    "--out", str(first)) == 0
+        assert _run("predict", "--config", str(first), "--out", str(second)) == 0
+        assert first.read_bytes() == second.read_bytes()
+
     def test_flag_overrides_config(self, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -256,6 +272,43 @@ class TestConfigAndEnv:
         _run("validate", "--mode", "space", "--trials", "120", "--n", "30",
              "--seed", "4", "--out", str(first))
         assert _run("predict", "--config", str(first), "--x", "0,0") == 1
+
+    @staticmethod
+    def _predict_with_config(tmp_path, **config) -> int:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "gm2d", "n": 30, "x": [[0.0, 0.0]], **config}))
+        return _run("predict", "--config", str(path), "--out", str(tmp_path / "r.json"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("x", [[float("nan"), 1.0]]),
+        ("epsilons", [0.1, float("inf")]),
+        ("margin_w", "1,abc"),
+    ])
+    def test_config_vectors_checked_like_flags(self, tmp_path, capsys, key, value):
+        assert self._predict_with_config(tmp_path, **{key: value}) == 1
+        assert (f"error: config key {key!r}: expected comma-separated finite numbers"
+                in capsys.readouterr().err)
+
+    def test_config_ints_checked_like_flags(self, tmp_path, capsys):
+        assert self._predict_with_config(tmp_path, n=20.5) == 1
+        assert "error: config key 'n': invalid int value: '20.5'" in capsys.readouterr().err
+        assert self._predict_with_config(tmp_path, K=True) == 1
+        assert "error: config key 'K': invalid int value: 'True'" in capsys.readouterr().err
+        # the text a flag would accept is accepted, as the flag would read it
+        assert self._predict_with_config(tmp_path, n="20") == 0
+        assert _load(tmp_path / "r.json")["config"]["n"] == 20
+
+    def test_config_floats_checked_like_flags(self, tmp_path, capsys):
+        assert self._predict_with_config(tmp_path, lam="abc") == 1
+        assert "error: config key 'lam': invalid float value: 'abc'" in capsys.readouterr().err
+
+    def test_config_choices_checked_like_flags(self, tmp_path, capsys):
+        assert self._predict_with_config(tmp_path, rule="kn") == 1
+        assert "error: config key 'rule': invalid choice: 'kn'" in capsys.readouterr().err
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"mode": "spaec", "trials": 100}))
+        assert _run("validate", "--config", str(path)) == 1
+        assert "error: config key 'mode': invalid choice: 'spaec'" in capsys.readouterr().err
 
     def test_env_seed(self, tmp_path, monkeypatch):
         by_flag = tmp_path / "flag.json"

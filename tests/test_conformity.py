@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from confee import (
     ClassificationTask,
@@ -20,6 +22,7 @@ from confee import (
     train_conformity,
     unit_margin_provider,
 )
+from confee.conformity import _pairwise_distances
 
 TASK01 = ClassificationTask((0, 1))
 
@@ -77,6 +80,88 @@ class TestKnn:
         rule = train_conformity("knn", proper, k=1)
         with pytest.raises(DimensionMismatchError):
             rule.score_one((0.0, 0.0), 0)
+
+
+def _reference_distances(A, B):
+    """The (a, b, d) tensor formula the knn kernel must match bit for bit."""
+    diff = A[:, None, :] - B[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def _reference_knn(proper, k, x, label):
+    """One query row: full sort of its same-label distances, mean of the head."""
+    rows = [i for i, v in enumerate(proper.y.tolist()) if v == label]
+    if not rows:
+        return EPSILON_FLOOR
+    dist = np.sort(_reference_distances(np.asarray(x)[None, :], proper.X[rows])[0])
+    return 1.0 / (1.0 + dist[:min(k, len(rows))].mean())
+
+
+#: Where numpy's pairwise sum changes shape: left fold below 8 terms, 8
+#: lanes up to 128, halves beyond that.
+_BOUNDARY_DIMS = (1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 300)
+
+
+def _with_boundary_dims(test):
+    for d in _BOUNDARY_DIMS:
+        test = example(a=3, b=5, d=d, seed=d, spread=4.0)(test)
+    return test
+
+
+class TestDistanceKernel:
+    """The column-by-column kernel against the difference-tensor reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @_with_boundary_dims
+    @given(
+        a=st.integers(1, 9),
+        b=st.integers(1, 9),
+        d=st.one_of(st.sampled_from(_BOUNDARY_DIMS), st.integers(1, 300)),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.floats(0.0, 6.0),
+    )
+    def test_matches_tensor_reference_exactly(self, a, b, d, seed, spread):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-spread, spread, d)  # mixed column scales
+        A = rng.standard_normal((a, d)) * scale
+        B = rng.standard_normal((b, d)) * scale + rng.integers(-2, 3) * scale
+        B[: min(a, b) // 2] = A[: min(a, b) // 2]  # some zero distances
+        assert np.array_equal(_pairwise_distances(A, B), _reference_distances(A, B))
+
+
+class TestKnnDifferential:
+    """KnnRule.score_many against the scalar full-sort reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        string_labels=st.booleans(),
+        n_labels=st.integers(1, 4),
+        n_proper=st.integers(1, 40),
+        n_query=st.integers(1, 12),
+        d=st.integers(1, 4),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        array_labels=st.booleans(),
+    )
+    def test_matches_full_sort_reference(
+        self, string_labels, n_labels, n_proper, n_query, d, k, seed, array_labels
+    ):
+        rng = np.random.default_rng(seed)
+        labels = tuple("abcd"[:n_labels]) if string_labels else tuple(range(n_labels))
+        task = ClassificationTask(labels)
+        # proper labels come from a random subset of the task's labels, so
+        # some labels have no proper point and others fewer than k
+        present = rng.choice(n_labels, size=int(rng.integers(1, n_labels + 1)), replace=False)
+        proper_y = [labels[i] for i in rng.choice(present, size=n_proper)]
+        pool = rng.standard_normal((max(1, n_proper // 3), d))  # duplicate points
+        proper = Dataset(pool[rng.integers(0, len(pool), n_proper)], np.array(proper_y), task)
+        k = min(k, n_proper)
+        rule = train_conformity("knn", proper, k=k)
+        Q = np.vstack([pool, rng.standard_normal((n_query, d))])
+        query_y = [labels[i] for i in rng.integers(0, n_labels, len(Q))]
+        out = rule.score_many(Q, np.array(query_y) if array_labels else query_y)
+        expected = [_reference_knn(proper, k, x, y) for x, y in zip(Q, query_y)]
+        assert out.tolist() == expected
 
 
 class TestRidge:
