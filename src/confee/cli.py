@@ -70,17 +70,17 @@ def _floats(text: str) -> list:
     return values
 
 
+def _label(text: str):
+    """One label as a flag spells it: an integer if it reads as one."""
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _labels(text: str) -> list:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok == "":
-            continue
-        try:
-            out.append(int(tok))
-        except ValueError:
-            out.append(tok)
-    return out
+    return [_label(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def build_parser() -> _Parser:
@@ -110,7 +110,7 @@ def build_parser() -> _Parser:
     predict.add_argument("--normalizer", choices=["sum", "mean"])
     predict.add_argument("--margin-w", type=_floats, dest="margin_w")
     predict.add_argument("--margin-b", type=float, dest="margin_b")
-    predict.add_argument("--positive-label", dest="positive_label")
+    predict.add_argument("--positive-label", type=_label, dest="positive_label")
     predict.add_argument(
         "--x", action="append", type=_floats, help="test object, repeatable"
     )
@@ -200,9 +200,14 @@ def _config_value(action, value):
 
     Values are spelled as the flag's text would be: a list is joined by
     commas, so [0.1, 0.05] reads as "0.1,0.05". A repeatable flag takes a
-    list of such values.
+    list of such values, a flag without a type a JSON string, and a switch
+    a JSON boolean.
     """
-    if action is None or (action.type is None and action.choices is None):
+    if action is None:
+        return value
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise argparse.ArgumentTypeError(f"expected true or false, got {json.dumps(value)}")
         return value
     if isinstance(action, argparse._AppendAction):
         if not isinstance(value, list):
@@ -212,6 +217,8 @@ def _config_value(action, value):
 
 
 def _flag_value(action, value):
+    if action.type is None and not isinstance(value, str):
+        raise argparse.ArgumentTypeError(f"expected a string, got {json.dumps(value)}")
     text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
     if action.type is not None:
         try:

@@ -27,7 +27,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, EValueVector, Observation, RegressionTask, make_e_vector
+from .core import (
+    Dataset,
+    EValueVector,
+    Observation,
+    RegressionTask,
+    make_e_vector,
+    positions_by_label,
+)
 from .errors import (
     DimensionMismatchError,
     EmptyProperSetError,
@@ -105,6 +112,10 @@ class ConformityRule:
     def score_many(self, X: np.ndarray, y) -> np.ndarray:
         raise NotImplementedError
 
+    def score_rows(self, data: Dataset) -> np.ndarray:
+        """Summaries of a dataset's own examples, in row order."""
+        return self.score_many(data.X, data.y)
+
     def score_one(self, x: Sequence[float], y) -> float:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
@@ -136,15 +147,19 @@ class KnnRule(ConformityRule):
         self.k = k
         self.dim = proper.dim
         self._X = proper.X
-        self._rows_by_label = {
-            label: np.asarray(rows, dtype=int)
-            for label, rows in _positions_by_label(proper.y).items()
-        }
+        self._rows_by_label = proper.rows_by_label
 
     def score_many(self, X, y) -> np.ndarray:
-        X = self._check_batch(X)
+        return self._score(self._check_batch(X), positions_by_label(y))
+
+    def score_rows(self, data: Dataset) -> np.ndarray:
+        # the dataset's buckets come from its root, so no per-row pass here
+        return self._score(self._check_batch(data.X), data.rows_by_label)
+
+    def _score(self, X: np.ndarray, groups: dict) -> np.ndarray:
+        """Summaries of X's rows; groups maps a label to its rows of X."""
         out = np.full(X.shape[0], EPSILON_FLOOR)
-        for label, rows in _positions_by_label(y).items():
+        for label, rows in groups.items():
             proper_rows = self._rows_by_label.get(label)
             if proper_rows is None:
                 continue
@@ -154,21 +169,9 @@ class KnnRule(ConformityRule):
             # the head of a full sort, so the mean is bit for bit the same
             if kk < D.shape[1]:
                 D = np.partition(D, kk - 1, axis=1)
-            out[rows] = 1.0 / (1.0 + np.sort(D[:, :kk], axis=1).mean(axis=1))
+            # the sum and division that ndarray.mean makes, without its wrapper
+            out[rows] = 1.0 / (1.0 + np.add.reduce(np.sort(D[:, :kk], axis=1), axis=1) / kk)
         return out
-
-
-def _positions_by_label(y) -> dict:
-    """label -> positions in y, in order of first appearance.
-
-    An array's labels come out of tolist() as Python scalars; numpy scalars
-    in a plain sequence hash and compare like the Python ones they hold.
-    """
-    labels = y.tolist() if isinstance(y, np.ndarray) else y
-    groups: dict = {}
-    for i, label in enumerate(labels):
-        groups.setdefault(label, []).append(i)
-    return groups
 
 
 class RidgeRule(ConformityRule):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -48,6 +49,19 @@ def derive_seed(*parts: int) -> int:
 def spawn_rng(*parts: int) -> np.random.Generator:
     """Deterministic generator keyed by a tuple of integers."""
     return np.random.default_rng(_seed_sequence(parts))
+
+
+def positions_by_label(y) -> dict:
+    """label -> positions in y, in order of first appearance.
+
+    An array's labels come out of tolist() as Python scalars; numpy scalars
+    in a plain sequence hash and compare like the Python ones they hold.
+    """
+    labels = y.tolist() if isinstance(y, np.ndarray) else y
+    groups: dict = {}
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    return groups
 
 
 def _py_scalar(value):
@@ -129,7 +143,9 @@ class Dataset:
     """Ordered observations sharing one task.
 
     X is an (n, d) float array, y the matching labels. Both are frozen
-    (writeable=False) on construction; n >= 1 always holds.
+    (writeable=False) on construction; n >= 1 always holds. Construction
+    validates every row; `subset` copies rows of a dataset that already
+    passed and does not validate them again.
     """
 
     X: np.ndarray
@@ -163,6 +179,8 @@ class Dataset:
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
+        # (root, rows of the root) for a subset; None for a validated dataset
+        object.__setattr__(self, "_source", None)
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -183,10 +201,60 @@ class Dataset:
             yield self.observation(i)
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
-        idx = np.asarray(list(indices), dtype=int)
-        if idx.size == 0:
+        """The rows at `indices`, in that order, copied and read-only.
+
+        The rows come from a valid dataset and are not validated again. The
+        subset remembers which rows of its root (the validated dataset at
+        the start of a chain of subsets) it holds, so it reads its label
+        buckets off the root's: a chain of subsets buckets its labels once.
+        """
+        positions = list(indices)
+        if not positions:
             raise EmptyDatasetError("subset selects no observations")
-        return Dataset(self.X[idx], self.y[idx], self.task)
+        if min(positions) < 0 or max(positions) >= self.n:
+            bad = next(i for i in positions if not 0 <= i < self.n)
+            raise OutOfRangeError(f"subset index {bad} not in 0..{self.n - 1}")
+        idx = np.array(positions, dtype=int)
+        X, y = self.X.take(idx, axis=0), self.y.take(idx)
+        X.setflags(write=False)
+        y.setflags(write=False)
+        root, rows = self._source or (self, None)
+        view = object.__new__(type(self))
+        object.__setattr__(view, "X", X)
+        object.__setattr__(view, "y", y)
+        object.__setattr__(view, "task", self.task)
+        object.__setattr__(view, "_source", (root, idx if rows is None else rows[idx]))
+        return view
+
+    @cached_property
+    def _label_codes(self) -> tuple:
+        """(distinct labels in order of first appearance, each row's index
+        into them): the one pass over a root's rows that bucketing makes."""
+        groups = positions_by_label(self.y)
+        codes = np.empty(self.n, dtype=np.intp)
+        for code, rows in enumerate(groups.values()):
+            codes[rows] = code
+        return tuple(groups), codes
+
+    @cached_property
+    def rows_by_label(self) -> dict:
+        """label -> ascending positions of the rows holding it (int arrays).
+
+        Equal, label by label, to bucketing this dataset's own y with
+        `positions_by_label`; labels without rows are left out. A subset
+        reads its rows' codes off its root.
+        """
+        root, rows = self._source or (self, None)
+        labels, codes = root._label_codes
+        if rows is not None:
+            codes = codes[rows]
+        order = np.argsort(codes, kind="stable")
+        bounds = [0, *np.bincount(codes, minlength=len(labels)).cumsum().tolist()]
+        return {
+            label: order[lo:hi]
+            for label, lo, hi in zip(labels, bounds, bounds[1:])
+            if hi > lo
+        }
 
     @classmethod
     def from_observations(cls, observations: Sequence[Observation], task: Task) -> "Dataset":

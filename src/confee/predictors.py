@@ -105,7 +105,7 @@ def fit_split(
             f"proper has {proper.dim} features, calibration {calibration.dim}"
         )
     rule = train_conformity(kind, proper, **rule_params)
-    summaries = SummaryVector(tuple(float(v) for v in rule.score_many(calibration.X, calibration.y)))
+    summaries = SummaryVector(tuple(rule.score_rows(calibration).tolist()))
     return SplitEPredictor(
         rule,
         summaries,

@@ -302,6 +302,35 @@ class TestConfigAndEnv:
         assert self._predict_with_config(tmp_path, lam="abc") == 1
         assert "error: config key 'lam': invalid float value: 'abc'" in capsys.readouterr().err
 
+    def test_config_strings_checked_like_flags(self, tmp_path, capsys):
+        assert self._predict_with_config(tmp_path, predictor=5) == 1
+        assert "error: config key 'predictor': expected a string, got 5" in capsys.readouterr().err
+        assert self._predict_with_config(tmp_path, rule=["knn"]) == 1
+        assert "error: config key 'rule': expected a string, got [\"knn\"]" in capsys.readouterr().err
+        assert self._predict_with_config(tmp_path, predictor="split") == 0
+
+    def test_config_switches_checked_like_flags(self, tmp_path, capsys):
+        assert self._predict_with_config(tmp_path, verbose="no") == 1
+        assert ("error: config key 'verbose': expected true or false, got \"no\""
+                in capsys.readouterr().err)
+        assert self._predict_with_config(tmp_path, verbose=0) == 1
+        assert self._predict_with_config(tmp_path, verbose=False) == 0
+        assert "details" not in _load(tmp_path / "r.json")["results"][0]
+        assert self._predict_with_config(tmp_path, verbose=True) == 0
+        assert "details" in _load(tmp_path / "r.json")["results"][0]
+
+    def test_positive_label_reads_like_a_label(self, tmp_path):
+        full = ["--predictor", "full", "--margin-w", "1,0", "--x", "0.3,0.1"]
+        reports = []
+        for extra in ([], ["--positive-label", "1"]):
+            out = tmp_path / f"r{len(reports)}.json"
+            assert _run("predict", "--scenario", "gm2d", "--n", "30", *full, *extra,
+                        "--out", str(out)) == 0
+            reports.append(out.read_bytes())
+        # the flag's "1" is the label 1, as the default and the config file have it
+        assert reports[0] == reports[1]
+        assert self._predict_with_config(tmp_path, predictor="full", positive_label=1) == 0
+
     def test_config_choices_checked_like_flags(self, tmp_path, capsys):
         assert self._predict_with_config(tmp_path, rule="kn") == 1
         assert "error: config key 'rule': invalid choice: 'kn'" in capsys.readouterr().err

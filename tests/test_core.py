@@ -26,6 +26,9 @@ from confee import (
     make_fold_partition,
     spawn_rng,
 )
+from confee.core import positions_by_label
+
+TASK01 = ClassificationTask((0, 1))
 
 
 class TestEValueVector:
@@ -166,6 +169,44 @@ class TestTasksAndData:
         assert [z.y for z in ds.observations()] == [0, 1, 1, 0]
         with pytest.raises(EmptyDatasetError):
             ds.subset([])
+
+    def test_subset_rejects_indices_outside_the_rows(self):
+        ds = Dataset(np.arange(10.0).reshape(5, 2), np.array([0, 1, 1, 0, 1]), TASK01)
+        for indices, bad in (([-1], -1), ([0, 7], 7), ([5], 5)):
+            with pytest.raises(OutOfRangeError, match=rf"subset index {bad} not in 0\.\.4"):
+                ds.subset(indices)
+        with pytest.raises(OutOfRangeError, match="subset index 3 not in 0..2"):
+            ds.subset([4, 0, 1]).subset([3])
+
+    def test_subset_copies_rows_read_only_without_revalidating(self, monkeypatch):
+        ds = Dataset(np.arange(10.0).reshape(5, 2), np.array([0, 1, 1, 0, 1]), TASK01)
+        checks = []
+        post_init = Dataset.__post_init__
+        monkeypatch.setattr(
+            Dataset, "__post_init__", lambda self: checks.append(1) or post_init(self)
+        )
+        sub = ds.subset([3, 1]).subset([1])
+        assert checks == []
+        assert sub.X.tolist() == [[2.0, 3.0]] and sub.y.tolist() == [1]
+        assert not np.shares_memory(sub.X, ds.X) and not np.shares_memory(sub.y, ds.y)
+        with pytest.raises(ValueError):
+            sub.X[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            sub.y[0] = 0
+
+    def test_rows_by_label_matches_bucketing_own_labels(self):
+        rng = np.random.default_rng(8)
+        for labels in ((0, 1, 2), ("a", "b"), None):
+            task = RegressionTask((0.0, 1.0)) if labels is None else ClassificationTask(labels)
+            values = [0.0, 1.0, 0.5] if labels is None else labels
+            y = np.array([values[i] for i in rng.integers(0, len(values), 30)])
+            data = Dataset(rng.standard_normal((30, 2)), y, task)
+            chain = [data, data.subset(rng.permutation(30)[:20])]
+            chain.append(chain[-1].subset([4, 0, 9, 9, 2]))
+            chain.append(data.subset(range(30)))
+            for part in chain:
+                got = {lab: rows.tolist() for lab, rows in part.rows_by_label.items()}
+                assert got == positions_by_label(part.y)
 
     def test_from_observations_round_trip(self):
         task = ClassificationTask(("x", "y"))

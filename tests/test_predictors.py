@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confee import (
     ClassificationTask,
@@ -12,6 +14,7 @@ from confee import (
     OutOfRangeError,
     PlausibilityTable,
     RegressionTask,
+    complement_indices,
     cross_p_merge,
     e_prediction_set,
     e_to_p,
@@ -26,7 +29,7 @@ from confee import (
     support_set_assignment,
     unit_margin_provider,
 )
-from confee.predictors import CrossEPredictor, FullEPredictor, OnlineTrace
+from confee.predictors import WEIGHTINGS, CrossEPredictor, FullEPredictor, OnlineTrace
 
 GRID03 = RegressionTask((0.0, 3.0))
 
@@ -155,6 +158,84 @@ class TestCross:
         data = sample(get_scenario("gm2d"), 20, 8)
         with pytest.raises(OutOfRangeError):
             fit_cross(data, 4, 1, "knn", "mean", weighting="median", k=3)
+
+
+def _reference_cross(training, partition, kind, normalizer, weighting, **params):
+    """Per fold, validated copies of the fold and its complement, fit alone."""
+    folds = []
+    for k in range(1, partition.K + 1):
+        proper, calibration = (
+            Dataset(training.X[list(rows)], training.y[list(rows)], training.task)
+            for rows in (complement_indices(partition, k), partition.fold(k))
+        )
+        folds.append(fit_split(proper, calibration, kind, normalizer, **params))
+    return CrossEPredictor(partition, tuple(folds), weighting)
+
+
+def _fold_view(table) -> tuple:
+    return table.values, [(t.sigmas, [a.values for a in t.alphas]) for t in table.folds]
+
+
+class TestCrossFitDifferential:
+    """The cross fit on subset views against validated copies per fold."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        rule=st.sampled_from(["knn", "ridge"]),
+        labels=st.sampled_from(["classes", "strings", "grid"]),
+        n=st.integers(2, 30),
+        K=st.integers(2, 6),
+        k=st.integers(1, 6),
+        d=st.integers(1, 3),
+        rare=st.integers(0, 4),
+        normalizer=st.sampled_from(["sum", "mean"]),
+        weighting=st.sampled_from(WEIGHTINGS),
+        nested=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_validated_copies(
+        self, rule, labels, n, K, k, d, rare, normalizer, weighting, nested, seed
+    ):
+        rng = np.random.default_rng(seed)
+        K = min(K, n)
+        rare = min(rare, n - 1)
+        # one common label, `rare` rows of a second, and a third with no
+        # rows at all: some fold complements hold fewer than k or zero
+        # points of a label
+        if labels == "grid":
+            task = RegressionTask((0.0, 0.5, 1.0, 2.0))
+            common, second = 0.5, 1.0
+        elif rule == "ridge":  # ridge reads classes as -1/+1
+            task = ClassificationTask((-1, 1, 0))
+            common, second = -1, 1
+        else:
+            task = ClassificationTask(("a", "b", "c") if labels == "strings" else (0, 1, 2))
+            common, second = task.labels[:2]
+        y = np.array([second] * rare + [common] * (n - rare))
+        if rule == "ridge" and labels == "grid":
+            y = rng.standard_normal(n)
+        pool = rng.standard_normal((max(1, n // 2), d))  # duplicate points
+        X = pool[rng.integers(0, len(pool), n)]
+        order = rng.permutation(n)
+        training = Dataset(X[order], y[order], task)
+        if nested:  # rows of a longer stream, as the online harness fits
+            stream = Dataset(
+                np.vstack([rng.standard_normal((3, d)), training.X]),
+                np.concatenate([training.y[:1].repeat(3), training.y]),
+                task,
+            )
+            training = stream.subset(range(3, n + 3))
+        partition = make_fold_partition(n, K, int(rng.integers(2**31)))
+        smallest_proper = n - max(len(fold) for fold in partition.folds)
+        params = {"k": min(k, smallest_proper)} if rule == "knn" else {"lam": 0.5}
+
+        got = fit_cross_from_partition(training, partition, rule, normalizer, weighting, **params)
+        ref = _reference_cross(training, partition, rule, normalizer, weighting, **params)
+        for fitted, expected in zip(got.fold_predictors, ref.fold_predictors):
+            assert fitted.calibration_summaries == expected.calibration_summaries
+        queries = np.vstack([training.X[:3], rng.standard_normal((3, d))])
+        for x in queries:
+            assert _fold_view(got.predict(x)) == _fold_view(ref.predict(x))
 
 
 class TestFull:

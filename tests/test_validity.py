@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from confee import validity
+from confee import conformity, core, validity
 from confee import (
     ConstantEPredictor,
     KTooLargeError,
@@ -171,6 +173,55 @@ class TestTrialDrawing:
         counts = query_rows(validity)
         harness(GM2D, CROSS_KNN, 100, 4, n_train=20)
         assert counts == [CROSS_KNN.folds] * 100
+
+
+class TestTrialWork:
+    """What a space trial does, counted rather than timed."""
+
+    def test_space_trial_work(self, monkeypatch):
+        calls = Counter()
+        sampling = []
+
+        def count(owner, name, key, only_in_sample=False, only_arrays=False):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                if (sampling or not only_in_sample) and (
+                    isinstance(args[0], np.ndarray) or not only_arrays
+                ):
+                    calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        sample_fn = validity.sample
+
+        def traced_sample(*args, **kwargs):
+            sampling.append(True)
+            try:
+                return sample_fn(*args, **kwargs)
+            finally:
+                sampling.pop()
+
+        monkeypatch.setattr(validity, "sample", traced_sample)
+        count(core, "spawn_rng", "spawn_rng in sample", only_in_sample=True)
+        count(np.random, "default_rng", "default_rng in sample", only_in_sample=True)
+        count(core.Dataset, "__post_init__", "dataset validations")
+        # bucketing a dataset's label array; a query buckets its list of
+        # candidate labels, which is not counted
+        for module in (core, conformity):
+            count(module, "positions_by_label", "label bucketing", only_arrays=True)
+        count(core.Dataset, "subset", "subsets")
+
+        trials = 100
+        mc_space_validity(GM2D, CROSS_KNN, trials, 4, n_train=50)
+        assert calls == Counter({
+            "spawn_rng in sample": 0,
+            "default_rng in sample": 0,
+            "dataset validations": 2 * trials,  # the training set and the test point
+            "label bucketing": trials,  # once per training set, not per fold
+            "subsets": 2 * CROSS_KNN.folds * trials,  # a fold and its complement
+        })
 
 
 class TestThreads:
