@@ -380,9 +380,9 @@ def _details_for(table) -> dict:
     keys = [_label_key(y) for y in table.labels]
     if isinstance(table, SplitTable):
         return {
-            "calibration_summaries": list(table.calibration),
+            "calibration_summaries": table.calibration.tolist(),
             "candidate_summaries": dict(zip(keys, table.sigmas)),
-            "normalized": {k: list(a.values) for k, a in zip(keys, table.alphas)},
+            "normalized": dict(zip(keys, table.block.tolist())),
         }
     if isinstance(table, CrossTable):
         return {

@@ -1,8 +1,11 @@
 """Domain types, e-vector invariants, fold partitioning, seeded randomness.
 
 Everything here is immutable after construction and safe to share across
-threads. Observation indices are 0-based throughout; fold numbers are
-1-based to match the usual S_1..S_K naming in reports.
+threads. Arrays held by these types (dataset rows, summary and e-vectors,
+folds) are read-only numpy arrays: writing into one raises ValueError, and
+a caller's writable array is copied before it is frozen. Observation
+indices are 0-based throughout; fold numbers are 1-based to match the
+usual S_1..S_K naming in reports.
 """
 
 from __future__ import annotations
@@ -69,6 +72,24 @@ def _py_scalar(value):
     if isinstance(value, np.generic):
         return value.item()
     return value
+
+
+def _frozen_array(values, dtype) -> np.ndarray:
+    """values as a read-only 1-D array of dtype.
+
+    A caller's writable array is copied first, so a later write to it does
+    not reach the frozen one; a read-only array of the dtype is shared.
+    """
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        values = list(values)
+    array = np.asarray(values, dtype=dtype)
+    if array.ndim != 1:
+        raise OutOfRangeError(f"expected a flat sequence, got shape {array.shape}")
+    if array.flags.writeable:
+        if array is values:
+            array = array.copy()
+        array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -200,7 +221,7 @@ class Dataset:
         for i in range(self.n):
             yield self.observation(i)
 
-    def subset(self, indices: Sequence[int]) -> "Dataset":
+    def subset(self, indices: Union[Sequence[int], np.ndarray, range]) -> "Dataset":
         """The rows at `indices`, in that order, copied and read-only.
 
         The rows come from a valid dataset and are not validated again. The
@@ -208,13 +229,15 @@ class Dataset:
         the start of a chain of subsets) it holds, so it reads its label
         buckets off the root's: a chain of subsets buckets its labels once.
         """
-        positions = list(indices)
-        if not positions:
+        if isinstance(indices, range):
+            idx = np.arange(indices.start, indices.stop, indices.step, dtype=np.intp)
+        else:
+            idx = _frozen_array(indices, np.intp)
+        if not idx.size:
             raise EmptyDatasetError("subset selects no observations")
-        if min(positions) < 0 or max(positions) >= self.n:
-            bad = next(i for i in positions if not 0 <= i < self.n)
+        if idx.min() < 0 or idx.max() >= self.n:
+            bad = idx[(idx < 0) | (idx >= self.n)][0]
             raise OutOfRangeError(f"subset index {bad} not in 0..{self.n - 1}")
-        idx = np.array(positions, dtype=int)
         X, y = self.X.take(idx, axis=0), self.y.take(idx)
         X.setflags(write=False)
         y.setflags(write=False)
@@ -265,63 +288,101 @@ class Dataset:
         return cls(X, np.array([o.y for o in obs]), task)
 
 
-@dataclass(frozen=True)
-class SummaryVector:
-    """Conformity summaries (sigma_1, ..., sigma_m); finite, non-empty."""
+def check_e_rows(block: np.ndarray) -> np.ndarray:
+    """Check that every row of a 2-D float array is an e-vector, then freeze it.
 
-    values: tuple
+    Every entry must be finite and nonnegative, and every row's mean, taken
+    from an exactly rounded sum (math.fsum), at most 1 + E_MEAN_TOLERANCE.
+    Returns the block, read-only.
+    """
+    if not np.isfinite(block).all():
+        raise NonFiniteEntryError("e-values must be finite")
+    if (block < 0).any():
+        raise NegativeEntryError("e-values must be nonnegative")
+    m = block.shape[1]
+    for total in map(math.fsum, block.tolist()):
+        if total / m > 1.0 + E_MEAN_TOLERANCE:
+            raise AverageExceedsOneError(f"mean {total / m} exceeds 1")
+    block.setflags(write=False)
+    return block
 
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        if not values:
-            raise OutOfRangeError("summary vector is empty")
-        if not all(math.isfinite(v) for v in values):
-            raise NonFiniteEntryError("summaries must be finite")
-        object.__setattr__(self, "values", values)
+
+@dataclass(frozen=True, eq=False, init=False)
+class _FloatVector:
+    """A checked, non-empty vector held as a read-only float64 array.
+
+    `array` is that array: writing into it raises ValueError. `values` is
+    the same numbers as a tuple of Python floats, built on each read.
+    Vectors of one type compare and hash by their values.
+    """
+
+    array: np.ndarray
+
+    @property
+    def values(self) -> tuple:
+        return tuple(self.array.tolist())
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.array.size
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash(self.values)
 
 
-@dataclass(frozen=True)
-class EValueVector:
+@dataclass(frozen=True, eq=False, init=False)
+class SummaryVector(_FloatVector):
+    """Conformity summaries (sigma_1, ..., sigma_m); finite, non-empty.
+
+    `positive` records, once at construction, whether every summary is
+    strictly positive, as normalizing requires.
+    """
+
+    positive: bool
+
+    def __init__(self, values):
+        array = _frozen_array(values, float)
+        if not array.size:
+            raise OutOfRangeError("summary vector is empty")
+        if not np.isfinite(array).all():
+            raise NonFiniteEntryError("summaries must be finite")
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "positive", bool((array > 0).all()))
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class EValueVector(_FloatVector):
     """Nonnegative values averaging to at most one.
 
     Construction of any violating sequence fails, so holding an
-    EValueVector is proof the constraint was checked. The mean uses an
-    exactly rounded sum, making the check independent of input order.
+    EValueVector is proof the constraint was checked (`check_e_rows` on its
+    one row). The mean uses an exactly rounded sum, making the check
+    independent of input order.
     """
 
-    values: tuple
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        if not values:
+    def __init__(self, values):
+        array = _frozen_array(values, float)
+        if not array.size:
             raise OutOfRangeError("e-vector is empty")
-        if not all(math.isfinite(v) for v in values):
-            raise NonFiniteEntryError("e-values must be finite")
-        if any(v < 0 for v in values):
-            raise NegativeEntryError("e-values must be nonnegative")
-        mean = math.fsum(values) / len(values)
-        if mean > 1.0 + E_MEAN_TOLERANCE:
-            raise AverageExceedsOneError(f"mean {mean} exceeds 1")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return len(self.values)
+        check_e_rows(array[None, :])
+        object.__setattr__(self, "array", array)
 
     @property
     def m(self) -> int:
-        return len(self.values)
+        return self.array.size
 
     @property
     def mean(self) -> float:
-        return math.fsum(self.values) / len(self.values)
+        return math.fsum(self.array.tolist()) / self.array.size
 
 
 def make_e_vector(values: Sequence[float]) -> EValueVector:
     """Validate a candidate e-vector; raises if any invariant fails."""
-    return EValueVector(tuple(values))
+    return EValueVector(values)
 
 
 @dataclass(frozen=True)
@@ -372,12 +433,14 @@ class SplitConfig:
         return self.proper_size + self.calibration_size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldPartition:
     """Disjoint folds covering 0..n-1 with sizes differing by at most one.
 
     folds[k] holds the 0-based observation indices of fold k+1 (fold
-    numbers are 1-based in the API).
+    numbers are 1-based in the API) as a read-only intp array; folds may be
+    given as any integer sequences. Partitions compare and hash by their
+    folds, n and seed.
     """
 
     folds: tuple
@@ -385,24 +448,42 @@ class FoldPartition:
     seed: int
 
     def __post_init__(self):
-        folds = tuple(tuple(int(i) for i in fold) for fold in self.folds)
+        folds = tuple(_frozen_array(fold, np.intp) for fold in self.folds)
         if len(folds) < 2:
             raise TooFewFoldsError("need at least two folds")
-        if any(not fold for fold in folds):
+        sizes = [fold.size for fold in folds]
+        if min(sizes) == 0:
             raise TooFewObservationsError("every fold needs at least one observation")
-        flat = sorted(i for fold in folds for i in fold)
-        if flat != list(range(self.n)):
+        flat = np.concatenate(folds)
+        # the range checks come first: bincount refuses negative entries
+        # and sizes its output by the largest one
+        if (
+            flat.size != self.n
+            or flat.min() < 0
+            or flat.max() >= self.n
+            or not (np.bincount(flat, minlength=self.n) == 1).all()
+        ):
             raise OutOfRangeError("folds must partition 0..n-1 exactly")
-        sizes = [len(fold) for fold in folds]
         if max(sizes) - min(sizes) > 1:
             raise OutOfRangeError(f"fold sizes {sizes} differ by more than one")
         object.__setattr__(self, "folds", folds)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            (self.n, self.seed, len(self.folds)) == (other.n, other.seed, len(other.folds))
+            and all(map(np.array_equal, self.folds, other.folds))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.seed, tuple(fold.tobytes() for fold in self.folds)))
 
     @property
     def K(self) -> int:
         return len(self.folds)
 
-    def fold(self, k: int) -> tuple:
+    def fold(self, k: int) -> np.ndarray:
         """Indices of fold k (1-based)."""
         if not 1 <= k <= self.K:
             raise FoldIndexOutOfRangeError(f"fold {k} not in 1..{self.K}")
@@ -413,8 +494,9 @@ def make_fold_partition(n: int, K: int, seed: int) -> FoldPartition:
     """Randomly partition 0..n-1 into K balanced folds.
 
     Permutes the indices under the seed and slices contiguously; the first
-    n mod K folds get the extra observation. Identical (n, K, seed) give an
-    identical partition.
+    n mod K folds get the extra observation. The folds are views of that
+    one read-only permutation. Identical (n, K, seed) give an identical
+    partition.
     """
     if K < 2:
         raise TooFewFoldsError(f"K={K}; need at least 2")
@@ -423,18 +505,14 @@ def make_fold_partition(n: int, K: int, seed: int) -> FoldPartition:
     if seed < 0:
         raise OutOfRangeError("seed must be nonnegative")
     perm = np.random.default_rng(seed).permutation(n)
+    perm.setflags(write=False)
     base, extra = divmod(n, K)
-    folds = []
-    start = 0
-    for k in range(K):
-        size = base + (1 if k < extra else 0)
-        folds.append(tuple(int(i) for i in perm[start:start + size]))
-        start += size
-    return FoldPartition(tuple(folds), n, seed)
+    bounds = [k * base + min(k, extra) for k in range(K + 1)]
+    return FoldPartition(tuple(perm[lo:hi] for lo, hi in zip(bounds, bounds[1:])), n, seed)
 
 
-def complement_indices(partition: FoldPartition, k: int) -> tuple:
-    """All observation indices outside fold k (1-based), sorted."""
+def complement_indices(partition: FoldPartition, k: int) -> np.ndarray:
+    """All observation indices outside fold k (1-based), ascending."""
     keep = np.ones(partition.n, dtype=bool)
-    keep[list(partition.fold(k))] = False
-    return tuple(np.flatnonzero(keep).tolist())
+    keep[partition.fold(k)] = False
+    return np.flatnonzero(keep)

@@ -10,6 +10,18 @@ The mean variant is the default everywhere downstream.
 Both are scale-invariant (multiplying all summaries by c > 0 changes
 nothing) and permutation-equivariant at the bit level, because the total
 is an exactly rounded sum.
+
+A split predictor normalizes all L candidates of a query in one block:
+`Normalizer.block` fills an (L, c+1) array with the c calibration summaries
+and each candidate's summary in the last column, takes each row's total
+with math.fsum (correctly rounded, so the total does not depend on how it
+is computed; Shewchuk 1997), and computes `block * m / totals` for mean or
+`block / totals` for sum. numpy makes the same two IEEE operations per
+component as Python's `v * m / total`, so every component is the double
+the per-vector formula gives. Every row then passes the e-vector check
+(`core.check_e_rows`) before the block is returned, read-only.
+`sum_normalize`, `mean_normalize` and `Normalizer.apply` are the L = 1 case
+of the same routine: the last summary plays the candidate.
 """
 
 from __future__ import annotations
@@ -18,35 +30,51 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .core import EValueVector, SummaryVector, make_e_vector
-from .errors import NonPositiveSummaryError, OutOfRangeError
+import numpy as np
+
+from .core import EValueVector, SummaryVector, check_e_rows
+from .errors import NonFiniteEntryError, NonPositiveSummaryError, OutOfRangeError
 
 SummaryLike = Union[SummaryVector, Iterable[float]]
 
 
-def _positive_values(sigma: SummaryLike) -> tuple:
-    if isinstance(sigma, SummaryVector):
-        values = sigma.values
-    else:
-        values = SummaryVector(tuple(sigma)).values
-    if any(v <= 0 for v in values):
-        raise NonPositiveSummaryError("summaries must be strictly positive")
-    return values
+def _block(kind: str, calibration: np.ndarray, positive: bool, sigmas: np.ndarray) -> np.ndarray:
+    """The checked (L, c+1) block; `calibration` is finite, `positive` says
+    whether it is also strictly positive."""
+    candidates = sigmas.tolist()
+    # the first candidate whose vector fails decides the error, and a
+    # vector is checked finite before it is checked positive
+    for s in candidates:
+        if not math.isfinite(s):
+            raise NonFiniteEntryError("summaries must be finite")
+        if not (positive and s > 0):
+            raise NonPositiveSummaryError("summaries must be strictly positive")
+    cal = calibration.tolist()
+    c = len(cal)
+    totals = np.array([math.fsum((*cal, s)) for s in candidates])
+    block = np.empty((sigmas.size, c + 1))
+    block[:, :c] = calibration
+    block[:, c] = sigmas
+    if kind == "mean":
+        block *= c + 1
+    block /= totals[:, None]
+    return check_e_rows(block)
+
+
+def _normalize_one(kind: str, sigma: SummaryLike) -> EValueVector:
+    values = (sigma if isinstance(sigma, SummaryVector) else SummaryVector(sigma)).array
+    calibration = values[:-1]
+    return EValueVector(_block(kind, calibration, bool((calibration > 0).all()), values[-1:])[0])
 
 
 def sum_normalize(sigma: SummaryLike) -> EValueVector:
     """alpha_i = sigma_i / sum(sigma); mean 1/m, each component <= 1."""
-    values = _positive_values(sigma)
-    total = math.fsum(values)
-    return make_e_vector(tuple(v / total for v in values))
+    return _normalize_one("sum", sigma)
 
 
 def mean_normalize(sigma: SummaryLike) -> EValueVector:
     """alpha_i = m * sigma_i / sum(sigma); mean exactly 1, components <= m."""
-    values = _positive_values(sigma)
-    m = len(values)
-    total = math.fsum(values)
-    return make_e_vector(tuple(v * m / total for v in values))
+    return _normalize_one("mean", sigma)
 
 
 @dataclass(frozen=True)
@@ -64,9 +92,16 @@ class Normalizer:
             raise OutOfRangeError(f"unknown normalizer kind {self.kind!r}")
 
     def apply(self, sigma: SummaryLike) -> EValueVector:
-        if self.kind == "sum":
-            return sum_normalize(sigma)
-        return mean_normalize(sigma)
+        return _normalize_one(self.kind, sigma)
+
+    def block(self, calibration: SummaryVector, sigmas) -> np.ndarray:
+        """Row i normalizes the calibration summaries followed by sigmas[i].
+
+        Returns a read-only (L, c+1) float64 block whose rows all passed
+        the e-vector check; its last column is the candidates' e-values.
+        """
+        sigmas = np.asarray(sigmas, dtype=float)
+        return _block(self.kind, calibration.array, calibration.positive, sigmas)
 
     def component_bound(self, m: int) -> Optional[float]:
         """Upper bound on any output component for a length-m input."""

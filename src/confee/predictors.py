@@ -9,10 +9,11 @@ complement) and merges fold e-values by an arithmetic mean, which keeps the
 result an e-value. The full predictor applies an e-assignment to the
 training sequence extended by the candidate example.
 
-Every query is one pass: `predict` scores and normalizes each (fold,
-candidate label) pair once and returns a table that also carries what the
-e-values were computed from (summaries, normalized vectors, fold tables),
-so reports and the p-value side need no second pass.
+Every query is one pass: `predict` scores each (fold, candidate label)
+pair once, normalizes a fold's candidates in one (L, c+1) block, and
+returns a table that also carries what the e-values were computed from
+(summaries, the normalized block, fold tables), so reports and the p-value
+side need no second pass.
 
 p-value counterparts are included for comparison experiments: the split
 conformal p-value (`SplitTable.p_values`) and the cross-conformal merge,
@@ -46,24 +47,31 @@ from .normalize import Normalizer, get_normalizer
 WEIGHTINGS = ("uniform", "size_proportional")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitTable(PlausibilityTable):
     """A split predictor's e-values with the summaries they come from.
 
-    sigmas[i] is the summary of candidate labels[i]; alphas[i] normalizes
-    the calibration summaries followed by sigmas[i], and values[i] is its
-    last component.
+    sigmas[i] is the summary of candidate labels[i]. Row i of `block`, a
+    read-only (L, c+1) array, normalizes the calibration summaries (the
+    predictor's read-only array `calibration`) followed by sigmas[i], and
+    values[i] is its last component. Tables compare by labels and values.
     """
 
-    calibration: tuple = ()
-    sigmas: tuple = ()
-    alphas: tuple = ()
+    calibration: np.ndarray
+    sigmas: tuple
+    block: np.ndarray
+
+    @property
+    def alphas(self) -> tuple:
+        """The rows of the block as EValueVectors."""
+        return tuple(EValueVector(row) for row in self.block)
 
     @property
     def p_values(self) -> tuple:
         """Split conformal p-values: (#{sigma_i <= sigma_y} + 1) / (c + 1)."""
-        cal = np.asarray(self.calibration)
-        return tuple((int(np.count_nonzero(cal <= s)) + 1) / (cal.size + 1) for s in self.sigmas)
+        cal = self.calibration
+        counts = (cal[None, :] <= np.array(self.sigmas)[:, None]).sum(axis=1)
+        return tuple(((counts + 1) / (cal.size + 1)).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,13 +89,18 @@ class SplitEPredictor:
         return self.predict(x, (y,)).values[0]
 
     def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> SplitTable:
-        """Score every candidate in one batch and normalize each one once."""
+        """Score every candidate in one batch and normalize them in one block."""
         labels = tuple(self.task.candidates if labels is None else labels)
         X = np.tile(np.asarray(x, dtype=float), (len(labels), 1))
-        sigmas = tuple(float(s) for s in self.rule.score_many(X, list(labels)))
-        cal = self.calibration_summaries.values
-        alphas = tuple(self.normalizer.apply((*cal, s)) for s in sigmas)
-        return SplitTable(labels, tuple(a.values[-1] for a in alphas), cal, sigmas, alphas)
+        sigmas = np.asarray(self.rule.score_many(X, list(labels)), dtype=float)
+        block = self.normalizer.block(self.calibration_summaries, sigmas)
+        return SplitTable(
+            labels,
+            tuple(block[:, -1].tolist()),
+            self.calibration_summaries.array,
+            tuple(sigmas.tolist()),
+            block,
+        )
 
 
 def fit_split(
@@ -105,7 +118,7 @@ def fit_split(
             f"proper has {proper.dim} features, calibration {calibration.dim}"
         )
     rule = train_conformity(kind, proper, **rule_params)
-    summaries = SummaryVector(tuple(rule.score_rows(calibration).tolist()))
+    summaries = SummaryVector(rule.score_rows(calibration))
     return SplitEPredictor(
         rule,
         summaries,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from confee import (
     AverageExceedsOneError,
@@ -18,6 +20,7 @@ from confee import (
     PlausibilityTable,
     RegressionTask,
     SplitConfig,
+    SummaryVector,
     TooFewFoldsError,
     TooFewObservationsError,
     complement_indices,
@@ -66,6 +69,17 @@ class TestEValueVector:
                     make_e_vector(values)
 
 
+class TestVectorValues:
+    def test_values_are_floats_and_vectors_compare_by_them(self):
+        summary = SummaryVector(np.array([1.0, 2.5]))
+        assert summary.values == (1.0, 2.5) and type(summary.values[0]) is float
+        assert summary == SummaryVector((1.0, 2.5))
+        assert hash(summary) == hash(SummaryVector([1.0, 2.5]))
+        assert summary != SummaryVector((1.0, 2.0))
+        assert make_e_vector((0.5, 1.5)) != SummaryVector((0.5, 1.5))
+        assert len(summary) == 2 and make_e_vector(iter([1.0, 0.0])).m == 2
+
+
 class TestFoldPartition:
     def test_bijection_balance_determinism(self):
         rng = np.random.default_rng(7)
@@ -107,11 +121,94 @@ class TestFoldPartition:
         part = make_fold_partition(10, 3, 11)
         for k in range(1, 4):
             comp = complement_indices(part, k)
-            assert sorted(comp + part.fold(k)) == list(range(10))
+            assert sorted([*comp, *part.fold(k)]) == list(range(10))
         with pytest.raises(FoldIndexOutOfRangeError):
             complement_indices(part, 0)
         with pytest.raises(FoldIndexOutOfRangeError):
             complement_indices(part, 4)
+
+
+# The tuple-based partition code the array-backed one replaced, kept as the
+# reference: FoldPartition's checks and make_fold_partition as they were.
+
+
+def _ref_partition_folds(folds, n) -> tuple:
+    folds = tuple(tuple(int(i) for i in fold) for fold in folds)
+    if len(folds) < 2:
+        raise TooFewFoldsError("need at least two folds")
+    if any(not fold for fold in folds):
+        raise TooFewObservationsError("every fold needs at least one observation")
+    flat = sorted(i for fold in folds for i in fold)
+    if flat != list(range(n)):
+        raise OutOfRangeError("folds must partition 0..n-1 exactly")
+    sizes = [len(fold) for fold in folds]
+    if max(sizes) - min(sizes) > 1:
+        raise OutOfRangeError(f"fold sizes {sizes} differ by more than one")
+    return folds
+
+
+def _ref_make_fold_partition(n, K, seed) -> tuple:
+    perm = np.random.default_rng(seed).permutation(n)
+    base, extra = divmod(n, K)
+    folds = []
+    start = 0
+    for k in range(K):
+        size = base + (1 if k < extra else 0)
+        folds.append(tuple(int(i) for i in perm[start:start + size]))
+        start += size
+    return _ref_partition_folds(tuple(folds), n)
+
+
+class TestFoldPartitionDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 2000),
+        K=st.integers(2, 2000),
+        seed=st.sampled_from([0, 2**63 - 1]),
+    )
+    @example(n=2, K=2, seed=0)
+    @example(n=2000, K=2000, seed=2**63 - 1)
+    @example(n=2000, K=7, seed=0)
+    def test_make_fold_partition_matches_tuple_code(self, n, K, seed):
+        K = min(K, n)
+        part = make_fold_partition(n, K, seed)
+        assert tuple(tuple(fold.tolist()) for fold in part.folds) == _ref_make_fold_partition(
+            n, K, seed
+        )
+        assert all(fold.dtype == np.intp and not fold.flags.writeable for fold in part.folds)
+        again = make_fold_partition(n, K, seed)
+        assert part == again and hash(part) == hash(again)
+        for k in (1, K):
+            comp = complement_indices(part, k)
+            assert comp.tolist() == sorted(set(range(n)) - set(part.fold(k).tolist()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        folds=st.lists(st.lists(st.integers(-2, 9), max_size=5), max_size=5),
+        n=st.integers(0, 9),
+        as_arrays=st.booleans(),
+    )
+    @example(folds=[[0, 1], [1, 3]], n=4, as_arrays=True)  # 1 twice, 2 missing
+    @example(folds=[[0], [0]], n=2, as_arrays=False)
+    def test_construction_raises_the_reference_error(self, folds, n, as_arrays):
+        given_folds = tuple(np.array(f, dtype=int) if as_arrays else tuple(f) for f in folds)
+        try:
+            expected = _ref_partition_folds(folds, n)
+        except (TooFewFoldsError, TooFewObservationsError, OutOfRangeError) as exc:
+            with pytest.raises(type(exc)):
+                FoldPartition(given_folds, n, 0)
+        else:
+            part = FoldPartition(given_folds, n, 0)
+            assert tuple(tuple(fold.tolist()) for fold in part.folds) == expected
+
+    def test_folds_are_read_only_and_not_shared_with_the_caller(self):
+        given_fold = np.array([0, 2])
+        part = FoldPartition((given_fold, (1, 3)), 4, 0)
+        given_fold[0] = 3
+        assert part.fold(1).tolist() == [0, 2]
+        for fold in (*part.folds, *make_fold_partition(10, 3, 1).folds):
+            with pytest.raises(ValueError):
+                fold[0] = 1
 
 
 class TestTasksAndData:
@@ -172,7 +269,13 @@ class TestTasksAndData:
 
     def test_subset_rejects_indices_outside_the_rows(self):
         ds = Dataset(np.arange(10.0).reshape(5, 2), np.array([0, 1, 1, 0, 1]), TASK01)
-        for indices, bad in (([-1], -1), ([0, 7], 7), ([5], 5)):
+        for indices, bad in (
+            ([-1], -1),
+            ([0, 7], 7),
+            ([5], 5),
+            (np.array([2, -1, 9]), -1),
+            (range(3, 7), 5),
+        ):
             with pytest.raises(OutOfRangeError, match=rf"subset index {bad} not in 0\.\.4"):
                 ds.subset(indices)
         with pytest.raises(OutOfRangeError, match="subset index 3 not in 0..2"):

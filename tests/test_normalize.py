@@ -2,12 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from confee import (
+    AverageExceedsOneError,
+    ClassificationTask,
+    ConformityRule,
+    E_MEAN_TOLERANCE,
+    NegativeEntryError,
     NonFiniteEntryError,
     NonPositiveSummaryError,
     Normalizer,
     OutOfRangeError,
+    SplitConfig,
+    SplitEPredictor,
     SummaryVector,
     get_normalizer,
     mean_normalize,
@@ -98,3 +107,184 @@ def test_normalizer_subclass_can_declare_no_bound():
             return None
 
     assert Unbounded("mean").component_bound(5) is None
+
+
+# --- Block normalization against the per-vector tuple code ---------------
+#
+# The reference below is the per-vector code the block replaced, copied
+# as it was: SummaryVector's and EValueVector's element-wise checks, the
+# two normalizers, and the split predictor's one normalization per
+# candidate.
+
+
+def _ref_summary_values(values) -> tuple:
+    values = tuple(float(v) for v in values)
+    if not values:
+        raise OutOfRangeError("summary vector is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise NonFiniteEntryError("summaries must be finite")
+    return values
+
+
+def _ref_e_values(values) -> tuple:
+    values = tuple(float(v) for v in values)
+    if not values:
+        raise OutOfRangeError("e-vector is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise NonFiniteEntryError("e-values must be finite")
+    if any(v < 0 for v in values):
+        raise NegativeEntryError("e-values must be nonnegative")
+    mean = math.fsum(values) / len(values)
+    if mean > 1.0 + E_MEAN_TOLERANCE:
+        raise AverageExceedsOneError(f"mean {mean} exceeds 1")
+    return values
+
+
+def _ref_positive_values(sigma) -> tuple:
+    values = _ref_summary_values(sigma)
+    if any(v <= 0 for v in values):
+        raise NonPositiveSummaryError("summaries must be strictly positive")
+    return values
+
+
+def _ref_sum_normalize(sigma) -> tuple:
+    values = _ref_positive_values(sigma)
+    total = math.fsum(values)
+    return _ref_e_values(tuple(v / total for v in values))
+
+
+def _ref_mean_normalize(sigma) -> tuple:
+    values = _ref_positive_values(sigma)
+    m = len(values)
+    total = math.fsum(values)
+    return _ref_e_values(tuple(v * m / total for v in values))
+
+
+_REFERENCE = {"sum": _ref_sum_normalize, "mean": _ref_mean_normalize}
+
+
+def _ref_split_query(kind, calibration, sigmas) -> tuple:
+    """(values, alphas) as the split predictor computed them per candidate."""
+    cal = _ref_summary_values(calibration)
+    alphas = tuple(_REFERENCE[kind]((*cal, s)) for s in sigmas)
+    return tuple(a[-1] for a in alphas), alphas
+
+
+class _FixedRule(ConformityRule):
+    """Scores the candidates of a query with the summaries it was given."""
+
+    kind = "fixed"
+    dim = 1
+
+    def __init__(self, sigmas):
+        self.sigmas = sigmas
+
+    def score_many(self, X, y):
+        return np.array(self.sigmas, dtype=float)
+
+
+def _split_predictor(kind, calibration, sigmas) -> SplitEPredictor:
+    return SplitEPredictor(
+        _FixedRule(sigmas),
+        SummaryVector(calibration),
+        get_normalizer(kind),
+        SplitConfig(1, len(calibration)),
+        ClassificationTask(tuple(range(len(sigmas)))),
+    )
+
+
+@st.composite
+def _queries(draw):
+    """(calibration, sigmas): c in 1..300 and L in 1..40 positive summaries,
+    log-uniform over a drawn span inside about 1e-150..1e150, with ties
+    drawn from a small pool of repeated values."""
+    c, L = draw(st.integers(1, 300)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.floats(-150.0, 150.0))
+    hi = draw(st.floats(lo, 150.0))
+    values = 10.0 ** rng.uniform(lo, hi, c + L)
+    pool = values[: draw(st.integers(1, 4))].copy()
+    tied = rng.uniform(size=c + L) < draw(st.floats(0.0, 1.0))
+    values[tied] = pool[rng.integers(0, pool.size, int(tied.sum()))]
+    return values[:c].tolist(), values[c:].tolist()
+
+
+def _outcome(compute):
+    """What compute() returns, or the class of the summary error it raises."""
+    try:
+        return compute()
+    except (NonFiniteEntryError, NonPositiveSummaryError) as exc:
+        return type(exc)
+
+
+class TestBlockDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["sum", "mean"]), query=_queries())
+    @example(kind="mean", query=([2.0], [3.0]))
+    @example(kind="sum", query=([1e-150], [1e150, 1e150, 5.0]))
+    @example(kind="mean", query=([0.1] * 300, [0.1]))
+    @example(kind="sum", query=([3.0, 1.0, 3.0] * 100, [7.0] * 40))
+    def test_matches_per_vector_reference(self, kind, query):
+        calibration, sigmas = query
+        c, L = len(calibration), len(sigmas)
+        ref_values, ref_alphas = _ref_split_query(kind, calibration, sigmas)
+
+        block = get_normalizer(kind).block(SummaryVector(calibration), sigmas)
+        assert block.shape == (L, c + 1)
+        for row, alpha in zip(block, ref_alphas):
+            assert np.array_equal(row, np.array(alpha))
+
+        table = _split_predictor(kind, calibration, sigmas).predict((0.0,))
+        assert table.values == ref_values
+        assert np.array_equal(table.block, block)
+        assert [a.values for a in table.alphas] == list(ref_alphas)
+
+        normalize = sum_normalize if kind == "sum" else mean_normalize
+        assert normalize((*calibration, sigmas[0])).values == ref_alphas[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["sum", "mean"]),
+        calibration=st.lists(st.sampled_from([0.5, 2.0, 7.0, 0.0, -1.0]), min_size=1, max_size=6),
+        sigmas=st.lists(
+            st.sampled_from([0.25, 3.0, 0.0, -2.0, math.nan, math.inf, -math.inf]),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_bad_summaries_raise_the_reference_error(self, kind, calibration, sigmas):
+        predictor = _split_predictor(kind, calibration, sigmas)
+        assert _outcome(lambda: predictor.predict((0.0,)).values) == _outcome(
+            lambda: _ref_split_query(kind, calibration, sigmas)[0]
+        )
+        vector = (*calibration, sigmas[0])
+        assert _outcome(lambda: get_normalizer(kind).apply(vector).values) == _outcome(
+            lambda: _REFERENCE[kind](vector)
+        )
+
+    def test_each_bad_candidate_summary(self):
+        for bad, error in (
+            (0.0, NonPositiveSummaryError),
+            (-1.0, NonPositiveSummaryError),
+            (math.nan, NonFiniteEntryError),
+            (math.inf, NonFiniteEntryError),
+        ):
+            for kind in ("sum", "mean"):
+                with pytest.raises(error):
+                    _split_predictor(kind, [1.0, 2.0], [0.5, bad]).predict((0.0,))
+                with pytest.raises(error):
+                    get_normalizer(kind).apply((1.0, 2.0, bad))
+
+    def test_block_and_vectors_are_read_only(self):
+        table = _split_predictor("mean", [1.0, 2.0, 3.0], [0.5, 4.0]).predict((0.0,))
+        for array in (
+            table.block,
+            table.block[0],
+            table.calibration,
+            get_normalizer("sum").block(SummaryVector((1.0,)), (2.0, 3.0)),
+            table.alphas[0].array,
+            mean_normalize((1.0, 2.0)).array,
+            SummaryVector((1.0, 2.0)).array,
+        ):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
