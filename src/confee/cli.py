@@ -25,12 +25,15 @@ import sys
 
 import numpy as np
 
+from .conformity import RULE_KINDS
 from .core import ClassificationTask, RegressionTask, derive_seed
 from .data import SCENARIO_PRESETS, get_scenario, load_csv, read_csv, sample, save_csv
 from .errors import ConfeeError
-from .predictors import CrossTable, FullTable, SplitTable, e_prediction_set
+from .normalize import NORMALIZER_KINDS
+from .predictors import WEIGHTINGS, CrossTable, FullTable, SplitTable, e_prediction_set
 from .validity import (
     DEFAULT_EPSILONS,
+    PREDICTOR_KINDS,
     PredictorSpec,
     build_predictor,
     compare_e_vs_p,
@@ -38,7 +41,7 @@ from .validity import (
     online_time_validity,
 )
 
-_CONST_PATTERN = re.compile(r"^const(\d+(\.\d+)?)?$")
+_CONST_PATTERN = re.compile(r"^const(\d+(\.\d+)?)$")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,31 +86,47 @@ def _labels(text: str) -> list:
     return [_label(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="confee", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", parents=[], help="sample a scenario to CSV")
-    gen.add_argument("--scenario", help=f"one of {sorted(SCENARIO_PRESETS)}")
-    gen.add_argument("--n", type=int, help="number of observations")
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--config", help="JSON config or previous report to rerun")
-    gen.add_argument("--out", help="CSV path (default: stdout)")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--scenario", help=f"one of {sorted(SCENARIO_PRESETS)}")
+    common.add_argument("--n", type=int,
+                        help="observations to sample (predict and validate: training size)")
+    common.add_argument("--seed", type=_nonnegative_int,
+                        help="nonnegative (default: config, then CONFEE_SEED, then 0)")
+    common.add_argument("--config", help="JSON config or previous report to rerun")
+    common.add_argument("--out", help="output path (default: stdout)")
 
-    predict = sub.add_parser("predict", help="per-object plausibility tables")
-    predict.add_argument("--scenario")
-    predict.add_argument("--n", type=int, help="training size when using --scenario")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--predictor", help=" | ".join(PREDICTOR_KINDS) + "<value>")
+    model.add_argument("--c", type=int, help="split calibration size")
+    model.add_argument("--K", type=int, help="cross fold count")
+    model.add_argument("--weighting", choices=WEIGHTINGS)
+    model.add_argument("--rule", choices=RULE_KINDS)
+    model.add_argument("--k", type=int, help="knn neighbour count")
+    model.add_argument("--lam", type=float, help="ridge penalty")
+    model.add_argument("--normalizer", choices=NORMALIZER_KINDS)
+    model.add_argument("--epsilons", type=_floats, help="e-prediction and compare levels")
+
+    sub.add_parser("gen", parents=[common], help="sample a scenario to CSV")
+
+    predict = sub.add_parser("predict", parents=[common, model],
+                             help="per-object plausibility tables")
     predict.add_argument("--input", help="training CSV (x1..xd,y)")
     predict.add_argument("--labels", type=_labels, help="label set for --input, e.g. 0,1")
     predict.add_argument("--grid", type=_floats, help="label grid for --input, e.g. -3,0,3")
-    predict.add_argument("--predictor", help="split | cross | full | const<value>")
-    predict.add_argument("--c", type=int, help="split calibration size")
-    predict.add_argument("--K", type=int, help="cross fold count")
-    predict.add_argument("--weighting", choices=["uniform", "size_proportional"])
-    predict.add_argument("--rule", choices=["knn", "ridge"])
-    predict.add_argument("--k", type=int, help="knn neighbour count")
-    predict.add_argument("--lam", type=float, help="ridge penalty")
-    predict.add_argument("--normalizer", choices=["sum", "mean"])
     predict.add_argument("--margin-w", type=_floats, dest="margin_w")
     predict.add_argument("--margin-b", type=float, dest="margin_b")
     predict.add_argument("--positive-label", type=_label, dest="positive_label")
@@ -115,35 +134,18 @@ def build_parser() -> _Parser:
         "--x", action="append", type=_floats, help="test object, repeatable"
     )
     predict.add_argument("--test", help="CSV of test objects (x1..xd[,y])")
-    predict.add_argument("--epsilons", type=_floats)
     predict.add_argument("--verbose", action="store_true", default=None,
                          help="include calibration summaries and full e-vectors")
-    predict.add_argument("--seed", type=int)
-    predict.add_argument("--config")
-    predict.add_argument("--out", help="report path (default: stdout)")
 
-    validate = sub.add_parser("validate", help="Monte Carlo validity checks")
+    validate = sub.add_parser("validate", parents=[common, model],
+                              help="Monte Carlo validity checks")
     validate.add_argument("--mode", choices=["space", "time", "compare"])
-    validate.add_argument("--scenario")
-    validate.add_argument("--n", type=int, help="training size per trial")
     validate.add_argument("--trials", type=int)
     validate.add_argument("--rounds", type=int, help="time mode: stream length")
     validate.add_argument("--warmup", type=int)
     validate.add_argument("--tolerance", type=float)
-    validate.add_argument("--predictor", help="split | cross | full | const<value>")
-    validate.add_argument("--c", type=int)
-    validate.add_argument("--K", type=int)
-    validate.add_argument("--weighting", choices=["uniform", "size_proportional"])
-    validate.add_argument("--rule", choices=["knn", "ridge"])
-    validate.add_argument("--k", type=int)
-    validate.add_argument("--lam", type=float)
-    validate.add_argument("--normalizer", choices=["sum", "mean"])
-    validate.add_argument("--epsilons", type=_floats, help="compare mode levels")
     validate.add_argument("--threads", type=int, default=1,
                           help="worker threads, at least 1; does not affect results")
-    validate.add_argument("--seed", type=int)
-    validate.add_argument("--config")
-    validate.add_argument("--out", help="report path (default: stdout)")
 
     # subcommand -> its parser; values read from --config are checked
     # against the flags defined there
@@ -151,14 +153,50 @@ def build_parser() -> _Parser:
     return parser
 
 
+# CLI key -> the PredictorSpec field it sets. These keys default to the
+# spec's own defaults, and _spec_from builds the spec through this table.
+_SPEC_FIELDS = {
+    "predictor": "kind",
+    "c": "calibration_size",
+    "K": "folds",
+    "weighting": "weighting",
+    "rule": "rule",
+    "k": "k",
+    "lam": "lam",
+    "normalizer": "normalizer",
+    "margin_w": "margin_w",
+    "margin_b": "margin_b",
+    "positive_label": "positive_label",
+}
+
+# The other defaults of each command; a key not listed defaults to None.
+_DEFAULTS = {
+    "gen": {"scenario": "gm2d", "n": 100},
+    "predict": {"n": 100, "epsilons": DEFAULT_EPSILONS, "verbose": False},
+    "validate": {
+        "mode": "space",
+        "scenario": "gm2d",
+        "n": 60,
+        "trials": 1000,
+        "rounds": 1000,
+        "warmup": 20,
+        "tolerance": 0.05,
+        "epsilons": DEFAULT_EPSILONS,
+    },
+}
+
+# Flags that steer how a run executes, not what it computes: not in its config.
+_EXECUTION_FLAGS = ("help", "config", "out", "threads")
+
+
 def _env_seed(parser: _Parser) -> int:
     raw = os.environ.get("CONFEE_SEED")
     if raw is None:
         return 0
     try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"CONFEE_SEED must be an integer, got {raw!r}")
+        return _nonnegative_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"CONFEE_SEED: {exc}")
 
 
 def _load_config(parser: _Parser, path) -> dict:
@@ -177,21 +215,30 @@ def _load_config(parser: _Parser, path) -> dict:
     return config
 
 
-def _resolve(parser: _Parser, args, config: dict, defaults: dict) -> dict:
-    """flag > config file > default, key by key."""
-    flags = {action.dest: action for action in parser.commands[args.command]._actions}
-    resolved = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
+def _resolve(parser: _Parser, args, config: dict) -> dict:
+    """The run's config, one key per flag of its command besides the
+    execution flags: flag > config file > default, key by key."""
+    spec = PredictorSpec()
+    env_seed = _env_seed(parser)
+    resolved = {"command": args.command}
+    for action in parser.commands[args.command]._actions:
+        key = action.dest
+        if key in _EXECUTION_FLAGS:
+            continue
+        flag = getattr(args, key)
         if flag is not None:
             resolved[key] = flag
         elif config.get(key) is not None:
             try:
-                resolved[key] = _config_value(flags.get(key), config[key])
+                resolved[key] = _config_value(action, config[key])
             except argparse.ArgumentTypeError as exc:
                 parser.error(f"config key {key!r}: {exc}")
+        elif key in _SPEC_FIELDS:
+            resolved[key] = getattr(spec, _SPEC_FIELDS[key])
+        elif key == "seed":
+            resolved[key] = env_seed
         else:
-            resolved[key] = default
+            resolved[key] = _DEFAULTS[args.command].get(key)
     return resolved
 
 
@@ -203,8 +250,6 @@ def _config_value(action, value):
     list of such values, a flag without a type a JSON string, and a switch
     a JSON boolean.
     """
-    if action is None:
-        return value
     if isinstance(action, argparse._StoreTrueAction):
         if not isinstance(value, bool):
             raise argparse.ArgumentTypeError(f"expected true or false, got {json.dumps(value)}")
@@ -247,32 +292,22 @@ def _label_key(label) -> str:
     return str(label)
 
 
-def _parse_predictor(parser: _Parser, text: str) -> tuple:
-    """'split'/'cross'/'full' pass through; 'const<v>' carries its value."""
-    if text in ("split", "cross", "full"):
-        return text, 1.0
+def _parse_predictor(parser: _Parser, text: str) -> dict:
+    """The spec fields a --predictor sets: a kind, and 'const<v>' its value."""
+    if text in PREDICTOR_KINDS:
+        return {"kind": text}
     match = _CONST_PATTERN.match(text)
     if match:
-        return "const", float(match.group(1) or 1.0)
+        return {"kind": "const", "const_value": float(match.group(1))}
     parser.error(f"unknown predictor {text!r}")
 
 
 def _spec_from(cfg: dict, parser: _Parser) -> PredictorSpec:
-    kind, const_value = _parse_predictor(parser, cfg["predictor"])
-    return PredictorSpec(
-        kind=kind,
-        rule=cfg["rule"],
-        k=cfg["k"],
-        lam=cfg["lam"],
-        normalizer=cfg["normalizer"],
-        folds=cfg["K"],
-        weighting=cfg["weighting"],
-        calibration_size=cfg["c"],
-        const_value=const_value,
-        margin_w=tuple(cfg["margin_w"]) if cfg.get("margin_w") else None,
-        margin_b=cfg.get("margin_b", 0.0),
-        positive_label=cfg.get("positive_label", 1),
-    )
+    fields = {field: cfg[key] for key, field in _SPEC_FIELDS.items() if key in cfg}
+    fields.update(_parse_predictor(parser, cfg["predictor"]))
+    if "margin_w" in fields:
+        fields["margin_w"] = tuple(fields["margin_w"]) if fields["margin_w"] else None
+    return PredictorSpec(**fields)
 
 
 def _write_report(report: dict, out) -> None:
@@ -295,48 +330,13 @@ def _check_command(parser: _Parser, config: dict, command: str) -> None:
         parser.error(f"config was produced by '{stored}', not '{command}'")
 
 
-def cmd_gen(parser: _Parser, args) -> int:
-    config = _load_config(parser, args.config)
-    _check_command(parser, config, "gen")
-    cfg = _resolve(parser, args, config, {
-        "command": "gen",
-        "scenario": "gm2d",
-        "n": 100,
-        "seed": _env_seed(parser),
-    })
+def cmd_gen(parser: _Parser, args, cfg: dict) -> int:
     dataset = sample(get_scenario(cfg["scenario"]), cfg["n"], cfg["seed"])
     if args.out is None:
         save_csv(dataset, sys.stdout)
     else:
         save_csv(dataset, args.out)
     return 0
-
-
-def _predict_defaults(parser: _Parser) -> dict:
-    return {
-        "command": "predict",
-        "scenario": None,
-        "n": 100,
-        "input": None,
-        "labels": None,
-        "grid": None,
-        "predictor": "cross",
-        "c": 10,
-        "K": 5,
-        "weighting": "uniform",
-        "rule": "knn",
-        "k": 3,
-        "lam": 1.0,
-        "normalizer": "mean",
-        "margin_w": None,
-        "margin_b": 0.0,
-        "positive_label": 1,
-        "x": None,
-        "test": None,
-        "epsilons": list(DEFAULT_EPSILONS),
-        "verbose": False,
-        "seed": _env_seed(parser),
-    }
 
 
 def _training_data(parser: _Parser, cfg: dict):
@@ -395,10 +395,7 @@ def _details_for(table) -> dict:
     return {}
 
 
-def cmd_predict(parser: _Parser, args) -> int:
-    config = _load_config(parser, args.config)
-    _check_command(parser, config, "predict")
-    cfg = _resolve(parser, args, config, _predict_defaults(parser))
+def cmd_predict(parser: _Parser, args, cfg: dict) -> int:
     training = _training_data(parser, cfg)
     task = training.task
     labels = task.candidates
@@ -446,33 +443,7 @@ def cmd_predict(parser: _Parser, args) -> int:
     return 0
 
 
-def _validate_defaults(parser: _Parser) -> dict:
-    return {
-        "command": "validate",
-        "mode": "space",
-        "scenario": "gm2d",
-        "n": 60,
-        "trials": 1000,
-        "rounds": 1000,
-        "warmup": 20,
-        "tolerance": 0.05,
-        "predictor": "cross",
-        "c": 10,
-        "K": 5,
-        "weighting": "uniform",
-        "rule": "knn",
-        "k": 3,
-        "lam": 1.0,
-        "normalizer": "mean",
-        "epsilons": list(DEFAULT_EPSILONS),
-        "seed": _env_seed(parser),
-    }
-
-
-def cmd_validate(parser: _Parser, args) -> int:
-    config = _load_config(parser, args.config)
-    _check_command(parser, config, "validate")
-    cfg = _resolve(parser, args, config, _validate_defaults(parser))
+def cmd_validate(parser: _Parser, args, cfg: dict) -> int:
     scenario = get_scenario(cfg["scenario"])
     spec = _spec_from(cfg, parser)
     threads = args.threads
@@ -519,10 +490,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        config = _load_config(parser, args.config)
+        _check_command(parser, config, args.command)
+        cfg = _resolve(parser, args, config)
         handler = {"gen": cmd_gen, "predict": cmd_predict, "validate": cmd_validate}[
             args.command
         ]
-        return handler(parser, args)
+        return handler(parser, args, cfg)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except ConfeeError as exc:

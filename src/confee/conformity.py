@@ -229,10 +229,15 @@ def _numeric_labels(proper: Dataset) -> np.ndarray:
     return np.asarray([float(v) for v in proper.y])
 
 
+#: The rule kinds train_conformity fits.
+RULE_KINDS = ("knn", "ridge")
+
+
 def train_conformity(kind: str, proper: Dataset, **params) -> ConformityRule:
     """Fit a conformity rule of the given kind on the training set proper.
 
-    kinds: "knn" (param k, default 3) and "ridge" (param lam, default 1.0).
+    kinds (RULE_KINDS): "knn" (param k, default 3) and "ridge" (param lam,
+    default 1.0).
     The fitted state is a deterministic function of (kind, params, proper
     as a multiset).
     """

@@ -77,6 +77,10 @@ def mean_normalize(sigma: SummaryLike) -> EValueVector:
     return _normalize_one("mean", sigma)
 
 
+#: The normalizer kinds a Normalizer accepts.
+NORMALIZER_KINDS = ("sum", "mean")
+
+
 @dataclass(frozen=True)
 class Normalizer:
     """Named normalizing transformation with a declared per-component bound.
@@ -88,7 +92,7 @@ class Normalizer:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in ("sum", "mean"):
+        if self.kind not in NORMALIZER_KINDS:
             raise OutOfRangeError(f"unknown normalizer kind {self.kind!r}")
 
     def apply(self, sigma: SummaryLike) -> EValueVector:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 from .conformity import support_set_assignment, unit_margin_provider
@@ -179,24 +179,33 @@ def _tail_rates(values: Sequence[float], thresholds: Sequence[float]) -> dict:
     return {float(t): sum(1 for v in values if v >= t) / n for t in thresholds}
 
 
+class _Report:
+    """A harness report whose to_dict reads its dataclass fields.
+
+    Dicts keyed by float levels get repr keys in sorted order and tuples
+    become lists, so the dict serializes as JSON in one stable form.
+    """
+
+    def to_dict(self) -> dict:
+        out = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, dict):
+                value = {repr(k): v for k, v in sorted(value.items())}
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[field.name] = value
+        return out
+
+
 @dataclass(frozen=True)
-class SpaceValidityReport:
+class SpaceValidityReport(_Report):
     trials: int
     n_train: int
     mean_e_at_truth: float
     std_error: float
     tail_rates: dict
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "n_train": self.n_train,
-            "mean_e_at_truth": self.mean_e_at_truth,
-            "std_error": self.std_error,
-            "tail_rates": {repr(t): r for t, r in sorted(self.tail_rates.items())},
-            "verdict": self.verdict,
-        }
 
 
 def mc_space_validity(
@@ -229,7 +238,7 @@ def mc_space_validity(
 
 
 @dataclass(frozen=True)
-class TimeValidityReport:
+class TimeValidityReport(_Report):
     rounds: int
     warmup: int
     tolerance: float
@@ -240,17 +249,11 @@ class TimeValidityReport:
     trace: OnlineTrace
 
     def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "warmup": self.warmup,
-            "tolerance": self.tolerance,
-            "bound_used": self.bound_used,
-            "final_mean": self.final_mean,
-            "max_running_mean_after_warmup": self.max_running_mean_after_warmup,
-            "verdict": self.verdict,
-            "e_values": list(self.trace.e_values),
-            "running_means": list(self.trace.running_means),
-        }
+        out = super().to_dict()
+        trace = out.pop("trace")
+        out["e_values"] = list(trace.e_values)
+        out["running_means"] = list(trace.running_means)
+        return out
 
 
 def _round_bound(spec: PredictorSpec, predictor) -> float:
@@ -273,6 +276,22 @@ def _round_bound(spec: PredictorSpec, predictor) -> float:
     return float(bound)
 
 
+def _first_fit_rows(spec: PredictorSpec) -> int:
+    """Fewest rows a split or cross spec can be fitted on.
+
+    The proper part needs k rows for knn and one for ridge; split holds c
+    rows out for calibration, cross its largest fold.
+    """
+    proper = max(spec.k, 1) if spec.rule == "knn" else 1
+    if spec.kind == "split":
+        return spec.calibration_size + proper
+    K = spec.folds
+    if K < 2:
+        return K  # fit_cross refuses the fold count itself
+    # n rows leave n - ceil(n/K) = floor(n (K-1) / K) outside the largest fold
+    return max(K, -(-proper * K // (K - 1)))
+
+
 def online_time_validity(
     scenario: Scenario,
     spec: PredictorSpec,
@@ -286,8 +305,9 @@ def online_time_validity(
 
     Rounds up to `warmup` emit the neutral value 1 (nothing to fit yet);
     afterwards round i fits on observations 1..i-1 and scores observation i
-    at its realized label. The verdict compares the final running mean
-    against 1 + tolerance.
+    at its realized label, so the first fit runs on `warmup` rows and a
+    split or cross spec refuses a warmup too short for it. The verdict
+    compares the final running mean against 1 + tolerance.
     """
     if n_rounds < 50:
         raise OutOfRangeError(f"n_rounds={n_rounds}; need at least 50")
@@ -302,12 +322,11 @@ def online_time_validity(
     if spec.kind in ("split", "cross"):
         if get_normalizer(spec.normalizer).component_bound(2) is None:
             raise UnboundedNormalizerError("normalizer declares no bound")
-    if spec.kind == "split" and warmup < spec.calibration_size + 1:
-        raise OutOfRangeError(
-            f"warmup must be at least calibration_size + 1 = {spec.calibration_size + 1}"
-        )
-    if spec.kind == "cross" and warmup < spec.folds:
-        raise OutOfRangeError(f"warmup must be at least the fold count {spec.folds}")
+        minimum = _first_fit_rows(spec)
+        if warmup < minimum:
+            raise OutOfRangeError(
+                f"warmup={warmup}; the first {spec.kind} fit needs at least {minimum} rows"
+            )
 
     stream = sample(scenario, n_rounds, derive_seed(seed, 1))
     e_values = []
@@ -331,7 +350,7 @@ def online_time_validity(
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Report):
     """E-side and p-side behaviour measured on identical trials."""
 
     trials: int
@@ -346,23 +365,6 @@ class ComparisonReport:
     mean_arithmetic_p: float
     max_identity_deviation: float
     verdict: str
-
-    def to_dict(self) -> dict:
-        fmt = lambda d: {repr(k): v for k, v in sorted(d.items())}
-        return {
-            "trials": self.trials,
-            "epsilons": list(self.epsilons),
-            "e_mean": self.e_mean,
-            "e_std_error": self.e_std_error,
-            "e_tail_rates": fmt(self.e_tail_rates),
-            "unadjusted_exceedance": fmt(self.unadjusted_exceedance),
-            "adjusted_exceedance": fmt(self.adjusted_exceedance),
-            "rate_std_errors": fmt(self.rate_std_errors),
-            "mean_harmonic_p": self.mean_harmonic_p,
-            "mean_arithmetic_p": self.mean_arithmetic_p,
-            "max_identity_deviation": self.max_identity_deviation,
-            "verdict": self.verdict,
-        }
 
 
 def compare_e_vs_p(

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from confee import cli, get_scenario, load_csv, sample
+from confee import PredictorSpec, cli, get_scenario, load_csv, sample
 
 
 def _schema():
@@ -230,6 +230,11 @@ class TestValidate:
             assert _run("validate", "--trials", "100", "--threads", value) == 1
             assert f"error: --threads must be at least 1, got {value}" in capsys.readouterr().err
 
+    def test_warmup_too_short_for_the_first_fit(self, capsys):
+        assert _run("validate", "--mode", "time", "--predictor", "split", "--c", "10",
+                    "--warmup", "11", "--rounds", "60") == 1
+        assert "warmup=11; the first split fit needs at least 13 rows" in capsys.readouterr().err
+
 
 class TestConfigAndEnv:
     def test_config_rerun_is_byte_identical(self, tmp_path):
@@ -348,6 +353,23 @@ class TestConfigAndEnv:
         _run("validate", "--trials", "120", "--n", "30", "--out", str(by_env))
         assert by_flag.read_bytes() == by_env.read_bytes()
 
+    def test_seed_flag_must_be_nonnegative(self, capsys):
+        assert _run("validate", "--trials", "120", "--seed", "-1") == 1
+        assert ("argument --seed: expected a nonnegative integer, got -1"
+                in capsys.readouterr().err)
+
+    def test_config_seed_must_be_nonnegative(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"trials": 120, "seed": -3}))
+        assert _run("validate", "--config", str(path)) == 1
+        assert ("config key 'seed': expected a nonnegative integer, got -3"
+                in capsys.readouterr().err)
+
+    def test_env_seed_must_be_nonnegative(self, monkeypatch, capsys):
+        monkeypatch.setenv("CONFEE_SEED", "-5")
+        assert _run("validate", "--mode", "time", "--rounds", "60") == 1
+        assert "CONFEE_SEED: expected a nonnegative integer, got -5" in capsys.readouterr().err
+
     def test_env_seed_must_be_integer(self, monkeypatch):
         monkeypatch.setenv("CONFEE_SEED", "banana")
         assert _run("validate", "--trials", "120") == 1
@@ -357,6 +379,37 @@ class TestConfigAndEnv:
         out = tmp_path / "r.json"
         _run("validate", "--trials", "120", "--n", "30", "--seed", "9", "--out", str(out))
         assert _load(out)["seed"] == 9
+
+
+class TestPredictorDefaults:
+    """predict and validate take their predictor defaults from PredictorSpec."""
+
+    SHARED = {"c": "calibration_size", "K": "folds", "weighting": "weighting",
+              "rule": "rule", "k": "k", "lam": "lam", "normalizer": "normalizer"}
+
+    def _config(self, tmp_path, *argv) -> dict:
+        out = tmp_path / "r.json"
+        assert _run(*argv, "--out", str(out)) in (0, 2)
+        return _load(out)["config"]
+
+    def test_predict(self, tmp_path):
+        config = self._config(tmp_path, "predict", "--scenario", "gm2d", "--n", "30",
+                              "--x", "0,0")
+        spec = PredictorSpec()
+        fields = {**self.SHARED, "margin_b": "margin_b", "positive_label": "positive_label"}
+        assert {key: config[key] for key in fields} == {
+            key: getattr(spec, field) for key, field in fields.items()
+        }
+        assert config["predictor"] == spec.kind
+
+    def test_validate(self, tmp_path):
+        config = self._config(tmp_path, "validate", "--trials", "100", "--n", "30")
+        spec = PredictorSpec()
+        assert {key: config[key] for key in self.SHARED} == {
+            key: getattr(spec, field) for key, field in self.SHARED.items()
+        }
+        assert config["predictor"] == spec.kind
+        assert "margin_b" not in config and "positive_label" not in config
 
 
 class TestEntryPoints:

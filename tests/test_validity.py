@@ -140,6 +140,23 @@ class TestTimeHarness:
         with pytest.raises(OutOfRangeError):
             online_time_validity(GM2D, split, 60, 1, warmup=20)
 
+    @pytest.mark.parametrize("spec, minimum", [
+        # split holds c rows out and knn needs k proper rows: 10 + 3
+        (PredictorSpec(kind="split", calibration_size=10), 13),
+        (PredictorSpec(kind="split", rule="ridge", calibration_size=10), 11),
+        # two folds of 3 leave 3 proper rows; five rows leave 2
+        (PredictorSpec(kind="cross", folds=2), 6),
+        (PredictorSpec(kind="cross", rule="ridge", folds=2), 2),
+        (PredictorSpec(kind="cross", k=5, folds=3), 8),
+    ])
+    def test_warmup_covers_the_first_fit(self, spec, minimum):
+        scenario = get_scenario("linreg3") if spec.rule == "ridge" else GM2D
+        if minimum > 2:
+            with pytest.raises(OutOfRangeError, match=f"warmup={minimum - 1}; .* {minimum} rows"):
+                online_time_validity(scenario, spec, 50, 1, warmup=minimum - 1)
+        report = online_time_validity(scenario, spec, 50, 1, warmup=minimum)
+        assert report.trace.e_values[minimum] != 1.0
+
 
 class TestComparison:
     def test_report_coherence(self):
