@@ -4,7 +4,8 @@ Reports are JSON with sorted keys and no timestamps, so identical inputs
 give byte-identical files. Every report embeds its fully resolved
 configuration under "config"; rerunning with --config <report.json>
 reproduces the run exactly (output path and --threads are execution
-details and are deliberately not part of the config).
+details and are deliberately not part of the config; --threads is checked
+but starts no thread).
 
 Seed resolution order: --seed flag, then the config file, then the
 CONFEE_SEED environment variable, then 0.
@@ -23,11 +24,17 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from .conformity import RULE_KINDS
 from .core import ClassificationTask, RegressionTask, derive_seed
-from .data import SCENARIO_PRESETS, get_scenario, load_csv, read_csv, sample, save_csv
+from .data import (
+    SCENARIO_PRESETS,
+    format_label,
+    get_scenario,
+    load_csv,
+    read_csv,
+    sample,
+    save_csv,
+)
 from .errors import ConfeeError
 from .normalize import NORMALIZER_KINDS
 from .predictors import WEIGHTINGS, CrossTable, FullTable, SplitTable, e_prediction_set
@@ -145,7 +152,8 @@ def build_parser() -> _Parser:
     validate.add_argument("--warmup", type=int)
     validate.add_argument("--tolerance", type=float)
     validate.add_argument("--threads", type=int, default=1,
-                          help="worker threads, at least 1; does not affect results")
+                          help="at least 1; accepted for compatibility, starts no thread "
+                               "and changes nothing")
 
     # subcommand -> its parser; values read from --config are checked
     # against the flags defined there
@@ -278,20 +286,6 @@ def _flag_value(action, value):
     return value
 
 
-def _jsonify(value):
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
-def _label_key(label) -> str:
-    if isinstance(label, float):
-        return repr(label)
-    return str(label)
-
-
 def _parse_predictor(parser: _Parser, text: str) -> dict:
     """The spec fields a --predictor sets: a kind, and 'const<v>' its value."""
     if text in PREDICTOR_KINDS:
@@ -377,7 +371,7 @@ def _test_objects(parser: _Parser, cfg: dict, task, dim: int) -> list:
 
 def _details_for(table) -> dict:
     """Verbose report details, read off the table of the one query pass."""
-    keys = [_label_key(y) for y in table.labels]
+    keys = [format_label(y) for y in table.labels]
     if isinstance(table, SplitTable):
         return {
             "calibration_summaries": table.calibration.tolist(),
@@ -409,16 +403,16 @@ def cmd_predict(parser: _Parser, args, cfg: dict) -> int:
         table = predictor.predict(x, labels)
         entry = {
             "x": list(x),
-            "true_label": None if true_label is None else _label_key(true_label),
-            "e_values": {_label_key(y): v for y, v in zip(table.labels, table.values)},
+            "true_label": None if true_label is None else format_label(true_label),
+            "e_values": {format_label(y): v for y, v in zip(table.labels, table.values)},
             "prediction_sets": {
-                repr(eps): [_label_key(y) for y in e_prediction_set(table, eps)]
+                repr(eps): [format_label(y) for y in e_prediction_set(table, eps)]
                 for eps in epsilons
             },
         }
         if isinstance(table, CrossTable):
             entry["fold_e_values"] = {
-                _label_key(y): [t.values[i] for t in table.folds]
+                format_label(y): [t.values[i] for t in table.folds]
                 for i, y in enumerate(labels)
             }
         if cfg["verbose"]:
@@ -429,13 +423,13 @@ def cmd_predict(parser: _Parser, args, cfg: dict) -> int:
         del table
 
     if isinstance(task, ClassificationTask):
-        task_obj = {"type": "classification", "labels": [_label_key(y) for y in labels]}
+        task_obj = {"type": "classification", "labels": [format_label(y) for y in labels]}
     else:
         task_obj = {"type": "regression", "grid": [float(g) for g in labels]}
     report = {
         "kind": "predict",
         "seed": cfg["seed"],
-        "config": {k: _jsonify(v) for k, v in cfg.items()},
+        "config": dict(cfg),
         "task": task_obj,
         "results": results,
     }
@@ -478,7 +472,7 @@ def cmd_validate(parser: _Parser, args, cfg: dict) -> int:
         "kind": "validate",
         "mode": cfg["mode"],
         "seed": cfg["seed"],
-        "config": {k: _jsonify(v) for k, v in cfg.items()},
+        "config": dict(cfg),
         "verdict": body.verdict,
         "report": body.to_dict(),
     }

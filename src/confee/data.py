@@ -264,7 +264,9 @@ def get_scenario(name: str) -> Scenario:
         ) from None
 
 
-def _format_label(value) -> str:
+def format_label(value) -> str:
+    """A label as CSV cells and report keys spell it: repr for a float
+    (round-trips exactly), str otherwise."""
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -273,10 +275,8 @@ def _format_label(value) -> str:
 def _write_rows(dataset: Dataset, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow([f"x{j + 1}" for j in range(dataset.dim)] + ["y"])
-    for i in range(dataset.n):
-        row = [repr(float(v)) for v in dataset.X[i]]
-        row.append(_format_label(dataset.observation(i).y))
-        writer.writerow(row)
+    for x, y in zip(dataset.X.tolist(), dataset.y.tolist()):
+        writer.writerow([repr(v) for v in x] + [format_label(y)])
 
 
 def save_csv(dataset: Dataset, path) -> None:

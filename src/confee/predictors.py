@@ -102,6 +102,10 @@ class SplitEPredictor:
             block,
         )
 
+    def component_bound(self) -> Optional[float]:
+        """The normalizer's bound on any e-value this predictor outputs."""
+        return self.normalizer.component_bound(len(self.calibration_summaries) + 1)
+
 
 def fit_split(
     proper: Dataset,
@@ -178,6 +182,12 @@ class CrossEPredictor:
         folds = tuple(fp.predict(x, labels) for fp in self.fold_predictors)
         merged = tuple(self._merge(column) for column in zip(*(t.values for t in folds)))
         return CrossTable(labels, merged, folds)
+
+    def component_bound(self) -> Optional[float]:
+        """The largest fold bound (a mean of e-values never exceeds it);
+        None if any fold declares no bound."""
+        bounds = [fp.component_bound() for fp in self.fold_predictors]
+        return None if None in bounds else max(bounds)
 
 
 def fit_cross_from_partition(

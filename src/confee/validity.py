@@ -20,20 +20,17 @@ p-side merging rules are measured on identical draws.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 from .conformity import support_set_assignment, unit_margin_provider
 from .core import Dataset, PlausibilityTable, derive_seed
 from .data import Scenario, sample
-from .errors import OutOfRangeError, UnboundedNormalizerError
+from .errors import DimensionMismatchError, OutOfRangeError, UnboundedNormalizerError
 from .normalize import Normalizer, get_normalizer
 from .predictors import (
     FullEPredictor,
     OnlineTrace,
-    SplitEPredictor,
     cross_p_merge,
     fit_cross,
     fit_split,
@@ -133,22 +130,12 @@ def build_predictor(spec: PredictorSpec, training: Dataset, fold_seed: int):
             **spec.rule_params(),
         )
     w = spec.margin_w if spec.margin_w is not None else (0.0,) * training.dim
+    if len(w) != training.dim:
+        raise DimensionMismatchError(
+            f"margin_w has {len(w)} entries; the training data has {training.dim} features"
+        )
     provider = unit_margin_provider(w, spec.margin_b, spec.positive_label)
     return FullEPredictor(training, support_set_assignment(provider))
-
-
-def _map_trials(fn, trials: int, threads: int) -> list:
-    """Run fn(0..trials-1); results are positionally ordered either way.
-
-    The pool never holds more than os.cpu_count() threads.
-    """
-    if threads < 1:
-        raise OutOfRangeError(f"threads={threads}; need at least 1")
-    workers = min(threads, os.cpu_count() or 1)
-    if workers == 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
 
 
 def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
@@ -156,7 +143,11 @@ def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
 
     Returns read(predictor, test_observation) for every trial, in order;
     the space and compare harnesses draw their trials only through here.
+    The trials run one after another in the calling thread: `threads` must
+    be at least 1, starts no thread and changes nothing.
     """
+    if threads < 1:
+        raise OutOfRangeError(f"threads={threads}; need at least 1")
 
     def one_trial(t: int):
         training = sample(scenario, n_train, derive_seed(seed, t, 0))
@@ -164,7 +155,7 @@ def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
         predictor = build_predictor(spec, training, derive_seed(seed, t, 2))
         return read(predictor, test.observation(0))
 
-    return _map_trials(one_trial, trials, threads)
+    return [one_trial(t) for t in range(trials)]
 
 
 def _mean_and_se(values: Sequence[float]) -> tuple:
@@ -218,7 +209,10 @@ def mc_space_validity(
     thresholds: Sequence[float] = TAIL_THRESHOLDS,
     threads: int = 1,
 ) -> SpaceValidityReport:
-    """Estimate the mean e-value at the true label over fresh IID trials."""
+    """Estimate the mean e-value at the true label over fresh IID trials.
+
+    `threads` must be at least 1; it starts no thread and changes nothing.
+    """
     if trials < 100:
         raise OutOfRangeError(f"trials={trials}; need at least 100 for a stable verdict")
     if n_train < 2:
@@ -254,26 +248,6 @@ class TimeValidityReport(_Report):
         out["e_values"] = list(trace.e_values)
         out["running_means"] = list(trace.running_means)
         return out
-
-
-def _round_bound(spec: PredictorSpec, predictor) -> float:
-    if isinstance(predictor, ConstantEPredictor):
-        return predictor.component_bound()
-    normalizer = get_normalizer(spec.normalizer)
-    if isinstance(predictor, SplitEPredictor):
-        m = predictor.split.calibration_size + 1
-        bound = normalizer.component_bound(m)
-    else:
-        bound = 0.0
-        for fold in predictor.partition.folds:
-            fb = normalizer.component_bound(len(fold) + 1)
-            if fb is None:
-                bound = None
-                break
-            bound = max(bound, fb)
-    if bound is None:
-        raise UnboundedNormalizerError("normalizer declares no bound")
-    return float(bound)
 
 
 def _first_fit_rows(spec: PredictorSpec) -> int:
@@ -330,14 +304,17 @@ def online_time_validity(
 
     stream = sample(scenario, n_rounds, derive_seed(seed, 1))
     e_values = []
-    bound_used = float(spec.const_value) if spec.kind == "const" else 0.0
+    bound_used = 0.0
     for i in range(1, n_rounds + 1):
         if i <= warmup:
             e_values.append(1.0)
             continue
         prefix = stream.subset(range(i - 1))
         predictor = build_predictor(spec, prefix, derive_seed(seed, 2, i))
-        bound_used = max(bound_used, _round_bound(spec, predictor))
+        bound = predictor.component_bound()
+        if bound is None:
+            raise UnboundedNormalizerError("normalizer declares no bound")
+        bound_used = max(bound_used, float(bound))
         z = stream.observation(i - 1)
         e_values.append(float(predictor.e_at(z.x, z.y)))
     trace = OnlineTrace.from_e_values(e_values)
@@ -385,7 +362,8 @@ def compare_e_vs_p(
     reads the fold p-values of the same pass and both the raw mean and the
     factor-2 adjusted merge. The report also tracks the harmonic mean of
     fold p-values and its identity with the reciprocal of the mean
-    calibrated e-value, 1/mean(1/p).
+    calibrated e-value, 1/mean(1/p). `threads` must be at least 1; it
+    starts no thread and changes nothing.
     """
     if spec.kind != "cross":
         raise OutOfRangeError("comparison runs on a cross predictor spec")

@@ -324,6 +324,12 @@ class TestConfigAndEnv:
         assert self._predict_with_config(tmp_path, verbose=True) == 0
         assert "details" in _load(tmp_path / "r.json")["results"][0]
 
+    def test_margin_w_length_names_the_flag(self, capsys):
+        assert _run("predict", "--scenario", "gm2d", "--n", "30", "--predictor", "full",
+                    "--margin-w", "1,2,3", "--x", "0,0") == 1
+        assert ("confee: error: margin_w has 3 entries; the training data has 2 features"
+                in capsys.readouterr().err)
+
     def test_positive_label_reads_like_a_label(self, tmp_path):
         full = ["--predictor", "full", "--margin-w", "1,0", "--x", "0.3,0.1"]
         reports = []

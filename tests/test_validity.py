@@ -1,4 +1,5 @@
 import math
+import threading
 from collections import Counter
 
 import numpy as np
@@ -20,7 +21,6 @@ from confee import (
     online_time_validity,
     sample,
 )
-from confee.validity import _map_trials
 
 GM2D = get_scenario("gm2d")
 CROSS_KNN = PredictorSpec(kind="cross", rule="knn", normalizer="mean")
@@ -111,6 +111,17 @@ class TestTimeHarness:
         # sum normalizer bounds every output by 1
         assert report.bound_used == 1.0
         assert max(report.trace.e_values) <= 1.0
+
+    @pytest.mark.parametrize("spec, warmup, bound", [
+        # c = 10 calibration rows -> the mean normalizer's bound is 11
+        (PredictorSpec(kind="split", rule="knn", normalizer="mean"), 13, 11.0),
+        (PredictorSpec(kind="cross", rule="knn", normalizer="sum"), 20, 1.0),
+    ])
+    def test_bound_used_per_kind(self, spec, warmup, bound):
+        report = online_time_validity(GM2D, spec, 60, 5, warmup=warmup)
+        assert report.bound_used == bound
+        assert type(report.bound_used) is float
+        assert max(report.trace.e_values) <= bound
 
     def test_unbounded_normalizer_refused(self):
         class NoBound(Normalizer):
@@ -244,33 +255,19 @@ class TestTrialWork:
 class TestThreads:
     def test_below_one_rejected(self):
         for threads in (0, -3):
-            with pytest.raises(OutOfRangeError):
-                _map_trials(lambda t: t, 5, threads)
+            with pytest.raises(OutOfRangeError, match=f"threads={threads}; need at least 1"):
+                mc_space_validity(GM2D, CROSS_KNN, 100, 1, n_train=30, threads=threads)
+            with pytest.raises(OutOfRangeError, match=f"threads={threads}; need at least 1"):
+                compare_e_vs_p(GM2D, CROSS_KNN, 100, 1, n_train=30, threads=threads)
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        sizes = []
+    def test_no_thread_started(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"a harness started thread {thread.name}")
 
-        class RecordingPool:
-            """Stands in for ThreadPoolExecutor; starts no threads."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(validity, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(validity.os, "cpu_count", lambda: 3)
-        assert _map_trials(lambda t: t * t, 4, 10**6) == [0, 1, 4, 9]
-        assert _map_trials(lambda t: t, 2, 2) == [0, 1]
-        assert _map_trials(lambda t: t, 2, 1) == [0, 1]
-        assert sizes == [3, 2]
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        space = mc_space_validity(GM2D, CROSS_KNN, 100, 9, n_train=30, threads=4)
+        compare = compare_e_vs_p(GM2D, CROSS_KNN, 100, 9, n_train=30, threads=4)
+        assert space.trials == compare.trials == 100
 
 
 class TestBuildPredictor:
