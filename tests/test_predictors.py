@@ -238,6 +238,112 @@ class TestCrossFitDifferential:
             assert _fold_view(got.predict(x)) == _fold_view(ref.predict(x))
 
 
+#: Presets the oracle draws from, with the rule fitted on each.
+ORACLE_RULES = {"gm2d": "knn", "gm5c": "knn", "linreg3": "ridge"}
+
+
+def _oracle_data(name, n, seed, duplicates, rare):
+    """n rows of a preset; the last row plays the test point.
+
+    With `duplicates`, rows repeat points of a pool of about n/3. For a
+    mixture, the last label is kept only on the test point and on `rare`
+    random rows before it, so a proper part may hold fewer than k rows of
+    it, or none (the EPSILON_FLOOR summary).
+    """
+    drawn = sample(get_scenario(name), n, seed)
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, max(1, n // 3), n) if duplicates else np.arange(n)
+    X, y = drawn.X[rows], drawn.y[rows].copy()
+    if isinstance(drawn.task, ClassificationTask):
+        last = drawn.task.labels[-1]
+        y[y == last] = drawn.task.labels[0]
+        y[rng.choice(n - 1, size=min(rare, n - 1), replace=False)] = last
+        y[-1] = last
+    return Dataset(X, y, drawn.task)
+
+
+def _swapped(data, i, j):
+    """data with rows i and j exchanged."""
+    order = np.arange(data.n)
+    order[[i, j]] = order[[j, i]]
+    return data.subset(order)
+
+
+def _assert_rotation_mean(es, normalizer):
+    """The e-values of one rotation are the components of one normalized
+    vector of length m = len(es): their mean is 1 (mean) or 1/m (sum).
+
+    Each component is at most two roundings of the exact quotient, so the
+    mean sits within m * 2**-52 of its target, relative to the target.
+    """
+    m = len(es)
+    target = 1.0 if normalizer == "mean" else 1.0 / m
+    mean = math.fsum(es) / m
+    assert abs(mean - target) <= m * 2.0**-52 * target, (mean, target)
+
+
+_ORACLE_PARAMS = dict(
+    name=st.sampled_from(sorted(ORACLE_RULES)),
+    k=st.integers(1, 5),
+    lam=st.floats(0.01, 10.0),
+    normalizer=st.sampled_from(["sum", "mean"]),
+    duplicates=st.booleans(),
+    rare=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestExchangeabilityOracle:
+    """The exchangeability step of the validity argument, checked exactly.
+
+    Swapping the test point with calibration point j leaves the proper
+    part and the multiset "calibration plus test" unchanged, so the c + 1
+    e-values at the true label, one per swap, are the components of one
+    normalized vector.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_proper=st.integers(1, 20), c=st.integers(1, 12), **_ORACLE_PARAMS)
+    def test_split_rotation(self, name, n_proper, c, k, lam, normalizer, duplicates, rare, seed):
+        rule = ORACLE_RULES[name]
+        params = {"k": min(k, n_proper)} if rule == "knn" else {"lam": lam}
+        data = _oracle_data(name, n_proper + c + 1, seed, duplicates, rare)
+        test_row = data.n - 1
+        es = []
+        for j in range(n_proper, data.n):  # j = test_row is the draw itself
+            rotated = _swapped(data, j, test_row)
+            predictor = fit_split(
+                rotated.subset(range(n_proper)),
+                rotated.subset(range(n_proper, test_row)),
+                rule,
+                normalizer,
+                **params,
+            )
+            z = rotated.observation(test_row)
+            es.append(predictor.e_at(z.x, z.y))
+        _assert_rotation_mean(es, normalizer)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 24), K=st.integers(2, 5), **_ORACLE_PARAMS)
+    def test_cross_rotation_per_fold(self, name, n, K, k, lam, normalizer, duplicates, rare, seed):
+        rule = ORACLE_RULES[name]
+        K = min(K, n)
+        data = _oracle_data(name, n + 1, seed, duplicates, rare)
+        partition = make_fold_partition(n, K, seed)
+        smallest_proper = n - max(len(fold) for fold in partition.folds)
+        params = {"k": min(k, smallest_proper)} if rule == "knn" else {"lam": lam}
+        for fold in range(1, K + 1):
+            es = []
+            for j in (*partition.fold(fold), n):  # j = n is the draw itself
+                rotated = _swapped(data, j, n)
+                predictor = fit_cross_from_partition(
+                    rotated.subset(range(n)), partition, rule, normalizer, **params
+                )
+                z = rotated.observation(n)
+                es.append(predictor.predict(z.x, (z.y,)).folds[fold - 1].values[0])
+            _assert_rotation_mean(es, normalizer)
+
+
 class TestFull:
     TRAIN = Dataset.from_observations(
         (
