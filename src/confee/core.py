@@ -43,8 +43,8 @@ def _seed_sequence(parts) -> np.random.SeedSequence:
 def derive_seed(*parts: int) -> int:
     """Mix integer key parts into a single 63-bit seed, deterministically.
 
-    Used to give every trial, observation, and fold split its own
-    independent stream from one master seed.
+    Used to give every trial's draw, fold split and online stream its own
+    seed from one master seed.
     """
     return int(_seed_sequence(parts).generate_state(1, np.uint64)[0] >> np.uint64(1))
 

@@ -1,17 +1,14 @@
 """Seeded synthetic scenarios and CSV round-tripping.
 
-Sampling derives observation i's randomness from the key (seed, i), so a
-longer sample extends a shorter one unchanged, and the draw for any single
-observation can be reproduced in isolation.
-
-Observation i draws from a PCG64 generator in exactly the state that
-numpy's `default_rng(SeedSequence((seed, i)))` starts in. `sample` does
-not build those objects per observation: it runs SeedSequence's hashing
-for all n keys at once over uint32 arrays (entropy words: the seed's
-32-bit words, least significant first, then i as one word; pool size 4),
-turns each key's four 64-bit seed words into PCG64's 128-bit state and
-increment with Python integers, and loads that state into one generator
-made per call. tests/test_data.py checks the draws against numpy's own.
+`sample(scenario, n, seed)` spawns two child seeds from
+`SeedSequence(seed)` and reads one numpy Generator of each from its start:
+the first gives the mixture labels (or the regression noise), the second
+the features, n rows of `dim` standard normals. Each draw depends only on
+the draws before it in its stream, so a longer sample extends a shorter
+one with the same seed unchanged; observation i cannot be drawn without
+drawing observations 0..i-1. The numbers are numpy's: `integers` and the
+ziggurat `standard_normal` of PCG64, which NEP 19 lets numpy change
+between releases.
 
 CSV format: header x1,...,xd,y then one observation per row. Floats are
 written with repr, so a save/load round trip is exact. The y column is
@@ -23,12 +20,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .core import ClassificationTask, Dataset, RegressionTask, Task
+from .core import ClassificationTask, Dataset, RegressionTask, Task, spawn_rng
 from .errors import (
     InvalidScenarioError,
     LabelOutOfSpaceError,
@@ -39,107 +35,8 @@ from .errors import (
 
 SCENARIO_KINDS = ("gaussian_mixture", "linear_regression")
 
-#: Key part separating the regression weight draw from observation draws.
+#: Key part of the regression weight draw, after the scenario seed.
 _WEIGHT_TAG = 1_000_003
-
-#: numpy's SeedSequence constants (pool size and hashing, bit_generator.pyx).
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-#: PCG64's 128-bit LCG multiplier.
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
-
-
-@lru_cache(maxsize=16)
-def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
-    """The running constant of SeedSequence's hash over `steps` hashes, as a
-    read-only (steps + 1, 1) uint32 column: hash j xors with row j and
-    multiplies by row j + 1."""
-    consts = [init]
-    for _ in range(steps):
-        consts.append(consts[-1] * mult & _MASK32)
-    column = np.array(consts, dtype=np.uint32)[:, None]
-    column.setflags(write=False)
-    return column
-
-
-def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """Hash `values` (broadcast against consts[:-1]) with consecutive
-    constants: one row of output per hash."""
-    out = values ^ consts[:-1]
-    out *= consts[1:]
-    out ^= out >> 16
-    return out
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of pool words x with hashed words y, in place in x."""
-    x *= _MIX_MULT_L
-    x -= y * _MIX_MULT_R
-    x ^= x >> 16
-    return x
-
-
-def _seed_states(seed: int, keys: np.ndarray) -> list:
-    """SeedSequence((seed, k)).generate_state(4, np.uint64) for every uint32
-    key k, as lists of Python ints.
-
-    SeedSequence hashes one uint32 word at a time; here each hash runs on
-    all keys at once, and the hashes of one mixing round, which read only
-    the round's source word, run as one block.
-    """
-    words = []
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    entropy = np.zeros((max(len(words) + 1, _POOL_SIZE), keys.size), dtype=np.uint32)
-    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = keys
-    extra = len(words) + 1 - _POOL_SIZE  # entropy words beyond the pool
-    consts = _hash_constants(
-        _INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + max(extra, 0) * _POOL_SIZE
-    )
-    pool = _hash(entropy[:_POOL_SIZE], consts[: _POOL_SIZE + 1])
-    step = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[dst] = _mix(pool[dst], _hash(pool[src], consts[step : step + _POOL_SIZE]))
-        step += _POOL_SIZE - 1
-    for word in entropy[_POOL_SIZE:]:
-        pool = _mix(pool, _hash(word, consts[step : step + _POOL_SIZE + 1]))
-        step += _POOL_SIZE
-    cycle = np.arange(2 * _POOL_SIZE) % _POOL_SIZE  # two output words per pool word
-    state = _hash(pool[cycle], _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
-    # two uint32 words per uint64, viewed as SeedSequence views them
-    return np.ascontiguousarray(state.T).view(np.uint64).tolist()
-
-
-def _keyed_generators(seed: int, keys: np.ndarray):
-    """Yield, for each uint32 key k, a generator in the state that
-    default_rng(SeedSequence((seed, k))) starts in.
-
-    One PCG64 and Generator pair is made per call and reloaded for every
-    key, so take each key's draws before advancing to the next.
-    """
-    bit_generator = np.random.PCG64(0)  # its state is replaced below
-    rng = np.random.Generator(bit_generator)
-    for s_hi, s_lo, q_hi, q_lo in _seed_states(seed, keys):
-        # PCG64's seeding: state 0, one step, add the initial state, one step
-        inc = (((q_hi << 64) | q_lo) << 1 | 1) & _MASK128
-        state = ((((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -208,38 +105,34 @@ class Scenario:
         """Regression weight vector, a pure function of the scenario seed."""
         if self.kind != "linear_regression":
             raise InvalidScenarioError("weights applies to linear_regression only")
-        keys = np.array([_WEIGHT_TAG], dtype=np.uint32)
-        return next(_keyed_generators(self.seed, keys)).standard_normal(self.dim)
+        return spawn_rng(self.seed, _WEIGHT_TAG).standard_normal(self.dim)
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
 
 
 def sample(scenario: Scenario, n: int, seed: int) -> Dataset:
-    """Draw n IID observations; observation i uses only the key (seed, i)."""
+    """Draw n IID observations from two streams spawned from `seed`.
+
+    The first stream gives the mixture labels or the regression noise, the
+    second the features, row by row; each is read from its start, so a
+    longer sample extends a shorter one with the same seed unchanged.
+    """
     if n < 1:
         raise OutOfRangeError(f"n={n}; need at least one observation")
-    if n > 1 << 32:
-        raise OutOfRangeError(f"n={n}; observation indices must fit in 32 bits")
     if seed < 0:
         raise OutOfRangeError("seed must be nonnegative")
-    task = scenario.task
-    X = np.empty((n, scenario.dim))
-    rngs = _keyed_generators(seed, np.arange(n, dtype=np.uint32))
+    first, second = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    X = second.standard_normal((n, scenario.dim))
     if scenario.kind == "gaussian_mixture":
-        means = scenario.class_means()
-        labels = np.empty(n, dtype=int)
-        for i, rng in enumerate(rngs):
-            labels[i] = rng.integers(scenario.classes)
-            rng.standard_normal(out=X[i])
-        X += means[labels]
-        return Dataset(X, labels, task)
+        labels = first.integers(scenario.classes, size=n)
+        X += scenario.class_means()[labels]
+        return Dataset(X, labels, scenario.task)
     w = scenario.weights()
-    y = np.empty(n)
-    for i, rng in enumerate(rngs):
-        X[i] = rng.standard_normal(scenario.dim)
-        y[i] = float(w @ X[i]) + scenario.noise_sd * rng.standard_normal()
-    return Dataset(X, y, task)
+    # one dot product per row: a matrix product X @ w may round a row
+    # differently for different n, which would break prefix extension
+    y = np.array([w @ row for row in X]) + scenario.noise_sd * first.standard_normal(n)
+    return Dataset(X, y, scenario.task)
 
 
 SCENARIO_PRESETS = {

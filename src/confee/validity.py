@@ -139,7 +139,10 @@ def build_predictor(spec: PredictorSpec, training: Dataset, fold_seed: int):
 
 
 def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
-    """Trial t: a fresh training set and test point, one fitted predictor.
+    """Trial t: one draw of n_train + 1 observations, one fitted predictor.
+
+    The first n_train observations train the predictor and the last one is
+    the test point.
 
     Returns read(predictor, test_observation) for every trial, in order;
     the space and compare harnesses draw their trials only through here.
@@ -150,10 +153,10 @@ def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
         raise OutOfRangeError(f"threads={threads}; need at least 1")
 
     def one_trial(t: int):
-        training = sample(scenario, n_train, derive_seed(seed, t, 0))
-        test = sample(scenario, 1, derive_seed(seed, t, 1))
+        drawn = sample(scenario, n_train + 1, derive_seed(seed, t, 0))
+        training = drawn.subset(range(n_train))
         predictor = build_predictor(spec, training, derive_seed(seed, t, 2))
-        return read(predictor, test.observation(0))
+        return read(predictor, drawn.observation(n_train))
 
     return [one_trial(t) for t in range(trials)]
 

@@ -74,21 +74,31 @@ class TestScenario:
 
 
 class TestSampling:
-    def test_deterministic(self):
-        sc = get_scenario("gm2d")
-        a = sample(sc, 40, 9)
-        b = sample(sc, 40, 9)
-        assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
-        c = sample(sc, 40, 10)
-        assert not np.array_equal(a.X, c.X)
-
-    def test_prefix_stability(self):
-        for name in ("gm2d", "linreg3"):
-            sc = get_scenario(name)
-            long = sample(sc, 60, 9)
-            short = sample(sc, 40, 9)
-            assert np.array_equal(long.X[:40], short.X)
-            assert np.array_equal(long.y[:40], short.y)
+    @settings(max_examples=100, deadline=None)
+    @example(kind="gaussian_mixture", dim=2, classes=2, n=1, m=2, seed=0, other=1)
+    @example(kind="linear_regression", dim=3, classes=2, n=40, m=60, seed=2**32, other=0)
+    @example(kind="gaussian_mixture", dim=1, classes=5, n=7, m=8, seed=2**64, other=2**32)
+    @example(kind="linear_regression", dim=12, classes=2, n=30, m=31, seed=2**160 - 1, other=2**64)
+    @given(
+        kind=st.sampled_from(["gaussian_mixture", "linear_regression"]),
+        dim=st.integers(1, 12),
+        classes=st.integers(2, 5),
+        n=st.integers(1, 60),
+        m=st.integers(2, 80),
+        seed=st.integers(0, 2**160 - 1),
+        other=st.integers(0, 2**160 - 1),
+    )
+    def test_prefix_stability(self, kind, dim, classes, n, m, seed, other):
+        """A longer sample extends a shorter one; one seed repeats, two differ."""
+        n, m = min(n, m - 1), max(n + 1, m)
+        sc = Scenario(kind, classes=classes, dim=dim, grid=(0.0, 1.0), seed=3)
+        short, long = sample(sc, n, seed), sample(sc, m, seed)
+        assert np.array_equal(long.X[:n], short.X)
+        assert np.array_equal(long.y[:n], short.y)
+        again = sample(sc, m, seed)
+        assert np.array_equal(again.X, long.X) and np.array_equal(again.y, long.y)
+        if other != seed:
+            assert not np.array_equal(sample(sc, m, other).X, long.X)
 
     def test_labels_live_in_task(self):
         ds = sample(get_scenario("gm5c"), 200, 3)
@@ -106,69 +116,6 @@ class TestSampling:
             sample(sc, 0, 1)
         with pytest.raises(OutOfRangeError):
             sample(sc, 5, -1)
-        # observation indices are one 32-bit entropy word; checked before
-        # anything is allocated
-        with pytest.raises(OutOfRangeError, match="32 bits"):
-            sample(sc, 2**32 + 1, 1)
-
-
-def _numpy_rng(*key):
-    return np.random.default_rng(np.random.SeedSequence(key))
-
-
-def _reference_sample(scenario, n, seed):
-    """One generator per observation, built by numpy from the key (seed, i)."""
-    X = np.empty((n, scenario.dim))
-    y = []
-    if scenario.kind == "gaussian_mixture":
-        means = scenario.class_means()
-        for i in range(n):
-            rng = _numpy_rng(seed, i)
-            c = int(rng.integers(scenario.classes))
-            X[i] = means[c] + rng.standard_normal(scenario.dim)
-            y.append(c)
-        return X, y
-    w = _numpy_rng(scenario.seed, 1_000_003).standard_normal(scenario.dim)
-    for i in range(n):
-        rng = _numpy_rng(seed, i)
-        X[i] = rng.standard_normal(scenario.dim)
-        y.append(float(w @ X[i]) + scenario.noise_sd * rng.standard_normal())
-    return X, y
-
-
-#: One, two and more 32-bit seed words; 2**128 and up make the entropy
-#: longer than SeedSequence's pool of four words.
-_SEED_EXAMPLES = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**96 + 5, 2**128 + 7, 2**160 - 1)
-
-
-def _with_seed_examples(test):
-    for seed in _SEED_EXAMPLES:
-        test = example(kind="gaussian_mixture", n=3, seed=seed, dim=2, classes=3,
-                       scenario_seed=seed)(test)
-        test = example(kind="linear_regression", n=3, seed=seed, dim=2, classes=2,
-                       scenario_seed=seed)(test)
-    return test
-
-
-class TestSeedingDifferential:
-    """Vectorized seeding against numpy's per-observation generators."""
-
-    @settings(max_examples=120, deadline=None)
-    @_with_seed_examples
-    @given(
-        kind=st.sampled_from(["gaussian_mixture", "linear_regression"]),
-        n=st.integers(1, 80),
-        seed=st.integers(0, 2**63 - 1),
-        dim=st.integers(1, 4),
-        classes=st.integers(2, 5),
-        scenario_seed=st.integers(0, 2**63 - 1),
-    )
-    def test_matches_numpy_seed_sequence(self, kind, n, seed, dim, classes, scenario_seed):
-        scenario = Scenario(kind, classes=classes, dim=dim, grid=(0.0, 1.0), seed=scenario_seed)
-        X, y = _reference_sample(scenario, n, seed)
-        ds = sample(scenario, n, seed)
-        assert np.array_equal(ds.X, X)
-        assert ds.y.tolist() == y
 
 
 class TestCsv:

@@ -26,40 +26,40 @@ CASES = {
     "gen-gm2d": (
         TRAIN_GM2D,
         "gm2d.csv",
-        "c5a174617d8f294654de804a175b7a8e677c45edcd8812c00c5dbc579a9f8bd3",
+        "01aedede3e4481b2156fd9920c9e6a26d7240ed37eb54e78b8cbd5b0445108d9",
     ),
     "gen-linreg3": (
         TRAIN_LINREG3,
         "linreg3.csv",
-        "444dec0abd96686688f3f63ee13b9de503cfe3f3b445f20b4668a0c6cac8a1d2",
+        "0729a605277540639702c93a6a96af540e2fb3537fd487522726335ba3700bf8",
     ),
     "predict-cross-knn-verbose": (
         ("predict", *GM2D, "--predictor", "cross", "--K", "5", "--rule", "knn", "--k", "3",
          "--x", "0.1,0.2", "--x", "-1.5,2.0", "--verbose", "--out", "rep.json"),
         "rep.json",
-        "23b1f10b4ee8c0b18ca0657a6594955bf75919c49dfe29c45220f3254545eee8",
+        "8b7c0365f23bbfbd13235d6913c831532b5aaa8f47b9b46c44c764c6dcdab0ea",
     ),
     "predict-cross-ridge-verbose-test-y": (
         (*CROSS_RIDGE, "--test", "test_y.csv", "--x", "0.0,0.0,0.0", "--out", "rep.json"),
         "rep.json",
-        "1ac7231dc573eb01a8eb9a783f27b220cd2a39930d4dc1860176d204d3306610",
+        "5c32f4c632f8c7d5bb1fc71a0bb570b13de074257088799e72b17c103f1a6450",
     ),
     "predict-cross-ridge-verbose-test-no-y": (
         (*CROSS_RIDGE, "--test", "test_no_y.csv", "--out", "rep.json"),
         "rep.json",
-        "6e872a3278c84b2fe42cfaec69acc961619f28a818436a6aa1c62e401addfb27",
+        "8ca4a71c721db0b10abefe55b6ab933d560428033216f53545ef64a1c4b64bde",
     ),
     "predict-split": (
         ("predict", *GM2D, "--predictor", "split", "--c", "10", "--x", "0.3,-0.2",
          "--verbose", "--out", "rep.json"),
         "rep.json",
-        "a209fb74fccc4a24d5e3445d493ead3201ade8a49aafbe037bb3f9b99bd49533",
+        "248fcdd0d8b067d69875cd55babe614021fc1e8228ac5beca51252a3d7999165",
     ),
     "predict-full": (
         ("predict", *GM2D, "--predictor", "full", "--margin-w", "-2.0,0.0", "--margin-b",
          "0.25", "--x", "0.3,-0.2", "--verbose", "--out", "rep.json"),
         "rep.json",
-        "399b07a0e733c9559099b04bd6098bc3b0e6586309b1eecc7f91e0a97d8bbfbf",
+        "9e3bb3be97998edca1e2d516b665a64b0ca0bfa9e89235e1827461c583274e54",
     ),
     "predict-const2": (
         ("predict", *GM2D, "--predictor", "const2", "--x", "0.3,-0.2", "--out", "rep.json"),
@@ -70,19 +70,19 @@ CASES = {
         ("validate", "--mode", "space", "--trials", "500", "--n", "30", "--seed", "1",
          "--out", "rep.json"),
         "rep.json",
-        "bbb0c965b74f896143b7a718bfecfccac5c0a8b57fa0d728bbafa211fad88340",
+        "3a6016ce2b34e9b173b46dc4d88b16ebe09c3f4cba585c3a917bba5b00c0fc3f",
     ),
     "validate-compare": (
         ("validate", "--mode", "compare", "--trials", "500", "--n", "30", "--seed", "1",
          "--out", "rep.json"),
         "rep.json",
-        "8d12e50833f4a374066b1f386e7b0c692a1a1814cab04f891c3f3da28d0b8661",
+        "308211d6adce58e0322733ecc1baa1fd98f062b8b86db88eb59efc4fbaf485ea",
     ),
     "validate-time": (
         ("validate", "--mode", "time", "--rounds", "200", "--warmup", "20", "--seed", "1",
          "--out", "rep.json"),
         "rep.json",
-        "b5ae6a4e48befcfefc5975233400a8ec8825902b854c3c67f654d00606bbaba8",
+        "fcaa8b6b0f97426a4f83a6749f6daba8b4b74c8a8c6183fbeecc0deaa191758d",
     ),
 }
 

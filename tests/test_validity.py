@@ -245,10 +245,11 @@ class TestTrialWork:
         mc_space_validity(GM2D, CROSS_KNN, trials, 4, n_train=50)
         assert calls == Counter({
             "spawn_rng in sample": 0,
-            "default_rng in sample": 0,
-            "dataset validations": 2 * trials,  # the training set and the test point
+            "default_rng in sample": 2 * trials,  # one per stream, not per observation
+            "dataset validations": trials,  # one draw: training set and test point
             "label bucketing": trials,  # once per training set, not per fold
-            "subsets": 2 * CROSS_KNN.folds * trials,  # a fold and its complement
+            # the training rows of the draw, then a fold and its complement
+            "subsets": (2 * CROSS_KNN.folds + 1) * trials,
         })
 
 
