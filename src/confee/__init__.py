@@ -32,7 +32,6 @@ from .core import (
     SummaryVector,
     complement_indices,
     derive_seed,
-    make_e_vector,
     make_fold_partition,
     spawn_rng,
 )

@@ -32,7 +32,6 @@ from .core import (
     EValueVector,
     Observation,
     RegressionTask,
-    make_e_vector,
     positions_by_label,
 )
 from .errors import (
@@ -284,7 +283,7 @@ def support_set_e_values(support: SupportSet) -> EValueVector:
         raise EmptySupportSetError("support set is empty")
     share = support.m / len(support)
     members = set(support.indices)
-    return make_e_vector(
+    return EValueVector(
         tuple(share if i in members else 0.0 for i in range(support.m))
     )
 

@@ -380,11 +380,6 @@ class EValueVector(_FloatVector):
         return math.fsum(self.array.tolist()) / self.array.size
 
 
-def make_e_vector(values: Sequence[float]) -> EValueVector:
-    """Validate a candidate e-vector; raises if any invariant fails."""
-    return EValueVector(values)
-
-
 @dataclass(frozen=True)
 class PlausibilityTable:
     """Candidate label -> e-value for one test object."""

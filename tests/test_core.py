@@ -9,6 +9,7 @@ from confee import (
     AverageExceedsOneError,
     ClassificationTask,
     Dataset,
+    EValueVector,
     EmptyDatasetError,
     FoldIndexOutOfRangeError,
     FoldPartition,
@@ -25,7 +26,6 @@ from confee import (
     TooFewObservationsError,
     complement_indices,
     derive_seed,
-    make_e_vector,
     make_fold_partition,
     spawn_rng,
 )
@@ -36,25 +36,25 @@ TASK01 = ClassificationTask((0, 1))
 
 class TestEValueVector:
     def test_boundary_cases(self):
-        assert make_e_vector((3.0, 0.0, 0.0)).values == (3.0, 0.0, 0.0)
-        assert make_e_vector((1.0, 1.0, 1.0)).mean == 1.0
+        assert EValueVector((3.0, 0.0, 0.0)).values == (3.0, 0.0, 0.0)
+        assert EValueVector((1.0, 1.0, 1.0)).mean == 1.0
         with pytest.raises(AverageExceedsOneError):
-            make_e_vector((2.0, 1.0, 1.0))
+            EValueVector((2.0, 1.0, 1.0))
 
     def test_rejects_bad_entries(self):
         with pytest.raises(NegativeEntryError):
-            make_e_vector((-0.1, 0.5))
+            EValueVector((-0.1, 0.5))
         with pytest.raises(NonFiniteEntryError):
-            make_e_vector((float("nan"),))
+            EValueVector((float("nan"),))
         with pytest.raises(NonFiniteEntryError):
-            make_e_vector((float("inf"), 0.0))
+            EValueVector((float("inf"), 0.0))
         with pytest.raises(OutOfRangeError):
-            make_e_vector(())
+            EValueVector(())
 
     def test_mean_tolerance_edge(self):
-        make_e_vector((1.0 + 5e-13,))  # inside the 1e-12 slack
+        EValueVector((1.0 + 5e-13,))  # inside the 1e-12 slack
         with pytest.raises(AverageExceedsOneError):
-            make_e_vector((1.0 + 5e-12,))
+            EValueVector((1.0 + 5e-12,))
 
     def test_fuzz_matches_direct_mean_check(self):
         rng = np.random.default_rng(20240815)
@@ -63,10 +63,10 @@ class TestEValueVector:
             values = rng.exponential(1.0, m) * rng.uniform(0.0, 1.5)
             should_pass = math.fsum(values) / m <= 1.0 + 1e-12
             if should_pass:
-                assert make_e_vector(values).m == m
+                assert EValueVector(values).m == m
             else:
                 with pytest.raises(AverageExceedsOneError):
-                    make_e_vector(values)
+                    EValueVector(values)
 
 
 class TestVectorValues:
@@ -76,8 +76,8 @@ class TestVectorValues:
         assert summary == SummaryVector((1.0, 2.5))
         assert hash(summary) == hash(SummaryVector([1.0, 2.5]))
         assert summary != SummaryVector((1.0, 2.0))
-        assert make_e_vector((0.5, 1.5)) != SummaryVector((0.5, 1.5))
-        assert len(summary) == 2 and make_e_vector(iter([1.0, 0.0])).m == 2
+        assert EValueVector((0.5, 1.5)) != SummaryVector((0.5, 1.5))
+        assert len(summary) == 2 and EValueVector(iter([1.0, 0.0])).m == 2
 
 
 class TestFoldPartition:
