@@ -74,6 +74,14 @@ class TestScenario:
 
 
 class TestSampling:
+    def test_deterministic(self):
+        sc = get_scenario("gm2d")
+        a = sample(sc, 40, 9)
+        b = sample(sc, 40, 9)
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+        c = sample(sc, 40, 10)
+        assert not np.array_equal(a.X, c.X)
+
     @settings(max_examples=100, deadline=None)
     @example(kind="gaussian_mixture", dim=2, classes=2, n=1, extra=1, seed=0, other=1)
     @example(kind="linear_regression", dim=3, classes=2, n=40, extra=20, seed=2**32, other=0)
