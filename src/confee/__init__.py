@@ -28,7 +28,6 @@ from .core import (
     Observation,
     PlausibilityTable,
     RegressionTask,
-    SplitConfig,
     SummaryVector,
     complement_indices,
     derive_seed,

@@ -27,13 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    EValueVector,
-    Observation,
-    RegressionTask,
-    positions_by_label,
-)
+from .core import Dataset, EValueVector, Observation, RegressionTask
 from .errors import (
     DimensionMismatchError,
     EmptyProperSetError,
@@ -128,12 +122,27 @@ class ConformityRule:
         return X
 
 
+def _by_label(labels, codes: np.ndarray) -> tuple:
+    """(order, label -> slice): the stable order that groups rows by code,
+    and the slice of that order holding each label with rows."""
+    order = np.argsort(codes, kind="stable")
+    bounds = [0, *np.bincount(codes, minlength=len(labels)).cumsum().tolist()]
+    return order, {
+        label: slice(lo, hi) for label, lo, hi in zip(labels, bounds, bounds[1:]) if hi > lo
+    }
+
+
 class KnnRule(ConformityRule):
     """sigma = 1 / (1 + mean distance to the k nearest same-label points).
 
     If fewer than k proper points share the label, the mean runs over the
     ones available; if none do, the summary falls back to EPSILON_FLOOR so
     it stays strictly positive.
+
+    The fit keeps the proper rows sorted by label number (`label_codes`),
+    one contiguous block per label, found by the label's value, so the
+    rows of a separately validated dataset with the same labels meet the
+    same blocks.
     """
 
     kind = "knn"
@@ -145,25 +154,31 @@ class KnnRule(ConformityRule):
             raise KTooLargeError(f"k={k} exceeds the {proper.n} proper points")
         self.k = k
         self.dim = proper.dim
-        self._X = proper.X
-        self._rows_by_label = proper.rows_by_label
+        order, self._blocks = _by_label(*proper.label_codes)
+        self._X = proper.X[order]
 
     def score_many(self, X, y) -> np.ndarray:
-        return self._score(self._check_batch(X), positions_by_label(y))
+        # an array's labels come out of tolist() as Python scalars; numpy
+        # scalars in a plain sequence hash and compare like the ones they hold
+        groups: dict = {}
+        for i, label in enumerate(y.tolist() if isinstance(y, np.ndarray) else y):
+            groups.setdefault(label, []).append(i)
+        return self._score(self._check_batch(X), groups)
 
     def score_rows(self, data: Dataset) -> np.ndarray:
-        # the dataset's buckets come from its root, so no per-row pass here
-        return self._score(self._check_batch(data.X), data.rows_by_label)
+        order, slices = _by_label(*data.label_codes)
+        groups = {label: order[rows] for label, rows in slices.items()}
+        return self._score(self._check_batch(data.X), groups)
 
     def _score(self, X: np.ndarray, groups: dict) -> np.ndarray:
         """Summaries of X's rows; groups maps a label to its rows of X."""
         out = np.full(X.shape[0], EPSILON_FLOOR)
         for label, rows in groups.items():
-            proper_rows = self._rows_by_label.get(label)
-            if proper_rows is None:
+            block = self._blocks.get(label)
+            if block is None:
                 continue
-            D = _pairwise_distances(X[rows], self._X[proper_rows])
-            kk = min(self.k, proper_rows.size)
+            D = _pairwise_distances(X[rows], self._X[block])
+            kk = min(self.k, D.shape[1])
             # the kk smallest, sorted: the same values in the same order as
             # the head of a full sort, so the mean is bit for bit the same
             if kk < D.shape[1]:

@@ -3,16 +3,17 @@
 Everything here is immutable after construction and safe to share across
 threads. Arrays held by these types (dataset rows, summary and e-vectors,
 folds) are read-only numpy arrays: writing into one raises ValueError, and
-a caller's writable array is copied before it is frozen. Observation
-indices are 0-based throughout; fold numbers are 1-based to match the
-usual S_1..S_K naming in reports.
+a caller's writable array is copied before it is frozen. A dataset
+numbers its labels once, when it is validated, and its subsets carry
+those numbers, so a rule groups rows by label without a second pass over
+the labels. Observation indices are 0-based throughout; fold numbers are
+1-based to match the usual S_1..S_K naming in reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -52,19 +53,6 @@ def derive_seed(*parts: int) -> int:
 def spawn_rng(*parts: int) -> np.random.Generator:
     """Deterministic generator keyed by a tuple of integers."""
     return np.random.default_rng(_seed_sequence(parts))
-
-
-def positions_by_label(y) -> dict:
-    """label -> positions in y, in order of first appearance.
-
-    An array's labels come out of tolist() as Python scalars; numpy scalars
-    in a plain sequence hash and compare like the Python ones they hold.
-    """
-    labels = y.tolist() if isinstance(y, np.ndarray) else y
-    groups: dict = {}
-    for i, label in enumerate(labels):
-        groups.setdefault(label, []).append(i)
-    return groups
 
 
 def _py_scalar(value):
@@ -110,9 +98,6 @@ class ClassificationTask:
     def candidates(self) -> tuple:
         return self.labels
 
-    def contains(self, label) -> bool:
-        return _py_scalar(label) in self.labels
-
 
 @dataclass(frozen=True)
 class RegressionTask:
@@ -134,12 +119,6 @@ class RegressionTask:
     def candidates(self) -> tuple:
         return self.grid
 
-    def contains(self, label) -> bool:
-        try:
-            return math.isfinite(float(label))
-        except (TypeError, ValueError):
-            return False
-
 
 Task = Union[ClassificationTask, RegressionTask]
 
@@ -159,14 +138,34 @@ class Observation:
         object.__setattr__(self, "y", _py_scalar(self.y))
 
 
+def _number_labels(y: np.ndarray, task: Task) -> tuple:
+    """(labels, codes) for a label array: codes[i] is the index of y[i] in labels.
+
+    Classification numbers the rows by task.labels; the first row, in
+    order, whose label is not among them raises LabelOutOfSpaceError.
+    Regression numbers the distinct values of y, ascending.
+    """
+    if isinstance(task, RegressionTask):
+        labels, codes = np.unique(y, return_inverse=True)
+        return tuple(labels.tolist()), codes
+    number = {label: i for i, label in enumerate(task.labels)}
+    try:
+        codes = [number[v] for v in y.tolist()]
+    except KeyError as exc:
+        bad = _py_scalar(exc.args[0])
+        raise LabelOutOfSpaceError(f"label {bad!r} not in task labels") from None
+    return task.labels, np.array(codes, dtype=np.intp)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Ordered observations sharing one task.
 
     X is an (n, d) float array, y the matching labels. Both are frozen
     (writeable=False) on construction; n >= 1 always holds. Construction
-    validates every row; `subset` copies rows of a dataset that already
-    passed and does not validate them again.
+    validates every row and numbers its labels in the same pass
+    (`label_codes`); `subset` copies rows of a dataset that already passed,
+    with their numbers, and does not validate them again.
     """
 
     X: np.ndarray
@@ -189,19 +188,26 @@ class Dataset:
             y = np.array(np.asarray(self.y).ravel())
             if y.shape != (X.shape[0],):
                 raise OutOfRangeError("y length must match X")
-            if y.dtype.kind in "iu" and all(isinstance(v, int) for v in self.task.labels):
-                ok = np.isin(y, np.asarray(self.task.labels)).all()
-            else:
-                ok = all(self.task.contains(v) for v in y)
-            if not ok:
-                bad = next(v for v in y if not self.task.contains(v))
-                raise LabelOutOfSpaceError(f"label {_py_scalar(bad)!r} not in task labels")
-        X.setflags(write=False)
-        y.setflags(write=False)
+        labels, codes = _number_labels(y, self.task)
+        self._freeze(X, y, labels, codes)
+
+    def _freeze(self, X, y, labels, codes):
+        for array in (X, y, codes):
+            array.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        # (root, rows of the root) for a subset; None for a validated dataset
-        object.__setattr__(self, "_source", None)
+        object.__setattr__(self, "_numbering", (labels, codes))
+
+    @property
+    def label_codes(self) -> tuple:
+        """(labels, codes): row i holds label labels[codes[i]].
+
+        labels is the task's labels for classification, and the distinct
+        labels, ascending, of the dataset validated at the start of a chain
+        of subsets for regression; some labels may hold no row. codes is a
+        read-only intp array.
+        """
+        return self._numbering
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -224,10 +230,8 @@ class Dataset:
     def subset(self, indices: Union[Sequence[int], np.ndarray, range]) -> "Dataset":
         """The rows at `indices`, in that order, copied and read-only.
 
-        The rows come from a valid dataset and are not validated again. The
-        subset remembers which rows of its root (the validated dataset at
-        the start of a chain of subsets) it holds, so it reads its label
-        buckets off the root's: a chain of subsets buckets its labels once.
+        The rows come from a valid dataset and are not validated again; they
+        keep their label numbers.
         """
         if isinstance(indices, range):
             idx = np.arange(indices.start, indices.stop, indices.step, dtype=np.intp)
@@ -238,46 +242,11 @@ class Dataset:
         if idx.min() < 0 or idx.max() >= self.n:
             bad = idx[(idx < 0) | (idx >= self.n)][0]
             raise OutOfRangeError(f"subset index {bad} not in 0..{self.n - 1}")
-        X, y = self.X.take(idx, axis=0), self.y.take(idx)
-        X.setflags(write=False)
-        y.setflags(write=False)
-        root, rows = self._source or (self, None)
+        labels, codes = self._numbering
         view = object.__new__(type(self))
-        object.__setattr__(view, "X", X)
-        object.__setattr__(view, "y", y)
         object.__setattr__(view, "task", self.task)
-        object.__setattr__(view, "_source", (root, idx if rows is None else rows[idx]))
+        view._freeze(self.X.take(idx, axis=0), self.y.take(idx), labels, codes.take(idx))
         return view
-
-    @cached_property
-    def _label_codes(self) -> tuple:
-        """(distinct labels in order of first appearance, each row's index
-        into them): the one pass over a root's rows that bucketing makes."""
-        groups = positions_by_label(self.y)
-        codes = np.empty(self.n, dtype=np.intp)
-        for code, rows in enumerate(groups.values()):
-            codes[rows] = code
-        return tuple(groups), codes
-
-    @cached_property
-    def rows_by_label(self) -> dict:
-        """label -> ascending positions of the rows holding it (int arrays).
-
-        Equal, label by label, to bucketing this dataset's own y with
-        `positions_by_label`; labels without rows are left out. A subset
-        reads its rows' codes off its root.
-        """
-        root, rows = self._source or (self, None)
-        labels, codes = root._label_codes
-        if rows is not None:
-            codes = codes[rows]
-        order = np.argsort(codes, kind="stable")
-        bounds = [0, *np.bincount(codes, minlength=len(labels)).cumsum().tolist()]
-        return {
-            label: order[lo:hi]
-            for label, lo, hi in zip(labels, bounds, bounds[1:])
-            if hi > lo
-        }
 
     @classmethod
     def from_observations(cls, observations: Sequence[Observation], task: Task) -> "Dataset":
@@ -410,22 +379,6 @@ class PlausibilityTable:
 
     def as_dict(self) -> dict:
         return dict(zip(self.labels, self.values))
-
-
-@dataclass(frozen=True)
-class SplitConfig:
-    """Sizes of the two parts of a split training set."""
-
-    proper_size: int
-    calibration_size: int
-
-    def __post_init__(self):
-        if self.proper_size < 1 or self.calibration_size < 1:
-            raise OutOfRangeError("both split parts need at least one observation")
-
-    @property
-    def n(self) -> int:
-        return self.proper_size + self.calibration_size
 
 
 @dataclass(frozen=True, eq=False)

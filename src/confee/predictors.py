@@ -36,7 +36,6 @@ from .core import (
     FoldPartition,
     Observation,
     PlausibilityTable,
-    SplitConfig,
     SummaryVector,
     complement_indices,
     make_fold_partition,
@@ -81,7 +80,6 @@ class SplitEPredictor:
     rule: ConformityRule
     calibration_summaries: SummaryVector
     normalizer: Normalizer
-    split: SplitConfig
     task: object
 
     def e_at(self, x: Sequence[float], y) -> float:
@@ -123,13 +121,7 @@ def fit_split(
         )
     rule = train_conformity(kind, proper, **rule_params)
     summaries = SummaryVector(rule.score_rows(calibration))
-    return SplitEPredictor(
-        rule,
-        summaries,
-        get_normalizer(normalizer),
-        SplitConfig(proper.n, calibration.n),
-        proper.task,
-    )
+    return SplitEPredictor(rule, summaries, get_normalizer(normalizer), proper.task)
 
 
 @dataclass(frozen=True)
@@ -278,7 +270,13 @@ def cross_p_merge(p_values: Sequence[float], adjusted: bool = True) -> float:
 
 
 def p_to_e(p: float) -> float:
-    """Calibrate a p-value into an e-value: e = 1/p."""
+    """The reciprocal 1/p of a p-value in (0, 1]; `e_to_p` undoes it.
+
+    1/p is not an e-value, so this is not a p-to-e calibrator: a conformal
+    p-value with c calibration summaries and no ties takes each of 1/(c+1),
+    2/(c+1), ..., 1 with probability 1/(c+1), so E[1/p] is the harmonic
+    number H_(c+1) = 1 + 1/2 + ... + 1/(c+1), above 1 for every c >= 1.
+    """
     p = float(p)
     if not 0.0 < p <= 1.0:
         raise OutOfRangeError(f"p-value {p} not in (0, 1]")

@@ -364,9 +364,9 @@ def compare_e_vs_p(
     true label; the e-side reads the arithmetic-mean merge, the p-side
     reads the fold p-values of the same pass and both the raw mean and the
     factor-2 adjusted merge. The report also tracks the harmonic mean of
-    fold p-values and its identity with the reciprocal of the mean
-    calibrated e-value, 1/mean(1/p). `threads` must be at least 1; it
-    starts no thread and changes nothing.
+    fold p-values, which is 1/mean(1/p); the reciprocals 1/p are not
+    e-values (see `p_to_e`). `threads` must be at least 1; it starts no
+    thread and changes nothing.
     """
     if spec.kind != "cross":
         raise OutOfRangeError("comparison runs on a cross predictor spec")

@@ -20,7 +20,6 @@ from confee import (
     OutOfRangeError,
     PlausibilityTable,
     RegressionTask,
-    SplitConfig,
     SummaryVector,
     TooFewFoldsError,
     TooFewObservationsError,
@@ -29,7 +28,6 @@ from confee import (
     make_fold_partition,
     spawn_rng,
 )
-from confee.core import positions_by_label
 
 TASK01 = ClassificationTask((0, 1))
 
@@ -214,7 +212,7 @@ class TestFoldPartitionDifferential:
 class TestTasksAndData:
     def test_classification_task(self):
         task = ClassificationTask(("a", "b"))
-        assert task.contains("a") and not task.contains("c")
+        assert task.candidates == ("a", "b")
         with pytest.raises(OutOfRangeError):
             ClassificationTask(())
         with pytest.raises(OutOfRangeError):
@@ -297,19 +295,16 @@ class TestTasksAndData:
         with pytest.raises(ValueError):
             sub.y[0] = 0
 
-    def test_rows_by_label_matches_bucketing_own_labels(self):
-        rng = np.random.default_rng(8)
-        for labels in ((0, 1, 2), ("a", "b"), None):
-            task = RegressionTask((0.0, 1.0)) if labels is None else ClassificationTask(labels)
-            values = [0.0, 1.0, 0.5] if labels is None else labels
-            y = np.array([values[i] for i in rng.integers(0, len(values), 30)])
-            data = Dataset(rng.standard_normal((30, 2)), y, task)
-            chain = [data, data.subset(rng.permutation(30)[:20])]
-            chain.append(chain[-1].subset([4, 0, 9, 9, 2]))
-            chain.append(data.subset(range(30)))
-            for part in chain:
-                got = {lab: rows.tolist() for lab, rows in part.rows_by_label.items()}
-                assert got == positions_by_label(part.y)
+    def test_first_label_outside_the_task_is_named(self):
+        for y, task, bad in (
+            (np.array([0, 1, 5, 7]), TASK01, "5"),
+            (np.array(["a", "c", "b", "d"]), ClassificationTask(("a", "b")), "'c'"),
+            (np.array([0.0, 1.0, 0.5, 2.5]), TASK01, "0.5"),
+        ):
+            with pytest.raises(LabelOutOfSpaceError, match=rf"^label {bad} not in task labels$"):
+                Dataset(np.zeros((4, 1)), y, task)
+        floats = Dataset(np.zeros((2, 1)), np.array([1.0, 0.0]), TASK01)
+        assert floats.label_codes[1].tolist() == [1, 0]
 
     def test_from_observations_round_trip(self):
         task = ClassificationTask(("x", "y"))
@@ -317,12 +312,53 @@ class TestTasksAndData:
         ds = Dataset.from_observations(obs, task)
         assert list(ds.observations()) == obs
 
-    def test_split_config(self):
-        assert SplitConfig(4, 2).n == 6
-        with pytest.raises(OutOfRangeError):
-            SplitConfig(0, 3)
-        with pytest.raises(OutOfRangeError):
-            SplitConfig(3, 0)
+
+def _positions_by_label(y) -> dict:
+    """label -> positions of y holding it: the grouping reference."""
+    groups: dict = {}
+    for i, label in enumerate(y.tolist()):
+        groups.setdefault(label, []).append(i)
+    return groups
+
+
+def _groups(data) -> dict:
+    """label -> positions, read off the dataset's label numbers."""
+    labels, codes = data.label_codes
+    groups: dict = {}
+    for i, code in enumerate(codes.tolist()):
+        groups.setdefault(labels[code], []).append(i)
+    return groups
+
+
+#: (task, label values the rows draw from) per label kind.
+_LABEL_KINDS = {
+    "ints": (ClassificationTask((0, 1, 2)), (0, 1, 2)),
+    "strings": (ClassificationTask(("a", "b", "c")), ("a", "b", "c")),
+    "grid": (RegressionTask((0.0, 1.0)), (-0.0, 0.0, 0.5, 1.0, 2.5)),
+}
+
+
+class TestLabelCodes:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(_LABEL_KINDS)),
+        picks=st.lists(st.integers(0, 4), min_size=1, max_size=30),
+        chain=st.lists(st.lists(st.integers(0, 29), min_size=1, max_size=30), max_size=3),
+    )
+    def test_subset_chains_group_rows_as_revalidating_them(self, kind, picks, chain):
+        task, values = _LABEL_KINDS[kind]
+        y = np.array([values[p % len(values)] for p in picks])
+        data = Dataset(np.arange(len(y), dtype=float)[:, None], y, task)
+        parts = [data]
+        for indices in chain:
+            parts.append(parts[-1].subset([i % parts[-1].n for i in indices]))
+        for part in parts:
+            labels, codes = part.label_codes
+            assert codes.dtype == np.intp and not codes.flags.writeable
+            if isinstance(task, ClassificationTask):
+                assert labels == task.labels
+            again = Dataset(part.X, part.y, task)
+            assert _groups(part) == _groups(again) == _positions_by_label(part.y)
 
 
 class TestPlausibilityTable:

@@ -15,7 +15,6 @@ from confee import (
     NonPositiveSummaryError,
     Normalizer,
     OutOfRangeError,
-    SplitConfig,
     SplitEPredictor,
     SummaryVector,
     get_normalizer,
@@ -188,7 +187,6 @@ def _split_predictor(kind, calibration, sigmas) -> SplitEPredictor:
         _FixedRule(sigmas),
         SummaryVector(calibration),
         get_normalizer(kind),
-        SplitConfig(1, len(calibration)),
         ClassificationTask(tuple(range(len(sigmas)))),
     )
 

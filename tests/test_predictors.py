@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -282,6 +283,23 @@ def _assert_rotation_mean(es, normalizer):
     assert abs(mean - target) <= m * 2.0**-52 * target, (mean, target)
 
 
+def _assert_rotation_p(ps, sigmas):
+    """The true-label p-values of one rotation, with the test summaries.
+
+    The test summary takes the place of each of the m = len(ps) summaries
+    once, so the j-th smallest p counts at least j summaries at or below
+    its own: p_(j) >= j/m. Without ties p_(j) = j/m exactly, and mean(1/p)
+    is the harmonic number H_m, above 1: 1/p is no e-value.
+    """
+    m = len(ps)
+    ranks = [j / m for j in range(1, m + 1)]
+    assert all(p >= rank for p, rank in zip(sorted(ps), ranks)), (sorted(ps), m)
+    if len(set(sigmas)) == m:
+        assert sorted(ps) == ranks
+        harmonic = float(sum(Fraction(1, j) for j in range(1, m + 1)))
+        assert math.isclose(math.fsum(1.0 / p for p in ps) / m, harmonic, rel_tol=2.0**-50)
+
+
 _ORACLE_PARAMS = dict(
     name=st.sampled_from(sorted(ORACLE_RULES)),
     k=st.integers(1, 5),
@@ -299,7 +317,8 @@ class TestExchangeabilityOracle:
     Swapping the test point with calibration point j leaves the proper
     part and the multiset "calibration plus test" unchanged, so the c + 1
     e-values at the true label, one per swap, are the components of one
-    normalized vector.
+    normalized vector, and the c + 1 p-values at the true label are the
+    ranks of the c + 1 summaries.
     """
 
     @settings(max_examples=200, deadline=None)
@@ -309,7 +328,7 @@ class TestExchangeabilityOracle:
         params = {"k": min(k, n_proper)} if rule == "knn" else {"lam": lam}
         data = _oracle_data(name, n_proper + c + 1, seed, duplicates, rare)
         test_row = data.n - 1
-        es = []
+        es, ps, sigmas = [], [], []
         for j in range(n_proper, data.n):  # j = test_row is the draw itself
             rotated = _swapped(data, j, test_row)
             predictor = fit_split(
@@ -320,8 +339,12 @@ class TestExchangeabilityOracle:
                 **params,
             )
             z = rotated.observation(test_row)
-            es.append(predictor.e_at(z.x, z.y))
+            table = predictor.predict(z.x, (z.y,))
+            es.append(table.values[0])
+            ps.append(table.p_values[0])
+            sigmas.append(table.sigmas[0])
         _assert_rotation_mean(es, normalizer)
+        _assert_rotation_p(ps, sigmas)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(2, 24), K=st.integers(2, 5), **_ORACLE_PARAMS)
@@ -333,15 +356,19 @@ class TestExchangeabilityOracle:
         smallest_proper = n - max(len(fold) for fold in partition.folds)
         params = {"k": min(k, smallest_proper)} if rule == "knn" else {"lam": lam}
         for fold in range(1, K + 1):
-            es = []
+            es, ps, sigmas = [], [], []
             for j in (*partition.fold(fold), n):  # j = n is the draw itself
                 rotated = _swapped(data, j, n)
                 predictor = fit_cross_from_partition(
                     rotated.subset(range(n)), partition, rule, normalizer, **params
                 )
                 z = rotated.observation(n)
-                es.append(predictor.predict(z.x, (z.y,)).folds[fold - 1].values[0])
+                table = predictor.predict(z.x, (z.y,)).folds[fold - 1]
+                es.append(table.values[0])
+                ps.append(table.p_values[0])
+                sigmas.append(table.sigmas[0])
             _assert_rotation_mean(es, normalizer)
+            _assert_rotation_p(ps, sigmas)
 
 
 class TestFull:

@@ -16,6 +16,7 @@ from confee import (
     UnboundedNormalizerError,
     build_predictor,
     compare_e_vs_p,
+    fit_split,
     get_scenario,
     mc_space_validity,
     online_time_validity,
@@ -235,10 +236,8 @@ class TestTrialWork:
         count(core, "spawn_rng", "spawn_rng in sample", only_in_sample=True)
         count(np.random, "default_rng", "default_rng in sample", only_in_sample=True)
         count(core.Dataset, "__post_init__", "dataset validations")
-        # bucketing a dataset's label array; a query buckets its list of
-        # candidate labels, which is not counted
-        for module in (core, conformity):
-            count(module, "positions_by_label", "label bucketing", only_arrays=True)
+        count(core, "_number_labels", "label numberings")
+        count(conformity, "_by_label", "label groupings")
         count(core.Dataset, "subset", "subsets")
 
         trials = 100
@@ -247,7 +246,10 @@ class TestTrialWork:
             "spawn_rng in sample": 0,
             "default_rng in sample": 2 * trials,  # one per stream, not per observation
             "dataset validations": trials,  # one draw: training set and test point
-            "label bucketing": trials,  # once per training set, not per fold
+            "label numberings": trials,  # at validation, not per subset or fit
+            # a fold's proper part when fitted, its calibration part when
+            # scored; a query groups its list of candidate labels inline
+            "label groupings": 2 * CROSS_KNN.folds * trials,
             # the training rows of the draw, then a fold and its complement
             "subsets": (2 * CROSS_KNN.folds + 1) * trials,
         })
@@ -277,8 +279,16 @@ class TestBuildPredictor:
     def test_split_slicing(self):
         spec = PredictorSpec(kind="split", calibration_size=10)
         predictor = build_predictor(spec, self.TRAIN, 0)
-        assert predictor.split.proper_size == 20
-        assert predictor.split.calibration_size == 10
+        direct = fit_split(
+            self.TRAIN.subset(range(20)),
+            self.TRAIN.subset(range(20, 30)),
+            spec.rule,
+            spec.normalizer,
+            **spec.rule_params(),
+        )
+        assert predictor.calibration_summaries == direct.calibration_summaries
+        for x in ((0.0, 0.0), (1.5, -0.5), tuple(self.TRAIN.X[3]), tuple(self.TRAIN.X[25])):
+            assert predictor.predict(x) == direct.predict(x)
 
     def test_split_calibration_size_bounds(self):
         with pytest.raises(OutOfRangeError):
