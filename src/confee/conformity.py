@@ -11,12 +11,10 @@ level: ridge sorts its rows into a canonical order before solving, and the
 knn score picks the k smallest distances of each row with np.partition and
 sorts only those before averaging them.
 
-The knn distance kernel adds squared coordinate differences column by
-column in the order numpy's own pairwise summation uses, so its distances
-equal np.sqrt((diff * diff).sum(axis=2)) bit for bit without building the
-(a, b, d) difference tensor; it relies on that summation order, which
-tests/test_conformity.py::TestDistanceKernel checks against the tensor
-reference.
+The knn distance kernel adds the squared coordinate differences of each
+pair of rows left to right, one column at a time, without building the
+(a, b, d) difference tensor; tests/test_conformity.py::TestDistanceKernel
+checks it against a scalar left fold.
 """
 
 from __future__ import annotations
@@ -41,54 +39,18 @@ from .errors import (
 EPSILON_FLOOR = 1e-6
 
 
-#: numpy's pairwise summation adds up to this many terms in 8 lanes before
-#: it splits a sum in two (PW_BLOCKSIZE in its loops).
-_PAIRWISE_BLOCK = 128
-
-
 def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Euclidean distances between rows of A and rows of B, exact per entry.
 
-    Bit-identical to np.sqrt(((A[:, None] - B[None]) ** 2).sum(axis=2)), but
-    only (a, b) arrays are built: the squared differences of one coordinate
-    at a time are added in the order numpy's pairwise sum adds a row's terms.
+    Each entry is the square root of (a_0 - b_0)**2 + (a_1 - b_1)**2 + ...
+    added left to right; only (a, b) arrays are built, one column at a time.
     """
-
-    def square(j: int) -> np.ndarray:
+    acc = np.subtract.outer(A[:, 0], B[:, 0])
+    acc *= acc
+    for j in range(1, A.shape[1]):
         sq = np.subtract.outer(A[:, j], B[:, j])
-        return np.multiply(sq, sq, out=sq)
-
-    def total(lo: int, n: int) -> np.ndarray:
-        if n < 8:
-            # the sum starts from 0.0, and 0.0 + s == s for a square s
-            acc = square(lo)
-            for j in range(lo + 1, lo + n):
-                acc += square(j)
-            return acc
-        if n <= _PAIRWISE_BLOCK:
-            r = [square(lo + j) for j in range(8)]
-            tail = lo + n - n % 8
-            for i in range(lo + 8, tail, 8):
-                for j in range(8):
-                    r[j] += square(i + j)
-            # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place
-            r[0] += r[1]
-            r[2] += r[3]
-            r[0] += r[2]
-            r[4] += r[5]
-            r[6] += r[7]
-            r[4] += r[6]
-            r[0] += r[4]
-            for j in range(tail, lo + n):
-                r[0] += square(j)
-            return r[0]
-        half = n // 2
-        half -= half % 8
-        acc = total(lo, half)
-        acc += total(lo + half, n - half)
-        return acc
-
-    return np.sqrt(total(0, A.shape[1]))
+        acc += np.multiply(sq, sq, out=sq)
+    return np.sqrt(acc, out=acc)
 
 
 class ConformityRule:

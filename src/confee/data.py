@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -47,6 +47,9 @@ class Scenario:
     `separation` apart; labels are 0..classes-1. linear_regression:
     standard normal features, y = w.x + noise_sd * N(0, 1), with w drawn
     once from the scenario seed; labels live on `grid` for prediction.
+
+    The task, the class means and the weights are derived once, when the
+    scenario is made; they take no part in equality, hashing or repr.
     """
 
     kind: str
@@ -56,6 +59,9 @@ class Scenario:
     noise_sd: float = 1.0
     grid: tuple = ()
     seed: int = 0
+    task: Task = field(init=False, compare=False, repr=False)
+    _means: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
+    _weights: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
@@ -70,27 +76,20 @@ class Scenario:
                 raise InvalidScenarioError("mixture needs at least 2 classes")
             if not (math.isfinite(self.separation) and self.separation > 0):
                 raise InvalidScenarioError("separation must be positive and finite")
+            object.__setattr__(self, "task", ClassificationTask(tuple(range(self.classes))))
+            object.__setattr__(self, "_means", self._mixture_means())
+            self._means.setflags(write=False)
         else:
             if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
                 raise InvalidScenarioError("noise_sd must be nonnegative and finite")
             if not self.grid:
                 raise InvalidScenarioError("linear_regression needs a label grid")
-            RegressionTask(self.grid)  # validates ordering/finiteness
+            object.__setattr__(self, "task", RegressionTask(self.grid))  # validates the grid
+            weights = spawn_rng(self.seed, _WEIGHT_TAG).standard_normal(self.dim)
+            object.__setattr__(self, "_weights", weights)
+            self._weights.setflags(write=False)
 
-    @property
-    def task(self) -> Task:
-        if self.kind == "gaussian_mixture":
-            return ClassificationTask(tuple(range(self.classes)))
-        return RegressionTask(self.grid)
-
-    def class_means(self) -> np.ndarray:
-        """Mixture means, adjacent ones `separation` apart.
-
-        In dim >= 2 the means sit on a circle in the first two coordinates
-        (radius separation / (2 sin(pi/C))); in dim 1 they sit on a line.
-        """
-        if self.kind != "gaussian_mixture":
-            raise InvalidScenarioError("class_means applies to gaussian_mixture only")
+    def _mixture_means(self) -> np.ndarray:
         means = np.zeros((self.classes, self.dim))
         if self.dim == 1:
             means[:, 0] = np.arange(self.classes) * self.separation
@@ -101,11 +100,22 @@ class Scenario:
         means[:, 1] = radius * np.sin(angles)
         return means
 
+    def class_means(self) -> np.ndarray:
+        """Mixture means, adjacent ones `separation` apart (read-only).
+
+        In dim >= 2 the means sit on a circle in the first two coordinates
+        (radius separation / (2 sin(pi/C))); in dim 1 they sit on a line.
+        """
+        if self._means is None:
+            raise InvalidScenarioError("class_means applies to gaussian_mixture only")
+        return self._means
+
     def weights(self) -> np.ndarray:
-        """Regression weight vector, a pure function of the scenario seed."""
-        if self.kind != "linear_regression":
+        """Regression weight vector, a pure function of the scenario seed
+        (read-only)."""
+        if self._weights is None:
             raise InvalidScenarioError("weights applies to linear_regression only")
-        return spawn_rng(self.seed, _WEIGHT_TAG).standard_normal(self.dim)
+        return self._weights
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
@@ -192,9 +202,10 @@ def read_csv(path, task: Task) -> tuple:
     feature and regression label must be a finite number; classification
     labels are matched by string form against the task's label set, and
     anything else raises LabelOutOfSpaceError with the line. A header-only
-    file gives zero rows.
+    file gives zero rows. A UTF-8 byte-order mark, which spreadsheet
+    exports often write, is skipped.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ParseError(1, "header", "file is empty")

@@ -22,7 +22,8 @@ from confee import (
     sample,
     save_csv,
 )
-from confee.data import read_csv
+from confee.core import spawn_rng
+from confee.data import _WEIGHT_TAG, read_csv
 
 
 class TestScenario:
@@ -71,6 +72,22 @@ class TestScenario:
         sc = get_scenario("linreg3")
         assert np.array_equal(sc.weights(), sc.weights())
         assert not np.array_equal(sc.weights(), sc.with_seed(1).weights())
+
+    def test_derived_values_are_made_once_and_read_only(self):
+        mixture = Scenario("gaussian_mixture", classes=3, dim=4, separation=2.0)
+        assert sample(mixture, 5, 1).task is sample(mixture, 7, 2).task is mixture.task
+        radius = 2.0 / (2.0 * math.sin(math.pi / 3))
+        angles = 2.0 * math.pi * np.arange(3) / 3
+        expected = np.zeros((3, 4))
+        expected[:, 0], expected[:, 1] = radius * np.cos(angles), radius * np.sin(angles)
+        regression = get_scenario("linreg3").with_seed(7)
+        assert sample(regression, 5, 1).task is sample(regression, 7, 2).task
+        drawn = spawn_rng(7, _WEIGHT_TAG).standard_normal(3)
+        for stored, formula in ((mixture.class_means(), expected), (regression.weights(), drawn)):
+            assert np.array_equal(stored, formula)
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0] = 0.0
 
 
 class TestSampling:
@@ -227,6 +244,19 @@ class TestCsv:
         with pytest.raises(ParseError) as err:
             load_csv(path, ClassificationTask((0,)))
         assert err.value.line == 1
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        train = "x1,x2,y\n0.5,-1.0,1\n2.0,3.0,0\n"
+        test = "x1,x2\n0.25,4.0\n"
+        task = ClassificationTask((0, 1))
+        for name, text in (("train.csv", train), ("test.csv", test)):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            (tmp_path / f"bom-{name}").write_text(text, encoding="utf-8-sig")
+        plain = load_csv(tmp_path / "train.csv", task)
+        marked = load_csv(tmp_path / "bom-train.csv", task)
+        assert marked.X.tolist() == plain.X.tolist() and marked.y.tolist() == plain.y.tolist()
+        X, labels = read_csv(tmp_path / "bom-test.csv", task)
+        assert X.tolist() == read_csv(tmp_path / "test.csv", task)[0].tolist() and labels is None
 
     def test_non_finite_regression_label(self, tmp_path):
         path = tmp_path / "nan.csv"
