@@ -29,7 +29,6 @@ from .core import (
     PlausibilityTable,
     RegressionTask,
     SummaryVector,
-    complement_indices,
     derive_seed,
     make_fold_partition,
     spawn_rng,

@@ -11,6 +11,15 @@ level: ridge sorts its rows into a canonical order before solving, and the
 knn score picks the k smallest distances of each row with np.partition and
 sorts only those before averaging them.
 
+A cross fit is one rule: `train_conformity(kind, training, partition=...)`
+fits on the whole training set and the partition's fold of every row. knn
+sorts the rows once by label and fold, so fold f's proper rows of a label
+are the slices before and after fold f's slice of that label's block; it
+scores every row against its label's rows in the other folds, and a query
+against each fold's complement taken from one distance row per label.
+Ridge solves once per fold on the rows outside it. Either way every
+summary is the double a split fit on that fold's complement gives.
+
 The knn distance kernel adds the squared coordinate differences of each
 pair of rows left to right, one column at a time, without building the
 (a, b, d) difference tensor; tests/test_conformity.py::TestDistanceKernel
@@ -21,11 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Dataset, EValueVector, Observation, RegressionTask
+from .core import Dataset, EValueVector, FoldPartition, Observation, RegressionTask
 from .errors import (
     DimensionMismatchError,
     EmptyProperSetError,
@@ -53,18 +62,52 @@ def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.sqrt(acc, out=acc)
 
 
+def _knn_summaries(D: np.ndarray, k: int) -> np.ndarray:
+    """1 / (1 + mean of the kk smallest entries of each row of D), with
+    kk = min(k, columns); EPSILON_FLOOR for every row if D has no column.
+
+    The kk smallest are picked with np.partition and then sorted: the same
+    values in the same order as the head of a full sort, so the mean is
+    bit for bit the same. An inf entry is never picked while its row has
+    kk finite ones.
+    """
+    kk = min(k, D.shape[1])
+    if kk == 0:
+        return np.full(D.shape[0], EPSILON_FLOOR)
+    if kk < D.shape[1]:
+        D = np.partition(D, kk - 1, axis=1)
+    # the sum and division that ndarray.mean makes, without its wrapper
+    return 1.0 / (1.0 + np.add.reduce(np.sort(D[:, :kk], axis=1), axis=1) / kk)
+
+
 class ConformityRule:
     """Base class: a fitted map from examples to real summaries.
 
-    Subclasses implement score_many with arithmetic that treats each row
-    independently, so a summary never depends on what else is in the
-    batch; score_one is then a one-row batch by construction.
+    Fitted on a training set alone, the rule takes every row as proper,
+    and score_many scores a batch against all of them. Subclasses
+    implement it with arithmetic that treats each row independently, so a
+    summary never depends on what else is in the batch; score_one is then
+    a one-row batch by construction.
+
+    Fitted with a FoldPartition of the training set as well, the rule is
+    one cross fit: the proper rows of fold f are the rows outside it.
+    `held_out[i]` is then training row i's summary against the proper rows
+    of its own fold, and score_folds scores candidates against the proper
+    rows of every fold.
     """
 
     kind: str
     dim: int
+    #: Fitted with a partition: a read-only array of one summary per
+    #: training row, against the proper rows of the row's own fold.
+    held_out: Optional[np.ndarray] = None
 
     def score_many(self, X: np.ndarray, y) -> np.ndarray:
+        raise NotImplementedError
+
+    def score_folds(self, x: Sequence[float], labels: Sequence) -> np.ndarray:
+        """A (K, L) array: row f holds the summaries of the candidates
+        (x, labels[j]) against fold f's proper rows."""
         raise NotImplementedError
 
     def score_rows(self, data: Dataset) -> np.ndarray:
@@ -72,10 +115,13 @@ class ConformityRule:
         return self.score_many(data.X, data.y)
 
     def score_one(self, x: Sequence[float], y) -> float:
+        return float(self.score_many(self._check_object(x)[None, :], [y])[0])
+
+    def _check_object(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise DimensionMismatchError(f"expected {self.dim} features, got {x.shape}")
-        return float(self.score_many(x[None, :], [y])[0])
+        return x
 
     def _check_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -83,41 +129,72 @@ class ConformityRule:
             raise DimensionMismatchError(f"expected (n, {self.dim}) features, got {X.shape}")
         return X
 
+    def _check_folds(self) -> None:
+        if self.held_out is None:
+            raise OutOfRangeError("the rule was fitted without a fold partition")
 
-def _by_label(labels, codes: np.ndarray) -> tuple:
-    """(order, label -> slice): the stable order that groups rows by code,
-    and the slice of that order holding each label with rows."""
-    order = np.argsort(codes, kind="stable")
-    bounds = [0, *np.bincount(codes, minlength=len(labels)).cumsum().tolist()]
+
+def _by_label(labels, codes: np.ndarray, fold_of=0, K: int = 1) -> tuple:
+    """(order, label -> cuts): the stable order that sorts rows by label
+    code and then by fold (fold_of, in 0..K-1), and for each label with
+    rows the K + 1 positions of that order where its fold slices begin
+    and its block ends."""
+    key = codes * K + fold_of
+    order = np.argsort(key, kind="stable")
+    bounds = [0, *np.bincount(key, minlength=len(labels) * K).cumsum().tolist()]
     return order, {
-        label: slice(lo, hi) for label, lo, hi in zip(labels, bounds, bounds[1:]) if hi > lo
+        label: bounds[i * K : (i + 1) * K + 1]
+        for i, label in enumerate(labels)
+        if bounds[(i + 1) * K] > bounds[i * K]
     }
 
 
 class KnnRule(ConformityRule):
-    """sigma = 1 / (1 + mean distance to the k nearest same-label points).
+    """sigma = 1 / (1 + mean distance to the k nearest same-label proper points).
 
     If fewer than k proper points share the label, the mean runs over the
     ones available; if none do, the summary falls back to EPSILON_FLOOR so
     it stays strictly positive.
 
-    The fit keeps the proper rows sorted by label number (`label_codes`),
-    one contiguous block per label, found by the label's value, so the
+    The fit sorts the training rows once by label number (`label_codes`)
+    and, given a partition, then by fold: each label is one contiguous
+    block, found by the label's value, cut into one slice per fold. The
     rows of a separately validated dataset with the same labels meet the
-    same blocks.
+    same blocks. Fold f's proper rows of a label are the slices before and
+    after its own, so a query takes one distance row per candidate label
+    and every fold's selection from that row.
     """
 
     kind = "knn"
 
-    def __init__(self, proper: Dataset, k: int = 3):
+    def __init__(self, training: Dataset, k: int = 3, partition: Optional[FoldPartition] = None):
         if k < 1:
             raise OutOfRangeError(f"k={k}; need at least 1 neighbour")
-        if k > proper.n:
-            raise KTooLargeError(f"k={k} exceeds the {proper.n} proper points")
+        self.K = 1 if partition is None else partition.K
+        proper = training.n - (0 if partition is None else max(map(len, partition.folds)))
+        if k > proper:
+            raise KTooLargeError(f"k={k} exceeds the {proper} proper points")
         self.k = k
-        self.dim = proper.dim
-        order, self._blocks = _by_label(*proper.label_codes)
-        self._X = proper.X[order]
+        self.dim = training.dim
+        fold_of = 0 if partition is None else partition.fold_of
+        order, self._cuts = _by_label(*training.label_codes, fold_of, self.K)
+        self._X = training.X[order]
+        if partition is not None:
+            held_out = np.empty(training.n)
+            held_out[order] = self._held_out_in_order()
+            held_out.setflags(write=False)
+            self.held_out = held_out
+
+    def _held_out_in_order(self) -> np.ndarray:
+        """Each sorted row's summary against its label's rows in other folds."""
+        X, out = self._X, np.empty(len(self._X))
+        for cuts in self._cuts.values():
+            lo, hi = cuts[0], cuts[-1]
+            for a, b in zip(cuts, cuts[1:]):
+                if a < b:
+                    others = np.concatenate((X[lo:a], X[b:hi]))
+                    out[a:b] = _knn_summaries(_pairwise_distances(X[a:b], others), self.k)
+        return out
 
     def score_many(self, X, y) -> np.ndarray:
         # an array's labels come out of tolist() as Python scalars; numpy
@@ -128,26 +205,75 @@ class KnnRule(ConformityRule):
         return self._score(self._check_batch(X), groups)
 
     def score_rows(self, data: Dataset) -> np.ndarray:
-        order, slices = _by_label(*data.label_codes)
-        groups = {label: order[rows] for label, rows in slices.items()}
+        order, cuts = _by_label(*data.label_codes)
+        groups = {label: order[c[0] : c[-1]] for label, c in cuts.items()}
         return self._score(self._check_batch(data.X), groups)
 
     def _score(self, X: np.ndarray, groups: dict) -> np.ndarray:
-        """Summaries of X's rows; groups maps a label to its rows of X."""
+        """Summaries of X's rows against every training row; groups maps a
+        label to its rows of X."""
         out = np.full(X.shape[0], EPSILON_FLOOR)
         for label, rows in groups.items():
-            block = self._blocks.get(label)
-            if block is None:
-                continue
-            D = _pairwise_distances(X[rows], self._X[block])
-            kk = min(self.k, D.shape[1])
-            # the kk smallest, sorted: the same values in the same order as
-            # the head of a full sort, so the mean is bit for bit the same
-            if kk < D.shape[1]:
-                D = np.partition(D, kk - 1, axis=1)
-            # the sum and division that ndarray.mean makes, without its wrapper
-            out[rows] = 1.0 / (1.0 + np.add.reduce(np.sort(D[:, :kk], axis=1), axis=1) / kk)
+            cuts = self._cuts.get(label)
+            if cuts is not None:
+                D = _pairwise_distances(X[rows], self._X[cuts[0] : cuts[-1]])
+                out[rows] = _knn_summaries(D, self.k)
         return out
+
+    def score_folds(self, x, labels) -> np.ndarray:
+        self._check_folds()
+        x = self._check_object(x)[None, :]
+        out = np.full((self.K, len(labels)), EPSILON_FLOOR)
+        for j, label in enumerate(labels):
+            cuts = self._cuts.get(label)
+            if cuts is None:
+                continue
+            lo = cuts[0]
+            row = _pairwise_distances(x, self._X[lo : cuts[-1]])[0]
+            slices = [(a - lo, b - lo) for a, b in zip(cuts, cuts[1:])]
+            if row.size - max(b - a for a, b in slices) >= self.k:
+                # every fold keeps k rows outside it: hide each fold's own
+                # slice behind inf and select all folds in one call
+                D = np.empty((self.K, row.size))
+                D[:] = row
+                for f, (a, b) in enumerate(slices):
+                    D[f, a:b] = np.inf
+                out[:, j] = _knn_summaries(D, self.k)
+            else:
+                for f, (a, b) in enumerate(slices):
+                    others = np.concatenate((row[:a], row[b:]))
+                    out[f, j] = _knn_summaries(others[None, :], self.k)[0]
+        return out
+
+
+def _ridge_beta(X: np.ndarray, yf: np.ndarray, lam: float) -> np.ndarray:
+    """Ridge coefficients, solved on the rows sorted into a canonical order
+    first, so they depend on the multiset of rows only, bit for bit."""
+    d = X.shape[1]
+    order = np.lexsort((yf,) + tuple(X[:, j] for j in reversed(range(d))))
+    Xs, ys = X[order], yf[order]
+    if lam == 0.0 and np.linalg.matrix_rank(Xs) < d:
+        raise SingularSystemError(
+            "design is rank-deficient and lam=0; pass lam > 0 to regularize"
+        )
+    gram = Xs.T @ Xs + lam * np.eye(d)
+    try:
+        return np.linalg.solve(gram, Xs.T @ ys)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from exc
+
+
+def _ridge_summaries(X: np.ndarray, yf: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    # row-wise multiply-and-sum instead of a matrix product: the BLAS
+    # kernel may round differently for different batch shapes
+    return 1.0 / (1.0 + np.abs(yf - (X * beta).sum(axis=1)))
+
+
+def _float_labels(y) -> np.ndarray:
+    try:
+        return np.asarray([float(v) for v in y])
+    except (TypeError, ValueError):
+        raise OutOfRangeError(f"ridge needs numeric labels, got {list(y)!r}") from None
 
 
 class RidgeRule(ConformityRule):
@@ -156,73 +282,86 @@ class RidgeRule(ConformityRule):
     No intercept; labels must be numeric (regression, or classification
     encoded as -1/+1). Training rows are sorted into a canonical order
     first, so the fit depends on the training multiset only, bit for bit.
+    With a partition, each fold gets its own solve on the rows outside it,
+    and no solve on all rows is made (`beta` is None).
     """
 
     kind = "ridge"
 
-    def __init__(self, proper: Dataset, lam: float = 1.0):
+    def __init__(
+        self, training: Dataset, lam: float = 1.0, partition: Optional[FoldPartition] = None
+    ):
         if lam < 0:
             raise OutOfRangeError(f"lam={lam} must be nonnegative")
         if not math.isfinite(lam):
             raise OutOfRangeError("lam must be finite")
-        yf = _numeric_labels(proper)
+        yf = _numeric_labels(training)
         self.lam = float(lam)
-        self.dim = proper.dim
-        X = proper.X
-        order = np.lexsort((yf,) + tuple(X[:, j] for j in reversed(range(X.shape[1]))))
-        Xs, ys = X[order], yf[order]
-        if self.lam == 0.0 and np.linalg.matrix_rank(Xs) < self.dim:
-            raise SingularSystemError(
-                "design is rank-deficient and lam=0; pass lam > 0 to regularize"
-            )
-        gram = Xs.T @ Xs + self.lam * np.eye(self.dim)
-        try:
-            beta = np.linalg.solve(gram, Xs.T @ ys)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
-        self.beta = beta
+        self.dim = training.dim
+        X = training.X
+        if partition is None:
+            self.beta = _ridge_beta(X, yf, self.lam)
+            return
+        self.beta = None
+        fold_of = partition.fold_of
+        self._betas = tuple(
+            _ridge_beta(X[fold_of != f], yf[fold_of != f], self.lam) for f in range(partition.K)
+        )
+        held_out = np.empty(training.n)
+        for fold, beta in zip(partition.folds, self._betas):
+            held_out[fold] = _ridge_summaries(X[fold], yf[fold], beta)
+        held_out.setflags(write=False)
+        self.held_out = held_out
 
     def score_many(self, X, y) -> np.ndarray:
-        X = self._check_batch(X)
-        try:
-            yf = np.asarray([float(v) for v in y])
-        except (TypeError, ValueError):
-            raise OutOfRangeError(f"ridge needs numeric labels, got {list(y)!r}") from None
-        # row-wise multiply-and-sum instead of a matrix product: the BLAS
-        # kernel may round differently for different batch shapes
-        preds = (X * self.beta).sum(axis=1)
-        return 1.0 / (1.0 + np.abs(yf - preds))
+        if self.beta is None:
+            raise OutOfRangeError("a rule fitted on folds scores through score_folds")
+        return _ridge_summaries(self._check_batch(X), _float_labels(y), self.beta)
+
+    def score_folds(self, x, labels) -> np.ndarray:
+        self._check_folds()
+        # one (L, d) batch per fold, as a split predictor scores its candidates
+        X = np.tile(self._check_object(x), (len(labels), 1))
+        yf = _float_labels(labels)
+        return np.array([_ridge_summaries(X, yf, beta) for beta in self._betas])
 
 
-def _numeric_labels(proper: Dataset) -> np.ndarray:
-    if isinstance(proper.task, RegressionTask):
-        return np.asarray(proper.y, dtype=float)
-    values = set(proper.y.tolist())
+def _numeric_labels(training: Dataset) -> np.ndarray:
+    if isinstance(training.task, RegressionTask):
+        return np.asarray(training.y, dtype=float)
+    values = set(training.y.tolist())
     if not values <= {-1, 1}:
         raise OutOfRangeError(
             f"ridge on classification needs -1/+1 labels, got {sorted(map(str, values))}"
         )
-    return np.asarray([float(v) for v in proper.y])
+    return np.asarray([float(v) for v in training.y])
 
 
 #: The rule kinds train_conformity fits.
 RULE_KINDS = ("knn", "ridge")
 
 
-def train_conformity(kind: str, proper: Dataset, **params) -> ConformityRule:
-    """Fit a conformity rule of the given kind on the training set proper.
+def train_conformity(
+    kind: str, training: Dataset, *, partition: Optional[FoldPartition] = None, **params
+) -> ConformityRule:
+    """Fit a conformity rule of the given kind on a training set.
 
+    Without a partition every training row is proper (a split fit); with
+    one, the rule is one cross fit whose fold f trains on the rows outside
+    fold f (see ConformityRule).
     kinds (RULE_KINDS): "knn" (param k, default 3) and "ridge" (param lam,
     default 1.0).
-    The fitted state is a deterministic function of (kind, params, proper
-    as a multiset).
+    The fitted state is a deterministic function of (kind, params, the
+    training set as a multiset of rows and, with a partition, their folds).
     """
-    if len(proper) == 0:
+    if len(training) == 0:
         raise EmptyProperSetError("training set proper is empty")
+    if partition is not None and partition.n != training.n:
+        raise OutOfRangeError("partition size must match the training set")
     if kind == "knn":
-        return KnnRule(proper, **params)
+        return KnnRule(training, partition=partition, **params)
     if kind == "ridge":
-        return RidgeRule(proper, **params)
+        return RidgeRule(training, partition=partition, **params)
     raise OutOfRangeError(f"unknown conformity kind {kind!r}")
 
 

@@ -13,7 +13,7 @@ the labels. Observation indices are 0-based throughout; fold numbers are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -387,13 +387,16 @@ class FoldPartition:
 
     folds[k] holds the 0-based observation indices of fold k+1 (fold
     numbers are 1-based in the API) as a read-only intp array; folds may be
-    given as any integer sequences. Partitions compare and hash by their
-    folds, n and seed.
+    given as any integer sequences. `fold_of` is the same partition seen
+    from the rows: a read-only intp array whose entry i is the index k
+    into `folds` of the fold holding observation i. Partitions compare and
+    hash by their folds, n and seed.
     """
 
     folds: tuple
     n: int
     seed: int
+    fold_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         folds = tuple(_frozen_array(fold, np.intp) for fold in self.folds)
@@ -414,7 +417,11 @@ class FoldPartition:
             raise OutOfRangeError("folds must partition 0..n-1 exactly")
         if max(sizes) - min(sizes) > 1:
             raise OutOfRangeError(f"fold sizes {sizes} differ by more than one")
+        fold_of = np.empty(self.n, dtype=np.intp)
+        fold_of[flat] = np.repeat(np.arange(len(folds)), sizes)
+        fold_of.setflags(write=False)
         object.__setattr__(self, "folds", folds)
+        object.__setattr__(self, "fold_of", fold_of)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -458,9 +465,3 @@ def make_fold_partition(n: int, K: int, seed: int) -> FoldPartition:
     bounds = [k * base + min(k, extra) for k in range(K + 1)]
     return FoldPartition(tuple(perm[lo:hi] for lo, hi in zip(bounds, bounds[1:])), n, seed)
 
-
-def complement_indices(partition: FoldPartition, k: int) -> np.ndarray:
-    """All observation indices outside fold k (1-based), ascending."""
-    keep = np.ones(partition.n, dtype=bool)
-    keep[partition.fold(k)] = False
-    return np.flatnonzero(keep)

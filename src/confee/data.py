@@ -48,8 +48,11 @@ class Scenario:
     standard normal features, y = w.x + noise_sd * N(0, 1), with w drawn
     once from the scenario seed; labels live on `grid` for prediction.
 
-    The task, the class means and the weights are derived once, when the
-    scenario is made; they take no part in equality, hashing or repr.
+    The task and the class means are derived once, when the scenario is
+    made, and the weights on the first `weights()` call, so that making a
+    scenario draws no random numbers (importing confee then leaves
+    numpy.random unloaded). None of them takes part in equality, hashing or
+    repr.
     """
 
     kind: str
@@ -85,9 +88,6 @@ class Scenario:
             if not self.grid:
                 raise InvalidScenarioError("linear_regression needs a label grid")
             object.__setattr__(self, "task", RegressionTask(self.grid))  # validates the grid
-            weights = spawn_rng(self.seed, _WEIGHT_TAG).standard_normal(self.dim)
-            object.__setattr__(self, "_weights", weights)
-            self._weights.setflags(write=False)
 
     def _mixture_means(self) -> np.ndarray:
         means = np.zeros((self.classes, self.dim))
@@ -112,9 +112,13 @@ class Scenario:
 
     def weights(self) -> np.ndarray:
         """Regression weight vector, a pure function of the scenario seed
-        (read-only)."""
-        if self._weights is None:
+        (read-only), drawn on the first call and kept."""
+        if self.kind != "linear_regression":
             raise InvalidScenarioError("weights applies to linear_regression only")
+        if self._weights is None:
+            weights = spawn_rng(self.seed, _WEIGHT_TAG).standard_normal(self.dim)
+            weights.setflags(write=False)
+            object.__setattr__(self, "_weights", weights)
         return self._weights
 
     def with_seed(self, seed: int) -> "Scenario":

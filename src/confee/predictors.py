@@ -3,11 +3,12 @@
 The split predictor trains a conformity rule on the training set proper,
 scores the calibration part once at fit time, and for a query (x, y)
 normalizes the calibration summaries together with the candidate's summary;
-the e-value reported for y is the last component. The cross predictor runs
+the e-value reported for y is the last component. The cross predictor is
 one split predictor per fold (calibrating on the fold, training on its
-complement) and merges fold e-values by an arithmetic mean, which keeps the
-result an e-value. The full predictor applies an e-assignment to the
-training sequence extended by the candidate example.
+complement), fitted as one rule on the training set and the partition
+(see conformity.ConformityRule), and merges fold e-values by an arithmetic
+mean, which keeps the result an e-value. The full predictor applies an
+e-assignment to the training sequence extended by the candidate example.
 
 Every query is one pass: `predict` scores each (fold, candidate label)
 pair once, normalizes a fold's candidates in one (L, c+1) block, and
@@ -37,7 +38,6 @@ from .core import (
     Observation,
     PlausibilityTable,
     SummaryVector,
-    complement_indices,
     make_fold_partition,
 )
 from .errors import DimensionMismatchError, NonFiniteEntryError, OutOfRangeError
@@ -73,6 +73,16 @@ class SplitTable(PlausibilityTable):
         return tuple(((counts + 1) / (cal.size + 1)).tolist())
 
 
+def _split_table(
+    normalizer: Normalizer, calibration: SummaryVector, labels: tuple, sigmas: np.ndarray
+) -> SplitTable:
+    """Normalize the candidates' summaries against the calibration in one block."""
+    block = normalizer.block(calibration, sigmas)
+    return SplitTable(
+        labels, tuple(block[:, -1].tolist()), calibration.array, tuple(sigmas.tolist()), block
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class SplitEPredictor:
     """Fitted split predictor; query cost is one rule evaluation per label."""
@@ -91,14 +101,7 @@ class SplitEPredictor:
         labels = tuple(self.task.candidates if labels is None else labels)
         X = np.tile(np.asarray(x, dtype=float), (len(labels), 1))
         sigmas = np.asarray(self.rule.score_many(X, list(labels)), dtype=float)
-        block = self.normalizer.block(self.calibration_summaries, sigmas)
-        return SplitTable(
-            labels,
-            tuple(block[:, -1].tolist()),
-            self.calibration_summaries.array,
-            tuple(sigmas.tolist()),
-            block,
-        )
+        return _split_table(self.normalizer, self.calibration_summaries, labels, sigmas)
 
     def component_bound(self) -> Optional[float]:
         """The normalizer's bound on any e-value this predictor outputs."""
@@ -133,31 +136,33 @@ class CrossTable(PlausibilityTable):
 
 @dataclass(frozen=True, eq=False)
 class CrossEPredictor:
-    """K split predictors, one per fold, merged by an arithmetic mean.
+    """One rule fitted on the training set and its partition; fold k
+    calibrates on S_k against the rule's fit on everything else, and the
+    fold e-values merge by an arithmetic mean.
 
-    weighting "uniform" averages fold e-values by 1/K; "size_proportional"
-    weights each fold by its size over n (identical when folds are equal).
-    Either way the merge is a convex combination of e-values, so validity
-    survives the merge.
+    calibration_summaries[k] holds the summaries of fold k+1's rows, in
+    that fold's order. weighting "uniform" averages fold e-values by 1/K;
+    "size_proportional" weights each fold by its size over n (identical
+    when folds are equal). Either way the merge is a convex combination of
+    e-values, so validity survives the merge.
     """
 
     partition: FoldPartition
-    fold_predictors: tuple
+    rule: ConformityRule
+    calibration_summaries: tuple
+    normalizer: Normalizer
+    task: object
     weighting: str = "uniform"
 
     def __post_init__(self):
         if self.weighting not in WEIGHTINGS:
             raise OutOfRangeError(f"weighting must be one of {WEIGHTINGS}")
-        if len(self.fold_predictors) != self.partition.K:
-            raise OutOfRangeError("need exactly one fold predictor per fold")
+        if len(self.calibration_summaries) != self.partition.K:
+            raise OutOfRangeError("need exactly one calibration vector per fold")
 
     @property
     def K(self) -> int:
         return self.partition.K
-
-    @property
-    def task(self):
-        return self.fold_predictors[0].task
 
     def _merge(self, fold_alphas: Sequence[float]) -> float:
         if self.weighting == "uniform":
@@ -169,16 +174,21 @@ class CrossEPredictor:
         return self.predict(x, (y,)).values[0]
 
     def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> CrossTable:
-        """Merge one pass per fold; the fold tables ride along in the result."""
+        """Score every (fold, candidate) pair in one rule call, normalize each
+        fold's candidates in one block; the fold tables ride along."""
         labels = tuple(self.task.candidates if labels is None else labels)
-        folds = tuple(fp.predict(x, labels) for fp in self.fold_predictors)
+        sigmas = self.rule.score_folds(x, labels)
+        folds = tuple(
+            _split_table(self.normalizer, calibration, labels, row)
+            for calibration, row in zip(self.calibration_summaries, sigmas)
+        )
         merged = tuple(self._merge(column) for column in zip(*(t.values for t in folds)))
         return CrossTable(labels, merged, folds)
 
     def component_bound(self) -> Optional[float]:
         """The largest fold bound (a mean of e-values never exceeds it);
         None if any fold declares no bound."""
-        bounds = [fp.component_bound() for fp in self.fold_predictors]
+        bounds = [self.normalizer.component_bound(len(c) + 1) for c in self.calibration_summaries]
         return None if None in bounds else max(bounds)
 
 
@@ -190,15 +200,13 @@ def fit_cross_from_partition(
     weighting: str = "uniform",
     **rule_params,
 ) -> CrossEPredictor:
-    """Per fold k: calibrate on S_k, train on everything else."""
-    if partition.n != training.n:
-        raise OutOfRangeError("partition size must match the training set")
-    predictors = []
-    for k in range(1, partition.K + 1):
-        proper = training.subset(complement_indices(partition, k))
-        calibration = training.subset(partition.fold(k))
-        predictors.append(fit_split(proper, calibration, kind, normalizer, **rule_params))
-    return CrossEPredictor(partition, tuple(predictors), weighting)
+    """One rule fit on the training set and the partition; fold k's
+    calibration summaries are its rows' held-out summaries."""
+    rule = train_conformity(kind, training, partition=partition, **rule_params)
+    calibration = tuple(SummaryVector(rule.held_out[fold]) for fold in partition.folds)
+    return CrossEPredictor(
+        partition, rule, calibration, get_normalizer(normalizer), training.task, weighting
+    )
 
 
 def fit_cross(
@@ -210,7 +218,7 @@ def fit_cross(
     weighting: str = "uniform",
     **rule_params,
 ) -> CrossEPredictor:
-    """Partition the training set into K seeded folds and fit per fold."""
+    """Partition the training set into K seeded folds and fit once."""
     partition = make_fold_partition(training.n, K, seed)
     return fit_cross_from_partition(training, partition, kind, normalizer, weighting, **rule_params)
 
@@ -345,11 +353,32 @@ class OnlineTrace:
 
     @classmethod
     def from_e_values(cls, e_values: Sequence[float]) -> "OnlineTrace":
+        """Running means from correctly rounded prefix sums, in linear time.
+
+        Shewchuk's partials are kept as the values arrive: their exact sum
+        is the exact sum of the prefix, so math.fsum of them is the prefix
+        sum math.fsum gives, bit for bit.
+        """
         es = tuple(float(e) for e in e_values)
         if any(not math.isfinite(e) or e < 0 for e in es):
             raise OutOfRangeError("e-values must be finite and nonnegative")
-        means = tuple(math.fsum(es[: i + 1]) / (i + 1) for i in range(len(es)))
-        return cls(es, means)
+        math.fsum(es)  # no e is negative: this overflows if any prefix sum does
+        partials: list = []
+        means = []
+        for i, x in enumerate(es, 1):
+            kept = 0
+            for y in partials:
+                if abs(x) < abs(y):
+                    x, y = y, x
+                hi = x + y
+                lo = y - (hi - x)
+                if lo:
+                    partials[kept] = lo
+                    kept += 1
+                x = hi
+            partials[kept:] = [x]
+            means.append(math.fsum(partials) / i)
+        return cls(es, tuple(means))
 
     def __len__(self) -> int:
         return len(self.e_values)

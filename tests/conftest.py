@@ -1,7 +1,11 @@
+import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from confee import EPSILON_FLOOR
 
 # pyproject's `pythonpath` puts src/ on the path of this process only;
 # export it so that processes the tests start (`python -m confee`) import
@@ -38,25 +42,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture()
 def query_rows(monkeypatch):
-    """Count knn rows scored by each query, fitting excluded.
+    """Count the knn distance rows each query computes, fitting excluded.
 
     `query_rows(module)` wraps `module.build_predictor`: every build opens a
-    new count, the calibration rows scored while fitting are dropped, and
-    each later `KnnRule.score_many` row adds to the open count. Returns the
-    list of counts, one per built predictor.
+    new count, the rows computed while fitting are dropped, and each later
+    row of a `conformity._pairwise_distances` call adds to the open count.
+    Returns the list of counts, one per built predictor.
     """
-    from confee import KnnRule
+    from confee import conformity
 
     counts = []
-    score_many = KnnRule.score_many
+    distances = conformity._pairwise_distances
 
-    def counting(rule, X, y):
-        out = score_many(rule, X, y)
+    def counting(A, B):
         if counts:
-            counts[-1] += len(out)
-        return out
+            counts[-1] += A.shape[0]
+        return distances(A, B)
 
-    monkeypatch.setattr(KnnRule, "score_many", counting)
+    monkeypatch.setattr(conformity, "_pairwise_distances", counting)
 
     def watch(module):
         build = module.build_predictor
@@ -71,3 +74,21 @@ def query_rows(monkeypatch):
         return counts
 
     return watch
+
+
+def _reference_distance(a, b):
+    """One distance in Python floats: the root of the squared coordinate
+    differences added left to right, the order the knn kernel must keep."""
+    total = 0.0
+    for u, v in zip(a.tolist(), b.tolist()):
+        total += (u - v) * (u - v)
+    return math.sqrt(total)
+
+
+def _reference_knn(proper, k, x, label):
+    """One query row: full sort of its same-label distances, mean of the head."""
+    rows = [i for i, v in enumerate(proper.y.tolist()) if v == label]
+    if not rows:
+        return EPSILON_FLOOR
+    dist = np.sort([_reference_distance(np.asarray(x), proper.X[i]) for i in rows])
+    return 1.0 / (1.0 + dist[:min(k, len(rows))].mean())

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +21,7 @@ from confee import (
     unit_margin_provider,
 )
 from confee.conformity import _pairwise_distances
+from conftest import _reference_distance, _reference_knn
 
 TASK01 = ClassificationTask((0, 1))
 
@@ -80,24 +79,6 @@ class TestKnn:
         rule = train_conformity("knn", proper, k=1)
         with pytest.raises(DimensionMismatchError):
             rule.score_one((0.0, 0.0), 0)
-
-
-def _reference_distance(a, b):
-    """One distance in Python floats: the root of the squared coordinate
-    differences added left to right, the order the knn kernel must keep."""
-    total = 0.0
-    for u, v in zip(a.tolist(), b.tolist()):
-        total += (u - v) * (u - v)
-    return math.sqrt(total)
-
-
-def _reference_knn(proper, k, x, label):
-    """One query row: full sort of its same-label distances, mean of the head."""
-    rows = [i for i, v in enumerate(proper.y.tolist()) if v == label]
-    if not rows:
-        return EPSILON_FLOOR
-    dist = np.sort([_reference_distance(np.asarray(x), proper.X[i]) for i in rows])
-    return 1.0 / (1.0 + dist[:min(k, len(rows))].mean())
 
 
 def _kernel_inputs(a, b, d, seed, spread):

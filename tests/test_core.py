@@ -23,7 +23,6 @@ from confee import (
     SummaryVector,
     TooFewFoldsError,
     TooFewObservationsError,
-    complement_indices,
     derive_seed,
     make_fold_partition,
     spawn_rng,
@@ -116,14 +115,18 @@ class TestFoldPartition:
             FoldPartition(((0, 1),), 2, 0)
 
     def test_complement_is_one_based(self):
+        # fold k (1-based) is folds[k - 1]; its complement is the rows
+        # whose fold_of entry is any other index
         part = make_fold_partition(10, 3, 11)
         for k in range(1, 4):
-            comp = complement_indices(part, k)
+            comp = np.flatnonzero(part.fold_of != k - 1)
             assert sorted([*comp, *part.fold(k)]) == list(range(10))
+            assert (part.fold_of[part.fold(k)] == k - 1).all()
+        assert not part.fold_of.flags.writeable
         with pytest.raises(FoldIndexOutOfRangeError):
-            complement_indices(part, 0)
+            part.fold(0)
         with pytest.raises(FoldIndexOutOfRangeError):
-            complement_indices(part, 4)
+            part.fold(4)
 
 
 # The tuple-based partition code the array-backed one replaced, kept as the
@@ -177,7 +180,7 @@ class TestFoldPartitionDifferential:
         again = make_fold_partition(n, K, seed)
         assert part == again and hash(part) == hash(again)
         for k in (1, K):
-            comp = complement_indices(part, k)
+            comp = np.flatnonzero(part.fold_of != k - 1)
             assert comp.tolist() == sorted(set(range(n)) - set(part.fold(k).tolist()))
 
     @settings(max_examples=300, deadline=None)
@@ -198,6 +201,9 @@ class TestFoldPartitionDifferential:
         else:
             part = FoldPartition(given_folds, n, 0)
             assert tuple(tuple(fold.tolist()) for fold in part.folds) == expected
+            assert part.fold_of.tolist() == [
+                next(k for k, fold in enumerate(expected) if i in fold) for i in range(n)
+            ]
 
     def test_folds_are_read_only_and_not_shared_with_the_caller(self):
         given_fold = np.array([0, 2])

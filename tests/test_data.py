@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +74,26 @@ class TestScenario:
         sc = get_scenario("linreg3")
         assert np.array_equal(sc.weights(), sc.weights())
         assert not np.array_equal(sc.weights(), sc.with_seed(1).weights())
+
+    def test_weights_are_drawn_once_outside_equality(self):
+        sc = Scenario("linear_regression", dim=3, grid=(0.0, 1.0), seed=7)
+        fresh = Scenario("linear_regression", dim=3, grid=(0.0, 1.0), seed=7)
+        weights = sc.weights()
+        assert sc.weights() is weights
+        assert np.array_equal(weights, spawn_rng(7, _WEIGHT_TAG).standard_normal(3))
+        assert not weights.flags.writeable
+        assert sc == fresh and hash(sc) == hash(fresh) and repr(sc) == repr(fresh)
+        with pytest.raises(InvalidScenarioError):
+            get_scenario("gm2d").weights()
+
+    def test_import_draws_no_random_numbers(self):
+        # making the presets draws nothing, so importing confee does not
+        # load numpy.random; a process that never samples never pays for it
+        code = "import sys, confee; print('numpy.random' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_derived_values_are_made_once_and_read_only(self):
         mixture = Scenario("gaussian_mixture", classes=3, dim=4, separation=2.0)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confee import (
@@ -15,7 +15,6 @@ from confee import (
     OutOfRangeError,
     PlausibilityTable,
     RegressionTask,
-    complement_indices,
     cross_p_merge,
     e_prediction_set,
     e_to_p,
@@ -25,12 +24,16 @@ from confee import (
     get_scenario,
     harmonic_mean,
     make_fold_partition,
+    mean_normalize,
     p_to_e,
     sample,
+    sum_normalize,
     support_set_assignment,
+    train_conformity,
     unit_margin_provider,
 )
-from confee.predictors import WEIGHTINGS, CrossEPredictor, FullEPredictor, OnlineTrace
+from confee.predictors import WEIGHTINGS, FullEPredictor, OnlineTrace
+from conftest import _reference_knn
 
 GRID03 = RegressionTask((0.0, 3.0))
 
@@ -114,16 +117,15 @@ class TestCross:
         data, pred = self._fitted()
         x = (0.1, 0.4)
         base = pred.predict(x).values
-        shuffled = CrossEPredictor(
-            FoldPartition(
-                tuple(pred.partition.folds[i] for i in [1, 2, 0, 4, 3]),
-                pred.partition.n,
-                pred.partition.seed,
-            ),
-            tuple(pred.fold_predictors[i] for i in [1, 2, 0, 4, 3]),
-            "uniform",
+        order = [1, 2, 0, 4, 3]
+        relabelled = FoldPartition(
+            tuple(pred.partition.folds[i] for i in order), pred.partition.n, pred.partition.seed
         )
+        shuffled = fit_cross_from_partition(data, relabelled, "knn", "mean", k=3)
         assert shuffled.predict(x).values == base
+        assert shuffled.calibration_summaries == tuple(
+            pred.calibration_summaries[i] for i in order
+        )
 
     def test_training_order_equivariance_bitwise(self):
         rng = np.random.default_rng(2718)
@@ -161,16 +163,50 @@ class TestCross:
             fit_cross(data, 4, 1, "knn", "mean", weighting="median", k=3)
 
 
-def _reference_cross(training, partition, kind, normalizer, weighting, **params):
-    """Per fold, validated copies of the fold and its complement, fit alone."""
-    folds = []
-    for k in range(1, partition.K + 1):
+def _reference_cross(training, partition, kind, normalizer, weighting, queries, **params):
+    """The cross predictor one fold at a time, on validated copies.
+
+    Fold k calibrates on a validated copy of its rows and trains on a
+    validated copy of the rows outside it. knn summaries come from the scalar full-sort
+    reference, ridge ones from a rule fitted on the copy alone; every fold
+    e-value is the last component of one normalized vector. Returns the
+    calibration summaries of every fold and, per query, the merged values
+    and every fold's (sigmas, e-vectors), as `_fold_view` reads a table.
+    """
+    normalize = {"mean": mean_normalize, "sum": sum_normalize}[normalizer]
+    labels = training.task.candidates
+    calibrations, fold_views = [], []
+    for fold in partition.folds:
+        rows = fold.tolist()
+        outside = sorted(set(range(training.n)) - set(rows))
         proper, calibration = (
-            Dataset(training.X[list(rows)], training.y[list(rows)], training.task)
-            for rows in (complement_indices(partition, k), partition.fold(k))
+            Dataset(training.X[r], training.y[r], training.task) for r in (outside, rows)
         )
-        folds.append(fit_split(proper, calibration, kind, normalizer, **params))
-    return CrossEPredictor(partition, tuple(folds), weighting)
+        if kind == "knn":
+            def score(x, y, proper=proper):
+                return _reference_knn(proper, params["k"], x, y)
+        else:
+            score = train_conformity(kind, proper, **params).score_one
+        cal = [score(x, y) for x, y in zip(calibration.X, calibration.y.tolist())]
+        calibrations.append(tuple(cal))
+        views = []
+        for x in queries:
+            sigmas = tuple(score(x, y) for y in labels)
+            views.append((sigmas, [normalize((*cal, s)).values for s in sigmas]))
+        fold_views.append(views)
+    sizes = [len(fold) for fold in partition.folds]
+    out = []
+    for q in range(len(queries)):
+        folds = [views[q] for views in fold_views]
+        merged = []
+        for j in range(len(labels)):
+            es = [alphas[j][-1] for _, alphas in folds]
+            if weighting == "uniform":
+                merged.append(math.fsum(es) / len(es))
+            else:
+                merged.append(math.fsum(s * e for s, e in zip(sizes, es)) / training.n)
+        out.append((tuple(merged), folds))
+    return calibrations, out
 
 
 def _fold_view(table) -> tuple:
@@ -178,14 +214,23 @@ def _fold_view(table) -> tuple:
 
 
 class TestCrossFitDifferential:
-    """The cross fit on subset views against validated copies per fold."""
+    """The one-rule cross fit against validated copies, fold by fold."""
 
     @settings(max_examples=120, deadline=None)
+    @example(  # K = n: the rare label has no row outside its own fold
+        rule="knn", labels="classes", n=6, K=2, all_folds=True, k=3, d=2, rare=1,
+        normalizer="mean", weighting="uniform", nested=False, seed=1,
+    )
+    @example(  # fewer than k rows of the rare label outside a fold
+        rule="knn", labels="strings", n=12, K=3, all_folds=False, k=4, d=1, rare=3,
+        normalizer="sum", weighting="size_proportional", nested=True, seed=2,
+    )
     @given(
         rule=st.sampled_from(["knn", "ridge"]),
         labels=st.sampled_from(["classes", "strings", "grid"]),
         n=st.integers(2, 30),
         K=st.integers(2, 6),
+        all_folds=st.booleans(),
         k=st.integers(1, 6),
         d=st.integers(1, 3),
         rare=st.integers(0, 4),
@@ -195,10 +240,10 @@ class TestCrossFitDifferential:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_validated_copies(
-        self, rule, labels, n, K, k, d, rare, normalizer, weighting, nested, seed
+        self, rule, labels, n, K, all_folds, k, d, rare, normalizer, weighting, nested, seed
     ):
         rng = np.random.default_rng(seed)
-        K = min(K, n)
+        K = n if all_folds else min(K, n)
         rare = min(rare, n - 1)
         # one common label, `rare` rows of a second, and a third with no
         # rows at all: some fold complements hold fewer than k or zero
@@ -231,12 +276,12 @@ class TestCrossFitDifferential:
         params = {"k": min(k, smallest_proper)} if rule == "knn" else {"lam": 0.5}
 
         got = fit_cross_from_partition(training, partition, rule, normalizer, weighting, **params)
-        ref = _reference_cross(training, partition, rule, normalizer, weighting, **params)
-        for fitted, expected in zip(got.fold_predictors, ref.fold_predictors):
-            assert fitted.calibration_summaries == expected.calibration_summaries
         queries = np.vstack([training.X[:3], rng.standard_normal((3, d))])
-        for x in queries:
-            assert _fold_view(got.predict(x)) == _fold_view(ref.predict(x))
+        calibrations, expected = _reference_cross(
+            training, partition, rule, normalizer, weighting, queries, **params
+        )
+        assert [c.values for c in got.calibration_summaries] == calibrations
+        assert [_fold_view(got.predict(x)) for x in queries] == expected
 
 
 #: Presets the oracle draws from, with the rule fitted on each.
@@ -497,6 +542,16 @@ class TestOnlineTrace:
         trace = OnlineTrace.from_e_values(es)
         for i in range(64):
             assert trace.running_means[i] == math.fsum(es[: i + 1]) / (i + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        es=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-300, 1e3)), min_size=1, max_size=2000
+        )
+    )
+    def test_running_means_match_a_fresh_fsum_per_prefix(self, es):
+        means = OnlineTrace.from_e_values(es).running_means
+        assert means == tuple(math.fsum(es[: i + 1]) / (i + 1) for i in range(len(es)))
 
     def test_validation(self):
         with pytest.raises(OutOfRangeError):

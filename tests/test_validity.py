@@ -198,10 +198,12 @@ class TestComparison:
 
 class TestTrialDrawing:
     @pytest.mark.parametrize("harness", [mc_space_validity, compare_e_vs_p])
-    def test_trial_scores_one_row_per_fold(self, query_rows, harness):
+    def test_trial_takes_one_distance_row_per_label(self, query_rows, harness):
+        # a trial queries its true label only; every fold's complement is
+        # selected from that label's one distance row
         counts = query_rows(validity)
         harness(GM2D, CROSS_KNN, 100, 4, n_train=20)
-        assert counts == [CROSS_KNN.folds] * 100
+        assert counts == [1] * 100
 
 
 class TestTrialWork:
@@ -247,11 +249,11 @@ class TestTrialWork:
             "default_rng in sample": 2 * trials,  # one per stream, not per observation
             "dataset validations": trials,  # one draw: training set and test point
             "label numberings": trials,  # at validation, not per subset or fit
-            # a fold's proper part when fitted, its calibration part when
-            # scored; a query groups its list of candidate labels inline
-            "label groupings": 2 * CROSS_KNN.folds * trials,
-            # the training rows of the draw, then a fold and its complement
-            "subsets": (2 * CROSS_KNN.folds + 1) * trials,
+            # one sort of the training rows by label and fold per fit; a
+            # query looks its candidate labels up in that sort
+            "label groupings": trials,
+            # the training rows of the draw; the folds are slices of the fit
+            "subsets": trials,
         })
 
 
