@@ -11,14 +11,17 @@ level: ridge sorts its rows into a canonical order before solving, and the
 knn score picks the k smallest distances of each row with np.partition and
 sorts only those before averaging them.
 
-A cross fit is one rule: `train_conformity(kind, training, partition=...)`
-fits on the whole training set and the partition's fold of every row. knn
-sorts the rows once by label and fold, so fold f's proper rows of a label
-are the slices before and after fold f's slice of that label's block; it
-scores every row against its label's rows in the other folds, and a query
-against each fold's complement taken from one distance row per label.
-Ridge solves once per fold on the rows outside it. Either way every
-summary is the double a split fit on that fold's complement gives.
+Every rule has one fit and one query. `train_conformity(kind, training,
+fold_of=...)` fits on the whole training set and the fold of every row
+(-1 for a row in no fold); fold f's proper rows are the rows outside it.
+A cross fit passes its partition's folds; a split fit is the one-fold
+case, its calibration rows in fold 0 and its proper rows in none. knn
+sorts the rows once by label and then by fold, so fold f's proper rows of
+a label are the slices before and after fold f's slice of that label's
+block; it scores every row of a fold against its label's proper rows,
+and a query against each fold's proper rows taken from one distance row
+per label. Ridge solves once per fold on the rows outside it. Either way
+every summary is the double a fit on that fold's proper rows alone gives.
 
 The knn distance kernel adds the squared coordinate differences of each
 pair of rows left to right, one column at a time, without building the
@@ -30,11 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, EValueVector, FoldPartition, Observation, RegressionTask
+from .core import Dataset, EValueVector, Observation, RegressionTask
 from .errors import (
     DimensionMismatchError,
     EmptyProperSetError,
@@ -83,39 +86,51 @@ def _knn_summaries(D: np.ndarray, k: int) -> np.ndarray:
 class ConformityRule:
     """Base class: a fitted map from examples to real summaries.
 
-    Fitted on a training set alone, the rule takes every row as proper,
-    and score_many scores a batch against all of them. Subclasses
-    implement it with arithmetic that treats each row independently, so a
-    summary never depends on what else is in the batch; score_one is then
-    a one-row batch by construction.
-
-    Fitted with a FoldPartition of the training set as well, the rule is
-    one cross fit: the proper rows of fold f are the rows outside it.
-    `held_out[i]` is then training row i's summary against the proper rows
-    of its own fold, and score_folds scores candidates against the proper
-    rows of every fold.
+    A rule is fitted on a training set and the fold of every row,
+    `fold_of[i]` in 0..K-1, or -1 for a row in no fold; K is one more than
+    the largest fold (at least 1). Fold f's proper rows are the rows
+    outside it, so a row in no fold is proper for every fold, and without
+    `fold_of` every row is proper for one empty fold. `held_out[i]` is
+    training row i's summary against the proper rows of its own fold (NaN
+    for a row in no fold), and score_folds scores candidates against the
+    proper rows of every fold. Subclasses score each candidate
+    independently, so a summary never depends on the other candidates.
     """
 
     kind: str
     dim: int
-    #: Fitted with a partition: a read-only array of one summary per
-    #: training row, against the proper rows of the row's own fold.
-    held_out: Optional[np.ndarray] = None
+    K: int
+    #: A read-only array of one summary per training row, against the
+    #: proper rows of the row's own fold; NaN for a row in no fold.
+    held_out: np.ndarray
 
-    def score_many(self, X: np.ndarray, y) -> np.ndarray:
-        raise NotImplementedError
+    def __init__(self, training: Dataset, fold_of=None):
+        """Check `fold_of` against the training set; sets dim, K, fold_of
+        (an intp array) and proper (the fewest proper rows of a fold)."""
+        n = training.n
+        fold_of = np.full(n, -1) if fold_of is None else np.asarray(fold_of)
+        if fold_of.shape != (n,) or fold_of.dtype.kind not in "iu":
+            raise OutOfRangeError(
+                f"fold_of must hold one integer per training row ({n}), "
+                f"got {fold_of.dtype} of shape {fold_of.shape}"
+            )
+        if fold_of.min() < -1 or fold_of.max() > n - 1:
+            raise OutOfRangeError(f"fold_of entries must lie in -1..{n - 1}")
+        fold_of = fold_of.astype(np.intp, copy=False)
+        sizes = np.bincount(fold_of + 1, minlength=2).tolist()[1:]
+        if max(sizes) == n:
+            raise EmptyProperSetError(
+                f"fold {sizes.index(n)} holds every training row; its proper set is empty"
+            )
+        self.dim = training.dim
+        self.K = len(sizes)
+        self.fold_of = fold_of
+        self.proper = n - max(sizes)
 
     def score_folds(self, x: Sequence[float], labels: Sequence) -> np.ndarray:
         """A (K, L) array: row f holds the summaries of the candidates
         (x, labels[j]) against fold f's proper rows."""
         raise NotImplementedError
-
-    def score_rows(self, data: Dataset) -> np.ndarray:
-        """Summaries of a dataset's own examples, in row order."""
-        return self.score_many(data.X, data.y)
-
-    def score_one(self, x: Sequence[float], y) -> float:
-        return float(self.score_many(self._check_object(x)[None, :], [y])[0])
 
     def _check_object(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -123,29 +138,20 @@ class ConformityRule:
             raise DimensionMismatchError(f"expected {self.dim} features, got {x.shape}")
         return x
 
-    def _check_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise DimensionMismatchError(f"expected (n, {self.dim}) features, got {X.shape}")
-        return X
 
-    def _check_folds(self) -> None:
-        if self.held_out is None:
-            raise OutOfRangeError("the rule was fitted without a fold partition")
-
-
-def _by_label(labels, codes: np.ndarray, fold_of=0, K: int = 1) -> tuple:
+def _by_label(labels, codes: np.ndarray, fold_of: np.ndarray, K: int) -> tuple:
     """(order, label -> cuts): the stable order that sorts rows by label
-    code and then by fold (fold_of, in 0..K-1), and for each label with
-    rows the K + 1 positions of that order where its fold slices begin
-    and its block ends."""
-    key = codes * K + fold_of
+    code and then by slot, fold_of + 1 (slot 0 holds the rows in no fold,
+    slot f + 1 fold f's rows), and for each label with rows the K + 2
+    positions of that order where its slots begin and its block ends."""
+    S = K + 1
+    key = codes * S + fold_of + 1
     order = np.argsort(key, kind="stable")
-    bounds = [0, *np.bincount(key, minlength=len(labels) * K).cumsum().tolist()]
+    bounds = [0, *np.bincount(key, minlength=len(labels) * S).cumsum().tolist()]
     return order, {
-        label: bounds[i * K : (i + 1) * K + 1]
+        label: bounds[i * S : (i + 1) * S + 1]
         for i, label in enumerate(labels)
-        if bounds[(i + 1) * K] > bounds[i * K]
+        if bounds[(i + 1) * S] > bounds[i * S]
     }
 
 
@@ -157,71 +163,42 @@ class KnnRule(ConformityRule):
     it stays strictly positive.
 
     The fit sorts the training rows once by label number (`label_codes`)
-    and, given a partition, then by fold: each label is one contiguous
-    block, found by the label's value, cut into one slice per fold. The
-    rows of a separately validated dataset with the same labels meet the
-    same blocks. Fold f's proper rows of a label are the slices before and
-    after its own, so a query takes one distance row per candidate label
-    and every fold's selection from that row.
+    and then by fold: each label is one contiguous block, found by the
+    label's value, that starts with its rows in no fold and is then cut
+    into one slice per fold. Fold f's proper rows of a label are the rows
+    before and after its own slice, so a query takes one distance row per
+    candidate label and every fold's selection from that row.
     """
 
     kind = "knn"
 
-    def __init__(self, training: Dataset, k: int = 3, partition: Optional[FoldPartition] = None):
+    def __init__(self, training: Dataset, k: int = 3, fold_of=None):
         if k < 1:
             raise OutOfRangeError(f"k={k}; need at least 1 neighbour")
-        self.K = 1 if partition is None else partition.K
-        proper = training.n - (0 if partition is None else max(map(len, partition.folds)))
-        if k > proper:
-            raise KTooLargeError(f"k={k} exceeds the {proper} proper points")
+        super().__init__(training, fold_of)
+        if k > self.proper:
+            raise KTooLargeError(f"k={k} exceeds the {self.proper} proper points")
         self.k = k
-        self.dim = training.dim
-        fold_of = 0 if partition is None else partition.fold_of
-        order, self._cuts = _by_label(*training.label_codes, fold_of, self.K)
+        order, self._cuts = _by_label(*training.label_codes, self.fold_of, self.K)
         self._X = training.X[order]
-        if partition is not None:
-            held_out = np.empty(training.n)
-            held_out[order] = self._held_out_in_order()
-            held_out.setflags(write=False)
-            self.held_out = held_out
+        held_out = np.empty(training.n)
+        held_out[order] = self._held_out_in_order()
+        held_out.setflags(write=False)
+        self.held_out = held_out
 
     def _held_out_in_order(self) -> np.ndarray:
-        """Each sorted row's summary against its label's rows in other folds."""
-        X, out = self._X, np.empty(len(self._X))
+        """Each sorted row's summary against its label's rows outside its
+        fold; NaN for the rows in no fold."""
+        X, out = self._X, np.full(len(self._X), np.nan)
         for cuts in self._cuts.values():
             lo, hi = cuts[0], cuts[-1]
-            for a, b in zip(cuts, cuts[1:]):
+            for a, b in zip(cuts[1:], cuts[2:]):
                 if a < b:
                     others = np.concatenate((X[lo:a], X[b:hi]))
                     out[a:b] = _knn_summaries(_pairwise_distances(X[a:b], others), self.k)
         return out
 
-    def score_many(self, X, y) -> np.ndarray:
-        # an array's labels come out of tolist() as Python scalars; numpy
-        # scalars in a plain sequence hash and compare like the ones they hold
-        groups: dict = {}
-        for i, label in enumerate(y.tolist() if isinstance(y, np.ndarray) else y):
-            groups.setdefault(label, []).append(i)
-        return self._score(self._check_batch(X), groups)
-
-    def score_rows(self, data: Dataset) -> np.ndarray:
-        order, cuts = _by_label(*data.label_codes)
-        groups = {label: order[c[0] : c[-1]] for label, c in cuts.items()}
-        return self._score(self._check_batch(data.X), groups)
-
-    def _score(self, X: np.ndarray, groups: dict) -> np.ndarray:
-        """Summaries of X's rows against every training row; groups maps a
-        label to its rows of X."""
-        out = np.full(X.shape[0], EPSILON_FLOOR)
-        for label, rows in groups.items():
-            cuts = self._cuts.get(label)
-            if cuts is not None:
-                D = _pairwise_distances(X[rows], self._X[cuts[0] : cuts[-1]])
-                out[rows] = _knn_summaries(D, self.k)
-        return out
-
     def score_folds(self, x, labels) -> np.ndarray:
-        self._check_folds()
         x = self._check_object(x)[None, :]
         out = np.full((self.K, len(labels)), EPSILON_FLOOR)
         for j, label in enumerate(labels):
@@ -230,7 +207,7 @@ class KnnRule(ConformityRule):
                 continue
             lo = cuts[0]
             row = _pairwise_distances(x, self._X[lo : cuts[-1]])[0]
-            slices = [(a - lo, b - lo) for a, b in zip(cuts, cuts[1:])]
+            slices = [(a - lo, b - lo) for a, b in zip(cuts[1:], cuts[2:])]
             if row.size - max(b - a for a, b in slices) >= self.k:
                 # every fold keeps k rows outside it: hide each fold's own
                 # slice behind inf and select all folds in one call
@@ -280,50 +257,35 @@ class RidgeRule(ConformityRule):
     """sigma = 1 / (1 + |y - x.beta|) with beta from ridge regression.
 
     No intercept; labels must be numeric (regression, or classification
-    encoded as -1/+1). Training rows are sorted into a canonical order
-    first, so the fit depends on the training multiset only, bit for bit.
-    With a partition, each fold gets its own solve on the rows outside it,
-    and no solve on all rows is made (`beta` is None).
+    encoded as -1/+1). Each fold f gets its own solve, `betas[f]`, on the
+    rows outside it, sorted into a canonical order first, so the fit
+    depends on the multiset of those rows only, bit for bit.
     """
 
     kind = "ridge"
 
-    def __init__(
-        self, training: Dataset, lam: float = 1.0, partition: Optional[FoldPartition] = None
-    ):
+    def __init__(self, training: Dataset, lam: float = 1.0, fold_of=None):
         if lam < 0:
             raise OutOfRangeError(f"lam={lam} must be nonnegative")
         if not math.isfinite(lam):
             raise OutOfRangeError("lam must be finite")
+        super().__init__(training, fold_of)
         yf = _numeric_labels(training)
         self.lam = float(lam)
-        self.dim = training.dim
         X = training.X
-        if partition is None:
-            self.beta = _ridge_beta(X, yf, self.lam)
-            return
-        self.beta = None
-        fold_of = partition.fold_of
-        self._betas = tuple(
-            _ridge_beta(X[fold_of != f], yf[fold_of != f], self.lam) for f in range(partition.K)
-        )
-        held_out = np.empty(training.n)
-        for fold, beta in zip(partition.folds, self._betas):
+        folds = [self.fold_of == f for f in range(self.K)]
+        self.betas = tuple(_ridge_beta(X[~fold], yf[~fold], self.lam) for fold in folds)
+        held_out = np.full(training.n, np.nan)
+        for fold, beta in zip(folds, self.betas):
             held_out[fold] = _ridge_summaries(X[fold], yf[fold], beta)
         held_out.setflags(write=False)
         self.held_out = held_out
 
-    def score_many(self, X, y) -> np.ndarray:
-        if self.beta is None:
-            raise OutOfRangeError("a rule fitted on folds scores through score_folds")
-        return _ridge_summaries(self._check_batch(X), _float_labels(y), self.beta)
-
     def score_folds(self, x, labels) -> np.ndarray:
-        self._check_folds()
-        # one (L, d) batch per fold, as a split predictor scores its candidates
+        # one (L, d) batch per fold, as a calibration fold is scored
         X = np.tile(self._check_object(x), (len(labels), 1))
         yf = _float_labels(labels)
-        return np.array([_ridge_summaries(X, yf, beta) for beta in self._betas])
+        return np.array([_ridge_summaries(X, yf, beta) for beta in self.betas])
 
 
 def _numeric_labels(training: Dataset) -> np.ndarray:
@@ -341,27 +303,22 @@ def _numeric_labels(training: Dataset) -> np.ndarray:
 RULE_KINDS = ("knn", "ridge")
 
 
-def train_conformity(
-    kind: str, training: Dataset, *, partition: Optional[FoldPartition] = None, **params
-) -> ConformityRule:
+def train_conformity(kind: str, training: Dataset, *, fold_of=None, **params) -> ConformityRule:
     """Fit a conformity rule of the given kind on a training set.
 
-    Without a partition every training row is proper (a split fit); with
-    one, the rule is one cross fit whose fold f trains on the rows outside
-    fold f (see ConformityRule).
+    `fold_of` gives every row's fold, 0..K-1, or -1 for a row in no fold;
+    fold f trains on the rows outside it (see ConformityRule). Without it
+    every row is proper. A cross fit passes its partition's `fold_of`; a
+    split fit puts its calibration rows in fold 0 and the rest in none.
     kinds (RULE_KINDS): "knn" (param k, default 3) and "ridge" (param lam,
     default 1.0).
     The fitted state is a deterministic function of (kind, params, the
-    training set as a multiset of rows and, with a partition, their folds).
+    training set as a multiset of rows with their folds).
     """
-    if len(training) == 0:
-        raise EmptyProperSetError("training set proper is empty")
-    if partition is not None and partition.n != training.n:
-        raise OutOfRangeError("partition size must match the training set")
     if kind == "knn":
-        return KnnRule(training, partition=partition, **params)
+        return KnnRule(training, fold_of=fold_of, **params)
     if kind == "ridge":
-        return RidgeRule(training, partition=partition, **params)
+        return RidgeRule(training, fold_of=fold_of, **params)
     raise OutOfRangeError(f"unknown conformity kind {kind!r}")
 
 

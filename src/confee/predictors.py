@@ -1,13 +1,14 @@
 """Split, cross, and full conformal e-predictors, plus p-value baselines.
 
-The split predictor trains a conformity rule on the training set proper,
-scores the calibration part once at fit time, and for a query (x, y)
-normalizes the calibration summaries together with the candidate's summary;
-the e-value reported for y is the last component. The cross predictor is
-one split predictor per fold (calibrating on the fold, training on its
-complement), fitted as one rule on the training set and the partition
-(see conformity.ConformityRule), and merges fold e-values by an arithmetic
-mean, which keeps the result an e-value. The full predictor applies an
+The split predictor calibrates the last c training rows against a rule
+trained on the rows before them, scored once at fit time, and for a query
+(x, y) normalizes the calibration summaries together with the candidate's
+summary; the e-value reported for y is the last component. The cross
+predictor is one split predictor per fold (calibrating on the fold,
+training on its complement) and merges fold e-values by an arithmetic
+mean, which keeps the result an e-value. Both fit one rule on the whole
+training set and the fold of every row, a split fit being the one-fold
+case (see conformity.ConformityRule). The full predictor applies an
 e-assignment to the training sequence extended by the candidate example.
 
 Every query is one pass: `predict` scores each (fold, candidate label)
@@ -40,7 +41,7 @@ from .core import (
     SummaryVector,
     make_fold_partition,
 )
-from .errors import DimensionMismatchError, NonFiniteEntryError, OutOfRangeError
+from .errors import NonFiniteEntryError, OutOfRangeError
 from .normalize import Normalizer, get_normalizer
 
 WEIGHTINGS = ("uniform", "size_proportional")
@@ -99,8 +100,7 @@ class SplitEPredictor:
     def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> SplitTable:
         """Score every candidate in one batch and normalize them in one block."""
         labels = tuple(self.task.candidates if labels is None else labels)
-        X = np.tile(np.asarray(x, dtype=float), (len(labels), 1))
-        sigmas = np.asarray(self.rule.score_many(X, list(labels)), dtype=float)
+        sigmas = self.rule.score_folds(x, labels)[0]
         return _split_table(self.normalizer, self.calibration_summaries, labels, sigmas)
 
     def component_bound(self) -> Optional[float]:
@@ -109,22 +109,21 @@ class SplitEPredictor:
 
 
 def fit_split(
-    proper: Dataset,
-    calibration: Dataset,
+    training: Dataset,
+    calibration_size: int,
     kind: str = "knn",
     normalizer: Union[str, Normalizer] = "mean",
     **rule_params,
 ) -> SplitEPredictor:
-    """Train on the proper part, pre-score the calibration part once."""
-    if proper.task != calibration.task:
-        raise OutOfRangeError("proper and calibration parts must share one task")
-    if proper.dim != calibration.dim:
-        raise DimensionMismatchError(
-            f"proper has {proper.dim} features, calibration {calibration.dim}"
-        )
-    rule = train_conformity(kind, proper, **rule_params)
-    summaries = SummaryVector(rule.score_rows(calibration))
-    return SplitEPredictor(rule, summaries, get_normalizer(normalizer), proper.task)
+    """The last calibration_size rows calibrate against a rule trained on
+    the rows before them: a one-fold fit, its calibration rows in fold 0
+    and the rest in no fold."""
+    n, c = training.n, calibration_size
+    if not 1 <= c <= n - 1:
+        raise OutOfRangeError(f"calibration_size {c} must lie in 1..{n - 1}")
+    rule = train_conformity(kind, training, fold_of=np.repeat([-1, 0], [n - c, c]), **rule_params)
+    calibration = SummaryVector(rule.held_out[n - c :])
+    return SplitEPredictor(rule, calibration, get_normalizer(normalizer), training.task)
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,7 @@ def fit_cross_from_partition(
 ) -> CrossEPredictor:
     """One rule fit on the training set and the partition; fold k's
     calibration summaries are its rows' held-out summaries."""
-    rule = train_conformity(kind, training, partition=partition, **rule_params)
+    rule = train_conformity(kind, training, fold_of=partition.fold_of, **rule_params)
     calibration = tuple(SummaryVector(rule.held_out[fold]) for fold in partition.folds)
     return CrossEPredictor(
         partition, rule, calibration, get_normalizer(normalizer), training.task, weighting

@@ -109,15 +109,8 @@ def build_predictor(spec: PredictorSpec, training: Dataset, fold_seed: int):
     if spec.kind == "const":
         return ConstantEPredictor(spec.const_value)
     if spec.kind == "split":
-        c = spec.calibration_size
-        if not 1 <= c <= training.n - 1:
-            raise OutOfRangeError(
-                f"calibration_size {c} must lie in 1..{training.n - 1}"
-            )
-        proper = training.subset(range(training.n - c))
-        calibration = training.subset(range(training.n - c, training.n))
         return fit_split(
-            proper, calibration, spec.rule, spec.normalizer, **spec.rule_params()
+            training, spec.calibration_size, spec.rule, spec.normalizer, **spec.rule_params()
         )
     if spec.kind == "cross":
         return fit_cross(

@@ -130,8 +130,7 @@ def test_02_training_order_invariance(criterion):
     x = (0.4, -0.3)
     failures = []
 
-    proper, calibration = training.subset(range(20)), training.subset(range(20, 30))
-    base_split = fit_split(proper, calibration, "knn", "mean", k=3).predict(x).values
+    base_split = fit_split(training, 10, "knn", "mean", k=3).predict(x).values
 
     partition = make_fold_partition(30, 5, 23)
     base_cross = fit_cross_from_partition(training, partition, "knn", "mean", k=3).predict(x).values
@@ -143,7 +142,7 @@ def test_02_training_order_invariance(criterion):
         pp = rng.permutation(20)
         cp = rng.permutation(10) + 20
         permuted = fit_split(
-            training.subset(pp), training.subset(cp), "knn", "mean", k=3
+            training.subset(np.concatenate([pp, cp])), 10, "knn", "mean", k=3
         ).predict(x).values
         if permuted != base_split:
             failures.append("split prediction changed under row permutation")
@@ -312,9 +311,8 @@ def test_08_ridge_split_oracle(criterion, tmp_path):
     """A fully hand-computed ridge example, through the library and the CLI."""
     failures = []
     grid = RegressionTask((0.0, 3.0))
-    proper = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), grid)
-    calibration = Dataset(np.array([[2.0]]), np.array([2.0]), grid)
-    pred = fit_split(proper, calibration, "ridge", "mean", lam=0.0)
+    training = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 2.0]), grid)
+    pred = fit_split(training, 1, "ridge", "mean", lam=0.0)
     if abs(pred.e_at((3.0,), 3.0) - 1.0) > 1e-9:
         failures.append(f"library e(3) = {pred.e_at((3.0,), 3.0)}")
     if abs(pred.e_at((3.0,), 0.0) - 0.4) > 1e-9:

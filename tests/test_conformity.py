@@ -7,6 +7,7 @@ from confee import (
     ClassificationTask,
     Dataset,
     DimensionMismatchError,
+    EmptyProperSetError,
     EmptySupportSetError,
     EPSILON_FLOOR,
     KTooLargeError,
@@ -17,6 +18,7 @@ from confee import (
     SupportSet,
     support_set_assignment,
     support_set_e_values,
+    fit_split,
     train_conformity,
     unit_margin_provider,
 )
@@ -24,6 +26,11 @@ from confee.conformity import _pairwise_distances
 from conftest import _reference_distance, _reference_knn
 
 TASK01 = ClassificationTask((0, 1))
+
+
+def _score(rule, x, y) -> float:
+    """One candidate's summary against every training row (a fit with no folds)."""
+    return float(rule.score_folds(x, [y])[0, 0])
 
 
 def _random_classification(rng, n=12, d=3):
@@ -42,20 +49,20 @@ class TestKnn:
     def test_hand_oracle(self):
         proper = Dataset(np.array([[0.0], [2.0], [5.0]]), np.array([0, 0, 1]), TASK01)
         rule = train_conformity("knn", proper, k=1)
-        assert rule.score_one((1.0,), 0) == 1.0 / (1.0 + 1.0)
+        assert _score(rule, (1.0,), 0) == 1.0 / (1.0 + 1.0)
         rule2 = train_conformity("knn", proper, k=2)
-        assert rule2.score_one((1.0,), 0) == 1.0 / (1.0 + (1.0 + 1.0) / 2.0)
+        assert _score(rule2, (1.0,), 0) == 1.0 / (1.0 + (1.0 + 1.0) / 2.0)
 
     def test_missing_label_gets_floor(self):
         proper = Dataset(np.array([[0.0]]), np.array([0]), TASK01)
         rule = train_conformity("knn", proper, k=1)
-        assert rule.score_one((0.0,), 1) == EPSILON_FLOOR
+        assert _score(rule, (0.0,), 1) == EPSILON_FLOOR
 
     def test_fewer_neighbours_than_k(self):
         proper = Dataset(np.array([[0.0], [1.0]]), np.array([0, 1]), TASK01)
         rule = train_conformity("knn", proper, k=2)
         # only one point of label 0 exists; mean runs over that one
-        assert rule.score_one((3.0,), 0) == 1.0 / (1.0 + 3.0)
+        assert _score(rule, (3.0,), 0) == 1.0 / (1.0 + 3.0)
 
     def test_score_decays_with_distance(self):
         rng = np.random.default_rng(81)
@@ -67,7 +74,7 @@ class TestKnn:
             u = rng.standard_normal(2)
             u /= np.linalg.norm(u)
             radii = (6.0, 9.0, 14.0, 30.0)  # beyond every proper point
-            scores = [rule.score_one(tuple(r * u), 0) for r in radii]
+            scores = [_score(rule, tuple(r * u), 0) for r in radii]
             assert all(a > b for a, b in zip(scores, scores[1:]))
 
     def test_preconditions(self):
@@ -78,7 +85,7 @@ class TestKnn:
             train_conformity("knn", proper, k=0)
         rule = train_conformity("knn", proper, k=1)
         with pytest.raises(DimensionMismatchError):
-            rule.score_one((0.0, 0.0), 0)
+            _score(rule, (0.0, 0.0), 0)
 
 
 def _kernel_inputs(a, b, d, seed, spread):
@@ -128,39 +135,64 @@ class TestDistanceKernel:
         assert np.array_equal(_pairwise_distances(A, B), np.sqrt((diff * diff).sum(axis=2)))
 
 
+def _labelled_rows(rng, n, d, labels, present):
+    """n rows whose labels come from labels[present], drawn from a pool of
+    about n/3 points, so points repeat."""
+    pool = rng.standard_normal((max(1, n // 3), d))
+    return pool[rng.integers(0, len(pool), n)], [labels[i] for i in rng.choice(present, n)]
+
+
 class TestKnnDifferential:
-    """KnnRule.score_many against the scalar full-sort reference."""
+    """The one knn path, with no fold and with one split fold, against the
+    scalar full-sort reference."""
 
     @settings(max_examples=150, deadline=None)
+    @example(  # a label with no proper row, one with fewer than k
+        string_labels=False, n_labels=3, n_proper=4, c=3, d=1, k=3, seed=7, array_labels=True
+    )
     @given(
         string_labels=st.booleans(),
         n_labels=st.integers(1, 4),
         n_proper=st.integers(1, 40),
-        n_query=st.integers(1, 12),
+        c=st.integers(1, 12),
         d=st.integers(1, 4),
         k=st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
         array_labels=st.booleans(),
     )
     def test_matches_full_sort_reference(
-        self, string_labels, n_labels, n_proper, n_query, d, k, seed, array_labels
+        self, string_labels, n_labels, n_proper, c, d, k, seed, array_labels
     ):
         rng = np.random.default_rng(seed)
         labels = tuple("abcd"[:n_labels]) if string_labels else tuple(range(n_labels))
         task = ClassificationTask(labels)
         # proper labels come from a random subset of the task's labels, so
-        # some labels have no proper point and others fewer than k
+        # some labels have no proper point and others fewer than k; the
+        # calibration rows may carry any label
         present = rng.choice(n_labels, size=int(rng.integers(1, n_labels + 1)), replace=False)
-        proper_y = [labels[i] for i in rng.choice(present, size=n_proper)]
-        pool = rng.standard_normal((max(1, n_proper // 3), d))  # duplicate points
-        proper = Dataset(pool[rng.integers(0, len(pool), n_proper)], np.array(proper_y), task)
+        proper_X, proper_y = _labelled_rows(rng, n_proper, d, labels, present)
+        cal_X, cal_y = _labelled_rows(rng, c, d, labels, np.arange(n_labels))
+        repeats = min(c // 2, n_proper)
+        cal_X[:repeats] = proper_X[:repeats]  # calibration points that repeat proper ones
+        proper = Dataset(proper_X, np.array(proper_y), task)
+        training = Dataset(np.vstack([proper_X, cal_X]), np.array(proper_y + cal_y), task)
         k = min(k, n_proper)
+        queries = np.vstack([proper_X[:3], rng.standard_normal((3, d))])
+        candidates = np.array(labels) if array_labels else labels
+
+        def reference(x):
+            return [_reference_knn(proper, k, x, y) for y in labels]
+
         rule = train_conformity("knn", proper, k=k)
-        Q = np.vstack([pool, rng.standard_normal((n_query, d))])
-        query_y = [labels[i] for i in rng.integers(0, n_labels, len(Q))]
-        out = rule.score_many(Q, np.array(query_y) if array_labels else query_y)
-        expected = [_reference_knn(proper, k, x, y) for x, y in zip(Q, query_y)]
-        assert out.tolist() == expected
+        assert rule.K == 1 and np.isnan(rule.held_out).all()
+        for x in queries:
+            assert rule.score_folds(x, candidates).tolist() == [reference(x)]
+
+        split = fit_split(training, c, "knn", k=k)
+        expected = [_reference_knn(proper, k, x, y) for x, y in zip(cal_X, cal_y)]
+        assert split.calibration_summaries.values == tuple(expected)
+        for x in queries:
+            assert split.predict(x, candidates).sigmas == tuple(reference(x))
 
 
 class TestRidge:
@@ -171,17 +203,17 @@ class TestRidge:
             RegressionTask((0.0, 10.0)),
         )
         rule = train_conformity("ridge", proper, lam=1.0)
-        assert abs(rule.beta[0] - 28.0 / 15.0) < 1e-12
+        assert abs(rule.betas[0][0] - 28.0 / 15.0) < 1e-12
         expected = 1.0 / (1.0 + abs(2.0 - 28.0 / 15.0))
-        assert abs(rule.score_one((1.0,), 2.0) - expected) < 1e-15
+        assert abs(_score(rule, (1.0,), 2.0) - expected) < 1e-15
 
     def test_unpenalized_interpolation(self):
         proper = Dataset(
             np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), RegressionTask((0.0, 3.0))
         )
         rule = train_conformity("ridge", proper, lam=0.0)
-        assert rule.beta[0] == 1.0
-        assert rule.score_one((3.0,), 3.0) == 1.0
+        assert rule.betas[0][0] == 1.0
+        assert _score(rule, (3.0,), 3.0) == 1.0
 
     def test_singular_system_reported(self):
         dup = Dataset(
@@ -196,7 +228,7 @@ class TestRidge:
     def test_classification_needs_pm_one(self):
         ok = Dataset(np.array([[0.0], [1.0]]), np.array([-1, 1]), ClassificationTask((-1, 1)))
         rule = train_conformity("ridge", ok, lam=1.0)
-        assert rule.score_one((0.5,), 1) > 0
+        assert _score(rule, (0.5,), 1) > 0
         bad = Dataset(np.array([[0.0], [1.0]]), np.array([0, 1]), TASK01)
         with pytest.raises(OutOfRangeError):
             train_conformity("ridge", bad, lam=1.0)
@@ -215,31 +247,80 @@ class TestDeterminism:
         knn = train_conformity("knn", cls, k=3)
         ridge = train_conformity("ridge", reg, lam=0.7)
         query = tuple(rng.standard_normal(3))
-        base_knn = [knn.score_one(query, lab) for lab in (0, 1, 2)]
-        base_ridge = ridge.score_one(query, 1.0)
+        base_knn = [_score(knn, query, lab) for lab in (0, 1, 2)]
+        base_ridge = _score(ridge, query, 1.0)
         for _ in range(200):
             perm = rng.permutation(cls.n)
             knn_p = train_conformity("knn", cls.subset(perm), k=3)
-            assert [knn_p.score_one(query, lab) for lab in (0, 1, 2)] == base_knn
+            assert [_score(knn_p, query, lab) for lab in (0, 1, 2)] == base_knn
             perm = rng.permutation(reg.n)
             ridge_p = train_conformity("ridge", reg.subset(perm), lam=0.7)
-            assert ridge_p.score_one(query, 1.0) == base_ridge
+            assert _score(ridge_p, query, 1.0) == base_ridge
 
     def test_batch_equals_single_bitwise(self):
+        # column j of a query is candidate j scored alone, in every fold
         rng = np.random.default_rng(99)
         cls = _random_classification(rng, n=15)
         reg = _random_regression(rng, n=15)
-        knn = train_conformity("knn", cls, k=3)
-        ridge = train_conformity("ridge", reg, lam=0.3)
-        for ds, rule in ((cls, knn), (reg, ridge)):
-            batch = rule.score_many(ds.X, ds.y)
-            singles = [rule.score_one(z.x, z.y) for z in ds.observations()]
-            assert list(batch) == singles
+        fold_of = np.array([-1] * 6 + [0, 1, 2] * 3)
+        for ds, kind, params, labels in (
+            (cls, "knn", {"k": 3}, (0, 1, 2, 1)),
+            (reg, "ridge", {"lam": 0.3}, (-3.0, 0.0, 3.0, 0.5)),
+        ):
+            for folds in (None, fold_of):
+                rule = train_conformity(kind, ds, fold_of=folds, **params)
+                for x in (*ds.X[:3], *rng.standard_normal((3, 3))):
+                    batch = rule.score_folds(x, labels)
+                    for j, label in enumerate(labels):
+                        assert batch[:, j].tolist() == rule.score_folds(x, [label])[:, 0].tolist()
 
     def test_unknown_kind(self):
         ds = _random_classification(np.random.default_rng(1))
         with pytest.raises(OutOfRangeError):
             train_conformity("kde", ds)
+
+
+class TestFoldOf:
+    """The fold vector a rule is fitted with is checked where it comes in."""
+
+    DATA = Dataset(np.arange(8.0)[:, None], np.array([0, 1] * 4), TASK01)
+
+    @pytest.mark.parametrize("kind, params", [("knn", {"k": 1}), ("ridge", {"lam": 1.0})])
+    @pytest.mark.parametrize(
+        "fold_of",
+        [
+            [0, 1] * 3,  # too short
+            np.zeros((8, 1), dtype=int),  # not one entry per row
+            np.zeros(8),  # floats
+            np.zeros(8, dtype=bool),
+            [0, 1, 0, 1, 0, 1, 0, -2],  # below -1
+            [0, 1, 0, 1, 0, 1, 0, 8],  # more folds than rows
+        ],
+    )
+    def test_malformed_fold_of_is_named(self, kind, params, fold_of):
+        data = self.DATA
+        if kind == "ridge":
+            data = Dataset(data.X, np.array([-1, 1] * 4), ClassificationTask((-1, 1)))
+        with pytest.raises(OutOfRangeError, match="fold_of"):
+            train_conformity(kind, data, fold_of=fold_of, **params)
+
+    @pytest.mark.parametrize("kind, params", [("knn", {"k": 1}), ("ridge", {"lam": 1.0})])
+    def test_fold_holding_every_row_has_no_proper_set(self, kind, params):
+        reg = Dataset(self.DATA.X, np.arange(8.0), RegressionTask((0.0, 7.0)))
+        for fold_of in ([0] * 8, [1] * 8):
+            with pytest.raises(EmptyProperSetError, match="holds every training row"):
+                train_conformity(kind, reg, fold_of=fold_of, **params)
+
+    def test_rows_in_no_fold_are_proper_for_every_fold(self):
+        rule = train_conformity("knn", self.DATA, fold_of=[-1, -1, 0, 0, 1, 1, 2, -1], k=1)
+        assert rule.K == 3
+        held = rule.held_out.tolist()
+        assert [i for i, v in enumerate(held) if v != v] == [0, 1, 7]  # NaN: in no fold
+        # row 2 (label 0, fold 0) against label 0's rows outside fold 0: 0, 4, 6
+        assert held[2] == 1.0 / (1.0 + 2.0)
+        # a query at row 6 meets it in folds 0 and 1; fold 2 holds row 6,
+        # so there the nearest label 0 row is row 4
+        assert rule.score_folds((6.0,), [0])[:, 0].tolist() == [1.0, 1.0, 1.0 / (1.0 + 2.0)]
 
 
 class TestSupportSets:

@@ -178,8 +178,8 @@ class _FixedRule(ConformityRule):
     def __init__(self, sigmas):
         self.sigmas = sigmas
 
-    def score_many(self, X, y):
-        return np.array(self.sigmas, dtype=float)
+    def score_folds(self, x, labels):
+        return np.array([self.sigmas], dtype=float)
 
 
 def _split_predictor(kind, calibration, sigmas) -> SplitEPredictor:

@@ -39,9 +39,9 @@ GRID03 = RegressionTask((0.0, 3.0))
 
 
 def _ridge_split_example():
-    proper = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), GRID03)
-    calibration = Dataset(np.array([[2.0]]), np.array([2.0]), GRID03)
-    return fit_split(proper, calibration, "ridge", "mean", lam=0.0)
+    # proper rows x = 0, 1; the last row (x = 2) calibrates
+    training = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 2.0]), GRID03)
+    return fit_split(training, 1, "ridge", "mean", lam=0.0)
 
 
 class TestSplit:
@@ -67,23 +67,23 @@ class TestSplit:
     def test_calibration_order_equivariance_bitwise(self):
         rng = np.random.default_rng(314)
         data = sample(get_scenario("gm2d"), 40, 5)
-        proper, calibration = data.subset(range(28)), data.subset(range(28, 40))
-        base = fit_split(proper, calibration, "knn", "mean", k=3)
+        base = fit_split(data, 12, "knn", "mean", k=3)
         x = (0.3, -0.2)
         expected = base.predict(x)
         for _ in range(100):
             perm = rng.permutation(12)
-            shuffled = fit_split(proper, calibration.subset(perm), "knn", "mean", k=3)
+            shuffled = fit_split(data.subset([*range(28), *(28 + perm)]), 12, "knn", "mean", k=3)
             assert shuffled.predict(x).values == expected.values
 
     def test_part_compatibility_checks(self):
-        proper = Dataset(np.zeros((2, 1)), np.array([0.0, 1.0]), GRID03)
-        other_task = Dataset(np.zeros((2, 1)), np.array([0.5, 1.0]), RegressionTask((0.0, 9.0)))
-        with pytest.raises(OutOfRangeError):
-            fit_split(proper, other_task, "ridge")
-        wide = Dataset(np.zeros((2, 2)), np.array([0.0, 1.0]), GRID03)
+        # both parts are cut from one training set, so they share its task
+        # and features; each part must still hold a row
+        data = Dataset(np.zeros((3, 1)), np.array([0.0, 1.0, 2.0]), GRID03)
+        for c in (0, 3, -1):
+            with pytest.raises(OutOfRangeError, match=rf"calibration_size {c} must lie in 1\.\.2"):
+                fit_split(data, c, "ridge")
         with pytest.raises(DimensionMismatchError):
-            fit_split(proper, wide, "ridge")
+            fit_split(data, 1, "ridge").predict((0.0, 1.0))
 
 
 class TestCross:
@@ -186,7 +186,8 @@ def _reference_cross(training, partition, kind, normalizer, weighting, queries, 
             def score(x, y, proper=proper):
                 return _reference_knn(proper, params["k"], x, y)
         else:
-            score = train_conformity(kind, proper, **params).score_one
+            def score(x, y, rule=train_conformity(kind, proper, **params)):
+                return float(rule.score_folds(x, [y])[0, 0])
         cal = [score(x, y) for x, y in zip(calibration.X, calibration.y.tolist())]
         calibrations.append(tuple(cal))
         views = []
@@ -376,13 +377,7 @@ class TestExchangeabilityOracle:
         es, ps, sigmas = [], [], []
         for j in range(n_proper, data.n):  # j = test_row is the draw itself
             rotated = _swapped(data, j, test_row)
-            predictor = fit_split(
-                rotated.subset(range(n_proper)),
-                rotated.subset(range(n_proper, test_row)),
-                rule,
-                normalizer,
-                **params,
-            )
+            predictor = fit_split(rotated.subset(range(test_row)), c, rule, normalizer, **params)
             z = rotated.observation(test_row)
             table = predictor.predict(z.x, (z.y,))
             es.append(table.values[0])

@@ -8,6 +8,7 @@ import pytest
 from confee import conformity, core, validity
 from confee import (
     ConstantEPredictor,
+    Dataset,
     KTooLargeError,
     Normalizer,
     OutOfRangeError,
@@ -16,12 +17,13 @@ from confee import (
     UnboundedNormalizerError,
     build_predictor,
     compare_e_vs_p,
-    fit_split,
     get_scenario,
     mc_space_validity,
     online_time_validity,
     sample,
 )
+
+from conftest import _reference_knn
 
 GM2D = get_scenario("gm2d")
 CROSS_KNN = PredictorSpec(kind="cross", rule="knn", normalizer="mean")
@@ -209,17 +211,16 @@ class TestTrialDrawing:
 class TestTrialWork:
     """What a space trial does, counted rather than timed."""
 
-    def test_space_trial_work(self, monkeypatch):
+    @staticmethod
+    def _count(monkeypatch, spec, trials) -> Counter:
         calls = Counter()
         sampling = []
 
-        def count(owner, name, key, only_in_sample=False, only_arrays=False):
+        def count(owner, name, key, only_in_sample=False):
             original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                if (sampling or not only_in_sample) and (
-                    isinstance(args[0], np.ndarray) or not only_arrays
-                ):
+                if sampling or not only_in_sample:
                     calls[key] += 1
                 return original(*args, **kwargs)
 
@@ -241,10 +242,12 @@ class TestTrialWork:
         count(core, "_number_labels", "label numberings")
         count(conformity, "_by_label", "label groupings")
         count(core.Dataset, "subset", "subsets")
+        mc_space_validity(GM2D, spec, trials, 4, n_train=50)
+        return calls
 
-        trials = 100
-        mc_space_validity(GM2D, CROSS_KNN, trials, 4, n_train=50)
-        assert calls == Counter({
+    @staticmethod
+    def _one_fit_per_trial(trials) -> Counter:
+        return Counter({
             "spawn_rng in sample": 0,
             "default_rng in sample": 2 * trials,  # one per stream, not per observation
             "dataset validations": trials,  # one draw: training set and test point
@@ -255,6 +258,14 @@ class TestTrialWork:
             # the training rows of the draw; the folds are slices of the fit
             "subsets": trials,
         })
+
+    def test_space_trial_work(self, monkeypatch):
+        assert self._count(monkeypatch, CROSS_KNN, 100) == self._one_fit_per_trial(100)
+
+    def test_split_trial_work(self, monkeypatch):
+        # a split fit is the one-fold case: no proper or calibration copy
+        spec = PREDICTOR_PRESETS["split-knn-mean"]
+        assert self._count(monkeypatch, spec, 100) == self._one_fit_per_trial(100)
 
 
 class TestThreads:
@@ -279,18 +290,17 @@ class TestBuildPredictor:
     TRAIN = sample(GM2D, 30, 77)
 
     def test_split_slicing(self):
+        # the last calibration_size rows calibrate against the rows before them
         spec = PredictorSpec(kind="split", calibration_size=10)
         predictor = build_predictor(spec, self.TRAIN, 0)
-        direct = fit_split(
-            self.TRAIN.subset(range(20)),
-            self.TRAIN.subset(range(20, 30)),
-            spec.rule,
-            spec.normalizer,
-            **spec.rule_params(),
-        )
-        assert predictor.calibration_summaries == direct.calibration_summaries
+        proper = Dataset(self.TRAIN.X[:20], self.TRAIN.y[:20], self.TRAIN.task)
+        calibration = [
+            _reference_knn(proper, spec.k, z.x, z.y) for z in self.TRAIN.observations()
+        ][20:]
+        assert predictor.calibration_summaries.values == tuple(calibration)
         for x in ((0.0, 0.0), (1.5, -0.5), tuple(self.TRAIN.X[3]), tuple(self.TRAIN.X[25])):
-            assert predictor.predict(x) == direct.predict(x)
+            sigmas = tuple(_reference_knn(proper, spec.k, x, y) for y in GM2D.task.candidates)
+            assert predictor.predict(x).sigmas == sigmas
 
     def test_split_calibration_size_bounds(self):
         with pytest.raises(OutOfRangeError):
