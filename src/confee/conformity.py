@@ -77,8 +77,7 @@ def _knn_summaries(D: np.ndarray, k: int) -> np.ndarray:
     kk = min(k, D.shape[1])
     if kk == 0:
         return np.full(D.shape[0], EPSILON_FLOOR)
-    if kk < D.shape[1]:
-        D = np.partition(D, kk - 1, axis=1)
+    D = np.partition(D, kk - 1, axis=1)
     # the sum and division that ndarray.mean makes, without its wrapper
     return 1.0 / (1.0 + np.add.reduce(np.sort(D[:, :kk], axis=1), axis=1) / kk)
 

@@ -26,7 +26,8 @@ usable at face value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -341,43 +342,29 @@ def e_prediction_set(
 
 @dataclass(frozen=True)
 class OnlineTrace:
-    """Realized e-values at the true labels and their prefix averages."""
+    """Realized e-values at the true labels and their prefix averages.
+
+    Every double is a whole multiple of 2**-1074, so the prefix sums are
+    kept exactly as integers in those units. Dividing one by 2**1074 is
+    Python's correctly rounded int/int division: the prefix sum math.fsum
+    gives, bit for bit, and OverflowError where that sum overflows.
+    """
 
     e_values: tuple
-    running_means: tuple
+    running_means: tuple = field(init=False)
 
     def __post_init__(self):
-        if len(self.e_values) != len(self.running_means) or not self.e_values:
-            raise OutOfRangeError("trace components must align and be non-empty")
-
-    @classmethod
-    def from_e_values(cls, e_values: Sequence[float]) -> "OnlineTrace":
-        """Running means from correctly rounded prefix sums, in linear time.
-
-        Shewchuk's partials are kept as the values arrive: their exact sum
-        is the exact sum of the prefix, so math.fsum of them is the prefix
-        sum math.fsum gives, bit for bit.
-        """
-        es = tuple(float(e) for e in e_values)
+        es = tuple(float(e) for e in self.e_values)
+        if not es:
+            raise OutOfRangeError("trace must be non-empty")
         if any(not math.isfinite(e) or e < 0 for e in es):
             raise OutOfRangeError("e-values must be finite and nonnegative")
-        math.fsum(es)  # no e is negative: this overflows if any prefix sum does
-        partials: list = []
-        means = []
-        for i, x in enumerate(es, 1):
-            kept = 0
-            for y in partials:
-                if abs(x) < abs(y):
-                    x, y = y, x
-                hi = x + y
-                lo = y - (hi - x)
-                if lo:
-                    partials[kept] = lo
-                    kept += 1
-                x = hi
-            partials[kept:] = [x]
-            means.append(math.fsum(partials) / i)
-        return cls(es, tuple(means))
+        # e = n / 2**j with j <= 1074: n << (1074 - j) units of 2**-1074
+        sums = accumulate(n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, es))
+        scale = 1 << 1074
+        means = tuple(s / scale / i for i, s in enumerate(sums, 1))
+        object.__setattr__(self, "e_values", es)
+        object.__setattr__(self, "running_means", means)
 
     def __len__(self) -> int:
         return len(self.e_values)

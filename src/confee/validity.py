@@ -27,7 +27,7 @@ from .conformity import support_set_assignment, unit_margin_provider
 from .core import Dataset, PlausibilityTable, derive_seed
 from .data import Scenario, sample
 from .errors import DimensionMismatchError, OutOfRangeError, UnboundedNormalizerError
-from .normalize import Normalizer, get_normalizer
+from .normalize import Normalizer
 from .predictors import (
     FullEPredictor,
     OnlineTrace,
@@ -154,6 +154,16 @@ def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
     return [one_trial(t) for t in range(trials)]
 
 
+def _check_trials(trials: int, n_train: int, thresholds: Sequence[float]) -> None:
+    """The space and compare harnesses' shared preconditions."""
+    if trials < 100:
+        raise OutOfRangeError(f"trials={trials}; need at least 100 for a stable verdict")
+    if n_train < 2:
+        raise OutOfRangeError("n_train must be at least 2")
+    if any(t <= 1 for t in thresholds):
+        raise OutOfRangeError("tail thresholds must exceed 1")
+
+
 def _mean_and_se(values: Sequence[float]) -> tuple:
     n = len(values)
     mean = math.fsum(values) / n
@@ -209,13 +219,7 @@ def mc_space_validity(
 
     `threads` must be at least 1; it starts no thread and changes nothing.
     """
-    if trials < 100:
-        raise OutOfRangeError(f"trials={trials}; need at least 100 for a stable verdict")
-    if n_train < 2:
-        raise OutOfRangeError("n_train must be at least 2")
-    if any(t <= 1 for t in thresholds):
-        raise OutOfRangeError("tail thresholds must exceed 1")
-
+    _check_trials(trials, n_train, thresholds)
     es = _run_trials(
         scenario, spec, trials, seed, n_train, threads,
         lambda predictor, z: float(predictor.e_at(z.x, z.y)),
@@ -290,8 +294,6 @@ def online_time_validity(
             "full predictor declares no output bound; use split, cross, or const"
         )
     if spec.kind in ("split", "cross"):
-        if get_normalizer(spec.normalizer).component_bound(2) is None:
-            raise UnboundedNormalizerError("normalizer declares no bound")
         minimum = _first_fit_rows(spec)
         if warmup < minimum:
             raise OutOfRangeError(
@@ -313,7 +315,7 @@ def online_time_validity(
         bound_used = max(bound_used, float(bound))
         z = stream.observation(i - 1)
         e_values.append(float(predictor.e_at(z.x, z.y)))
-    trace = OnlineTrace.from_e_values(e_values)
+    trace = OnlineTrace(e_values)
     final = trace.running_means[-1]
     max_after = max(trace.running_means[warmup:])
     verdict = CONSISTENT if final <= 1.0 + tolerance else VIOLATION
@@ -363,8 +365,7 @@ def compare_e_vs_p(
     """
     if spec.kind != "cross":
         raise OutOfRangeError("comparison runs on a cross predictor spec")
-    if trials < 100:
-        raise OutOfRangeError(f"trials={trials}; need at least 100")
+    _check_trials(trials, n_train, thresholds)
     eps = tuple(float(e) for e in epsilons)
     if any(not 0 < e < 1 for e in eps):
         raise OutOfRangeError("epsilons must lie in (0, 1)")

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -534,24 +535,47 @@ class TestOnlineTrace:
     def test_running_means_exact(self):
         rng = np.random.default_rng(11)
         es = rng.exponential(1.0, 64)
-        trace = OnlineTrace.from_e_values(es)
+        trace = OnlineTrace(es)
+        assert trace.e_values == tuple(es.tolist())
         for i in range(64):
             assert trace.running_means[i] == math.fsum(es[: i + 1]) / (i + 1)
 
     @settings(max_examples=60, deadline=None)
     @given(
         es=st.lists(
-            st.one_of(st.just(0.0), st.floats(1e-300, 1e3)), min_size=1, max_size=2000
+            st.one_of(
+                st.just(0.0),
+                st.floats(0.0, 1e300),
+                st.floats(5e-324, 2.3e-308),  # subnormals and the smallest normals
+                st.sampled_from((1.0, 2.0**-53, 2.0**-106, 1e16, 3.0, 0.1)),
+            ),
+            min_size=1,
+            max_size=2000,
         )
     )
+    # exact prefix sums halfway between two doubles (ties to even), and
+    # sums just past halfway, which a float running sum rounds down
+    @example(es=[1.0, 2.0**-53])
+    @example(es=[1.0 + 2.0**-52, 2.0**-53])
+    @example(es=[1e16, 1.0, 2.0])
+    @example(es=[1.0, 2.0**-53, 2.0**-106])
+    # subnormals, and a tiny term between two huge ones
+    @example(es=[5e-324, 5e-324, 0.0, 2.2250738585072014e-308])
+    @example(es=[1e300, 1e-300, 1e300])
     def test_running_means_match_a_fresh_fsum_per_prefix(self, es):
-        means = OnlineTrace.from_e_values(es).running_means
+        means = OnlineTrace(es).running_means
         assert means == tuple(math.fsum(es[: i + 1]) / (i + 1) for i in range(len(es)))
 
+    def test_prefix_sum_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            OnlineTrace((sys.float_info.max, sys.float_info.max))
+
     def test_validation(self):
-        with pytest.raises(OutOfRangeError):
-            OnlineTrace((1.0,), (1.0, 1.0))
-        with pytest.raises(OutOfRangeError):
-            OnlineTrace.from_e_values((-1.0,))
-        with pytest.raises(OutOfRangeError):
-            OnlineTrace.from_e_values(())
+        for es in ((), (math.nan,), (math.inf,), (-1.0,), (1.0, -0.5)):
+            with pytest.raises(OutOfRangeError):
+                OnlineTrace(es)
+        # the means are derived, never passed in
+        with pytest.raises(TypeError):
+            OnlineTrace((1.0, 3.0), (7.0, -2.0))
+        with pytest.raises(TypeError):
+            OnlineTrace((1.0,), running_means=(1.0,))

@@ -29,6 +29,17 @@ GM2D = get_scenario("gm2d")
 CROSS_KNN = PredictorSpec(kind="cross", rule="knn", normalizer="mean")
 
 
+def _assert_trial_checks(harness):
+    """The space and compare harnesses refuse the same inputs, alike."""
+    with pytest.raises(OutOfRangeError, match="trials=99; need at least 100 for a stable verdict"):
+        harness(GM2D, CROSS_KNN, 99, 1)
+    for thresholds in ((0.5,), (2.0, -3.0), (1.0,)):
+        with pytest.raises(OutOfRangeError, match="tail thresholds must exceed 1"):
+            harness(GM2D, CROSS_KNN, 100, 1, thresholds=thresholds)
+    with pytest.raises(OutOfRangeError, match="n_train must be at least 2"):
+        harness(GM2D, CROSS_KNN, 100, 1, n_train=1)
+
+
 def _markov_ok(rate: float, t: float, trials: int) -> bool:
     bound = 1.0 / t
     return rate <= bound + 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
@@ -61,12 +72,7 @@ class TestSpaceHarness:
         assert a == b
 
     def test_preconditions(self):
-        with pytest.raises(OutOfRangeError):
-            mc_space_validity(GM2D, CROSS_KNN, 99, 1)
-        with pytest.raises(OutOfRangeError):
-            mc_space_validity(GM2D, CROSS_KNN, 100, 1, thresholds=(0.5,))
-        with pytest.raises(OutOfRangeError):
-            mc_space_validity(GM2D, CROSS_KNN, 100, 1, n_train=1)
+        _assert_trial_checks(mc_space_validity)
 
     def test_shipped_configurations_stay_valid(self):
         # every shipped predictor preset on every compatible scenario preset
@@ -131,9 +137,13 @@ class TestTimeHarness:
             def component_bound(self, m):
                 return None
 
-        spec = PredictorSpec(kind="cross", rule="knn", normalizer=NoBound("mean"))
-        with pytest.raises(UnboundedNormalizerError):
-            online_time_validity(GM2D, spec, 60, 1)
+            def block(self, calibration, sigmas):
+                raise AssertionError("an e-value was computed before the refusal")
+
+        for kind in ("cross", "split"):
+            spec = PredictorSpec(kind=kind, rule="knn", normalizer=NoBound("mean"))
+            with pytest.raises(UnboundedNormalizerError, match="normalizer declares no bound"):
+                online_time_validity(GM2D, spec, 60, 1)
 
     def test_full_predictor_refused(self):
         with pytest.raises(UnboundedNormalizerError):
@@ -183,6 +193,9 @@ class TestComparison:
             assert adjusted <= eps + 3 * report.rate_std_errors[eps]
             # the raw mean is stochastically smaller than the adjusted merge
             assert report.unadjusted_exceedance[eps] >= adjusted
+
+    def test_preconditions(self):
+        _assert_trial_checks(compare_e_vs_p)
 
     def test_requires_cross_spec(self):
         with pytest.raises(OutOfRangeError):
