@@ -48,7 +48,6 @@ from .errors import (
     EmptyDatasetError,
     EmptyProperSetError,
     EmptySupportSetError,
-    FoldIndexOutOfRangeError,
     InvalidScenarioError,
     KTooLargeError,
     LabelOutOfSpaceError,

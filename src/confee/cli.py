@@ -80,6 +80,17 @@ def _floats(text: str) -> list:
     return values
 
 
+def _number(text: str) -> float:
+    """One finite real: a report is strict JSON, which has no NaN or Infinity."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _label(text: str):
     """One label as a flag spells it: an integer if it reads as one."""
     text = text.strip()
@@ -123,7 +134,7 @@ def build_parser() -> _Parser:
     model.add_argument("--weighting", choices=WEIGHTINGS)
     model.add_argument("--rule", choices=RULE_KINDS)
     model.add_argument("--k", type=int, help="knn neighbour count")
-    model.add_argument("--lam", type=float, help="ridge penalty")
+    model.add_argument("--lam", type=_number, help="ridge penalty")
     model.add_argument("--normalizer", choices=NORMALIZER_KINDS)
     model.add_argument("--epsilons", type=_floats, help="e-prediction and compare levels")
 
@@ -135,7 +146,7 @@ def build_parser() -> _Parser:
     predict.add_argument("--labels", type=_labels, help="label set for --input, e.g. 0,1")
     predict.add_argument("--grid", type=_floats, help="label grid for --input, e.g. -3,0,3")
     predict.add_argument("--margin-w", type=_floats, dest="margin_w")
-    predict.add_argument("--margin-b", type=float, dest="margin_b")
+    predict.add_argument("--margin-b", type=_number, dest="margin_b")
     predict.add_argument("--positive-label", type=_label, dest="positive_label")
     predict.add_argument(
         "--x", action="append", type=_floats, help="test object, repeatable"
@@ -150,7 +161,7 @@ def build_parser() -> _Parser:
     validate.add_argument("--trials", type=int)
     validate.add_argument("--rounds", type=int, help="time mode: stream length")
     validate.add_argument("--warmup", type=int)
-    validate.add_argument("--tolerance", type=float)
+    validate.add_argument("--tolerance", type=_number)
     validate.add_argument("--threads", type=int, default=1,
                           help="at least 1; accepted for compatibility, starts no thread "
                                "and changes nothing")

@@ -338,9 +338,6 @@ class SupportSet:
             raise OutOfRangeError(f"support indices must lie in 0..{self.m - 1}")
         object.__setattr__(self, "indices", tuple(sorted(indices)))
 
-    def __contains__(self, i: int) -> bool:
-        return int(i) in set(self.indices)
-
     def __len__(self) -> int:
         return len(self.indices)
 

@@ -6,8 +6,9 @@ folds) are read-only numpy arrays: writing into one raises ValueError, and
 a caller's writable array is copied before it is frozen. A dataset
 numbers its labels once, when it is validated, and its subsets carry
 those numbers, so a rule groups rows by label without a second pass over
-the labels. Observation indices are 0-based throughout; fold numbers are
-1-based to match the usual S_1..S_K naming in reports.
+the labels. Observation indices and fold indices are 0-based throughout;
+only a report's "fold" entry counts from 1, to match the usual S_1..S_K
+naming.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from .errors import (
     AverageExceedsOneError,
     EmptyDatasetError,
-    FoldIndexOutOfRangeError,
     LabelOutOfSpaceError,
     NegativeEntryError,
     NonFiniteEntryError,
@@ -341,10 +341,6 @@ class EValueVector(_FloatVector):
         object.__setattr__(self, "array", array)
 
     @property
-    def m(self) -> int:
-        return self.array.size
-
-    @property
     def mean(self) -> float:
         return math.fsum(self.array.tolist()) / self.array.size
 
@@ -377,19 +373,15 @@ class PlausibilityTable:
                 return value
         raise KeyError(label)
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.labels, self.values))
-
 
 @dataclass(frozen=True, eq=False)
 class FoldPartition:
     """Disjoint folds covering 0..n-1 with sizes differing by at most one.
 
-    folds[k] holds the 0-based observation indices of fold k+1 (fold
-    numbers are 1-based in the API) as a read-only intp array; folds may be
-    given as any integer sequences. `fold_of` is the same partition seen
-    from the rows: a read-only intp array whose entry i is the index k
-    into `folds` of the fold holding observation i. Partitions compare and
+    folds[k] holds the observation indices of fold k as a read-only intp
+    array; folds may be given as any integer sequences. `fold_of` is the
+    same partition seen from the rows: a read-only intp array whose entry
+    i is the index k into `folds` of the fold holding observation i. Partitions compare and
     hash by their folds, n and seed.
     """
 
@@ -437,12 +429,6 @@ class FoldPartition:
     @property
     def K(self) -> int:
         return len(self.folds)
-
-    def fold(self, k: int) -> np.ndarray:
-        """Indices of fold k (1-based)."""
-        if not 1 <= k <= self.K:
-            raise FoldIndexOutOfRangeError(f"fold {k} not in 1..{self.K}")
-        return self.folds[k - 1]
 
 
 def make_fold_partition(n: int, K: int, seed: int) -> FoldPartition:

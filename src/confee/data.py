@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -121,9 +121,6 @@ class Scenario:
             object.__setattr__(self, "_weights", weights)
         return self._weights
 
-    def with_seed(self, seed: int) -> "Scenario":
-        return replace(self, seed=seed)
-
 
 def sample(scenario: Scenario, n: int, seed: int) -> Dataset:
     """Draw n IID observations from two streams spawned from `seed`.
@@ -207,30 +204,33 @@ def read_csv(path, task: Task) -> tuple:
     labels are matched by string form against the task's label set, and
     anything else raises LabelOutOfSpaceError with the line. A header-only
     file gives zero rows. A UTF-8 byte-order mark, which spreadsheet
-    exports often write, is skipped.
+    exports often write, is skipped, and so are blank lines (rows with no
+    fields, as csv.DictReader skips them); errors name the physical line.
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ParseError(1, "header", "file is empty")
-    header = [h.strip() for h in rows[0]]
+    (line, header), body = rows[0], rows[1:]
+    header = [h.strip() for h in header]
     has_y = header[-1:] == ["y"]
     d = len(header) - has_y
     expected = [f"x{j + 1}" for j in range(d)] + ["y"] * has_y
     if d < 1 or header != expected:
-        raise ParseError(1, "header", f"expected x1..xd[,y], got {','.join(header)}")
+        raise ParseError(line, "header", f"expected x1..xd[,y], got {','.join(header)}")
 
     label_map: Optional[dict] = None
     if isinstance(task, ClassificationTask):
         label_map = {str(lab): lab for lab in task.labels}
 
-    X = np.empty((len(rows) - 1, d))
+    X = np.empty((len(body), d))
     labels = []
-    for r, row in enumerate(rows[1:], start=2):
+    for i, (r, row) in enumerate(body):
         if len(row) != len(header):
             raise RaggedRowsError(r, len(header), len(row))
         for j, token in enumerate(row[:d]):
-            X[r - 2, j] = _finite(token, r, f"x{j + 1}")
+            X[i, j] = _finite(token, r, f"x{j + 1}")
         if not has_y:
             continue
         token = row[d]

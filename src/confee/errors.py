@@ -34,10 +34,6 @@ class TooFewObservationsError(ConfeeError):
     pass
 
 
-class FoldIndexOutOfRangeError(ConfeeError):
-    """Fold numbers are 1-based; k must lie in 1..K."""
-
-
 class KTooLargeError(ConfeeError):
     pass
 

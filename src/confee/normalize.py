@@ -20,8 +20,8 @@ is computed; Shewchuk 1997), and computes `block * m / totals` for mean or
 component as Python's `v * m / total`, so every component is the double
 the per-vector formula gives. Every row then passes the e-vector check
 (`core.check_e_rows`) before the block is returned, read-only.
-`sum_normalize`, `mean_normalize` and `Normalizer.apply` are the L = 1 case
-of the same routine: the last summary plays the candidate.
+`sum_normalize` and `mean_normalize` are the L = 1 case of the same
+routine: the last summary plays the candidate.
 """
 
 from __future__ import annotations
@@ -94,9 +94,6 @@ class Normalizer:
     def __post_init__(self):
         if self.kind not in NORMALIZER_KINDS:
             raise OutOfRangeError(f"unknown normalizer kind {self.kind!r}")
-
-    def apply(self, sigma: SummaryLike) -> EValueVector:
-        return _normalize_one(self.kind, sigma)
 
     def block(self, calibration: SummaryVector, sigmas) -> np.ndarray:
         """Row i normalizes the calibration summaries followed by sigmas[i].

@@ -63,11 +63,6 @@ class SplitTable(PlausibilityTable):
     block: np.ndarray
 
     @property
-    def alphas(self) -> tuple:
-        """The rows of the block as EValueVectors."""
-        return tuple(EValueVector(row) for row in self.block)
-
-    @property
     def p_values(self) -> tuple:
         """Split conformal p-values: (#{sigma_i <= sigma_y} + 1) / (c + 1)."""
         cal = self.calibration
@@ -137,10 +132,10 @@ class CrossTable(PlausibilityTable):
 @dataclass(frozen=True, eq=False)
 class CrossEPredictor:
     """One rule fitted on the training set and its partition; fold k
-    calibrates on S_k against the rule's fit on everything else, and the
-    fold e-values merge by an arithmetic mean.
+    calibrates on partition.folds[k] against the rule's fit on everything
+    else, and the fold e-values merge by an arithmetic mean.
 
-    calibration_summaries[k] holds the summaries of fold k+1's rows, in
+    calibration_summaries[k] holds the summaries of fold k's rows, in
     that fold's order. weighting "uniform" averages fold e-values by 1/K;
     "size_proportional" weights each fold by its size over n (identical
     when folds are equal). Either way the merge is a convex combination of
@@ -315,29 +310,12 @@ def harmonic_mean(values: Sequence[float]) -> float:
     return len(vals) / math.fsum(1.0 / v for v in vals)
 
 
-def e_prediction_set(
-    table: PlausibilityTable,
-    epsilon: float,
-    threshold: Union[None, float, Callable[[float], float]] = None,
-) -> tuple:
-    """Labels whose e-value strictly exceeds the threshold t(epsilon).
-
-    threshold None means t = epsilon; a float is used as-is; a callable is
-    evaluated at epsilon. t must be nonnegative (t = 0 keeps every label
-    with positive plausibility).
-    """
+def e_prediction_set(table: PlausibilityTable, epsilon: float) -> tuple:
+    """Labels whose e-value strictly exceeds epsilon: {y : e^y > epsilon}."""
     eps = float(epsilon)
     if not 0.0 < eps < 1.0:
         raise OutOfRangeError(f"epsilon {eps} not in (0, 1)")
-    if threshold is None:
-        t = eps
-    elif callable(threshold):
-        t = float(threshold(eps))
-    else:
-        t = float(threshold)
-    if not math.isfinite(t) or t < 0.0:
-        raise OutOfRangeError(f"threshold {t} must be finite and nonnegative")
-    return tuple(lab for lab, v in zip(table.labels, table.values) if v > t)
+    return tuple(lab for lab, v in zip(table.labels, table.values) if v > eps)
 
 
 @dataclass(frozen=True)

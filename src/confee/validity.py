@@ -37,6 +37,7 @@ from .predictors import (
     harmonic_mean,
 )
 
+#: Levels t of the reported tail rates P(e >= t); Markov bounds each by 1/t.
 TAIL_THRESHOLDS = (2.0, 5.0, 10.0, 20.0)
 DEFAULT_EPSILONS = (0.05, 0.1, 0.2)
 PREDICTOR_KINDS = ("split", "cross", "full", "const")
@@ -154,14 +155,12 @@ def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
     return [one_trial(t) for t in range(trials)]
 
 
-def _check_trials(trials: int, n_train: int, thresholds: Sequence[float]) -> None:
+def _check_trials(trials: int, n_train: int) -> None:
     """The space and compare harnesses' shared preconditions."""
     if trials < 100:
         raise OutOfRangeError(f"trials={trials}; need at least 100 for a stable verdict")
     if n_train < 2:
         raise OutOfRangeError("n_train must be at least 2")
-    if any(t <= 1 for t in thresholds):
-        raise OutOfRangeError("tail thresholds must exceed 1")
 
 
 def _mean_and_se(values: Sequence[float]) -> tuple:
@@ -171,9 +170,9 @@ def _mean_and_se(values: Sequence[float]) -> tuple:
     return mean, math.sqrt(var) / math.sqrt(n)
 
 
-def _tail_rates(values: Sequence[float], thresholds: Sequence[float]) -> dict:
+def _tail_rates(values: Sequence[float]) -> dict:
     n = len(values)
-    return {float(t): sum(1 for v in values if v >= t) / n for t in thresholds}
+    return {t: sum(1 for v in values if v >= t) / n for t in TAIL_THRESHOLDS}
 
 
 class _Report:
@@ -212,14 +211,13 @@ def mc_space_validity(
     seed: int,
     *,
     n_train: int = 60,
-    thresholds: Sequence[float] = TAIL_THRESHOLDS,
     threads: int = 1,
 ) -> SpaceValidityReport:
     """Estimate the mean e-value at the true label over fresh IID trials.
 
     `threads` must be at least 1; it starts no thread and changes nothing.
     """
-    _check_trials(trials, n_train, thresholds)
+    _check_trials(trials, n_train)
     es = _run_trials(
         scenario, spec, trials, seed, n_train, threads,
         lambda predictor, z: float(predictor.e_at(z.x, z.y)),
@@ -227,7 +225,7 @@ def mc_space_validity(
     mean, se = _mean_and_se(es)
     verdict = VIOLATION if mean > 1.0 + 3.0 * se else CONSISTENT
     return SpaceValidityReport(
-        trials, n_train, mean, se, _tail_rates(es, thresholds), verdict
+        trials, n_train, mean, se, _tail_rates(es), verdict
     )
 
 
@@ -350,7 +348,6 @@ def compare_e_vs_p(
     *,
     n_train: int = 60,
     epsilons: Sequence[float] = DEFAULT_EPSILONS,
-    thresholds: Sequence[float] = TAIL_THRESHOLDS,
     threads: int = 1,
 ) -> ComparisonReport:
     """Cross-conformal e-merging versus p-merging on the same draws.
@@ -365,7 +362,7 @@ def compare_e_vs_p(
     """
     if spec.kind != "cross":
         raise OutOfRangeError("comparison runs on a cross predictor spec")
-    _check_trials(trials, n_train, thresholds)
+    _check_trials(trials, n_train)
     eps = tuple(float(e) for e in epsilons)
     if any(not 0 < e < 1 for e in eps):
         raise OutOfRangeError("epsilons must lie in (0, 1)")
@@ -398,7 +395,7 @@ def compare_e_vs_p(
         epsilons=eps,
         e_mean=e_mean,
         e_std_error=e_se,
-        e_tail_rates=_tail_rates(es, thresholds),
+        e_tail_rates=_tail_rates(es),
         unadjusted_exceedance=unadj_rates,
         adjusted_exceedance=adj_rates,
         rate_std_errors=rate_ses,

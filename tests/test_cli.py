@@ -30,6 +30,15 @@ def _load(path) -> dict:
     return report
 
 
+def _strict(text: str) -> dict:
+    """Parse a report as strict JSON, which has no NaN or Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestGen:
     def test_writes_deterministic_csv(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -166,6 +175,39 @@ class TestPredict:
                     "--test", str(test_path), "--x", "0.1,0.2", "--out", str(out)) == 0
         assert [r["x"] for r in _load(out)["results"]] == [[0.1, 0.2]]
 
+    def test_trailing_blank_lines_are_skipped(self, train_csv, tmp_path):
+        test_text = "x1,x2,y\n0.5,0.5,1\n-0.5,0.0,0\n"
+        reports = []
+        for blank in ("", "\n"):
+            train = tmp_path / f"train{len(blank)}.csv"
+            train.write_text(train_csv.read_text() + blank)
+            test_path = tmp_path / f"test{len(blank)}.csv"
+            test_path.write_text(test_text + blank)
+            out = tmp_path / f"rep{len(blank)}.json"
+            assert _run("predict", "--input", str(train), "--labels", "0,1",
+                        "--test", str(test_path), "--out", str(out)) == 0
+            reports.append(_load(out)["results"])
+        assert reports[0] == reports[1] and len(reports[0]) == 2
+
+    def test_labels_apply_to_input_only(self, capsys):
+        assert _run("predict", "--scenario", "gm2d", "--labels", "0,1", "--x", "0,0") == 1
+        assert "error: --labels/--grid apply to --input only" in capsys.readouterr().err
+
+    def test_string_labels(self, tmp_path):
+        rows = [f"{x},{x * 0.5},{'a' if x < 0 else 'b'}" for x in np.linspace(-3.0, 3.0, 20)]
+        train = tmp_path / "ab.csv"
+        train.write_text("x1,x2,y\n" + "\n".join(rows) + "\n")
+        test_path = tmp_path / "test.csv"
+        test_path.write_text("x1,x2,y\n2.5,1.25,b\n")
+        out = tmp_path / "rep.json"
+        assert _run("predict", "--input", str(train), "--labels", "a,b", "--predictor", "split",
+                    "--c", "6", "--k", "1", "--test", str(test_path), "--out", str(out)) == 0
+        report = _load(out)
+        assert report["task"] == {"type": "classification", "labels": ["a", "b"]}
+        (result,) = report["results"]
+        assert result["true_label"] == "b"
+        assert set(result["e_values"]) == {"a", "b"}
+
     @pytest.mark.parametrize("verbose", [(), ("--verbose",)])
     def test_cross_query_scores_each_fold_and_label_once(
         self, train_csv, tmp_path, query_rows, verbose
@@ -236,6 +278,14 @@ class TestValidate:
                     "--warmup", "11", "--rounds", "60") == 1
         assert "warmup=11; the first split fit needs at least 13 rows" in capsys.readouterr().err
 
+    def test_stdout_report_is_the_out_file(self, tmp_path, capsys):
+        args = ["validate", "--trials", "100", "--n", "20", "--seed", "3"]
+        out = tmp_path / "v.json"
+        assert _run(*args, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert _run(*args) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
 
 class TestConfigAndEnv:
     def test_config_rerun_is_byte_identical(self, tmp_path):
@@ -294,6 +344,23 @@ class TestConfigAndEnv:
         assert self._predict_with_config(tmp_path, **{key: value}) == 1
         assert (f"error: config key {key!r}: expected comma-separated finite numbers"
                 in capsys.readouterr().err)
+
+    def test_config_x_must_be_a_list(self, tmp_path, capsys):
+        assert self._predict_with_config(tmp_path, x="0,0") == 1
+        assert "error: config key 'x': expected a list, got '0,0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config {path}: "),
+        ("{", "cannot read config {path}: "),
+        ("[1, 2]", "config {path} must hold a JSON object"),
+        ('{"config": 5}', "config {path} has a malformed 'config' entry"),
+    ])
+    def test_unreadable_config_refused(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert _run("predict", "--config", str(path), "--x", "0,0") == 1
+        assert "error: " + message.format(path=path) in capsys.readouterr().err
 
     def test_config_ints_checked_like_flags(self, tmp_path, capsys):
         assert self._predict_with_config(tmp_path, n=20.5) == 1
@@ -386,6 +453,40 @@ class TestConfigAndEnv:
         out = tmp_path / "r.json"
         _run("validate", "--trials", "120", "--n", "30", "--seed", "9", "--out", str(out))
         assert _load(out)["seed"] == 9
+
+
+class TestFiniteNumbers:
+    """--lam, --margin-b and --tolerance take finite numbers only, as the
+    vector flags do, whether from a flag or a config file."""
+
+    PREDICT = ("predict", "--scenario", "gm2d", "--n", "20", "--x", "0,0")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("argv", [
+        (*PREDICT, "--lam"),
+        (*PREDICT, "--margin-b"),
+        (*PREDICT, "--predictor", "full", "--margin-b"),
+        ("validate", "--trials", "100", "--n", "20", "--tolerance"),
+    ])
+    def test_flag_refuses_non_finite(self, capsys, argv, value):
+        assert _run(*argv, value) == 1
+        assert (f"argument {argv[-1]}: expected a finite number, got {value!r}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text, got", [("NaN", "nan"), ("1e400", "inf")])
+    def test_config_refuses_non_finite(self, tmp_path, capsys, text, got):
+        path = tmp_path / "config.json"
+        path.write_text('{"scenario": "gm2d", "n": 20, "x": [[0.0, 0.0]], "lam": %s}' % text)
+        assert _run("predict", "--config", str(path)) == 1
+        assert (f"error: config key 'lam': expected a finite number, got {got!r}"
+                in capsys.readouterr().err)
+
+    def test_reports_are_strict_json(self, capsys):
+        assert _run(*self.PREDICT, "--lam", "2.5", "--margin-b", "-0.5") == 0
+        config = _strict(capsys.readouterr().out)["config"]
+        assert (config["lam"], config["margin_b"]) == (2.5, -0.5)
+        assert _run("validate", "--trials", "100", "--n", "20", "--tolerance", "0.1") == 0
+        assert _strict(capsys.readouterr().out)["config"]["tolerance"] == 0.1
 
 
 class TestPredictorDefaults:

@@ -238,6 +238,16 @@ class TestRidge:
         with pytest.raises(OutOfRangeError):
             train_conformity("ridge", proper, lam=-0.5)
 
+    def test_infinite_penalty_rejected(self):
+        proper = Dataset(np.array([[1.0]]), np.array([1.0]), RegressionTask((0.0, 2.0)))
+        with pytest.raises(OutOfRangeError, match="lam must be finite"):
+            train_conformity("ridge", proper, lam=float("inf"))
+
+    def test_candidate_labels_must_be_numbers(self):
+        rule = train_conformity("ridge", _random_regression(np.random.default_rng(3)), lam=1.0)
+        with pytest.raises(OutOfRangeError, match=r"ridge needs numeric labels, got \['a', 1.0\]"):
+            rule.score_folds((0.0, 0.0, 0.0), ["a", 1.0])
+
 
 class TestDeterminism:
     def test_training_order_is_irrelevant_bitwise(self):
@@ -375,3 +385,11 @@ class TestUnitMargin:
         provider = unit_margin_provider((1.0, 0.0), 0.0, 1)
         with pytest.raises(DimensionMismatchError):
             provider((Observation((1.0,), 1),))
+
+    @pytest.mark.parametrize("w, b", [
+        ((float("nan"),), 0.0), ((1.0, float("inf")), 0.0), ((1.0,), float("nan")),
+        ((1.0,), float("-inf")),
+    ])
+    def test_non_finite_hyperplane_refused(self, w, b):
+        with pytest.raises(OutOfRangeError, match="w must be a finite vector and b a finite scalar"):
+            unit_margin_provider(w, b, 1)

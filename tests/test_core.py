@@ -11,7 +11,6 @@ from confee import (
     Dataset,
     EValueVector,
     EmptyDatasetError,
-    FoldIndexOutOfRangeError,
     FoldPartition,
     LabelOutOfSpaceError,
     NegativeEntryError,
@@ -60,7 +59,7 @@ class TestEValueVector:
             values = rng.exponential(1.0, m) * rng.uniform(0.0, 1.5)
             should_pass = math.fsum(values) / m <= 1.0 + 1e-12
             if should_pass:
-                assert EValueVector(values).m == m
+                assert len(EValueVector(values)) == m
             else:
                 with pytest.raises(AverageExceedsOneError):
                     EValueVector(values)
@@ -74,7 +73,11 @@ class TestVectorValues:
         assert hash(summary) == hash(SummaryVector([1.0, 2.5]))
         assert summary != SummaryVector((1.0, 2.0))
         assert EValueVector((0.5, 1.5)) != SummaryVector((0.5, 1.5))
-        assert len(summary) == 2 and EValueVector(iter([1.0, 0.0])).m == 2
+        assert len(summary) == 2 and len(EValueVector(iter([1.0, 0.0]))) == 2
+
+    def test_two_dimensional_input_refused(self):
+        with pytest.raises(OutOfRangeError, match=r"expected a flat sequence, got shape \(1, 2\)"):
+            SummaryVector([[1.0, 2.0]])
 
 
 class TestFoldPartition:
@@ -114,19 +117,15 @@ class TestFoldPartition:
         with pytest.raises(TooFewFoldsError):
             FoldPartition(((0, 1),), 2, 0)
 
-    def test_complement_is_one_based(self):
-        # fold k (1-based) is folds[k - 1]; its complement is the rows
-        # whose fold_of entry is any other index
+    def test_complement_is_every_other_fold(self):
+        # fold k is folds[k]; its complement is the rows whose fold_of
+        # entry is any other index
         part = make_fold_partition(10, 3, 11)
-        for k in range(1, 4):
-            comp = np.flatnonzero(part.fold_of != k - 1)
-            assert sorted([*comp, *part.fold(k)]) == list(range(10))
-            assert (part.fold_of[part.fold(k)] == k - 1).all()
+        for k, fold in enumerate(part.folds):
+            comp = np.flatnonzero(part.fold_of != k)
+            assert sorted([*comp, *fold]) == list(range(10))
+            assert (part.fold_of[fold] == k).all()
         assert not part.fold_of.flags.writeable
-        with pytest.raises(FoldIndexOutOfRangeError):
-            part.fold(0)
-        with pytest.raises(FoldIndexOutOfRangeError):
-            part.fold(4)
 
 
 # The tuple-based partition code the array-backed one replaced, kept as the
@@ -179,9 +178,9 @@ class TestFoldPartitionDifferential:
         assert all(fold.dtype == np.intp and not fold.flags.writeable for fold in part.folds)
         again = make_fold_partition(n, K, seed)
         assert part == again and hash(part) == hash(again)
-        for k in (1, K):
-            comp = np.flatnonzero(part.fold_of != k - 1)
-            assert comp.tolist() == sorted(set(range(n)) - set(part.fold(k).tolist()))
+        for k in (0, K - 1):
+            comp = np.flatnonzero(part.fold_of != k)
+            assert comp.tolist() == sorted(set(range(n)) - set(part.folds[k].tolist()))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -209,7 +208,7 @@ class TestFoldPartitionDifferential:
         given_fold = np.array([0, 2])
         part = FoldPartition((given_fold, (1, 3)), 4, 0)
         given_fold[0] = 3
-        assert part.fold(1).tolist() == [0, 2]
+        assert part.folds[0].tolist() == [0, 2]
         for fold in (*part.folds, *make_fold_partition(10, 3, 1).folds):
             with pytest.raises(ValueError):
                 fold[0] = 1
@@ -255,6 +254,15 @@ class TestTasksAndData:
             Dataset(np.zeros((2, 2)), np.array([0]), task)
         with pytest.raises(OutOfRangeError):
             Dataset(np.zeros(3), np.array([0, 1, 0]), task)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_regression_labels_must_be_finite(self, bad):
+        with pytest.raises(NonFiniteEntryError, match="labels must be n finite reals"):
+            Dataset(np.zeros((2, 1)), np.array([0.5, bad]), RegressionTask((0.0, 2.0)))
+
+    def test_from_no_observations_refused(self):
+        with pytest.raises(EmptyDatasetError, match="no observations given"):
+            Dataset.from_observations([], ClassificationTask((0, 1)))
 
     def test_dataset_is_frozen(self):
         ds = Dataset(np.zeros((2, 1)), np.array([0.5, 1.5]), RegressionTask((0.0, 2.0)))
@@ -371,7 +379,6 @@ class TestPlausibilityTable:
     def test_lookup(self):
         table = PlausibilityTable(("a", "b"), (0.5, 1.25))
         assert table["b"] == 1.25
-        assert table.as_dict() == {"a": 0.5, "b": 1.25}
         with pytest.raises(KeyError):
             table["c"]
 
@@ -382,6 +389,8 @@ class TestPlausibilityTable:
             PlausibilityTable(("a",), (-1.0,))
         with pytest.raises(OutOfRangeError):
             PlausibilityTable(("a",), (0.5, 0.5))
+        with pytest.raises(NonFiniteEntryError, match="table values must be finite"):
+            PlausibilityTable(("a", "b"), (0.5, float("nan")))
 
 
 class TestSeeding:

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,6 +66,10 @@ class TestScenario:
         line = Scenario("gaussian_mixture", classes=3, dim=1, separation=2.0)
         assert np.allclose(line.class_means()[:, 0], [0.0, 2.0, 4.0])
 
+    def test_class_means_need_a_mixture(self):
+        with pytest.raises(InvalidScenarioError, match="class_means applies to gaussian_mixture only"):
+            get_scenario("linreg3").class_means()
+
     def test_tasks(self):
         assert isinstance(get_scenario("gm5c").task, ClassificationTask)
         assert get_scenario("gm5c").task.labels == (0, 1, 2, 3, 4)
@@ -73,7 +78,7 @@ class TestScenario:
     def test_weights_depend_only_on_scenario_seed(self):
         sc = get_scenario("linreg3")
         assert np.array_equal(sc.weights(), sc.weights())
-        assert not np.array_equal(sc.weights(), sc.with_seed(1).weights())
+        assert not np.array_equal(sc.weights(), replace(sc, seed=1).weights())
 
     def test_weights_are_drawn_once_outside_equality(self):
         sc = Scenario("linear_regression", dim=3, grid=(0.0, 1.0), seed=7)
@@ -102,7 +107,7 @@ class TestScenario:
         angles = 2.0 * math.pi * np.arange(3) / 3
         expected = np.zeros((3, 4))
         expected[:, 0], expected[:, 1] = radius * np.cos(angles), radius * np.sin(angles)
-        regression = get_scenario("linreg3").with_seed(7)
+        regression = replace(get_scenario("linreg3"), seed=7)
         assert sample(regression, 5, 1).task is sample(regression, 7, 2).task
         drawn = spawn_rng(7, _WEIGHT_TAG).standard_normal(3)
         for stored, formula in ((mixture.class_means(), expected), (regression.weights(), drawn)):
@@ -279,6 +284,31 @@ class TestCsv:
         assert marked.X.tolist() == plain.X.tolist() and marked.y.tolist() == plain.y.tolist()
         X, labels = read_csv(tmp_path / "bom-test.csv", task)
         assert X.tolist() == read_csv(tmp_path / "test.csv", task)[0].tolist() and labels is None
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        task = ClassificationTask((0, 1))
+        path = tmp_path / "blank.csv"
+        path.write_text("x1,x2,y\n0.5,-1.0,1\n\n2.0,3.0,0\n\n")
+        ds = load_csv(path, task)
+        assert ds.X.tolist() == [[0.5, -1.0], [2.0, 3.0]] and ds.y.tolist() == [1, 0]
+        path.write_text("\nx1,x2\n0.25,4.0\n\n")
+        X, labels = read_csv(path, task)
+        assert X.tolist() == [[0.25, 4.0]] and labels is None
+
+    def test_errors_after_a_blank_line_name_their_physical_line(self, tmp_path):
+        path = tmp_path / "blank-then-bad.csv"
+        path.write_text("x1,x2,y\n0.5,-1.0,1\n\n2.0,oops,0\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path, ClassificationTask((0, 1)))
+        assert (err.value.line, err.value.column) == (4, "x2")
+        path.write_text("x1,x2,y\n\n\n0.5,1\n")
+        with pytest.raises(RaggedRowsError) as err:
+            load_csv(path, ClassificationTask((0, 1)))
+        assert err.value.line == 4
+        path.write_text("\nx1,oops\n")
+        with pytest.raises(ParseError) as err:
+            read_csv(path, ClassificationTask((0, 1)))
+        assert err.value.line == 2
 
     def test_non_finite_regression_label(self, tmp_path):
         path = tmp_path / "nan.csv"
