@@ -67,7 +67,6 @@ from .predictors import (
     CrossEPredictor,
     FullEPredictor,
     OnlineTrace,
-    SplitEPredictor,
     cross_p_merge,
     e_prediction_set,
     e_to_p,

@@ -71,7 +71,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _floats(text: str) -> list:
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",")]
         ok = all(math.isfinite(v) for v in values)
     except ValueError:
         ok = False
@@ -101,7 +101,18 @@ def _label(text: str):
 
 
 def _labels(text: str) -> list:
-    return [_label(tok) for tok in text.split(",") if tok.strip() != ""]
+    labels = [_label(tok) for tok in text.split(",")]
+    if "" in labels:
+        raise argparse.ArgumentTypeError(f"expected comma-separated labels, got {text!r}")
+    return labels
+
+
+def _predictor(text: str) -> str:
+    """A predictor kind, or 'const<v>' for a finite v."""
+    match = _CONST_PATTERN.match(text)
+    if text in PREDICTOR_KINDS or (match and math.isfinite(float(match.group(1)))):
+        return text
+    raise argparse.ArgumentTypeError(f"unknown predictor {text!r}")
 
 
 def _nonnegative_int(text: str) -> int:
@@ -128,7 +139,7 @@ def build_parser() -> _Parser:
     common.add_argument("--out", help="output path (default: stdout)")
 
     model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--predictor", help=" | ".join(PREDICTOR_KINDS) + "<value>")
+    model.add_argument("--predictor", type=_predictor, help=" | ".join(PREDICTOR_KINDS) + "<value>")
     model.add_argument("--c", type=int, help="split calibration size")
     model.add_argument("--K", type=int, help="cross fold count")
     model.add_argument("--weighting", choices=WEIGHTINGS)
@@ -266,8 +277,8 @@ def _config_value(action, value):
 
     Values are spelled as the flag's text would be: a list is joined by
     commas, so [0.1, 0.05] reads as "0.1,0.05". A repeatable flag takes a
-    list of such values, a flag without a type a JSON string, and a switch
-    a JSON boolean.
+    list of such values, --predictor and a flag without a type a JSON
+    string, and a switch a JSON boolean.
     """
     if isinstance(action, argparse._StoreTrueAction):
         if not isinstance(value, bool):
@@ -281,7 +292,7 @@ def _config_value(action, value):
 
 
 def _flag_value(action, value):
-    if action.type is None and not isinstance(value, str):
+    if action.type in (None, _predictor) and not isinstance(value, str):
         raise argparse.ArgumentTypeError(f"expected a string, got {json.dumps(value)}")
     text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
     if action.type is not None:
@@ -297,19 +308,10 @@ def _flag_value(action, value):
     return value
 
 
-def _parse_predictor(parser: _Parser, text: str) -> dict:
-    """The spec fields a --predictor sets: a kind, and 'const<v>' its value."""
-    if text in PREDICTOR_KINDS:
-        return {"kind": text}
-    match = _CONST_PATTERN.match(text)
-    if match:
-        return {"kind": "const", "const_value": float(match.group(1))}
-    parser.error(f"unknown predictor {text!r}")
-
-
-def _spec_from(cfg: dict, parser: _Parser) -> PredictorSpec:
+def _spec_from(cfg: dict) -> PredictorSpec:
     fields = {field: cfg[key] for key, field in _SPEC_FIELDS.items() if key in cfg}
-    fields.update(_parse_predictor(parser, cfg["predictor"]))
+    if fields["kind"] not in PREDICTOR_KINDS:
+        fields.update(kind="const", const_value=float(fields["kind"][5:]))
     if "margin_w" in fields:
         fields["margin_w"] = tuple(fields["margin_w"]) if fields["margin_w"] else None
     return PredictorSpec(**fields)
@@ -404,7 +406,7 @@ def cmd_predict(parser: _Parser, args, cfg: dict) -> int:
     training = _training_data(parser, cfg)
     task = training.task
     labels = task.candidates
-    spec = _spec_from(cfg, parser)
+    spec = _spec_from(cfg)
     predictor = build_predictor(spec, training, derive_seed(cfg["seed"], 3))
     objects = _test_objects(parser, cfg, task, training.dim)
 
@@ -450,7 +452,7 @@ def cmd_predict(parser: _Parser, args, cfg: dict) -> int:
 
 def cmd_validate(parser: _Parser, args, cfg: dict) -> int:
     scenario = get_scenario(cfg["scenario"])
-    spec = _spec_from(cfg, parser)
+    spec = _spec_from(cfg)
     threads = args.threads
     if threads < 1:
         parser.error(f"--threads must be at least 1, got {threads}")

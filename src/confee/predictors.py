@@ -1,14 +1,14 @@
 """Split, cross, and full conformal e-predictors, plus p-value baselines.
 
-The split predictor calibrates the last c training rows against a rule
-trained on the rows before them, scored once at fit time, and for a query
-(x, y) normalizes the calibration summaries together with the candidate's
-summary; the e-value reported for y is the last component. The cross
-predictor is one split predictor per fold (calibrating on the fold,
-training on its complement) and merges fold e-values by an arithmetic
-mean, which keeps the result an e-value. Both fit one rule on the whole
-training set and the fold of every row, a split fit being the one-fold
-case (see conformity.ConformityRule). The full predictor applies an
+A cross predictor fits one rule on the whole training set and the fold
+of every row (see conformity.ConformityRule). Fold k calibrates on its
+rows, scored once at fit time against the rule's fit on the rows outside
+it, and for a query (x, y) normalizes those calibration summaries
+together with the candidate's summary; the fold's e-value for y is the
+last component. The fold e-values merge by an arithmetic mean, which
+keeps the result an e-value. A split predictor is the one-fold case: its
+calibration rows are the last c training rows, the rows before them are
+in no fold, and there is nothing to merge. The full predictor applies an
 e-assignment to the training sequence extended by the candidate example.
 
 Every query is one pass: `predict` scores each (fold, candidate label)
@@ -50,11 +50,11 @@ WEIGHTINGS = ("uniform", "size_proportional")
 
 @dataclass(frozen=True, eq=False)
 class SplitTable(PlausibilityTable):
-    """A split predictor's e-values with the summaries they come from.
+    """One fold's e-values with the summaries they come from.
 
     sigmas[i] is the summary of candidate labels[i]. Row i of `block`, a
-    read-only (L, c+1) array, normalizes the calibration summaries (the
-    predictor's read-only array `calibration`) followed by sigmas[i], and
+    read-only (L, c+1) array, normalizes the fold's calibration summaries
+    (the read-only array `calibration`) followed by sigmas[i], and
     values[i] is its last component. Tables compare by labels and values.
     """
 
@@ -70,58 +70,6 @@ class SplitTable(PlausibilityTable):
         return tuple(((counts + 1) / (cal.size + 1)).tolist())
 
 
-def _split_table(
-    normalizer: Normalizer, calibration: SummaryVector, labels: tuple, sigmas: np.ndarray
-) -> SplitTable:
-    """Normalize the candidates' summaries against the calibration in one block."""
-    block = normalizer.block(calibration, sigmas)
-    return SplitTable(
-        labels, tuple(block[:, -1].tolist()), calibration.array, tuple(sigmas.tolist()), block
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class SplitEPredictor:
-    """Fitted split predictor; query cost is one rule evaluation per label."""
-
-    rule: ConformityRule
-    calibration_summaries: SummaryVector
-    normalizer: Normalizer
-    task: object
-
-    def e_at(self, x: Sequence[float], y) -> float:
-        """E-value of candidate label y at object x."""
-        return self.predict(x, (y,)).values[0]
-
-    def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> SplitTable:
-        """Score every candidate in one batch and normalize them in one block."""
-        labels = tuple(self.task.candidates if labels is None else labels)
-        sigmas = self.rule.score_folds(x, labels)[0]
-        return _split_table(self.normalizer, self.calibration_summaries, labels, sigmas)
-
-    def component_bound(self) -> Optional[float]:
-        """The normalizer's bound on any e-value this predictor outputs."""
-        return self.normalizer.component_bound(len(self.calibration_summaries) + 1)
-
-
-def fit_split(
-    training: Dataset,
-    calibration_size: int,
-    kind: str = "knn",
-    normalizer: Union[str, Normalizer] = "mean",
-    **rule_params,
-) -> SplitEPredictor:
-    """The last calibration_size rows calibrate against a rule trained on
-    the rows before them: a one-fold fit, its calibration rows in fold 0
-    and the rest in no fold."""
-    n, c = training.n, calibration_size
-    if not 1 <= c <= n - 1:
-        raise OutOfRangeError(f"calibration_size {c} must lie in 1..{n - 1}")
-    rule = train_conformity(kind, training, fold_of=np.repeat([-1, 0], [n - c, c]), **rule_params)
-    calibration = SummaryVector(rule.held_out[n - c :])
-    return SplitEPredictor(rule, calibration, get_normalizer(normalizer), training.task)
-
-
 @dataclass(frozen=True)
 class CrossTable(PlausibilityTable):
     """Merged cross-conformal e-values with the SplitTable of every fold."""
@@ -131,18 +79,20 @@ class CrossTable(PlausibilityTable):
 
 @dataclass(frozen=True, eq=False)
 class CrossEPredictor:
-    """One rule fitted on the training set and its partition; fold k
-    calibrates on partition.folds[k] against the rule's fit on everything
-    else, and the fold e-values merge by an arithmetic mean.
+    """One rule fitted on the training set and the fold of every row; fold
+    k calibrates on its rows against the rule's fit on the rows outside
+    it, and the fold e-values merge by an arithmetic mean.
 
     calibration_summaries[k] holds the summaries of fold k's rows, in
-    that fold's order. weighting "uniform" averages fold e-values by 1/K;
-    "size_proportional" weights each fold by its size over n (identical
-    when folds are equal). Either way the merge is a convex combination of
-    e-values, so validity survives the merge.
+    that fold's order, one vector for each of the rule's K folds. weighting
+    "uniform" averages fold e-values by 1/K; "size_proportional" weights
+    each fold by its size over the folds' total (identical when folds are
+    equal). Either way the merge is a convex combination of e-values, so
+    validity survives the merge. A one-fold predictor is a split
+    predictor: it has nothing to merge, and `predict` returns its fold's
+    SplitTable.
     """
 
-    partition: FoldPartition
     rule: ConformityRule
     calibration_summaries: tuple
     normalizer: Normalizer
@@ -152,39 +102,57 @@ class CrossEPredictor:
     def __post_init__(self):
         if self.weighting not in WEIGHTINGS:
             raise OutOfRangeError(f"weighting must be one of {WEIGHTINGS}")
-        if len(self.calibration_summaries) != self.partition.K:
+        if len(self.calibration_summaries) != self.rule.K:
             raise OutOfRangeError("need exactly one calibration vector per fold")
-
-    @property
-    def K(self) -> int:
-        return self.partition.K
 
     def _merge(self, fold_alphas: Sequence[float]) -> float:
         if self.weighting == "uniform":
-            return math.fsum(fold_alphas) / self.K
-        sizes = (len(fold) for fold in self.partition.folds)
-        return math.fsum(s * a for s, a in zip(sizes, fold_alphas)) / self.partition.n
+            return math.fsum(fold_alphas) / len(fold_alphas)
+        sizes = [len(calibration) for calibration in self.calibration_summaries]
+        return math.fsum(s * a for s, a in zip(sizes, fold_alphas)) / sum(sizes)
 
     def e_at(self, x: Sequence[float], y) -> float:
+        """E-value of candidate label y at object x."""
         return self.predict(x, (y,)).values[0]
 
-    def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> CrossTable:
+    def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> PlausibilityTable:
         """Score every (fold, candidate) pair in one rule call, normalize each
-        fold's candidates in one block; the fold tables ride along."""
+        fold's candidates in one block; the fold tables ride along in a
+        CrossTable, and one fold's table is returned as it is."""
         labels = tuple(self.task.candidates if labels is None else labels)
-        sigmas = self.rule.score_folds(x, labels)
-        folds = tuple(
-            _split_table(self.normalizer, calibration, labels, row)
-            for calibration, row in zip(self.calibration_summaries, sigmas)
-        )
+        folds = []
+        for calibration, row in zip(self.calibration_summaries, self.rule.score_folds(x, labels)):
+            block = self.normalizer.block(calibration, row)
+            values, sigmas = tuple(block[:, -1].tolist()), tuple(row.tolist())
+            folds.append(SplitTable(labels, values, calibration.array, sigmas, block))
+        if len(folds) == 1:
+            return folds[0]
         merged = tuple(self._merge(column) for column in zip(*(t.values for t in folds)))
-        return CrossTable(labels, merged, folds)
+        return CrossTable(labels, merged, tuple(folds))
 
     def component_bound(self) -> Optional[float]:
         """The largest fold bound (a mean of e-values never exceeds it);
         None if any fold declares no bound."""
         bounds = [self.normalizer.component_bound(len(c) + 1) for c in self.calibration_summaries]
         return None if None in bounds else max(bounds)
+
+
+def fit_split(
+    training: Dataset,
+    calibration_size: int,
+    kind: str = "knn",
+    normalizer: Union[str, Normalizer] = "mean",
+    **rule_params,
+) -> CrossEPredictor:
+    """The last calibration_size rows calibrate against a rule trained on
+    the rows before them: a one-fold fit, its calibration rows in fold 0
+    and the rest in no fold."""
+    n, c = training.n, calibration_size
+    if not 1 <= c <= n - 1:
+        raise OutOfRangeError(f"calibration_size {c} must lie in 1..{n - 1}")
+    rule = train_conformity(kind, training, fold_of=np.repeat([-1, 0], [n - c, c]), **rule_params)
+    calibration = SummaryVector(rule.held_out[n - c :])
+    return CrossEPredictor(rule, (calibration,), get_normalizer(normalizer), training.task)
 
 
 def fit_cross_from_partition(
@@ -199,9 +167,7 @@ def fit_cross_from_partition(
     calibration summaries are its rows' held-out summaries."""
     rule = train_conformity(kind, training, fold_of=partition.fold_of, **rule_params)
     calibration = tuple(SummaryVector(rule.held_out[fold]) for fold in partition.folds)
-    return CrossEPredictor(
-        partition, rule, calibration, get_normalizer(normalizer), training.task, weighting
-    )
+    return CrossEPredictor(rule, calibration, get_normalizer(normalizer), training.task, weighting)
 
 
 def fit_cross(

@@ -364,8 +364,8 @@ def compare_e_vs_p(
         raise OutOfRangeError("comparison runs on a cross predictor spec")
     _check_trials(trials, n_train)
     eps = tuple(float(e) for e in epsilons)
-    if any(not 0 < e < 1 for e in eps):
-        raise OutOfRangeError("epsilons must lie in (0, 1)")
+    if not eps or any(not 0 < e < 1 for e in eps):
+        raise OutOfRangeError("epsilons must be non-empty and lie in (0, 1)")
 
     def read(predictor, z) -> tuple:
         table = predictor.predict(z.x, (z.y,))

@@ -489,6 +489,41 @@ class TestFiniteNumbers:
         assert _strict(capsys.readouterr().out)["config"]["tolerance"] == 0.1
 
 
+class TestFlagItems:
+    """A comma-separated flag refuses an empty item and an empty list, and
+    --predictor refuses what names no predictor, whether from a flag or a
+    config file."""
+
+    PREDICT = ("predict", "--scenario", "gm2d", "--n", "20", "--x", "0,0")
+    NINES = "const" + "9" * 400
+
+    @pytest.mark.parametrize("argv, message", [
+        (("validate", "--mode", "compare", "--trials", "100", "--n", "20", "--epsilons=,"),
+         "argument --epsilons: expected comma-separated finite numbers, got ','"),
+        ((*PREDICT, "--epsilons", "0.1,,0.2"),
+         "argument --epsilons: expected comma-separated finite numbers, got '0.1,,0.2'"),
+        (("predict", "--scenario", "gm2d", "--n", "20", "--x", "1,,2"),
+         "argument --x: expected comma-separated finite numbers, got '1,,2'"),
+        (("predict", "--input", "train.csv", "--labels=,", "--x", "0,0"),
+         "argument --labels: expected comma-separated labels, got ','"),
+        ((*PREDICT, "--predictor", "x"), "argument --predictor: unknown predictor 'x'"),
+        ((*PREDICT, "--predictor", NINES), f"argument --predictor: unknown predictor {NINES!r}"),
+    ], ids=["epsilons-empty", "epsilons-empty-item", "x-empty-item", "labels-empty",
+            "predictor-unknown", "predictor-const-overflow"])
+    def test_flag_refused(self, capsys, argv, message):
+        assert _run(*argv) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("epsilons", [], "expected comma-separated finite numbers, got ''"),
+        ("epsilons", "0.1,,0.2", "expected comma-separated finite numbers, got '0.1,,0.2'"),
+        ("predictor", NINES, f"unknown predictor {NINES!r}"),
+    ], ids=["epsilons-empty", "epsilons-empty-item", "predictor-const-overflow"])
+    def test_config_refused(self, tmp_path, capsys, key, value, message):
+        assert TestConfigAndEnv._predict_with_config(tmp_path, **{key: value}) == 1
+        assert f"error: config key {key!r}: {message}" in capsys.readouterr().err
+
+
 class TestPredictorDefaults:
     """predict and validate take their predictor defaults from PredictorSpec."""
 

@@ -190,7 +190,7 @@ class TestKnnDifferential:
 
         split = fit_split(training, c, "knn", k=k)
         expected = [_reference_knn(proper, k, x, y) for x, y in zip(cal_X, cal_y)]
-        assert split.calibration_summaries.values == tuple(expected)
+        assert split.calibration_summaries[0].values == tuple(expected)
         for x in queries:
             assert split.predict(x, candidates).sigmas == tuple(reference(x))
 

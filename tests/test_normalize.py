@@ -9,13 +9,13 @@ from confee import (
     AverageExceedsOneError,
     ClassificationTask,
     ConformityRule,
+    CrossEPredictor,
     E_MEAN_TOLERANCE,
     NegativeEntryError,
     NonFiniteEntryError,
     NonPositiveSummaryError,
     Normalizer,
     OutOfRangeError,
-    SplitEPredictor,
     SummaryVector,
     get_normalizer,
     mean_normalize,
@@ -176,6 +176,7 @@ class _FixedRule(ConformityRule):
 
     kind = "fixed"
     dim = 1
+    K = 1
 
     def __init__(self, sigmas):
         self.sigmas = sigmas
@@ -184,10 +185,10 @@ class _FixedRule(ConformityRule):
         return np.array([self.sigmas], dtype=float)
 
 
-def _split_predictor(kind, calibration, sigmas) -> SplitEPredictor:
-    return SplitEPredictor(
+def _split_predictor(kind, calibration, sigmas) -> CrossEPredictor:
+    return CrossEPredictor(
         _FixedRule(sigmas),
-        SummaryVector(calibration),
+        (SummaryVector(calibration),),
         get_normalizer(kind),
         ClassificationTask(tuple(range(len(sigmas)))),
     )

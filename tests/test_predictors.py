@@ -35,7 +35,7 @@ from confee import (
     train_conformity,
     unit_margin_provider,
 )
-from confee.predictors import WEIGHTINGS, FullEPredictor, OnlineTrace
+from confee.predictors import WEIGHTINGS, CrossEPredictor, FullEPredictor, OnlineTrace, SplitTable
 from conftest import _reference_knn
 
 GRID03 = RegressionTask((0.0, 3.0))
@@ -66,6 +66,13 @@ class TestSplit:
         assert pred.predict((3.0,), (0.0,)).p_values == (0.5,)
         table = pred.predict((3.0,))
         assert dict(zip(table.labels, table.p_values)) == {0.0: 0.5, 3.0: 1.0}
+
+    def test_split_is_the_one_fold_cross_predictor(self):
+        pred = _ridge_split_example()
+        assert isinstance(pred, CrossEPredictor) and pred.rule.K == 1
+        assert len(pred.calibration_summaries) == 1
+        # one fold has nothing to merge: predict returns the fold's table
+        assert type(pred.predict((3.0,))) is SplitTable
 
     def test_calibration_order_equivariance_bitwise(self):
         rng = np.random.default_rng(314)
@@ -106,7 +113,7 @@ class TestCross:
         pred = fit_cross(data, 5, 17, "knn", "mean", weighting="size_proportional", k=3)
         z = data.observation(3)
         folds = tuple(t.values[0] for t in pred.predict(z.x, (z.y,)).folds)
-        sizes = [len(f) for f in pred.partition.folds]
+        sizes = [len(c) for c in pred.calibration_summaries]
         expected = math.fsum(s * a for s, a in zip(sizes, folds)) / 23
         assert pred.e_at(z.x, z.y) == expected
 
@@ -121,8 +128,9 @@ class TestCross:
         x = (0.1, 0.4)
         base = pred.predict(x).values
         order = [1, 2, 0, 4, 3]
+        partition = make_fold_partition(23, 5, 17)
         relabelled = FoldPartition(
-            tuple(pred.partition.folds[i] for i in order), pred.partition.n, pred.partition.seed
+            tuple(partition.folds[i] for i in order), partition.n, partition.seed
         )
         shuffled = fit_cross_from_partition(data, relabelled, "knn", "mean", k=3)
         assert shuffled.predict(x).values == base
@@ -131,10 +139,14 @@ class TestCross:
         )
 
     def test_one_calibration_vector_per_fold(self):
-        _, pred = self._fitted()
+        data, pred = self._fitted()
         for summaries in (pred.calibration_summaries[:-1], pred.calibration_summaries * 2):
             with pytest.raises(OutOfRangeError, match="need exactly one calibration vector per fold"):
                 replace(pred, calibration_summaries=summaries)
+        # the fold count is the rule's: a rule fitted on other folds is refused
+        for other in (fit_split(data, 5, "knn", k=3), fit_cross(data, 3, 17, "knn", k=3)):
+            with pytest.raises(OutOfRangeError, match="need exactly one calibration vector per fold"):
+                replace(pred, rule=other.rule)
 
     def test_training_order_equivariance_bitwise(self):
         rng = np.random.default_rng(2718)
@@ -163,7 +175,7 @@ class TestCross:
         data = sample(get_scenario("gm2d"), 23, 8)
         a = fit_cross(data, 5, 17, "knn", "mean", k=3)
         b = fit_cross(data, 5, 17, "knn", "mean", k=3)
-        assert a.partition == b.partition
+        assert a.rule.fold_of.tolist() == b.rule.fold_of.tolist()
         assert a.predict((0.0, 0.0)).values == b.predict((0.0, 0.0)).values
 
     def test_weighting_validated(self):
