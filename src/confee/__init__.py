@@ -74,7 +74,6 @@ from .predictors import (
     fit_cross_from_partition,
     fit_split,
     harmonic_mean,
-    p_to_e,
 )
 from .validity import (
     DEFAULT_EPSILONS,

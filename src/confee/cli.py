@@ -80,6 +80,14 @@ def _floats(text: str) -> list:
     return values
 
 
+def _levels(text: str) -> list:
+    """Comma-separated significance levels, each in (0, 1)."""
+    values = _floats(text)
+    if not all(0.0 < v < 1.0 for v in values):
+        raise argparse.ArgumentTypeError(f"expected comma-separated levels in (0, 1), got {text!r}")
+    return values
+
+
 def _number(text: str) -> float:
     """One finite real: a report is strict JSON, which has no NaN or Infinity."""
     try:
@@ -147,7 +155,7 @@ def build_parser() -> _Parser:
     model.add_argument("--k", type=int, help="knn neighbour count")
     model.add_argument("--lam", type=_number, help="ridge penalty")
     model.add_argument("--normalizer", choices=NORMALIZER_KINDS)
-    model.add_argument("--epsilons", type=_floats, help="e-prediction and compare levels")
+    model.add_argument("--epsilons", type=_levels, help="e-prediction and compare levels")
 
     sub.add_parser("gen", parents=[common], help="sample a scenario to CSV")
 

@@ -248,14 +248,6 @@ class Dataset:
         view._freeze(self.X.take(idx, axis=0), self.y.take(idx), labels, codes.take(idx))
         return view
 
-    @classmethod
-    def from_observations(cls, observations: Sequence[Observation], task: Task) -> "Dataset":
-        obs = list(observations)
-        if not obs:
-            raise EmptyDatasetError("no observations given")
-        X = np.array([o.x for o in obs], dtype=float)
-        return cls(X, np.array([o.y for o in obs]), task)
-
 
 def check_e_rows(block: np.ndarray) -> np.ndarray:
     """Check that every row of a 2-D float array is an e-vector, then freeze it.
@@ -425,10 +417,6 @@ class FoldPartition:
 
     def __hash__(self) -> int:
         return hash((self.n, self.seed, tuple(fold.tobytes() for fold in self.folds)))
-
-    @property
-    def K(self) -> int:
-        return len(self.folds)
 
 
 def make_fold_partition(n: int, K: int, seed: int) -> FoldPartition:

@@ -206,16 +206,12 @@ class FullEPredictor:
     def __post_init__(self):
         object.__setattr__(self, "_observations", tuple(self.training.observations()))
 
-    @property
-    def task(self):
-        return self.training.task
-
     def e_at(self, x: Sequence[float], y) -> float:
         return self.predict(x, (y,)).values[0]
 
     def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> FullTable:
         """One assignment per candidate label, kept alongside its e-value."""
-        labels = tuple(self.task.candidates if labels is None else labels)
+        labels = tuple(self.training.task.candidates if labels is None else labels)
         vectors = tuple(
             self.assignment((*self._observations, Observation(tuple(x), y))) for y in labels
         )
@@ -236,20 +232,6 @@ def cross_p_merge(p_values: Sequence[float], adjusted: bool = True) -> float:
             raise OutOfRangeError(f"p-value {p} not in (0, 1]")
     mean = math.fsum(ps) / len(ps)
     return min(1.0, 2.0 * mean) if adjusted else mean
-
-
-def p_to_e(p: float) -> float:
-    """The reciprocal 1/p of a p-value in (0, 1]; `e_to_p` undoes it.
-
-    1/p is not an e-value, so this is not a p-to-e calibrator: a conformal
-    p-value with c calibration summaries and no ties takes each of 1/(c+1),
-    2/(c+1), ..., 1 with probability 1/(c+1), so E[1/p] is the harmonic
-    number H_(c+1) = 1 + 1/2 + ... + 1/(c+1), above 1 for every c >= 1.
-    """
-    p = float(p)
-    if not 0.0 < p <= 1.0:
-        raise OutOfRangeError(f"p-value {p} not in (0, 1]")
-    return 1.0 / p
 
 
 def e_to_p(e: float) -> float:

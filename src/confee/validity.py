@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 from .conformity import support_set_assignment, unit_margin_provider
-from .core import Dataset, PlausibilityTable, derive_seed
+from .core import ClassificationTask, Dataset, PlausibilityTable, derive_seed
 from .data import Scenario, sample
 from .errors import DimensionMismatchError, OutOfRangeError, UnboundedNormalizerError
 from .normalize import Normalizer
@@ -105,7 +105,8 @@ def build_predictor(spec: PredictorSpec, training: Dataset, fold_seed: int):
 
     split uses the last calibration_size observations as the calibration
     part; cross partitions under fold_seed; full runs the unit-margin
-    support-set assignment.
+    support-set assignment, whose positive_label must be one of the labels
+    of a classification task.
     """
     if spec.kind == "const":
         return ConstantEPredictor(spec.const_value)
@@ -122,6 +123,11 @@ def build_predictor(spec: PredictorSpec, training: Dataset, fold_seed: int):
             spec.normalizer,
             spec.weighting,
             **spec.rule_params(),
+        )
+    task = training.task
+    if isinstance(task, ClassificationTask) and spec.positive_label not in task.labels:
+        raise OutOfRangeError(
+            f"positive_label {spec.positive_label!r} is not one of the task's labels {task.labels}"
         )
     w = spec.margin_w if spec.margin_w is not None else (0.0,) * training.dim
     if len(w) != training.dim:
@@ -356,9 +362,11 @@ def compare_e_vs_p(
     true label; the e-side reads the arithmetic-mean merge, the p-side
     reads the fold p-values of the same pass and both the raw mean and the
     factor-2 adjusted merge. The report also tracks the harmonic mean of
-    fold p-values, which is 1/mean(1/p); the reciprocals 1/p are not
-    e-values (see `p_to_e`). `threads` must be at least 1; it starts no
-    thread and changes nothing.
+    fold p-values, which is 1/mean(1/p). The reciprocal 1/p is no
+    calibrator: a conformal p-value with c calibration summaries and no
+    ties has E[1/p] = 1 + 1/2 + ... + 1/(c+1) > 1, so 1/p is not an
+    e-value. `threads` must be at least 1; it starts no thread and
+    changes nothing.
     """
     if spec.kind != "cross":
         raise OutOfRangeError("comparison runs on a cross predictor spec")

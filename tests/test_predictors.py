@@ -14,7 +14,6 @@ from confee import (
     DimensionMismatchError,
     FoldPartition,
     NonFiniteEntryError,
-    Observation,
     OutOfRangeError,
     PlausibilityTable,
     RegressionTask,
@@ -28,7 +27,6 @@ from confee import (
     harmonic_mean,
     make_fold_partition,
     mean_normalize,
-    p_to_e,
     sample,
     sum_normalize,
     support_set_assignment,
@@ -433,13 +431,9 @@ class TestExchangeabilityOracle:
 
 
 class TestFull:
-    TRAIN = Dataset.from_observations(
-        (
-            Observation((-2.0,), -1),
-            Observation((-0.5,), -1),
-            Observation((0.5,), 1),
-            Observation((2.0,), 1),
-        ),
+    TRAIN = Dataset(
+        np.array([[-2.0], [-0.5], [0.5], [2.0]]),
+        np.array([-1, -1, 1, 1]),
         ClassificationTask((-1, 1)),
     )
     ASSIGN = staticmethod(support_set_assignment(unit_margin_provider((1.0,), 0.0, 1)))
@@ -448,6 +442,12 @@ class TestFull:
         table = FullEPredictor(self.TRAIN, self.ASSIGN).predict((1.5,), (-1, 1))
         assert table[-1] == 5.0 / 3.0
         assert table[1] == 0.0
+
+    def test_default_labels_are_the_task_labels(self):
+        predictor = FullEPredictor(self.TRAIN, self.ASSIGN)
+        table = predictor.predict((1.5,))
+        assert table.labels == (-1, 1)
+        assert table.values == predictor.predict((1.5,), (-1, 1)).values
 
     def test_training_order_equivariance(self):
         rng = np.random.default_rng(31)
@@ -473,15 +473,11 @@ class TestFull:
 class TestScalarOps:
     def test_round_trips(self):
         for p in np.linspace(0.01, 1.0, 50):
-            assert abs(e_to_p(p_to_e(p)) - p) <= 1e-12 * p
+            assert abs(e_to_p(1.0 / p) - p) <= 1e-12 * p
         for e in np.linspace(1.0, 50.0, 50):
-            assert abs(p_to_e(e_to_p(e)) - e) <= 1e-12 * e
+            assert abs(1.0 / e_to_p(e) - e) <= 1e-12 * e
 
     def test_domains(self):
-        with pytest.raises(OutOfRangeError):
-            p_to_e(0.0)
-        with pytest.raises(OutOfRangeError):
-            p_to_e(1.5)
         with pytest.raises(OutOfRangeError):
             e_to_p(-0.1)
         with pytest.raises(OutOfRangeError):

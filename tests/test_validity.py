@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 from collections import Counter
 
@@ -340,6 +341,16 @@ class TestBuildPredictor:
         predictor = build_predictor(PredictorSpec(kind="full"), self.TRAIN, 0)
         # w = 0 puts every observation inside the unit margin: e is always 1
         assert predictor.e_at((0.0, 0.0), 1) == 1.0
+
+    def test_full_positive_label_must_be_a_task_label(self):
+        for label in (7, "", "1"):
+            message = f"positive_label {label!r} is not one of the task's labels (0, 1)"
+            with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
+                build_predictor(PredictorSpec(kind="full", positive_label=label), self.TRAIN, 0)
+        # a regression task has no label set to check against
+        regression = sample(get_scenario("linreg3"), 20, 5)
+        predictor = build_predictor(PredictorSpec(kind="full", positive_label=7), regression, 0)
+        assert predictor.e_at((0.0, 0.0, 0.0), 0.0) == 1.0
 
     def test_spec_validation(self):
         with pytest.raises(OutOfRangeError):
