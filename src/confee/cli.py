@@ -31,6 +31,7 @@ from .data import (
     format_label,
     get_scenario,
     load_csv,
+    open_output,
     read_csv,
     sample,
     save_csv,
@@ -257,7 +258,8 @@ def _resolve(parser: _Parser, args, config: dict) -> dict:
     """The run's config, one key per flag of its command besides the
     execution flags: flag > config file > default, key by key."""
     spec = PredictorSpec()
-    env_seed = _env_seed(parser)
+    defaults = {key: getattr(spec, field) for key, field in _SPEC_FIELDS.items()}
+    defaults.update(_DEFAULTS[args.command], seed=_env_seed(parser))
     resolved = {"command": args.command}
     for action in parser.commands[args.command]._actions:
         key = action.dest
@@ -271,12 +273,8 @@ def _resolve(parser: _Parser, args, config: dict) -> dict:
                 resolved[key] = _config_value(action, config[key])
             except argparse.ArgumentTypeError as exc:
                 parser.error(f"config key {key!r}: {exc}")
-        elif key in _SPEC_FIELDS:
-            resolved[key] = getattr(spec, _SPEC_FIELDS[key])
-        elif key == "seed":
-            resolved[key] = env_seed
         else:
-            resolved[key] = _DEFAULTS[args.command].get(key)
+            resolved[key] = defaults.get(key)
     return resolved
 
 
@@ -326,17 +324,11 @@ def _spec_from(cfg: dict) -> PredictorSpec:
 
 
 def _write_report(report: dict, out) -> None:
-    """Stream the JSON to its destination; no copy of the whole text is built."""
-    if out is None:
-        _dump(report, sys.stdout)
-        return
-    with open(out, "w", encoding="utf-8") as fh:
-        _dump(report, fh)
-
-
-def _dump(report: dict, fh) -> None:
-    json.dump(report, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    """Stream the JSON to the --out path, or to stdout without one; no copy
+    of the whole text is built."""
+    with open_output(sys.stdout if out is None else out) as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _check_command(parser: _Parser, config: dict, command: str) -> None:
@@ -347,10 +339,7 @@ def _check_command(parser: _Parser, config: dict, command: str) -> None:
 
 def cmd_gen(parser: _Parser, args, cfg: dict) -> int:
     dataset = sample(get_scenario(cfg["scenario"]), cfg["n"], cfg["seed"])
-    if args.out is None:
-        save_csv(dataset, sys.stdout)
-    else:
-        save_csv(dataset, args.out)
+    save_csv(dataset, sys.stdout if args.out is None else args.out)
     return 0
 
 
@@ -514,10 +503,7 @@ def main(argv=None) -> int:
         return handler(parser, args, cfg)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except ConfeeError as exc:
-        sys.stderr.write(f"confee: error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (ConfeeError, OSError) as exc:
         sys.stderr.write(f"confee: error: {exc}\n")
         return 1
 

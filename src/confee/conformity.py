@@ -43,6 +43,7 @@ from .errors import (
     EmptyProperSetError,
     EmptySupportSetError,
     KTooLargeError,
+    NonFiniteEntryError,
     OutOfRangeError,
     SingularSystemError,
 )
@@ -96,7 +97,6 @@ class ConformityRule:
     independently, so a summary never depends on the other candidates.
     """
 
-    kind: str
     dim: int
     K: int
     #: A read-only array of one summary per training row, against the
@@ -135,6 +135,8 @@ class ConformityRule:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise DimensionMismatchError(f"expected {self.dim} features, got {x.shape}")
+        if not np.isfinite(x).all():
+            raise NonFiniteEntryError("x must be finite")
         return x
 
 
@@ -168,8 +170,6 @@ class KnnRule(ConformityRule):
     before and after its own slice, so a query takes one distance row per
     candidate label and every fold's selection from that row.
     """
-
-    kind = "knn"
 
     def __init__(self, training: Dataset, k: int = 3, fold_of=None):
         if k < 1:
@@ -261,8 +261,6 @@ class RidgeRule(ConformityRule):
     depends on the multiset of those rows only, bit for bit.
     """
 
-    kind = "ridge"
-
     def __init__(self, training: Dataset, lam: float = 1.0, fold_of=None):
         if lam < 0:
             raise OutOfRangeError(f"lam={lam} must be nonnegative")
@@ -298,8 +296,9 @@ def _numeric_labels(training: Dataset) -> np.ndarray:
     return np.asarray([float(v) for v in training.y])
 
 
-#: The rule kinds train_conformity fits.
-RULE_KINDS = ("knn", "ridge")
+#: Each rule kind train_conformity fits, and the class that fits it.
+_RULES = {"knn": KnnRule, "ridge": RidgeRule}
+RULE_KINDS = tuple(_RULES)
 
 
 def train_conformity(kind: str, training: Dataset, *, fold_of=None, **params) -> ConformityRule:
@@ -309,16 +308,15 @@ def train_conformity(kind: str, training: Dataset, *, fold_of=None, **params) ->
     fold f trains on the rows outside it (see ConformityRule). Without it
     every row is proper. A cross fit passes its partition's `fold_of`; a
     split fit puts its calibration rows in fold 0 and the rest in none.
-    kinds (RULE_KINDS): "knn" (param k, default 3) and "ridge" (param lam,
-    default 1.0).
+    kinds (RULE_KINDS): "knn" fits a KnnRule (param k, default 3) and
+    "ridge" a RidgeRule (param lam, default 1.0); any other kind raises
+    OutOfRangeError.
     The fitted state is a deterministic function of (kind, params, the
     training set as a multiset of rows with their folds).
     """
-    if kind == "knn":
-        return KnnRule(training, fold_of=fold_of, **params)
-    if kind == "ridge":
-        return RidgeRule(training, fold_of=fold_of, **params)
-    raise OutOfRangeError(f"unknown conformity kind {kind!r}")
+    if kind not in RULE_KINDS:
+        raise OutOfRangeError(f"unknown conformity kind {kind!r}")
+    return _RULES[kind](training, fold_of=fold_of, **params)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Seeded synthetic scenarios and CSV round-tripping.
+"""Seeded synthetic scenarios, CSV round-tripping, and the output opener.
 
 `sample(scenario, n, seed)` spawns two child seeds from
 `SeedSequence(seed)` and reads one numpy Generator of each from its start:
@@ -17,6 +17,7 @@ optional for files of test objects (see read_csv).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, field
@@ -176,23 +177,29 @@ def format_label(value) -> str:
     return str(value)
 
 
-def _write_rows(dataset: Dataset, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow([f"x{j + 1}" for j in range(dataset.dim)] + ["y"])
-    for x, y in zip(dataset.X.tolist(), dataset.y.tolist()):
-        writer.writerow([repr(v) for v in x] + [format_label(y)])
+def open_output(path):
+    """A context manager over the text stream that output goes to.
+
+    An open stream (anything with `write`, such as sys.stdout) is handed
+    back as it is and left open; a path is opened for writing as UTF-8
+    with newline="", so every line ends in the "\\n" its writer puts there.
+    CSVs and CLI reports both write through here.
+    """
+    if hasattr(path, "write"):
+        return contextlib.nullcontext(path)
+    return open(path, "w", newline="", encoding="utf-8")
 
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write header x1..xd,y then one row per observation; floats via repr.
 
-    `path` may also be an open text stream (the CLI hands sys.stdout in).
+    `path` is a file path or an open text stream (see open_output).
     """
-    if hasattr(path, "write"):
-        _write_rows(dataset, path)
-        return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_rows(dataset, fh)
+    with open_output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"x{j + 1}" for j in range(dataset.dim)] + ["y"])
+        for x, y in zip(dataset.X.tolist(), dataset.y.tolist()):
+            writer.writerow([repr(v) for v in x] + [format_label(y)])
 
 
 def read_csv(path, task: Task) -> tuple:

@@ -26,6 +26,7 @@ usable at face value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
@@ -34,6 +35,7 @@ import numpy as np
 
 from .conformity import ConformityRule, train_conformity
 from .core import (
+    ClassificationTask,
     Dataset,
     EValueVector,
     FoldPartition,
@@ -42,10 +44,27 @@ from .core import (
     SummaryVector,
     make_fold_partition,
 )
-from .errors import NonFiniteEntryError, OutOfRangeError
+from .errors import LabelOutOfSpaceError, NonFiniteEntryError, OutOfRangeError
 from .normalize import Normalizer, get_normalizer
 
 WEIGHTINGS = ("uniform", "size_proportional")
+
+
+def _query_labels(task, labels: Optional[Sequence]) -> tuple:
+    """The candidate labels of a query, the task's candidates by default.
+
+    A candidate of a classification task must be one of its labels, and one
+    of a regression task a finite real number; LabelOutOfSpaceError names
+    the first that is not.
+    """
+    labels = tuple(task.candidates if labels is None else labels)
+    for y in labels:
+        if isinstance(task, ClassificationTask):
+            if y not in task.labels:
+                raise LabelOutOfSpaceError(f"label {y!r} not in task labels")
+        elif not (isinstance(y, numbers.Real) and math.isfinite(y)):
+            raise LabelOutOfSpaceError(f"label {y!r} is not a finite real number")
+    return labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +137,12 @@ class CrossEPredictor:
     def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> PlausibilityTable:
         """Score every (fold, candidate) pair in one rule call, normalize each
         fold's candidates in one block; the fold tables ride along in a
-        CrossTable, and one fold's table is returned as it is."""
-        labels = tuple(self.task.candidates if labels is None else labels)
+        CrossTable, and one fold's table is returned as it is.
+
+        `labels` defaults to the task's candidates. A label outside the
+        task's label space, or a non-finite x, raises before anything is
+        scored."""
+        labels = _query_labels(self.task, labels)
         folds = []
         for calibration, row in zip(self.calibration_summaries, self.rule.score_folds(x, labels)):
             block = self.normalizer.block(calibration, row)
@@ -164,7 +187,12 @@ def fit_cross_from_partition(
     **rule_params,
 ) -> CrossEPredictor:
     """One rule fit on the training set and the partition; fold k's
-    calibration summaries are its rows' held-out summaries."""
+    calibration summaries are its rows' held-out summaries. The partition
+    must cover exactly the training rows."""
+    if partition.n != training.n:
+        raise OutOfRangeError(
+            f"the partition covers {partition.n} rows; the training set has {training.n}"
+        )
     rule = train_conformity(kind, training, fold_of=partition.fold_of, **rule_params)
     calibration = tuple(SummaryVector(rule.held_out[fold]) for fold in partition.folds)
     return CrossEPredictor(rule, calibration, get_normalizer(normalizer), training.task, weighting)
@@ -210,8 +238,11 @@ class FullEPredictor:
         return self.predict(x, (y,)).values[0]
 
     def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> FullTable:
-        """One assignment per candidate label, kept alongside its e-value."""
-        labels = tuple(self.training.task.candidates if labels is None else labels)
+        """One assignment per candidate label, kept alongside its e-value.
+
+        `labels` defaults to the task's candidates; a label outside the
+        task's label space raises before any assignment runs."""
+        labels = _query_labels(self.training.task, labels)
         vectors = tuple(
             self.assignment((*self._observations, Observation(tuple(x), y))) for y in labels
         )

@@ -184,8 +184,9 @@ def _tail_rates(values: Sequence[float]) -> dict:
 class _Report:
     """A harness report whose to_dict reads its dataclass fields.
 
-    Dicts keyed by float levels get repr keys in sorted order and tuples
-    become lists, so the dict serializes as JSON in one stable form.
+    Dicts keyed by float levels get repr keys in sorted order, so the dict
+    serializes as JSON in one stable form; tuples stay tuples, which json
+    writes as arrays.
     """
 
     def to_dict(self) -> dict:
@@ -194,8 +195,6 @@ class _Report:
             value = getattr(self, field.name)
             if isinstance(value, dict):
                 value = {repr(k): v for k, v in sorted(value.items())}
-            elif isinstance(value, tuple):
-                value = list(value)
             out[field.name] = value
         return out
 
@@ -249,8 +248,8 @@ class TimeValidityReport(_Report):
     def to_dict(self) -> dict:
         out = super().to_dict()
         trace = out.pop("trace")
-        out["e_values"] = list(trace.e_values)
-        out["running_means"] = list(trace.running_means)
+        out["e_values"] = trace.e_values
+        out["running_means"] = trace.running_means
         return out
 
 
@@ -386,11 +385,7 @@ def compare_e_vs_p(
         return table.values[0], unadjusted, adjusted, harm, deviation
 
     rows = _run_trials(scenario, spec, trials, seed, n_train, threads, read)
-    es = [r[0] for r in rows]
-    unadj = [r[1] for r in rows]
-    adj = [r[2] for r in rows]
-    harms = [r[3] for r in rows]
-    deviations = [r[4] for r in rows]
+    es, unadj, adj, harms, deviations = zip(*rows)
 
     e_mean, e_se = _mean_and_se(es)
     unadj_rates = {e: sum(1 for p in unadj if p <= e) / trials for e in eps}

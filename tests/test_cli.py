@@ -305,9 +305,14 @@ class TestValidate:
         assert defaults["warmup"] == default(online_time_validity, "warmup")
         assert defaults["tolerance"] == default(online_time_validity, "tolerance")
 
-    def test_stdout_report_is_the_out_file(self, tmp_path, capsys):
-        args = ["validate", "--trials", "100", "--n", "20", "--seed", "3"]
-        out = tmp_path / "v.json"
+    @pytest.mark.parametrize("args", [
+        ["gen", "--n", "5", "--seed", "3"],
+        ["predict", "--scenario", "linreg3", "--n", "30", "--x", "0,1,-2", "--seed", "3"],
+        ["validate", "--trials", "100", "--n", "20", "--seed", "3"],
+    ], ids=["gen", "predict", "validate"])
+    def test_stdout_report_is_the_out_file(self, tmp_path, capsys, args):
+        """Every command writes the same bytes to stdout as to --out."""
+        out = tmp_path / "out"
         assert _run(*args, "--out", str(out)) == 0
         capsys.readouterr()
         assert _run(*args) == 0

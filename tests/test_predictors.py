@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -13,6 +14,7 @@ from confee import (
     Dataset,
     DimensionMismatchError,
     FoldPartition,
+    LabelOutOfSpaceError,
     NonFiniteEntryError,
     OutOfRangeError,
     PlausibilityTable,
@@ -468,6 +470,60 @@ class TestFull:
             sv = [i for i, (xi, yi) in enumerate(points) if (1 if yi == 1 else -1) * xi <= 1.0]
             expected = (5.0 / len(sv)) if 4 in sv else 0.0
             assert predictor.e_at((x,), y) == expected
+
+
+def _fit(fit, kind, training):
+    if fit == "split":
+        return fit_split(training, 10, kind)
+    return fit_cross(training, 5, 1, kind)
+
+
+class TestQueryDomain:
+    """A query refuses an object or a candidate outside its domain, naming
+    the input rather than a symptom inside the rule or the normalizer."""
+
+    GM2D = sample(get_scenario("gm2d"), 40, 1)
+    LINREG3 = sample(get_scenario("linreg3"), 40, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fit", ["split", "cross"])
+    @pytest.mark.parametrize(
+        "kind, training", [("knn", GM2D), ("ridge", LINREG3)], ids=["knn-gm2d", "ridge-linreg3"]
+    )
+    def test_non_finite_x(self, kind, training, fit, bad):
+        predictor = _fit(fit, kind, training)
+        x = (bad,) + (0.0,) * (training.dim - 1)
+        with pytest.raises(NonFiniteEntryError, match="^x must be finite$"):
+            predictor.predict(x)
+
+    @pytest.mark.parametrize("fit", ["split", "cross"])
+    def test_classification_label_outside_the_task(self, fit):
+        predictor = _fit(fit, "knn", self.GM2D)
+        with pytest.raises(LabelOutOfSpaceError, match="^label 7 not in task labels$"):
+            predictor.predict((0.0, 0.0), (7,))
+        with pytest.raises(LabelOutOfSpaceError, match="^label 7 not in task labels$"):
+            predictor.e_at((0.0, 0.0), 7)
+
+    def test_full_predictor_label_outside_the_task(self):
+        assignment = support_set_assignment(unit_margin_provider((0.0, 0.0)))
+        predictor = FullEPredictor(self.GM2D, assignment)
+        with pytest.raises(LabelOutOfSpaceError, match="^label 7 not in task labels$"):
+            predictor.predict((0.0, 0.0), (0, 7))
+
+    @pytest.mark.parametrize("candidate", [math.nan, math.inf, -math.inf, "3"])
+    @pytest.mark.parametrize("fit", ["split", "cross"])
+    @pytest.mark.parametrize("kind", ["knn", "ridge"])
+    def test_regression_candidate_not_a_finite_real(self, kind, fit, candidate):
+        predictor = _fit(fit, kind, self.LINREG3)
+        message = rf"^label {re.escape(repr(candidate))} is not a finite real number$"
+        with pytest.raises(LabelOutOfSpaceError, match=message):
+            predictor.predict((0.0, 0.0, 0.0), (0.0, candidate))
+
+    def test_partition_of_another_size(self):
+        with pytest.raises(
+            OutOfRangeError, match="^the partition covers 30 rows; the training set has 40$"
+        ):
+            fit_cross_from_partition(self.GM2D, make_fold_partition(30, 5, 1))
 
 
 class TestScalarOps:

@@ -364,7 +364,7 @@ class TestBuildPredictor:
             build_predictor(spec, self.TRAIN, 0)
 
 
-def test_names_the_benchmark_wraps(monkeypatch):
+def test_names_the_benchmark_wraps(monkeypatch, tmp_path):
     """bench/worker.py starts each timed item at the entry of a name it
     looks up in its owner's own vars: validity.sample (space),
     validity.build_predictor (online) and CrossEPredictor.predict
@@ -374,6 +374,19 @@ def test_names_the_benchmark_wraps(monkeypatch):
     assert "predict" in vars(predictors.CrossEPredictor)
     assert "_write_report" in vars(cli)
     assert "build_predictor" in vars(validity)
+    # a predict run writes its report through one _write_report call
+    writes = []
+    write_report = vars(cli)["_write_report"]
+
+    def counted_write(*args, **kwargs):
+        writes.append(args)
+        return write_report(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_write_report", counted_write)
+    argv = ["predict", "--scenario", "gm2d", "--n", "20", "--x", "0,0", "--x", "1,1",
+            "--out", str(tmp_path / "p.json")]
+    assert cli.main(argv) == 0
+    assert len(writes) == 1
     # a space item starts at the training draw: a call whose n, read from
     # the second argument or n=, exceeds 1; the worker passes threads=1
     draws = []
