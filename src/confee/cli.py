@@ -82,10 +82,13 @@ def _floats(text: str) -> list:
 
 
 def _levels(text: str) -> list:
-    """Comma-separated significance levels, each in (0, 1)."""
+    """Comma-separated distinct significance levels, each in (0, 1)."""
     values = _floats(text)
     if not all(0.0 < v < 1.0 for v in values):
         raise argparse.ArgumentTypeError(f"expected comma-separated levels in (0, 1), got {text!r}")
+    for v in values:
+        if values.count(v) > 1:
+            raise argparse.ArgumentTypeError(f"level {v} is repeated in {text!r}")
     return values
 
 

@@ -253,17 +253,21 @@ def check_e_rows(block: np.ndarray) -> np.ndarray:
     """Check that every row of a 2-D float array is an e-vector, then freeze it.
 
     Every entry must be finite and nonnegative, and every row's mean, taken
-    from an exactly rounded sum (math.fsum), at most 1 + E_MEAN_TOLERANCE.
-    Returns the block, read-only.
+    from an exactly rounded sum (math.fsum), at most 1 + E_MEAN_TOLERANCE;
+    a row whose sum overflows has a mean above 1 too. Returns the block,
+    read-only.
     """
     if not np.isfinite(block).all():
         raise NonFiniteEntryError("e-values must be finite")
     if (block < 0).any():
         raise NegativeEntryError("e-values must be nonnegative")
     m = block.shape[1]
-    for total in map(math.fsum, block.tolist()):
-        if total / m > 1.0 + E_MEAN_TOLERANCE:
-            raise AverageExceedsOneError(f"mean {total / m} exceeds 1")
+    try:
+        for total in map(math.fsum, block.tolist()):
+            if total / m > 1.0 + E_MEAN_TOLERANCE:
+                raise AverageExceedsOneError(f"mean {total / m} exceeds 1")
+    except OverflowError:  # a nonnegative row whose sum overflows
+        raise AverageExceedsOneError("mean exceeds 1: the row's sum overflows") from None
     block.setflags(write=False)
     return block
 

@@ -21,7 +21,8 @@ component as Python's `v * m / total`, so every component is the double
 the per-vector formula gives. Every row then passes the e-vector check
 (`core.check_e_rows`) before the block is returned, read-only.
 `sum_normalize` and `mean_normalize` are the L = 1 case of the same
-routine: the last summary plays the candidate.
+routine: the last summary plays the candidate. Summaries whose total, or
+whose mean-scaled entries, would overflow are refused as too large.
 """
 
 from __future__ import annotations
@@ -51,11 +52,18 @@ def _block(kind: str, calibration: np.ndarray, positive: bool, sigmas: np.ndarra
             raise NonPositiveSummaryError("summaries must be strictly positive")
     cal = calibration.tolist()
     c = len(cal)
-    totals = np.array([math.fsum((*cal, s)) for s in candidates])
+    try:
+        totals = np.array([math.fsum((*cal, s)) for s in candidates])
+    except OverflowError:
+        raise OutOfRangeError("summaries are too large to normalize") from None
     block = np.empty((sigmas.size, c + 1))
     block[:, :c] = calibration
     block[:, c] = sigmas
     if kind == "mean":
+        # no entry exceeds its row's total, so the entries are looked at
+        # only when some total times c + 1 overflows
+        if float(totals.max()) * (c + 1) == math.inf and float(block.max()) * (c + 1) == math.inf:
+            raise OutOfRangeError("summaries are too large to normalize")
         block *= c + 1
     block /= totals[:, None]
     return check_e_rows(block)

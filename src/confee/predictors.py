@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
@@ -286,7 +287,14 @@ def harmonic_mean(values: Sequence[float]) -> float:
         raise OutOfRangeError("harmonic mean needs nonnegative entries")
     if any(v == 0 for v in vals):
         return 0.0
-    return len(vals) / math.fsum(1.0 / v for v in vals)
+    with suppress(OverflowError):
+        inverse_sum = math.fsum(1.0 / v for v in vals)
+        if inverse_sum < math.inf:
+            return len(vals) / inverse_sum
+    # the reciprocals of tiny entries overflow, or their sum does; scaled
+    # by the smallest entry, every term is at most 1
+    low = min(vals)
+    return len(vals) * low / math.fsum(low / v for v in vals)
 
 
 def e_prediction_set(table: PlausibilityTable, epsilon: float) -> tuple:

@@ -138,35 +138,40 @@ def build_predictor(spec: PredictorSpec, training: Dataset, fold_seed: int):
     return FullEPredictor(training, support_set_assignment(provider))
 
 
-def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
+def _space_trial(scenario, spec, seed, n_train, read, t):
     """Trial t: one draw of n_train + 1 observations, one fitted predictor.
 
     The first n_train observations train the predictor and the last one is
-    the test point.
-
-    Returns read(predictor, test_observation) for every trial, in order;
-    the space and compare harnesses draw their trials only through here.
-    The trials run one after another in the calling thread: `threads` must
-    be at least 1, starts no thread and changes nothing.
+    the test point; returns read(predictor, test_observation). `sample`
+    is looked up as a module global at each call: bench/worker.py starts
+    a space item's clock by patching it.
     """
-    if threads < 1:
-        raise OutOfRangeError(f"threads={threads}; need at least 1")
-
-    def one_trial(t: int):
-        drawn = sample(scenario, n_train + 1, derive_seed(seed, t, 0))
-        training = drawn.subset(range(n_train))
-        predictor = build_predictor(spec, training, derive_seed(seed, t, 2))
-        return read(predictor, drawn.observation(n_train))
-
-    return [one_trial(t) for t in range(trials)]
+    drawn = sample(scenario, n_train + 1, derive_seed(seed, t, 0))
+    training = drawn.subset(range(n_train))
+    predictor = build_predictor(spec, training, derive_seed(seed, t, 2))
+    return read(predictor, drawn.observation(n_train))
 
 
-def _check_trials(trials: int, n_train: int) -> None:
-    """The space and compare harnesses' shared preconditions."""
+def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
+    """_space_trial(..., read, t) for t in 0..trials-1, in order.
+
+    The space and compare harnesses draw their trials only through here,
+    and here their shared preconditions are checked. The trials run one
+    after another in the calling thread: `threads` must be at least 1,
+    starts no thread and changes nothing.
+    """
     if trials < 100:
         raise OutOfRangeError(f"trials={trials}; need at least 100 for a stable verdict")
     if n_train < 2:
         raise OutOfRangeError("n_train must be at least 2")
+    if threads < 1:
+        raise OutOfRangeError(f"threads={threads}; need at least 1")
+    return [_space_trial(scenario, spec, seed, n_train, read, t) for t in range(trials)]
+
+
+def _e_at_truth(predictor, z) -> float:
+    """The space harness's reader: the e-value at the test point's true label."""
+    return float(predictor.e_at(z.x, z.y))
 
 
 def _mean_and_se(values: Sequence[float]) -> tuple:
@@ -220,13 +225,10 @@ def mc_space_validity(
 ) -> SpaceValidityReport:
     """Estimate the mean e-value at the true label over fresh IID trials.
 
-    `threads` must be at least 1; it starts no thread and changes nothing.
+    Each trial is one `_space_trial` read by `_e_at_truth`. `threads` must
+    be at least 1; it starts no thread and changes nothing.
     """
-    _check_trials(trials, n_train)
-    es = _run_trials(
-        scenario, spec, trials, seed, n_train, threads,
-        lambda predictor, z: float(predictor.e_at(z.x, z.y)),
-    )
+    es = _run_trials(scenario, spec, trials, seed, n_train, threads, _e_at_truth)
     mean, se = _mean_and_se(es)
     verdict = VIOLATION if mean > 1.0 + 3.0 * se else CONSISTENT
     return SpaceValidityReport(
@@ -269,6 +271,23 @@ def _first_fit_rows(spec: PredictorSpec) -> int:
     return max(K, -(-proper * K // (K - 1)))
 
 
+def _online_round(spec: PredictorSpec, stream: Dataset, seed: int, i: int) -> tuple:
+    """Round i: fit on the first i - 1 rows of the stream and score row i - 1
+    at its realized label.
+
+    The predictor's declared bound is read before any e-value, so an
+    unbounded normalizer is refused first. Returns (e, bound).
+    `build_predictor` is looked up as a module global at each call:
+    bench/worker.py starts an online item's clock by patching it.
+    """
+    predictor = build_predictor(spec, stream.subset(range(i - 1)), derive_seed(seed, 2, i))
+    bound = predictor.component_bound()
+    if bound is None:
+        raise UnboundedNormalizerError("normalizer declares no bound")
+    z = stream.observation(i - 1)
+    return float(predictor.e_at(z.x, z.y)), float(bound)
+
+
 def online_time_validity(
     scenario: Scenario,
     spec: PredictorSpec,
@@ -283,8 +302,9 @@ def online_time_validity(
     Rounds up to `warmup` emit the neutral value 1 (nothing to fit yet);
     afterwards round i fits on observations 1..i-1 and scores observation i
     at its realized label, so the first fit runs on `warmup` rows and a
-    split or cross spec refuses a warmup too short for it. The verdict
-    compares the final running mean against 1 + tolerance.
+    split or cross spec refuses a warmup too short for it. Each fitted round
+    is one `_online_round`. The verdict compares the final running mean
+    against 1 + tolerance.
     """
     if n_rounds < 50:
         raise OutOfRangeError(f"n_rounds={n_rounds}; need at least 50")
@@ -304,20 +324,9 @@ def online_time_validity(
             )
 
     stream = sample(scenario, n_rounds, derive_seed(seed, 1))
-    e_values = []
-    bound_used = 0.0
-    for i in range(1, n_rounds + 1):
-        if i <= warmup:
-            e_values.append(1.0)
-            continue
-        prefix = stream.subset(range(i - 1))
-        predictor = build_predictor(spec, prefix, derive_seed(seed, 2, i))
-        bound = predictor.component_bound()
-        if bound is None:
-            raise UnboundedNormalizerError("normalizer declares no bound")
-        bound_used = max(bound_used, float(bound))
-        z = stream.observation(i - 1)
-        e_values.append(float(predictor.e_at(z.x, z.y)))
+    rounds = [_online_round(spec, stream, seed, i) for i in range(warmup + 1, n_rounds + 1)]
+    e_values = [1.0] * warmup + [e for e, _ in rounds]
+    bound_used = max([0.0, *(bound for _, bound in rounds)])
     trace = OnlineTrace(e_values)
     final = trace.running_means[-1]
     max_after = max(trace.running_means[warmup:])
@@ -345,6 +354,20 @@ class ComparisonReport(_Report):
     verdict: str
 
 
+def _compare_row(predictor, z) -> tuple:
+    """The compare harness's reader: one query at the true label gives the
+    merged e-value, both p-merges of the fold p-values, their harmonic mean
+    and its distance from 1/mean(1/p)."""
+    table = predictor.predict(z.x, (z.y,))
+    ps = tuple(fold.p_values[0] for fold in table.folds)
+    unadjusted = cross_p_merge(ps, adjusted=False)
+    adjusted = cross_p_merge(ps, adjusted=True)
+    harm = harmonic_mean(ps)
+    inverse_mean = math.fsum(1.0 / p for p in ps) / len(ps)
+    deviation = abs(harm - 1.0 / inverse_mean)
+    return table.values[0], unadjusted, adjusted, harm, deviation
+
+
 def compare_e_vs_p(
     scenario: Scenario,
     spec: PredictorSpec,
@@ -364,27 +387,20 @@ def compare_e_vs_p(
     fold p-values, which is 1/mean(1/p). The reciprocal 1/p is no
     calibrator: a conformal p-value with c calibration summaries and no
     ties has E[1/p] = 1 + 1/2 + ... + 1/(c+1) > 1, so 1/p is not an
-    e-value. `threads` must be at least 1; it starts no thread and
-    changes nothing.
+    e-value. Each trial is one `_space_trial` read by `_compare_row`.
+    The spec kind is checked first, then the levels (distinct, in (0, 1)),
+    then `_run_trials`' preconditions. `threads` must be at least 1; it
+    starts no thread and changes nothing.
     """
     if spec.kind != "cross":
         raise OutOfRangeError("comparison runs on a cross predictor spec")
-    _check_trials(trials, n_train)
     eps = tuple(float(e) for e in epsilons)
     if not eps or any(not 0 < e < 1 for e in eps):
         raise OutOfRangeError("epsilons must be non-empty and lie in (0, 1)")
-
-    def read(predictor, z) -> tuple:
-        table = predictor.predict(z.x, (z.y,))
-        ps = tuple(fold.p_values[0] for fold in table.folds)
-        unadjusted = cross_p_merge(ps, adjusted=False)
-        adjusted = cross_p_merge(ps, adjusted=True)
-        harm = harmonic_mean(ps)
-        inverse_mean = math.fsum(1.0 / p for p in ps) / len(ps)
-        deviation = abs(harm - 1.0 / inverse_mean)
-        return table.values[0], unadjusted, adjusted, harm, deviation
-
-    rows = _run_trials(scenario, spec, trials, seed, n_train, threads, read)
+    for e in eps:
+        if eps.count(e) > 1:
+            raise OutOfRangeError(f"epsilon {e} is repeated")
+    rows = _run_trials(scenario, spec, trials, seed, n_train, threads, _compare_row)
     es, unadj, adj, harms, deviations = zip(*rows)
 
     e_mean, e_se = _mean_and_se(es)

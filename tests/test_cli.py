@@ -593,6 +593,23 @@ class TestLevels:
         assert ("error: config key 'epsilons': expected comma-separated levels in (0, 1), "
                 "got '1.5'" in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("argv", [COMPARE, PREDICT], ids=["compare", "predict"])
+    def test_repeated_level_refused(self, tmp_path, capsys, argv):
+        # a repeated level would be reported once among the prediction
+        # sets or exceedances but twice in the config
+        out = tmp_path / "r.json"
+        assert _run(*argv, "--epsilons", "0.1,0.1,0.2", "--out", str(out)) == 1
+        assert ("argument --epsilons: level 0.1 is repeated in '0.1,0.1,0.2'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_repeated_level_in_config_refused(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"epsilons": [0.1, 0.2, 0.1]}))
+        assert _run(*self.PREDICT, "--config", str(path)) == 1
+        assert ("error: config key 'epsilons': level 0.1 is repeated in '0.1,0.2,0.1'"
+                in capsys.readouterr().err)
+
     def test_levels_inside_are_reported(self, tmp_path):
         out = tmp_path / "r.json"
         assert _run(*self.SPACE, "--epsilons", "0.01,0.99", "--out", str(out)) == 0

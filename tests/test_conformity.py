@@ -225,6 +225,14 @@ class TestRidge:
             train_conformity("ridge", dup, lam=0.0)
         train_conformity("ridge", dup, lam=1e-6)  # regularized is fine
 
+    def test_solver_failure_reported(self, monkeypatch):
+        def solve(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with pytest.raises(SingularSystemError, match="Singular matrix"):
+            train_conformity("ridge", _random_regression(np.random.default_rng(3)), lam=1.0)
+
     def test_classification_needs_pm_one(self):
         ok = Dataset(np.array([[0.0], [1.0]]), np.array([-1, 1]), ClassificationTask((-1, 1)))
         rule = train_conformity("ridge", ok, lam=1.0)

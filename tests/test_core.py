@@ -36,6 +36,9 @@ class TestEValueVector:
         assert EValueVector((1.0, 1.0, 1.0)).mean == 1.0
         with pytest.raises(AverageExceedsOneError):
             EValueVector((2.0, 1.0, 1.0))
+        # nonnegative entries whose sum overflows have a mean above 1
+        with pytest.raises(AverageExceedsOneError, match="the row's sum overflows"):
+            EValueVector((1e308, 1e308))
 
     def test_rejects_bad_entries(self):
         with pytest.raises(NegativeEntryError):
@@ -232,6 +235,11 @@ class TestTasksAndData:
             RegressionTask(())
         with pytest.raises(NonFiniteEntryError):
             RegressionTask((0.0, float("inf")))
+
+    def test_len_counts_rows(self):
+        data = Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), TASK01)
+        assert len(data) == data.n == 3
+        assert len(data.subset([2])) == 1
 
     def test_observation_coerces_types(self):
         z = Observation((np.float64(1.5), 2), np.int64(3))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,34 @@ def test_rejects_nonpositive_and_nonfinite():
         sum_normalize((1.0, float("nan")))
     with pytest.raises(OutOfRangeError):
         mean_normalize(())
+
+
+@pytest.mark.parametrize("normalize, sigma", [
+    (sum_normalize, (1e308, 1e308)),  # the total overflows
+    (mean_normalize, (1e308, 1e308)),
+    (mean_normalize, (1e308, 1.0)),  # the total fits; an entry times m does not
+    (mean_normalize, (1.0, 1e308)),  # the same for the candidate
+])
+def test_summaries_too_large_refused(normalize, sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRangeError, match="summaries are too large to normalize"):
+            normalize(sigma)
+
+
+def test_block_with_a_too_large_candidate_refused():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRangeError, match="summaries are too large to normalize"):
+            Normalizer("mean").block(SummaryVector((1.0, 2.0)), [1.0, 1e308])
+
+
+@pytest.mark.parametrize("sigma", [(8e307, 8e307), (8.9e307, 1.0), (5e307, 5e307, 5e307)])
+def test_largest_finite_outputs_keep_their_bits(sigma):
+    # the per-vector formula v * m / total, taken in Python floats
+    total = math.fsum(sigma)
+    assert mean_normalize(sigma).values == tuple(v * len(sigma) / total for v in sigma)
+    assert sum_normalize(sigma).values == tuple(v / total for v in sigma)
 
 
 def test_means_and_bounds_property():

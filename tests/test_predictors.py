@@ -555,6 +555,11 @@ class TestScalarOps:
 
     def test_harmonic_edge_cases(self):
         assert harmonic_mean((0.5, 0.0)) == 0.0
+        # the reciprocal of a subnormal overflows to inf
+        assert harmonic_mean((1e-320,)) == 1e-320
+        assert harmonic_mean((1e-320, 1.0)) == 2 * 1e-320
+        # finite reciprocals whose sum overflows
+        assert harmonic_mean((1e-308, 1e-308)) == 1e-308
         with pytest.raises(OutOfRangeError):
             harmonic_mean(())
         with pytest.raises(OutOfRangeError):

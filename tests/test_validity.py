@@ -1,4 +1,6 @@
+import functools
 import math
+import pickle
 import re
 import threading
 from collections import Counter
@@ -15,6 +17,7 @@ from confee import (
     OutOfRangeError,
     PREDICTOR_PRESETS,
     PredictorSpec,
+    TooFewFoldsError,
     UnboundedNormalizerError,
     build_predictor,
     compare_e_vs_p,
@@ -143,6 +146,14 @@ class TestTimeHarness:
             with pytest.raises(UnboundedNormalizerError, match="normalizer declares no bound"):
                 online_time_validity(GM2D, spec, 60, 1)
 
+    def test_one_fold_refused_before_any_e_value(self, monkeypatch):
+        def e_at(self, x, y):
+            raise AssertionError("an e-value was computed before the refusal")
+
+        monkeypatch.setattr(predictors.CrossEPredictor, "e_at", e_at)
+        with pytest.raises(TooFewFoldsError):
+            online_time_validity(GM2D, PredictorSpec(kind="cross", folds=1), 60, 1)
+
     def test_full_predictor_refused(self):
         with pytest.raises(UnboundedNormalizerError):
             online_time_validity(GM2D, PredictorSpec(kind="full"), 60, 1)
@@ -207,6 +218,18 @@ class TestComparison:
         # with no levels the p-side check would pass vacuously
         with pytest.raises(OutOfRangeError, match="epsilons must be non-empty"):
             compare_e_vs_p(GM2D, CROSS_KNN, 200, 1, epsilons=())
+
+    def test_repeated_epsilon_refused(self):
+        # a repeated level would be one exceedance key for two levels
+        with pytest.raises(OutOfRangeError, match="epsilon 0.1 is repeated"):
+            compare_e_vs_p(GM2D, CROSS_KNN, 200, 1, epsilons=(0.1, 0.2, 0.1))
+
+    def test_levels_checked_before_trials(self):
+        # the spec kind first, then the levels, then the trial checks
+        with pytest.raises(OutOfRangeError, match="epsilons must be non-empty"):
+            compare_e_vs_p(GM2D, CROSS_KNN, 99, 1, epsilons=(1.5,))
+        with pytest.raises(OutOfRangeError, match="cross predictor spec"):
+            compare_e_vs_p(GM2D, PredictorSpec(kind="split"), 99, 1, epsilons=(1.5,))
 
     def test_deterministic(self):
         a = compare_e_vs_p(GM2D, CROSS_KNN, 120, 9, n_train=30, threads=1)
@@ -300,6 +323,27 @@ class TestThreads:
         space = mc_space_validity(GM2D, CROSS_KNN, 100, 9, n_train=30, threads=4)
         compare = compare_e_vs_p(GM2D, CROSS_KNN, 100, 9, n_train=30, threads=4)
         assert space.trials == compare.trials == 100
+
+
+class TestModuleLevelItems:
+    """Each trial and round is a module-level function of its index: bound
+    to its other arguments with functools.partial, it survives pickle, as a
+    worker process needs, and returns what the in-process call returns."""
+
+    def test_online_round(self):
+        stream = sample(GM2D, 60, 5)
+        bound = functools.partial(validity._online_round, CROSS_KNN, stream, 5)
+        assert pickle.loads(pickle.dumps(bound))(30) == validity._online_round(
+            CROSS_KNN, stream, 5, 30
+        )
+
+    @pytest.mark.parametrize("reader", ["_e_at_truth", "_compare_row"])
+    def test_space_trial(self, reader):
+        read = getattr(validity, reader)
+        bound = functools.partial(validity._space_trial, GM2D, CROSS_KNN, 3, 20, read)
+        assert pickle.loads(pickle.dumps(bound))(7) == validity._space_trial(
+            GM2D, CROSS_KNN, 3, 20, read, 7
+        )
 
 
 class TestBuildPredictor:
@@ -399,3 +443,15 @@ def test_names_the_benchmark_wraps(monkeypatch, tmp_path):
     monkeypatch.setattr(validity, "sample", counted)
     mc_space_validity(GM2D, CROSS_KNN, 100, 1, n_train=20, threads=1)
     assert [n for n in draws if n > 1] == [21] * 100
+    # an online item starts at its round's fit: one build_predictor call
+    # for each round after the warmup
+    fits = []
+    build = vars(validity)["build_predictor"]
+
+    def counted_build(*args, **kwargs):
+        fits.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(validity, "build_predictor", counted_build)
+    online_time_validity(GM2D, CROSS_KNN, 60, 1, warmup=20)
+    assert len(fits) == 60 - 20
