@@ -120,7 +120,9 @@ def _labels(text: str) -> list:
 
 
 def _predictor(text: str) -> str:
-    """A predictor kind, or 'const<v>' for a finite v."""
+    """A predictor kind, or 'const<v>' for a finite v: a bare 'const' names no value."""
+    if text == "const":
+        raise argparse.ArgumentTypeError("predictor 'const' needs a value, e.g. 'const2'")
     match = _CONST_PATTERN.match(text)
     if text in PREDICTOR_KINDS or (match and math.isfinite(float(match.group(1)))):
         return text

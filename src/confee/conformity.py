@@ -18,10 +18,13 @@ A cross fit passes its partition's folds; a split fit is the one-fold
 case, its calibration rows in fold 0 and its proper rows in none. knn
 sorts the rows once by label and then by fold, so fold f's proper rows of
 a label are the slices before and after fold f's slice of that label's
-block; it scores every row of a fold against its label's proper rows,
-and a query against each fold's proper rows taken from one distance row
-per label. Ridge solves once per fold on the rows outside it. Either way
-every summary is the double a fit on that fold's proper rows alone gives.
+block; it scores every row of a fold against its label's proper rows.
+A query takes one distance row per label, copies it once per fold with
+the fold's own slice set to inf, and selects every fold that keeps the
+same number of the label's rows in one call. Ridge solves once per fold
+on the rows outside it, and a query predicts x.beta once per fold. Either
+way every summary is the double a fit on that fold's proper rows alone
+gives.
 
 The knn distance kernel adds the squared coordinate differences of each
 pair of rows left to right, one column at a time, without building the
@@ -206,19 +209,20 @@ class KnnRule(ConformityRule):
                 continue
             lo = cuts[0]
             row = _pairwise_distances(x, self._X[lo : cuts[-1]])[0]
-            slices = [(a - lo, b - lo) for a, b in zip(cuts[1:], cuts[2:])]
-            if row.size - max(b - a for a, b in slices) >= self.k:
-                # every fold keeps k rows outside it: hide each fold's own
-                # slice behind inf and select all folds in one call
-                D = np.empty((self.K, row.size))
-                D[:] = row
-                for f, (a, b) in enumerate(slices):
-                    D[f, a:b] = np.inf
-                out[:, j] = _knn_summaries(D, self.k)
-            else:
-                for f, (a, b) in enumerate(slices):
-                    others = np.concatenate((row[:a], row[b:]))
-                    out[f, j] = _knn_summaries(others[None, :], self.k)[0]
+            # fold f hides its own slice behind inf and averages over the
+            # kk nearest of the rest; the folds that keep the same kk share
+            # one call
+            D = np.empty((self.K, row.size))
+            D[:] = row
+            kks = []
+            for f, (a, b) in enumerate(zip(cuts[1:], cuts[2:])):
+                D[f, a - lo : b - lo] = np.inf
+                kks.append(min(self.k, row.size - (b - a)))
+            for kk in set(kks):
+                folds = [f for f, c in enumerate(kks) if c == kk]
+                # a list index copies; the usual one group takes every fold
+                folds = slice(None) if len(folds) == self.K else folds
+                out[folds, j] = _knn_summaries(D[folds], kk)
         return out
 
 
@@ -279,10 +283,9 @@ class RidgeRule(ConformityRule):
         self.held_out = held_out
 
     def score_folds(self, x, labels) -> np.ndarray:
-        # one (L, d) batch per fold, as a calibration fold is scored
-        X = np.tile(self._check_object(x), (len(labels), 1))
+        x = self._check_object(x)[None, :]
         yf = _float_labels(labels)
-        return np.array([_ridge_summaries(X, yf, beta) for beta in self.betas])
+        return np.array([_ridge_summaries(x, yf, beta) for beta in self.betas])
 
 
 def _numeric_labels(training: Dataset) -> np.ndarray:

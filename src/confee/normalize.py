@@ -61,8 +61,10 @@ def _block(kind: str, calibration: np.ndarray, positive: bool, sigmas: np.ndarra
     block[:, c] = sigmas
     if kind == "mean":
         # no entry exceeds its row's total, so the entries are looked at
-        # only when some total times c + 1 overflows
-        if float(totals.max()) * (c + 1) == math.inf and float(block.max()) * (c + 1) == math.inf:
+        # only when some total times c + 1 overflows; a block of no
+        # candidate has no total
+        top = float(totals.max(initial=0.0))
+        if top * (c + 1) == math.inf and float(block.max()) * (c + 1) == math.inf:
             raise OutOfRangeError("summaries are too large to normalize")
         block *= c + 1
     block /= totals[:, None]

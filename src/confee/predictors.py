@@ -56,15 +56,20 @@ def _query_labels(task, labels: Optional[Sequence]) -> tuple:
 
     A candidate of a classification task must be one of its labels, and one
     of a regression task a finite real number; LabelOutOfSpaceError names
-    the first that is not.
+    the first that is not. An empty list, or one that repeats a label,
+    raises OutOfRangeError. Every check runs before anything is scored.
     """
     labels = tuple(task.candidates if labels is None else labels)
+    if not labels:
+        raise OutOfRangeError("no candidate labels")
     for y in labels:
         if isinstance(task, ClassificationTask):
             if y not in task.labels:
                 raise LabelOutOfSpaceError(f"label {y!r} not in task labels")
         elif not (isinstance(y, numbers.Real) and math.isfinite(y)):
             raise LabelOutOfSpaceError(f"label {y!r} is not a finite real number")
+    if len(set(labels)) != len(labels):
+        raise OutOfRangeError("duplicate candidate labels")
     return labels
 
 
@@ -140,9 +145,9 @@ class CrossEPredictor:
         fold's candidates in one block; the fold tables ride along in a
         CrossTable, and one fold's table is returned as it is.
 
-        `labels` defaults to the task's candidates. A label outside the
-        task's label space, or a non-finite x, raises before anything is
-        scored."""
+        `labels` defaults to the task's candidates. An empty list, a
+        repeated label, a label outside the task's label space, or a
+        non-finite x raises before anything is scored."""
         labels = _query_labels(self.task, labels)
         folds = []
         for calibration, row in zip(self.calibration_summaries, self.rule.score_folds(x, labels)):
@@ -241,8 +246,9 @@ class FullEPredictor:
     def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> FullTable:
         """One assignment per candidate label, kept alongside its e-value.
 
-        `labels` defaults to the task's candidates; a label outside the
-        task's label space raises before any assignment runs."""
+        `labels` defaults to the task's candidates; an empty list, a
+        repeated label, or a label outside the task's label space raises
+        before any assignment runs."""
         labels = _query_labels(self.training.task, labels)
         vectors = tuple(
             self.assignment((*self._observations, Observation(tuple(x), y))) for y in labels

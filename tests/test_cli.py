@@ -535,8 +535,8 @@ class TestFiniteNumbers:
 
 class TestFlagItems:
     """A comma-separated flag refuses an empty item and an empty list, and
-    --predictor refuses what names no predictor, whether from a flag or a
-    config file."""
+    --predictor refuses what names no predictor, or a bare 'const' with no
+    value, whether from a flag or a config file."""
 
     PREDICT = ("predict", "--scenario", "gm2d", "--n", "20", "--x", "0,0")
     NINES = "const" + "9" * 400
@@ -552,8 +552,10 @@ class TestFlagItems:
          "argument --labels: expected comma-separated labels, got ','"),
         ((*PREDICT, "--predictor", "x"), "argument --predictor: unknown predictor 'x'"),
         ((*PREDICT, "--predictor", NINES), f"argument --predictor: unknown predictor {NINES!r}"),
+        ((*PREDICT, "--predictor", "const"),
+         "argument --predictor: predictor 'const' needs a value, e.g. 'const2'"),
     ], ids=["epsilons-empty", "epsilons-empty-item", "x-empty-item", "labels-empty",
-            "predictor-unknown", "predictor-const-overflow"])
+            "predictor-unknown", "predictor-const-overflow", "predictor-const-bare"])
     def test_flag_refused(self, capsys, argv, message):
         assert _run(*argv) == 1
         assert message in capsys.readouterr().err
@@ -562,7 +564,9 @@ class TestFlagItems:
         ("epsilons", [], "expected comma-separated finite numbers, got ''"),
         ("epsilons", "0.1,,0.2", "expected comma-separated finite numbers, got '0.1,,0.2'"),
         ("predictor", NINES, f"unknown predictor {NINES!r}"),
-    ], ids=["epsilons-empty", "epsilons-empty-item", "predictor-const-overflow"])
+        ("predictor", "const", "predictor 'const' needs a value, e.g. 'const2'"),
+    ], ids=["epsilons-empty", "epsilons-empty-item", "predictor-const-overflow",
+            "predictor-const-bare"])
     def test_config_refused(self, tmp_path, capsys, key, value, message):
         assert TestConfigAndEnv._predict_with_config(tmp_path, **{key: value}) == 1
         assert f"error: config key {key!r}: {message}" in capsys.readouterr().err

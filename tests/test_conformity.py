@@ -22,7 +22,7 @@ from confee import (
     train_conformity,
     unit_margin_provider,
 )
-from confee.conformity import _pairwise_distances
+from confee.conformity import _knn_summaries, _pairwise_distances, _ridge_summaries
 from conftest import _reference_distance, _reference_knn
 
 TASK01 = ClassificationTask((0, 1))
@@ -193,6 +193,86 @@ class TestKnnDifferential:
         assert split.calibration_summaries[0].values == tuple(expected)
         for x in queries:
             assert split.predict(x, candidates).sigmas == tuple(reference(x))
+
+
+def _fold_query_reference(rule, training, x, labels):
+    """Fold f's summary of each candidate from the label's training rows
+    outside f alone, as if they were concatenated: one distance row and one
+    _knn_summaries call per (fold, label)."""
+    out = np.empty((rule.K, len(labels)))
+    for f in range(rule.K):
+        for j, label in enumerate(labels):
+            others = training.X[(rule.fold_of != f) & (training.y == label)]
+            out[f, j] = _knn_summaries(_pairwise_distances(x[None, :], others), rule.k)[0]
+    return out
+
+
+class TestKnnQueryFolds:
+    """A knn query selects every fold from one masked distance row per
+    label, with one call per group of folds that keep the same number of
+    the label's rows; bit for bit the per-fold selection."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the far rows overflow
+    @settings(max_examples=300, deadline=None)
+    @example(n=9, d=2, K=2, k=1, n_labels=1, split=False, far=True, seed=0)
+    @example(n=12, d=1, K=3, k=5, n_labels=2, split=True, far=False, seed=1)
+    @given(
+        n=st.integers(2, 60),
+        d=st.integers(1, 3),
+        K=st.integers(2, 8),
+        k=st.integers(1, 12),
+        n_labels=st.integers(1, 4),
+        split=st.booleans(),
+        far=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_fold_selection(self, n, d, K, k, n_labels, split, far, seed):
+        rng = np.random.default_rng(seed)
+        K = min(K, n)  # a fold number names a row at most
+        labels = tuple(range(n_labels))
+        # uneven label shares, so some labels are rarer than k and some
+        # fold holds every row of a label; rounded points repeat
+        y = rng.choice(n_labels, n, p=rng.dirichlet(np.full(n_labels, 0.5)))
+        X = np.round(rng.standard_normal((n, d)), 1)
+        # split: rows in no fold are proper for every fold
+        fold_of = rng.integers(-1 if split else 0, K, n)
+        fold_of[:2] = (0, 1)
+        if far:  # two identical label-0 rows whose distances to the rest overflow
+            X[:2], y[:2] = 1e200, 0
+        training = Dataset(X, y, ClassificationTask(labels))
+        k = min(k, n - np.bincount(fold_of + 1).max())
+        rule = train_conformity("knn", training, fold_of=fold_of, k=k)
+        candidates = tuple(rng.permutation(labels).tolist())
+        for x in (*X[:3], *rng.standard_normal((2, d))):
+            expected = _fold_query_reference(rule, training, x, candidates)
+            assert rule.score_folds(x, candidates).tolist() == expected.tolist()
+
+
+class TestRidgeQueryFolds:
+    """A ridge query predicts x.beta_f once per fold and broadcasts it over
+    the candidates; bit for bit the per-candidate row of an (L, d) batch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        d=st.integers(1, 12),
+        K=st.integers(1, 5),
+        L=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_tiled_batch(self, n, d, K, L, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, d)
+        training = Dataset(X, rng.standard_normal(n) * 5.0, RegressionTask((0.0, 1.0)))
+        K = min(K, n - 1)
+        fold_of = rng.integers(-1, K, n)
+        fold_of[:2] = (-1, K - 1)
+        rule = train_conformity("ridge", training, fold_of=fold_of, lam=0.5)
+        x = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3, d)
+        labels = rng.standard_normal(L) * 10.0
+        tiled = np.tile(x, (L, 1))
+        expected = [_ridge_summaries(tiled, labels, beta).tolist() for beta in rule.betas]
+        assert rule.score_folds(x, labels.tolist()).tolist() == expected
 
 
 class TestRidge:

@@ -74,6 +74,12 @@ def test_block_with_a_too_large_candidate_refused():
             Normalizer("mean").block(SummaryVector((1.0, 2.0)), [1.0, 1e308])
 
 
+@pytest.mark.parametrize("kind", ["sum", "mean"])
+def test_block_of_no_candidates_is_empty(kind):
+    block = Normalizer(kind).block(SummaryVector((1.0, 2.0)), [])
+    assert block.shape == (0, 3) and not block.flags.writeable
+
+
 @pytest.mark.parametrize("sigma", [(8e307, 8e307), (8.9e307, 1.0), (5e307, 5e307, 5e307)])
 def test_largest_finite_outputs_keep_their_bits(sigma):
     # the per-vector formula v * m / total, taken in Python floats

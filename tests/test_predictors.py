@@ -519,6 +519,25 @@ class TestQueryDomain:
         with pytest.raises(LabelOutOfSpaceError, match=message):
             predictor.predict((0.0, 0.0, 0.0), (0.0, candidate))
 
+    @pytest.mark.parametrize("candidates, message", [
+        ((), "no candidate labels"), ((0, 0), "duplicate candidate labels"),
+        ((1, 0, 1), "duplicate candidate labels"),
+    ], ids=["empty", "repeated", "repeated-apart"])
+    @pytest.mark.parametrize("fit", ["split", "cross", "full"])
+    def test_empty_or_repeated_candidates_refused_before_scoring(
+        self, monkeypatch, fit, candidates, message
+    ):
+        def reached(*args):
+            raise AssertionError("scored a refused query")
+
+        if fit == "full":
+            predictor = FullEPredictor(self.GM2D, reached)
+        else:
+            predictor = _fit(fit, "knn", self.GM2D)
+            monkeypatch.setattr(predictor.rule, "score_folds", reached)
+        with pytest.raises(OutOfRangeError, match=f"^{message}$"):
+            predictor.predict((0.0, 0.0), candidates)
+
     def test_partition_of_another_size(self):
         with pytest.raises(
             OutOfRangeError, match="^the partition covers 30 rows; the training set has 40$"
