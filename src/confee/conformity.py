@@ -228,7 +228,10 @@ class KnnRule(ConformityRule):
 
 def _ridge_beta(X: np.ndarray, yf: np.ndarray, lam: float) -> np.ndarray:
     """Ridge coefficients, solved on the rows sorted into a canonical order
-    first, so they depend on the multiset of rows only, bit for bit."""
+    first, so they depend on the multiset of rows only, bit for bit.
+
+    Where X'X + lam I, X'y or the solution overflows, OutOfRangeError
+    names the inputs at fault."""
     d = X.shape[1]
     order = np.lexsort((yf,) + tuple(X[:, j] for j in reversed(range(d))))
     Xs, ys = X[order], yf[order]
@@ -236,17 +239,33 @@ def _ridge_beta(X: np.ndarray, yf: np.ndarray, lam: float) -> np.ndarray:
         raise SingularSystemError(
             "design is rank-deficient and lam=0; pass lam > 0 to regularize"
         )
-    gram = Xs.T @ Xs + lam * np.eye(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = Xs.T @ Xs + lam * np.eye(d)
+        moment = Xs.T @ ys
+    if not np.isfinite(gram).all():
+        raise OutOfRangeError("features or lam too large for ridge: X'X + lam I overflows")
+    if not np.isfinite(moment).all():
+        raise OutOfRangeError("features or labels too large for ridge: X'y overflows")
     try:
-        return np.linalg.solve(gram, Xs.T @ ys)
+        beta = np.linalg.solve(gram, moment)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
+    if not np.isfinite(beta).all():
+        raise OutOfRangeError("features or labels too large for ridge: beta overflows")
+    return beta
 
 
-def _ridge_summaries(X: np.ndarray, yf: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def _ridge_summaries(X: np.ndarray, yf: np.ndarray, beta: np.ndarray, name="x") -> np.ndarray:
+    """1 / (1 + |y - x.beta|) for the rows x of X and labels yf (broadcast);
+    OutOfRangeError naming `name` (x, or the features) where x.beta
+    overflows."""
     # row-wise multiply-and-sum instead of a matrix product: the BLAS
     # kernel may round differently for different batch shapes
-    return 1.0 / (1.0 + np.abs(yf - (X * beta).sum(axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        predictions = (X * beta).sum(axis=1)
+    if not np.isfinite(predictions).all():
+        raise OutOfRangeError(f"{name} too large for ridge: x.beta overflows")
+    return 1.0 / (1.0 + np.abs(yf - predictions))
 
 
 def _float_labels(y) -> np.ndarray:
@@ -278,7 +297,7 @@ class RidgeRule(ConformityRule):
         self.betas = tuple(_ridge_beta(X[~fold], yf[~fold], self.lam) for fold in folds)
         held_out = np.full(training.n, np.nan)
         for fold, beta in zip(folds, self.betas):
-            held_out[fold] = _ridge_summaries(X[fold], yf[fold], beta)
+            held_out[fold] = _ridge_summaries(X[fold], yf[fold], beta, "features")
         held_out.setflags(write=False)
         self.held_out = held_out
 

@@ -14,15 +14,19 @@ is an exactly rounded sum.
 A split predictor normalizes all L candidates of a query in one block:
 `Normalizer.block` fills an (L, c+1) array with the c calibration summaries
 and each candidate's summary in the last column, takes each row's total
-with math.fsum (correctly rounded, so the total does not depend on how it
-is computed; Shewchuk 1997), and computes `block * m / totals` for mean or
-`block / totals` for sum. numpy makes the same two IEEE operations per
-component as Python's `v * m / total`, so every component is the double
-the per-vector formula gives. Every row then passes the e-vector check
-(`core.check_e_rows`) before the block is returned, read-only.
-`sum_normalize` and `mean_normalize` are the L = 1 case of the same
-routine: the last summary plays the candidate. Summaries whose total, or
-whose mean-scaled entries, would overflow are refused as too large.
+correctly rounded, and computes `block * m / totals` for mean or
+`block / totals` for sum. A correctly rounded total does not depend on how
+it is computed (Shewchuk 1997): below `core.FAST_ROWS` candidates it is
+math.fsum of the row; from there on it is math.fsum of the calibration's
+exact partials (`SummaryVector.partials`, a handful of doubles that sum
+exactly to its sum, computed once per fit) and the candidate's summary,
+the same double in O(1) per candidate. numpy makes the same two IEEE
+operations per component as Python's `v * m / total`, so every component
+is the double the per-vector formula gives. Every row then passes the
+e-vector check (`core.check_e_rows`) before the block is returned,
+read-only. `sum_normalize` and `mean_normalize` are the L = 1 case of the
+same routine: the last summary plays the candidate. Summaries whose total,
+or whose mean-scaled entries, would overflow are refused as too large.
 """
 
 from __future__ import annotations
@@ -33,15 +37,23 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .core import EValueVector, SummaryVector, check_e_rows
+from .core import FAST_ROWS, EValueVector, SummaryVector, check_e_rows
 from .errors import NonFiniteEntryError, NonPositiveSummaryError, OutOfRangeError
 
 SummaryLike = Union[SummaryVector, Iterable[float]]
 
 
-def _block(kind: str, calibration: np.ndarray, positive: bool, sigmas: np.ndarray) -> np.ndarray:
+def _block(
+    kind: str,
+    calibration: np.ndarray,
+    positive: bool,
+    sigmas: np.ndarray,
+    vector: Optional[SummaryVector] = None,
+) -> np.ndarray:
     """The checked (L, c+1) block; `calibration` is finite, `positive` says
-    whether it is also strictly positive."""
+    whether it is also strictly positive, and `vector`, the SummaryVector
+    it is the array of, if any, gives its kept `partials` to a block of
+    at least FAST_ROWS candidates."""
     candidates = sigmas.tolist()
     # the first candidate whose vector fails decides the error, and a
     # vector is checked finite before it is checked positive
@@ -50,10 +62,15 @@ def _block(kind: str, calibration: np.ndarray, positive: bool, sigmas: np.ndarra
             raise NonFiniteEntryError("summaries must be finite")
         if not (positive and s > 0):
             raise NonPositiveSummaryError("summaries must be strictly positive")
-    cal = calibration.tolist()
-    c = len(cal)
+    c = calibration.size
     try:
-        totals = np.array([math.fsum((*cal, s)) for s in candidates])
+        # the partials sum exactly to the calibration's sum, so each total
+        # is the same correctly rounded double from a handful of terms
+        if vector is not None and len(candidates) >= FAST_ROWS:
+            head = vector.partials
+        else:
+            head = calibration.tolist()
+        totals = np.array([math.fsum((*head, s)) for s in candidates])
     except OverflowError:
         raise OutOfRangeError("summaries are too large to normalize") from None
     block = np.empty((sigmas.size, c + 1))
@@ -112,7 +129,7 @@ class Normalizer:
         the e-vector check; its last column is the candidates' e-values.
         """
         sigmas = np.asarray(sigmas, dtype=float)
-        return _block(self.kind, calibration.array, calibration.positive, sigmas)
+        return _block(self.kind, calibration.array, calibration.positive, sigmas, calibration)
 
     def component_bound(self, m: int) -> Optional[float]:
         """Upper bound on any output component for a length-m input."""

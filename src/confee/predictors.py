@@ -43,6 +43,9 @@ from .core import (
     Observation,
     PlausibilityTable,
     SummaryVector,
+    _py_scalar,
+    _unchecked,
+    float_units,
     make_fold_partition,
 )
 from .errors import LabelOutOfSpaceError, NonFiniteEntryError, OutOfRangeError
@@ -58,6 +61,7 @@ def _query_labels(task, labels: Optional[Sequence]) -> tuple:
     of a regression task a finite real number; LabelOutOfSpaceError names
     the first that is not. An empty list, or one that repeats a label,
     raises OutOfRangeError. Every check runs before anything is scored.
+    numpy scalars come back as Python scalars, as a table holds them.
     """
     labels = tuple(task.candidates if labels is None else labels)
     if not labels:
@@ -70,7 +74,7 @@ def _query_labels(task, labels: Optional[Sequence]) -> tuple:
             raise LabelOutOfSpaceError(f"label {y!r} is not a finite real number")
     if len(set(labels)) != len(labels):
         raise OutOfRangeError("duplicate candidate labels")
-    return labels
+    return tuple(map(_py_scalar, labels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,15 +153,25 @@ class CrossEPredictor:
         repeated label, a label outside the task's label space, or a
         non-finite x raises before anything is scored."""
         labels = _query_labels(self.task, labels)
+        # the labels were just checked, and every block passed check_e_rows,
+        # so the tables skip PlausibilityTable's checks
         folds = []
         for calibration, row in zip(self.calibration_summaries, self.rule.score_folds(x, labels)):
             block = self.normalizer.block(calibration, row)
-            values, sigmas = tuple(block[:, -1].tolist()), tuple(row.tolist())
-            folds.append(SplitTable(labels, values, calibration.array, sigmas, block))
+            folds.append(
+                _unchecked(
+                    SplitTable,
+                    labels=labels,
+                    values=tuple(block[:, -1].tolist()),
+                    calibration=calibration.array,
+                    sigmas=tuple(row.tolist()),
+                    block=block,
+                )
+            )
         if len(folds) == 1:
             return folds[0]
         merged = tuple(self._merge(column) for column in zip(*(t.values for t in folds)))
-        return CrossTable(labels, merged, tuple(folds))
+        return _unchecked(CrossTable, labels=labels, values=merged, folds=tuple(folds))
 
     def component_bound(self) -> Optional[float]:
         """The largest fold bound (a mean of e-values never exceeds it);
@@ -330,8 +344,7 @@ class OnlineTrace:
             raise OutOfRangeError("trace must be non-empty")
         if any(not math.isfinite(e) or e < 0 for e in es):
             raise OutOfRangeError("e-values must be finite and nonnegative")
-        # e = n / 2**j with j <= 1074: n << (1074 - j) units of 2**-1074
-        sums = accumulate(n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, es))
+        sums = accumulate(map(float_units, es))
         scale = 1 << 1074
         means = tuple(s / scale / i for i, s in enumerate(sums, 1))
         object.__setattr__(self, "e_values", es)

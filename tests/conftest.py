@@ -4,8 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from confee import EPSILON_FLOOR
+
+# On CI runners (which set CI), a failing property test also prints the
+# @reproduce_failure blob that replays its example locally; each test's
+# own max_examples still applies.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # pyproject's `pythonpath` puts src/ on the path of this process only;
 # export it so that processes the tests start (`python -m confee`) import

@@ -183,6 +183,18 @@ class TestPredict:
                 capsys.readouterr().err
             )
 
+    def test_ridge_overflow_names_x(self, tmp_path, capsys):
+        # in process, so that pyproject's filter turns a numpy overflow
+        # warning raised from confee into a failure
+        train = tmp_path / "reg.csv"
+        _run("gen", "--scenario", "linreg3", "--n", "20", "--seed", "1", "--out", str(train))
+        capsys.readouterr()
+        assert _run("predict", "--input", str(train), "--grid=-3,0,3", "--rule", "ridge",
+                    "--x", "1.7e308,-1.7e308,-1.7e308") == 1
+        assert capsys.readouterr().err.endswith(
+            "error: x too large for ridge: x.beta overflows\n"
+        )
+
     def test_header_only_test_file_adds_no_objects(self, train_csv, tmp_path):
         test_path = tmp_path / "test.csv"
         test_path.write_text("x1,x2\n")

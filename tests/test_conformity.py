@@ -337,6 +337,37 @@ class TestRidge:
             rule.score_folds((0.0, 0.0, 0.0), ["a", 1.0])
 
 
+class TestRidgeOverflow:
+    """Finite input that makes the ridge arithmetic overflow is refused
+    with an OutOfRangeError naming the input, and no numpy warning."""
+
+    def test_huge_features(self):
+        training = _random_regression(np.random.default_rng(3), n=20)
+        huge = Dataset(training.X * 1e200, training.y, training.task)
+        with pytest.raises(OutOfRangeError, match=r"^features or lam too large for ridge"):
+            train_conformity("ridge", huge, fold_of=np.arange(20) % 5, lam=1.0)
+
+    def test_huge_labels(self):
+        training = _random_regression(np.random.default_rng(3), n=20)
+        huge = Dataset(training.X * 1e10, training.y * 1e300, training.task)
+        with pytest.raises(OutOfRangeError, match=r"^features or labels too large for ridge"):
+            train_conformity("ridge", huge, lam=1.0)
+
+    def test_huge_x(self):
+        rule = train_conformity("ridge", _random_regression(np.random.default_rng(3)), lam=1.0)
+        # each term of x.beta is finite, and their sum overflows
+        x = np.copysign(1.7e308, rule.betas[0])
+        with pytest.raises(OutOfRangeError, match=r"^x too large for ridge: x.beta overflows$"):
+            rule.score_folds(x, [0.0, 1.0])
+
+    def test_large_finite_input_keeps_its_summaries(self):
+        training = _random_regression(np.random.default_rng(3), n=20)
+        large = Dataset(training.X * 1e150, training.y, training.task)
+        rule = train_conformity("ridge", large, fold_of=np.arange(20) % 5, lam=1.0)
+        assert np.isfinite(rule.held_out).all()
+        assert np.isfinite(rule.score_folds((1e150, 0.0, -1e150), [0.0])).all()
+
+
 class TestDeterminism:
     def test_training_order_is_irrelevant_bitwise(self):
         rng = np.random.default_rng(4242)

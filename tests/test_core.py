@@ -9,6 +9,7 @@ from confee import (
     AverageExceedsOneError,
     ClassificationTask,
     Dataset,
+    E_MEAN_TOLERANCE,
     EValueVector,
     EmptyDatasetError,
     FoldPartition,
@@ -26,6 +27,8 @@ from confee import (
     make_fold_partition,
     spawn_rng,
 )
+from confee import core
+from confee.core import FAST_ROWS, check_e_rows
 
 TASK01 = ClassificationTask((0, 1))
 
@@ -66,6 +69,122 @@ class TestEValueVector:
             else:
                 with pytest.raises(AverageExceedsOneError):
                     EValueVector(values)
+
+
+# The row check as it was before the certified filter, kept as the
+# reference: math.fsum of every row, in order.
+
+
+def _ref_check_e_rows(block):
+    if not np.isfinite(block).all():
+        raise NonFiniteEntryError("e-values must be finite")
+    if (block < 0).any():
+        raise NegativeEntryError("e-values must be nonnegative")
+    m = block.shape[1]
+    try:
+        for total in map(math.fsum, block.tolist()):
+            if total / m > 1.0 + E_MEAN_TOLERANCE:
+                raise AverageExceedsOneError(f"mean {total / m} exceeds 1")
+    except OverflowError:
+        raise AverageExceedsOneError("mean exceeds 1: the row's sum overflows") from None
+    return block
+
+
+_TOP = 1.0 + E_MEAN_TOLERANCE
+
+
+def _nudged(value, steps):
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.inf if steps > 0 else 0.0)
+    return value
+
+
+def _lossy_row(m, fraction, steps):
+    """One large entry and m - 1 entries below half its ulp, summing to
+    about the largest passing total m * (1 + E_MEAN_TOLERANCE): numpy's
+    pairwise sum drops some of the small entries into the large one, so
+    it undershoots the exact sum by several ulp."""
+    small = fraction * math.ulp(m * _TOP)
+    return [_nudged(m * _TOP - (m - 1) * small, steps)] + [small] * (m - 1)
+
+
+def _row(rng, m, kind):
+    if kind == "lossy":
+        return _lossy_row(m, rng.uniform(0.3, 0.5), int(rng.integers(-4, 12)))
+    if kind == "zeros":
+        return [0.0] * m
+    if kind == "subnormal":
+        return (rng.integers(0, 1000, m) * 5e-324).tolist()
+    if kind == "huge":
+        row = np.zeros(m)
+        row[rng.integers(0, m, int(rng.integers(1, 4)))] = 10.0 ** rng.uniform(305, 308)
+        return row.tolist()
+    # "near": a total within a few ulp of the largest passing one
+    row = rng.exponential(1.0, m) * rng.uniform(0.0, 1.0, m) ** 4
+    row *= m * _TOP / math.fsum(row.tolist())
+    top = int(row.argmax())
+    row[top] = _nudged(row[top] + (m * _TOP - math.fsum(row.tolist())), int(rng.integers(-6, 7)))
+    return np.maximum(row, 0.0).tolist()
+
+
+@st.composite
+def _e_blocks(draw):
+    """(L, m) blocks, L below and at or above FAST_ROWS and m up to 10**4,
+    whose rows sit at the mean check's edge: totals within a few ulp of
+    m * (1 + E_MEAN_TOLERANCE), rows numpy's sum undershoots, zeros,
+    subnormals and entries whose sum overflows; now and then one entry is
+    negative or not finite."""
+    m = draw(st.one_of(st.integers(1, 40), st.integers(41, 10_000)))
+    L = draw(st.one_of(st.integers(1, FAST_ROWS - 1), st.integers(FAST_ROWS, 24)))
+    L = max(1, min(L, 250_000 // m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["near", "lossy", "zeros", "subnormal", "huge"]),
+                          min_size=1, max_size=3))
+    block = np.array([_row(rng, m, kinds[i % len(kinds)]) for i in range(L)])
+    bad = draw(st.sampled_from([None] * 8 + [-1e-300, math.nan, math.inf]))
+    if bad is not None:
+        block[rng.integers(0, L), rng.integers(0, m)] = bad
+    return block
+
+
+def _check_outcome(check, block):
+    """("ok", the returned block is the one given and read-only), or the
+    error's class and message."""
+    block = block.copy()
+    try:
+        out = check(block)
+    except (AverageExceedsOneError, NegativeEntryError, NonFiniteEntryError) as exc:
+        return type(exc), str(exc)
+    return "ok", out is block and not out.flags.writeable
+
+
+class TestCertifiedRowCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(block=_e_blocks())
+    @example(block=np.array([_lossy_row(1000, 0.49, 2)] * FAST_ROWS))
+    @example(block=np.array([_lossy_row(128, 0.49, 1)] * (FAST_ROWS + 1)))
+    @example(block=np.array([[1e308, 1e308, 0.0]] * FAST_ROWS))
+    @example(block=np.array([[0.0] * 9] * FAST_ROWS))
+    def test_matches_the_fsum_check(self, block):
+        expected = _check_outcome(_ref_check_e_rows, block)
+        if expected[0] == "ok":
+            expected = ("ok", True)
+        assert _check_outcome(check_e_rows, block) == expected
+
+    def test_certified_rows_take_no_fsum(self, monkeypatch):
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(core.math, "fsum", lambda row: calls.append(1) or fsum(row))
+        check_e_rows(np.full((FAST_ROWS, 5), 0.5))
+        assert calls == []
+        check_e_rows(np.full((FAST_ROWS - 1, 5), 0.5))
+        assert len(calls) == FAST_ROWS - 1
+        # rows at the largest passing mean are too close for the numpy sum
+        # to clear; they are checked exactly and pass
+        rows = np.full((FAST_ROWS, 4), 0.5)
+        rows[3] = rows[5] = _TOP
+        check_e_rows(rows)
+        assert len(calls) == FAST_ROWS + 1
 
 
 class TestVectorValues:
@@ -206,6 +325,20 @@ class TestFoldPartitionDifferential:
             assert part.fold_of.tolist() == [
                 next(k for k, fold in enumerate(expected) if i in fold) for i in range(n)
             ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 500), K=st.integers(2, 500), seed=st.integers(0, 2**63 - 1))
+    @example(n=2, K=2, seed=0)
+    @example(n=23, K=5, seed=3)
+    def test_make_fold_partition_passes_the_public_checks(self, n, K, seed):
+        K = min(K, n)
+        part = make_fold_partition(n, K, seed)
+        public = FoldPartition(part.folds, n, seed)
+        assert part == public and hash(part) == hash(public)
+        assert np.array_equal(part.fold_of, public.fold_of)
+        assert part.fold_of.dtype == np.intp
+        for array in (*part.folds, part.fold_of):
+            assert not array.flags.writeable
 
     def test_folds_are_read_only_and_not_shared_with_the_caller(self):
         given_fold = np.array([0, 2])

@@ -22,6 +22,7 @@ from confee import (
     mean_normalize,
     sum_normalize,
 )
+from confee.core import FAST_ROWS, exact_partials
 
 
 _NORMALIZE = {"sum": sum_normalize, "mean": mean_normalize}
@@ -321,3 +322,73 @@ class TestBlockDifferential:
         ):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+
+_MAX = 1.7976931348623157e308
+#: summaries around every overflow edge: the largest double, the half ulp
+#: that rounds it up to overflow, and subnormals
+_EDGE_FLOATS = st.one_of(
+    st.floats(0.0, _MAX),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1.0, 2.0**969, 2.0**970,
+                     _MAX / 2, _MAX, 1e308]),
+)
+
+
+def _sum_outcome(terms):
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return OverflowError
+
+
+class TestExactPartials:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_EDGE_FLOATS, max_size=30), s=_EDGE_FLOATS)
+    @example(values=[_MAX], s=2.0**970)  # ties to even, up to overflow
+    @example(values=[_MAX], s=2.0**969)
+    @example(values=[_MAX / 2, _MAX / 2, 2.0**969], s=2.0**969)
+    @example(values=[0.1] * 10, s=0.3)
+    def test_total_is_the_fsum_total(self, values, s):
+        expected = _sum_outcome((*values, s))
+        try:
+            partials = exact_partials(values)
+        except OverflowError:
+            assert _sum_outcome(values) is OverflowError and expected is OverflowError
+            return
+        assert all(p >= 0.0 for p in partials)
+        assert _sum_outcome((*partials, s)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["sum", "mean"]),
+        calibration=st.lists(_EDGE_FLOATS.filter(lambda v: v > 0), min_size=1, max_size=12),
+        sigmas=st.lists(_EDGE_FLOATS.filter(lambda v: v > 0), min_size=FAST_ROWS, max_size=20),
+    )
+    @example(kind="sum", calibration=[_MAX], sigmas=[1.0] * (FAST_ROWS - 1) + [2.0**970])
+    @example(kind="mean", calibration=[1e308, 1.0], sigmas=[1.0] * FAST_ROWS)
+    def test_block_is_one_candidate_at_a_time(self, kind, calibration, sigmas):
+        """A block of at least FAST_ROWS candidates, which takes its totals
+        from the calibration's partials and its row check from numpy sums,
+        gives each row, or the error, that the same candidate alone gives."""
+        vector = SummaryVector(calibration)
+
+        def block():
+            return [row.tolist() for row in get_normalizer(kind).block(vector, sigmas)]
+
+        def one_at_a_time():
+            return [list(_NORMALIZE[kind]((*calibration, s)).values) for s in sigmas]
+
+        def outcome(compute):
+            try:
+                return compute()
+            except (OutOfRangeError, AverageExceedsOneError) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(block) == outcome(one_at_a_time)
+
+    def test_only_blocks_of_fast_rows_compute_partials(self):
+        calibration = SummaryVector((0.1, 0.2, 0.3))
+        get_normalizer("mean").block(calibration, [0.5] * (FAST_ROWS - 1))
+        assert "partials" not in vars(calibration)
+        get_normalizer("mean").block(calibration, [0.5] * FAST_ROWS)
+        assert calibration.partials == exact_partials((0.1, 0.2, 0.3))

@@ -15,6 +15,7 @@ from confee import (
     DimensionMismatchError,
     FoldPartition,
     LabelOutOfSpaceError,
+    NegativeEntryError,
     NonFiniteEntryError,
     OutOfRangeError,
     PlausibilityTable,
@@ -35,7 +36,15 @@ from confee import (
     train_conformity,
     unit_margin_provider,
 )
-from confee.predictors import WEIGHTINGS, CrossEPredictor, FullEPredictor, OnlineTrace, SplitTable
+from confee.core import FAST_ROWS
+from confee.predictors import (
+    WEIGHTINGS,
+    CrossEPredictor,
+    CrossTable,
+    FullEPredictor,
+    OnlineTrace,
+    SplitTable,
+)
 from conftest import _reference_knn
 
 GRID03 = RegressionTask((0.0, 3.0))
@@ -543,6 +552,64 @@ class TestQueryDomain:
             OutOfRangeError, match="^the partition covers 30 rows; the training set has 40$"
         ):
             fit_cross_from_partition(self.GM2D, make_fold_partition(30, 5, 1))
+
+
+def _public_copy(table):
+    """The same table built through the public, checking constructors."""
+    if isinstance(table, CrossTable):
+        folds = tuple(_public_copy(fold) for fold in table.folds)
+        return CrossTable(table.labels, table.values, folds)
+    return SplitTable(table.labels, table.values, table.calibration, table.sigmas, table.block)
+
+
+class TestTables:
+    """predict builds its tables without PlausibilityTable's checks, from
+    labels and blocks it has just checked; the public constructors check."""
+
+    GM2D = sample(get_scenario("gm2d"), 40, 1)
+    LINREG3 = sample(get_scenario("linreg3"), 40, 1)
+
+    @pytest.mark.parametrize("fit", ["split", "cross"])
+    @pytest.mark.parametrize(
+        "kind, training, labels",
+        [
+            ("knn", GM2D, None),
+            ("knn", GM2D, (np.int64(1), np.int64(0))),
+            ("ridge", LINREG3, None),
+            ("ridge", LINREG3, tuple(np.linspace(-3.0, 3.0, 2 * FAST_ROWS))),
+        ],
+        ids=["knn", "knn-numpy-labels", "ridge", "ridge-numpy-grid"],
+    )
+    def test_equal_to_the_checked_tables(self, kind, training, labels, fit):
+        table = _fit(fit, kind, training).predict((0.3, -0.2, 0.1)[: training.dim], labels)
+        public = _public_copy(table)
+        assert type(table) is type(public) and table == public
+        assert table.labels == public.labels and table.values == public.values
+        assert [type(label) for label in table.labels] == [type(lab) for lab in public.labels]
+        folds = table.folds if isinstance(table, CrossTable) else (table,)
+        public_folds = public.folds if isinstance(public, CrossTable) else (public,)
+        for fold, public_fold in zip(folds, public_folds):
+            assert type(fold) is SplitTable and fold == public_fold
+            assert fold.p_values == public_fold.p_values
+            assert fold.sigmas == public_fold.sigmas
+            assert np.array_equal(fold.block, public_fold.block)
+
+    @pytest.mark.parametrize("labels, values, error", [
+        (("a", "a"), (0.5, 0.5), OutOfRangeError),
+        (("a", "b"), (0.5,), OutOfRangeError),
+        ((), (), OutOfRangeError),
+        (("a",), (-1.0,), NegativeEntryError),
+        (("a", "b"), (0.5, math.nan), NonFiniteEntryError),
+        (("a", "b"), (math.inf, 0.5), NonFiniteEntryError),
+    ])
+    def test_public_constructors_check(self, labels, values, error):
+        split = SplitTable(("a",), (0.5,), np.array([1.0]), (1.0,), np.array([[1.0, 1.0]]))
+        with pytest.raises(error):
+            SplitTable(labels, values, np.array([1.0]), (1.0,) * len(values), np.ones((1, 2)))
+        with pytest.raises(error):
+            CrossTable(labels, values, (split, split))
+        with pytest.raises(error):
+            PlausibilityTable(labels, values)
 
 
 class TestScalarOps:
