@@ -407,7 +407,6 @@ def _details_for(table) -> dict:
 def cmd_predict(parser: _Parser, args, cfg: dict) -> int:
     training = _training_data(parser, cfg)
     task = training.task
-    labels = task.candidates
     spec = _spec_from(cfg)
     predictor = build_predictor(spec, training, derive_seed(cfg["seed"], 3))
     objects = _test_objects(parser, cfg, task, training.dim)
@@ -415,7 +414,7 @@ def cmd_predict(parser: _Parser, args, cfg: dict) -> int:
     epsilons = [float(e) for e in cfg["epsilons"]]
     results = []
     for x, true_label in objects:
-        table = predictor.predict(x, labels)
+        table = predictor.predict(x)
         entry = {
             "x": list(x),
             "true_label": None if true_label is None else format_label(true_label),
@@ -428,7 +427,7 @@ def cmd_predict(parser: _Parser, args, cfg: dict) -> int:
         if isinstance(table, CrossTable):
             entry["fold_e_values"] = {
                 format_label(y): [t.values[i] for t in table.folds]
-                for i, y in enumerate(labels)
+                for i, y in enumerate(table.labels)
             }
         if cfg["verbose"]:
             entry["details"] = _details_for(table)
@@ -438,9 +437,9 @@ def cmd_predict(parser: _Parser, args, cfg: dict) -> int:
         del table
 
     if isinstance(task, ClassificationTask):
-        task_obj = {"type": "classification", "labels": [format_label(y) for y in labels]}
+        task_obj = {"type": "classification", "labels": [format_label(y) for y in task.labels]}
     else:
-        task_obj = {"type": "regression", "grid": [float(g) for g in labels]}
+        task_obj = {"type": "regression", "grid": list(task.grid)}
     report = {
         "kind": "predict",
         "seed": cfg["seed"],

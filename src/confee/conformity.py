@@ -258,14 +258,17 @@ def _ridge_beta(X: np.ndarray, yf: np.ndarray, lam: float) -> np.ndarray:
 def _ridge_summaries(X: np.ndarray, yf: np.ndarray, beta: np.ndarray, name="x") -> np.ndarray:
     """1 / (1 + |y - x.beta|) for the rows x of X and labels yf (broadcast);
     OutOfRangeError naming `name` (x, or the features) where x.beta
-    overflows."""
+    overflows, and `name` and the labels where y - x.beta does."""
     # row-wise multiply-and-sum instead of a matrix product: the BLAS
     # kernel may round differently for different batch shapes
     with np.errstate(over="ignore", invalid="ignore"):
         predictions = (X * beta).sum(axis=1)
+        residuals = np.abs(yf - predictions)
     if not np.isfinite(predictions).all():
         raise OutOfRangeError(f"{name} too large for ridge: x.beta overflows")
-    return 1.0 / (1.0 + np.abs(yf - predictions))
+    if not np.isfinite(residuals).all():
+        raise OutOfRangeError(f"{name} or labels too large for ridge: y - x.beta overflows")
+    return 1.0 / (1.0 + residuals)
 
 
 def _float_labels(y) -> np.ndarray:

@@ -43,6 +43,7 @@ from .core import (
     Observation,
     PlausibilityTable,
     SummaryVector,
+    _ONE,
     _py_scalar,
     _unchecked,
     float_units,
@@ -55,15 +56,19 @@ WEIGHTINGS = ("uniform", "size_proportional")
 
 
 def _query_labels(task, labels: Optional[Sequence]) -> tuple:
-    """The candidate labels of a query, the task's candidates by default.
+    """The candidate labels of a query: for None, the task's candidates,
+    which the task validated when it was built, with no check repeated.
 
-    A candidate of a classification task must be one of its labels, and one
+    Labels a caller passes are checked before anything is scored. A
+    candidate of a classification task must be one of its labels, and one
     of a regression task a finite real number; LabelOutOfSpaceError names
     the first that is not. An empty list, or one that repeats a label,
-    raises OutOfRangeError. Every check runs before anything is scored.
-    numpy scalars come back as Python scalars, as a table holds them.
+    raises OutOfRangeError. numpy scalars come back as Python scalars, as a
+    table holds them.
     """
-    labels = tuple(task.candidates if labels is None else labels)
+    if labels is None:
+        return task.candidates
+    labels = tuple(labels)
     if not labels:
         raise OutOfRangeError("no candidate labels")
     for y in labels:
@@ -75,6 +80,21 @@ def _query_labels(task, labels: Optional[Sequence]) -> tuple:
     if len(set(labels)) != len(labels):
         raise OutOfRangeError("duplicate candidate labels")
     return tuple(map(_py_scalar, labels))
+
+
+class _EPredictor:
+    """The query contract every e-predictor keeps.
+
+    `predict(x, labels=None)` returns a PlausibilityTable of the e-values
+    of the candidate labels at object x; `labels` defaults to the task's
+    candidates and is checked by `_query_labels` otherwise. Every
+    predictor also answers `component_bound()`: a bound on each e-value
+    it outputs, or None if it declares none.
+    """
+
+    def e_at(self, x: Sequence[float], y) -> float:
+        """E-value of candidate label y at object x."""
+        return self.predict(x, (y,)).values[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +127,7 @@ class CrossTable(PlausibilityTable):
 
 
 @dataclass(frozen=True, eq=False)
-class CrossEPredictor:
+class CrossEPredictor(_EPredictor):
     """One rule fitted on the training set and the fold of every row; fold
     k calibrates on its rows against the rule's fit on the rows outside
     it, and the fold e-values merge by an arithmetic mean.
@@ -139,10 +159,6 @@ class CrossEPredictor:
             return math.fsum(fold_alphas) / len(fold_alphas)
         sizes = [len(calibration) for calibration in self.calibration_summaries]
         return math.fsum(s * a for s, a in zip(sizes, fold_alphas)) / sum(sizes)
-
-    def e_at(self, x: Sequence[float], y) -> float:
-        """E-value of candidate label y at object x."""
-        return self.predict(x, (y,)).values[0]
 
     def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> PlausibilityTable:
         """Score every (fold, candidate) pair in one rule call, normalize each
@@ -240,12 +256,13 @@ class FullTable(PlausibilityTable):
 
 
 @dataclass(frozen=True, eq=False)
-class FullEPredictor:
+class FullEPredictor(_EPredictor):
     """Applies an e-assignment to the training sequence plus the candidate.
 
     The assignment maps a finite observation sequence to an EValueVector of
     the same length; the candidate example goes last, and its component is
-    the reported e-value.
+    the reported e-value. The assignment is arbitrary, so the predictor
+    declares no bound on its e-values.
     """
 
     training: Dataset
@@ -253,9 +270,6 @@ class FullEPredictor:
 
     def __post_init__(self):
         object.__setattr__(self, "_observations", tuple(self.training.observations()))
-
-    def e_at(self, x: Sequence[float], y) -> float:
-        return self.predict(x, (y,)).values[0]
 
     def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> FullTable:
         """One assignment per candidate label, kept alongside its e-value.
@@ -268,6 +282,10 @@ class FullEPredictor:
             self.assignment((*self._observations, Observation(tuple(x), y))) for y in labels
         )
         return FullTable(labels, tuple(v.values[-1] for v in vectors), vectors)
+
+    def component_bound(self) -> None:
+        """None: an arbitrary assignment bounds nothing."""
+        return None
 
 
 def cross_p_merge(p_values: Sequence[float], adjusted: bool = True) -> float:
@@ -330,9 +348,10 @@ class OnlineTrace:
     """Realized e-values at the true labels and their prefix averages.
 
     Every double is a whole multiple of 2**-1074, so the prefix sums are
-    kept exactly as integers in those units. Dividing one by 2**1074 is
-    Python's correctly rounded int/int division: the prefix sum math.fsum
-    gives, bit for bit, and OverflowError where that sum overflows.
+    kept exactly as integers in those units (`core.float_units`). Dividing
+    one by `core._ONE` = 2**1074 is Python's correctly rounded int/int
+    division: the prefix sum math.fsum gives, bit for bit, and
+    OverflowError where that sum overflows.
     """
 
     e_values: tuple
@@ -345,8 +364,7 @@ class OnlineTrace:
         if any(not math.isfinite(e) or e < 0 for e in es):
             raise OutOfRangeError("e-values must be finite and nonnegative")
         sums = accumulate(map(float_units, es))
-        scale = 1 << 1074
-        means = tuple(s / scale / i for i, s in enumerate(sums, 1))
+        means = tuple(s / _ONE / i for i, s in enumerate(sums, 1))
         object.__setattr__(self, "e_values", es)
         object.__setattr__(self, "running_means", means)
 

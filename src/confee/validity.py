@@ -24,13 +24,15 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 from .conformity import support_set_assignment, unit_margin_provider
-from .core import ClassificationTask, Dataset, PlausibilityTable, derive_seed
+from .core import ClassificationTask, Dataset, PlausibilityTable, Task, derive_seed
 from .data import Scenario, sample
 from .errors import DimensionMismatchError, OutOfRangeError, UnboundedNormalizerError
 from .normalize import Normalizer
 from .predictors import (
     FullEPredictor,
     OnlineTrace,
+    _EPredictor,
+    _query_labels,
     cross_p_merge,
     fit_cross,
     fit_split,
@@ -80,20 +82,21 @@ class PredictorSpec:
 
 
 @dataclass(frozen=True)
-class ConstantEPredictor:
+class ConstantEPredictor(_EPredictor):
     """Outputs one fixed value for every query.
 
     Only a genuine e-predictor when value <= 1; larger values are allowed
     at construction precisely so harnesses can demonstrate a detection.
+    It keeps the query contract of every predictor: `predict(x)` answers
+    the task's candidates, and labels a caller passes are checked against
+    the task before any value is given. Its bound is the value itself.
     """
 
     value: float
+    task: Task
 
-    def e_at(self, x, y) -> float:
-        return self.value
-
-    def predict(self, x, labels) -> PlausibilityTable:
-        labels = tuple(labels)
+    def predict(self, x, labels=None) -> PlausibilityTable:
+        labels = _query_labels(self.task, labels)
         return PlausibilityTable(labels, (self.value,) * len(labels))
 
     def component_bound(self) -> float:
@@ -109,7 +112,7 @@ def build_predictor(spec: PredictorSpec, training: Dataset, fold_seed: int):
     of a classification task.
     """
     if spec.kind == "const":
-        return ConstantEPredictor(spec.const_value)
+        return ConstantEPredictor(spec.const_value, training.task)
     if spec.kind == "split":
         return fit_split(
             training, spec.calibration_size, spec.rule, spec.normalizer, **spec.rule_params()
@@ -275,15 +278,17 @@ def _online_round(spec: PredictorSpec, stream: Dataset, seed: int, i: int) -> tu
     """Round i: fit on the first i - 1 rows of the stream and score row i - 1
     at its realized label.
 
-    The predictor's declared bound is read before any e-value, so an
-    unbounded normalizer is refused first. Returns (e, bound).
+    The predictor's declared bound is read before any e-value, so a
+    predictor that declares none (a full predictor, or a split or cross
+    one whose normalizer declares none) is refused first, with one
+    message. Returns (e, bound).
     `build_predictor` is looked up as a module global at each call:
     bench/worker.py starts an online item's clock by patching it.
     """
     predictor = build_predictor(spec, stream.subset(range(i - 1)), derive_seed(seed, 2, i))
     bound = predictor.component_bound()
     if bound is None:
-        raise UnboundedNormalizerError("normalizer declares no bound")
+        raise UnboundedNormalizerError("predictor declares no bound")
     z = stream.observation(i - 1)
     return float(predictor.e_at(z.x, z.y)), float(bound)
 
@@ -303,8 +308,11 @@ def online_time_validity(
     afterwards round i fits on observations 1..i-1 and scores observation i
     at its realized label, so the first fit runs on `warmup` rows and a
     split or cross spec refuses a warmup too short for it. Each fitted round
-    is one `_online_round`. The verdict compares the final running mean
-    against 1 + tolerance.
+    is one `_online_round`, which asks the fitted predictor for its bound
+    (`component_bound()`) and refuses one that declares none, a full
+    predictor among them, before the first e-value; a full spec's own
+    checks (positive_label, margin_w) run first, when it is built. The
+    verdict compares the final running mean against 1 + tolerance.
     """
     if n_rounds < 50:
         raise OutOfRangeError(f"n_rounds={n_rounds}; need at least 50")
@@ -312,10 +320,6 @@ def online_time_validity(
         raise OutOfRangeError("warmup must lie in 1..n_rounds-1")
     if not 0 < tolerance < 1:
         raise OutOfRangeError("tolerance must lie in (0, 1)")
-    if spec.kind == "full":
-        raise UnboundedNormalizerError(
-            "full predictor declares no output bound; use split, cross, or const"
-        )
     if spec.kind in ("split", "cross"):
         minimum = _first_fit_rows(spec)
         if warmup < minimum:

@@ -195,6 +195,16 @@ class TestPredict:
             "error: x too large for ridge: x.beta overflows\n"
         )
 
+    def test_ridge_residual_overflow_names_x_and_labels(self, tmp_path, capsys):
+        # x.beta, about -1.6e308, is finite; the grid label 1.7e308 minus it is not
+        train = tmp_path / "line.csv"
+        train.write_text("x1,y\n" + "".join(f"{i},{2 * i}\n" for i in range(1, 41)))
+        assert _run("predict", "--input", str(train), "--grid=-1.7e308,0,1.7e308",
+                    "--rule", "ridge", "--x=-8e307") == 1
+        assert capsys.readouterr().err.endswith(
+            "error: x or labels too large for ridge: y - x.beta overflows\n"
+        )
+
     def test_header_only_test_file_adds_no_objects(self, train_csv, tmp_path):
         test_path = tmp_path / "test.csv"
         test_path.write_text("x1,x2\n")
@@ -291,10 +301,12 @@ class TestValidate:
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
-    def test_usage_errors(self):
+    def test_usage_errors(self, capsys):
         assert _run("validate", "--mode", "sideways") == 1
         assert _run("validate", "--trials", "10") == 1  # below minimum
+        capsys.readouterr()
         assert _run("validate", "--mode", "time", "--predictor", "full") == 1
+        assert capsys.readouterr().err.endswith("error: predictor declares no bound\n")
 
     def test_threads_must_be_positive(self, capsys):
         for value in ("0", "-2"):

@@ -360,6 +360,22 @@ class TestRidgeOverflow:
         with pytest.raises(OutOfRangeError, match=r"^x too large for ridge: x.beta overflows$"):
             rule.score_folds(x, [0.0, 1.0])
 
+    def test_beta_overflows(self):
+        # X'X = 1.4e-319 and X'y = 1.4e-9 are finite; their quotient is not
+        tiny = Dataset([[1e-160], [2e-160], [3e-160]], [1e150, 2e150, 3e150], RegressionTask((0.0,)))
+        with pytest.raises(
+            OutOfRangeError, match=r"^features or labels too large for ridge: beta overflows$"
+        ):
+            train_conformity("ridge", tiny, lam=0.0)
+
+    def test_huge_held_out_residual(self):
+        # fold 0 (the second row) calibrates against beta = 1.7e308 from the
+        # first row; its residual -1.7e308 - 1.7e308 overflows
+        training = Dataset([[1.0], [1.0]], [1.7e308, -1.7e308], RegressionTask((0.0,)))
+        message = r"^features or labels too large for ridge: y - x.beta overflows$"
+        with pytest.raises(OutOfRangeError, match=message):
+            train_conformity("ridge", training, fold_of=np.array([-1, 0]), lam=0.0)
+
     def test_large_finite_input_keeps_its_summaries(self):
         training = _random_regression(np.random.default_rng(3), n=20)
         large = Dataset(training.X * 1e150, training.y, training.task)

@@ -216,6 +216,11 @@ class TestFoldPartition:
             assert max(sizes) - min(sizes) <= 1
             assert part == make_fold_partition(n, K, seed)
 
+    def test_compares_only_with_partitions(self):
+        part = make_fold_partition(6, 2, 1)
+        assert part != 3 and not part == 3
+        assert part != make_fold_partition(6, 2, 2)
+
     def test_large_folds_come_first(self):
         part = make_fold_partition(23, 5, 3)
         assert [len(f) for f in part.folds] == [5, 5, 5, 4, 4]

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from confee import validity
 from confee import (
     ClassificationTask,
+    ConstantEPredictor,
     Dataset,
     DimensionMismatchError,
     FoldPartition,
@@ -19,7 +21,9 @@ from confee import (
     NonFiniteEntryError,
     OutOfRangeError,
     PlausibilityTable,
+    PredictorSpec,
     RegressionTask,
+    build_predictor,
     cross_p_merge,
     e_prediction_set,
     e_to_p,
@@ -44,6 +48,7 @@ from confee.predictors import (
     FullEPredictor,
     OnlineTrace,
     SplitTable,
+    _query_labels,
 )
 from conftest import _reference_knn
 
@@ -482,9 +487,33 @@ class TestFull:
 
 
 def _fit(fit, kind, training):
+    if fit == "const":
+        return ConstantEPredictor(1.0, training.task)
     if fit == "split":
         return fit_split(training, 10, kind)
     return fit_cross(training, 5, 1, kind)
+
+
+class TestQueryContract:
+    """`predict(x)` answers the task's candidates, as the task validated
+    them, exactly as passing those candidates in does."""
+
+    @pytest.mark.parametrize("kind", ["split", "cross", "full", "const"])
+    @pytest.mark.parametrize("scenario, rule, x", [
+        ("gm2d", "knn", (0.3, -0.2)), ("linreg3", "ridge", (0.3, -0.2, 0.1)),
+    ], ids=["gm2d", "linreg3"])
+    def test_default_labels_are_the_task_candidates(self, kind, scenario, rule, x):
+        training = sample(get_scenario(scenario), 40, 1)
+        predictor = build_predictor(PredictorSpec(kind=kind, rule=rule), training, 2)
+        default = predictor.predict(x)
+        passed = predictor.predict(x, list(training.task.candidates))
+        assert type(default) is type(passed)
+        assert default.labels == passed.labels == training.task.candidates
+        assert default.values == passed.values
+
+    @pytest.mark.parametrize("task", [ClassificationTask(("a", 0)), RegressionTask((0.0, 2.5))])
+    def test_the_task_vouches_for_its_candidates(self, task):
+        assert _query_labels(task, None) is task.candidates
 
 
 class TestQueryDomain:
@@ -505,7 +534,7 @@ class TestQueryDomain:
         with pytest.raises(NonFiniteEntryError, match="^x must be finite$"):
             predictor.predict(x)
 
-    @pytest.mark.parametrize("fit", ["split", "cross"])
+    @pytest.mark.parametrize("fit", ["split", "cross", "const"])
     def test_classification_label_outside_the_task(self, fit):
         predictor = _fit(fit, "knn", self.GM2D)
         with pytest.raises(LabelOutOfSpaceError, match="^label 7 not in task labels$"):
@@ -520,7 +549,7 @@ class TestQueryDomain:
             predictor.predict((0.0, 0.0), (0, 7))
 
     @pytest.mark.parametrize("candidate", [math.nan, math.inf, -math.inf, "3"])
-    @pytest.mark.parametrize("fit", ["split", "cross"])
+    @pytest.mark.parametrize("fit", ["split", "cross", "const"])
     @pytest.mark.parametrize("kind", ["knn", "ridge"])
     def test_regression_candidate_not_a_finite_real(self, kind, fit, candidate):
         predictor = _fit(fit, kind, self.LINREG3)
@@ -532,7 +561,7 @@ class TestQueryDomain:
         ((), "no candidate labels"), ((0, 0), "duplicate candidate labels"),
         ((1, 0, 1), "duplicate candidate labels"),
     ], ids=["empty", "repeated", "repeated-apart"])
-    @pytest.mark.parametrize("fit", ["split", "cross", "full"])
+    @pytest.mark.parametrize("fit", ["split", "cross", "full", "const"])
     def test_empty_or_repeated_candidates_refused_before_scoring(
         self, monkeypatch, fit, candidates, message
     ):
@@ -541,6 +570,9 @@ class TestQueryDomain:
 
         if fit == "full":
             predictor = FullEPredictor(self.GM2D, reached)
+        elif fit == "const":
+            predictor = _fit(fit, "knn", self.GM2D)
+            monkeypatch.setattr(validity, "PlausibilityTable", reached)
         else:
             predictor = _fit(fit, "knn", self.GM2D)
             monkeypatch.setattr(predictor.rule, "score_folds", reached)

@@ -143,7 +143,7 @@ class TestTimeHarness:
 
         for kind in ("cross", "split"):
             spec = PredictorSpec(kind=kind, rule="knn", normalizer=NoBound("mean"))
-            with pytest.raises(UnboundedNormalizerError, match="normalizer declares no bound"):
+            with pytest.raises(UnboundedNormalizerError, match="^predictor declares no bound$"):
                 online_time_validity(GM2D, spec, 60, 1)
 
     def test_one_fold_refused_before_any_e_value(self, monkeypatch):
@@ -154,9 +154,16 @@ class TestTimeHarness:
         with pytest.raises(TooFewFoldsError):
             online_time_validity(GM2D, PredictorSpec(kind="cross", folds=1), 60, 1)
 
-    def test_full_predictor_refused(self):
-        with pytest.raises(UnboundedNormalizerError):
+    def test_full_predictor_refused(self, monkeypatch):
+        def predict(self, x, labels=None):
+            raise AssertionError("an e-value was computed before the refusal")
+
+        monkeypatch.setattr(predictors.FullEPredictor, "predict", predict)
+        with pytest.raises(UnboundedNormalizerError, match="^predictor declares no bound$"):
             online_time_validity(GM2D, PredictorSpec(kind="full"), 60, 1)
+        # the spec's own checks run first, when the predictor is built
+        with pytest.raises(OutOfRangeError, match="^positive_label 7 is not one of"):
+            online_time_validity(GM2D, PredictorSpec(kind="full", positive_label=7), 60, 1)
 
     def test_preconditions(self):
         with pytest.raises(OutOfRangeError):
