@@ -38,7 +38,7 @@ from .data import (
 )
 from .errors import ConfeeError
 from .normalize import NORMALIZER_KINDS
-from .predictors import WEIGHTINGS, CrossTable, FullTable, SplitTable, e_prediction_set
+from .predictors import WEIGHTINGS, CrossTable, FullTable, e_prediction_set
 from .validity import (
     DEFAULT_EPSILONS,
     PREDICTOR_KINDS,
@@ -385,20 +385,21 @@ def _test_objects(parser: _Parser, cfg: dict, task, dim: int) -> list:
 
 
 def _details_for(table) -> dict:
-    """Verbose report details, read off the table of the one query pass."""
+    """Verbose report details, read off the table of the one query pass:
+    a split table's one fold flat, a cross table's folds in a list."""
     keys = [format_label(y) for y in table.labels]
-    if isinstance(table, SplitTable):
-        return {
-            "calibration_summaries": table.calibration.tolist(),
-            "candidate_summaries": dict(zip(keys, table.sigmas)),
-            "normalized": dict(zip(keys, table.block.tolist())),
-        }
     if isinstance(table, CrossTable):
-        return {
-            "folds": [
-                {"fold": k + 1, **_details_for(fold)} for k, fold in enumerate(table.folds)
-            ]
-        }
+        folds = [
+            {
+                "calibration_summaries": calibration.tolist(),
+                "candidate_summaries": dict(zip(keys, sigmas.tolist())),
+                "normalized": dict(zip(keys, block.tolist())),
+            }
+            for calibration, sigmas, block in zip(table.calibration, table.sigmas, table.blocks)
+        ]
+        if len(folds) == 1:
+            return folds[0]
+        return {"folds": [{"fold": k + 1, **fold} for k, fold in enumerate(folds)]}
     if isinstance(table, FullTable):
         return {"assignment_vectors": {k: list(v.values) for k, v in zip(keys, table.vectors)}}
     return {}
@@ -424,11 +425,9 @@ def cmd_predict(parser: _Parser, args, cfg: dict) -> int:
                 for eps in epsilons
             },
         }
-        if isinstance(table, CrossTable):
-            entry["fold_e_values"] = {
-                format_label(y): [t.values[i] for t in table.folds]
-                for i, y in enumerate(table.labels)
-            }
+        if isinstance(table, CrossTable) and len(table.blocks) > 1:
+            columns = table.fold_values.T.tolist()
+            entry["fold_e_values"] = dict(zip(map(format_label, table.labels), columns))
         if cfg["verbose"]:
             entry["details"] = _details_for(table)
         results.append(entry)

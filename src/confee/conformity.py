@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, EValueVector, Observation, RegressionTask
+from .core import Dataset, EValueVector, Observation, RegressionTask, _real_array
 from .errors import (
     DimensionMismatchError,
     EmptyProperSetError,
@@ -135,7 +135,7 @@ class ConformityRule:
         raise NotImplementedError
 
     def _check_object(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _real_array(np.asarray, x, "x")
         if x.shape != (self.dim,):
             raise DimensionMismatchError(f"expected {self.dim} features, got {x.shape}")
         if not np.isfinite(x).all():

@@ -63,15 +63,37 @@ def _py_scalar(value):
     return value
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    """values as a read-only 1-D array of dtype.
+def _real_array(convert, values, name: str) -> np.ndarray:
+    """convert(values, dtype=float), where convert is np.array or
+    np.asarray; a value that is no real number, or ragged rows, raise
+    OutOfRangeError naming the input in place of numpy's error."""
+    try:
+        return convert(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise OutOfRangeError(f"{name} must be real numbers: {exc}") from None
 
+
+def _frozen_array(values, dtype, name: str) -> np.ndarray:
+    """values, named `name` in errors, as a read-only 1-D array of dtype:
+    float, or np.intp for indices.
+
+    Indices must be integers: a non-empty array or sequence of another
+    kind, bool included, raises OutOfRangeError rather than being cast.
     A caller's writable array is copied first, so a later write to it does
     not reach the frozen one; a read-only array of the dtype is shared.
     """
     if not isinstance(values, (np.ndarray, list, tuple)):
         values = list(values)
-    array = np.asarray(values, dtype=dtype)
+    if dtype is float:
+        array = _real_array(np.asarray, values, name)
+    else:
+        try:
+            array = np.asarray(values)
+        except ValueError as exc:  # ragged rows
+            raise OutOfRangeError(f"{name} must be integers: {exc}") from None
+        if array.size and array.dtype.kind not in "iu":
+            raise OutOfRangeError(f"{name} must be integers, got {array.dtype}")
+        array = array.astype(dtype, copy=False)
     if array.ndim != 1:
         raise OutOfRangeError(f"expected a flat sequence, got shape {array.shape}")
     if array.flags.writeable:
@@ -132,7 +154,10 @@ class Observation:
     y: object
 
     def __post_init__(self):
-        x = tuple(float(v) for v in self.x)
+        try:
+            x = tuple(float(v) for v in self.x)
+        except (TypeError, ValueError) as exc:
+            raise OutOfRangeError(f"feature vector must be real numbers: {exc}") from None
         if not all(math.isfinite(v) for v in x):
             raise NonFiniteEntryError("feature vector must be finite")
         object.__setattr__(self, "x", x)
@@ -174,7 +199,7 @@ class Dataset:
     task: Task
 
     def __post_init__(self):
-        X = np.array(self.X, dtype=float)
+        X = _real_array(np.array, self.X, "features")
         if X.ndim != 2:
             raise OutOfRangeError(f"X must be 2-D, got shape {X.shape}")
         if X.shape[0] == 0:
@@ -182,11 +207,14 @@ class Dataset:
         if not np.isfinite(X).all():
             raise NonFiniteEntryError("features must be finite")
         if isinstance(self.task, RegressionTask):
-            y = np.array(self.y, dtype=float)
+            y = _real_array(np.array, self.y, "labels")
             if y.shape != (X.shape[0],) or not np.isfinite(y).all():
                 raise NonFiniteEntryError("labels must be n finite reals")
         else:
-            y = np.array(np.asarray(self.y).ravel())
+            try:
+                y = np.array(np.asarray(self.y).ravel())
+            except ValueError as exc:  # ragged labels
+                raise OutOfRangeError(f"labels must be one per row: {exc}") from None
             if y.shape != (X.shape[0],):
                 raise OutOfRangeError("y length must match X")
         labels, codes = _number_labels(y, self.task)
@@ -237,7 +265,7 @@ class Dataset:
         if isinstance(indices, range):
             idx = np.arange(indices.start, indices.stop, indices.step, dtype=np.intp)
         else:
-            idx = _frozen_array(indices, np.intp)
+            idx = _frozen_array(indices, np.intp, "subset indices")
         if not idx.size:
             raise EmptyDatasetError("subset selects no observations")
         if idx.min() < 0 or idx.max() >= self.n:
@@ -411,7 +439,7 @@ class SummaryVector(_FloatVector):
     positive: bool
 
     def __init__(self, values):
-        array = _frozen_array(values, float)
+        array = _frozen_array(values, float, "summaries")
         if not array.size:
             raise OutOfRangeError("summary vector is empty")
         if not np.isfinite(array).all():
@@ -437,7 +465,7 @@ class EValueVector(_FloatVector):
     """
 
     def __init__(self, values):
-        array = _frozen_array(values, float)
+        array = _frozen_array(values, float, "e-values")
         if not array.size:
             raise OutOfRangeError("e-vector is empty")
         check_e_rows(array[None, :])
@@ -494,7 +522,7 @@ class FoldPartition:
     fold_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        folds = tuple(_frozen_array(fold, np.intp) for fold in self.folds)
+        folds = tuple(_frozen_array(fold, np.intp, "fold indices") for fold in self.folds)
         if len(folds) < 2:
             raise TooFewFoldsError("need at least two folds")
         sizes = [fold.size for fold in folds]

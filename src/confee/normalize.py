@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .core import FAST_ROWS, EValueVector, SummaryVector, check_e_rows
+from .core import FAST_ROWS, EValueVector, SummaryVector, _frozen_array, check_e_rows
 from .errors import NonFiniteEntryError, NonPositiveSummaryError, OutOfRangeError
 
 SummaryLike = Union[SummaryVector, Iterable[float]]
@@ -127,8 +127,9 @@ class Normalizer:
 
         Returns a read-only (L, c+1) float64 block whose rows all passed
         the e-vector check; its last column is the candidates' e-values.
+        sigmas must be a flat sequence of real numbers.
         """
-        sigmas = np.asarray(sigmas, dtype=float)
+        sigmas = _frozen_array(sigmas, float, "candidate summaries")
         return _block(self.kind, calibration.array, calibration.positive, sigmas, calibration)
 
     def component_bound(self, m: int) -> Optional[float]:

@@ -13,14 +13,16 @@ e-assignment to the training sequence extended by the candidate example.
 
 Every query is one pass: `predict` scores each (fold, candidate label)
 pair once, normalizes a fold's candidates in one (L, c+1) block, and
-returns a table that also carries what the e-values were computed from
-(summaries, the normalized block, fold tables), so reports and the p-value
-side need no second pass.
+returns one CrossTable, built by its public constructor, that also carries
+what the e-values were computed from (the calibration summaries, the
+(K, L) candidate summaries and the normalized blocks), so reports and the
+p-value side need no second pass. A split predictor's answer is the
+one-fold table.
 
 p-value counterparts are included for comparison experiments: the split
-conformal p-value (`SplitTable.p_values`) and the cross-conformal merge,
-whose arithmetic mean of fold p-values needs the factor-2 adjustment to be
-usable at face value.
+conformal p-values of every fold (`CrossTable.p_values`, a (K, L) array)
+and the cross-conformal merge, whose arithmetic mean of fold p-values
+needs the factor-2 adjustment to be usable at face value.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .core import (
     SummaryVector,
     _ONE,
     _py_scalar,
-    _unchecked,
     float_units,
     make_fold_partition,
 )
@@ -98,32 +99,34 @@ class _EPredictor:
 
 
 @dataclass(frozen=True, eq=False)
-class SplitTable(PlausibilityTable):
-    """One fold's e-values with the summaries they come from.
+class CrossTable(PlausibilityTable):
+    """A cross predictor's e-values with what each fold computed them from.
 
-    sigmas[i] is the summary of candidate labels[i]. Row i of `block`, a
-    read-only (L, c+1) array, normalizes the fold's calibration summaries
-    (the read-only array `calibration`) followed by sigmas[i], and
-    values[i] is its last component. Tables compare by labels and values.
+    For the K folds, `calibration[k]` is fold k's calibration summaries (a
+    read-only array), row k of `sigmas`, a read-only (K, L) array, holds
+    the candidates' summaries against fold k, and row i of `blocks[k]`, a
+    read-only (L, c_k + 1) array, normalizes calibration[k] followed by
+    sigmas[k, i]. values[i] merges the fold e-values of labels[i]; with one
+    fold it is that fold's e-value. Tables compare by labels and values.
     """
 
-    calibration: np.ndarray
-    sigmas: tuple
-    block: np.ndarray
+    calibration: tuple
+    sigmas: np.ndarray
+    blocks: tuple
 
     @property
-    def p_values(self) -> tuple:
-        """Split conformal p-values: (#{sigma_i <= sigma_y} + 1) / (c + 1)."""
-        cal = self.calibration
-        counts = (cal[None, :] <= np.array(self.sigmas)[:, None]).sum(axis=1)
-        return tuple(((counts + 1) / (cal.size + 1)).tolist())
+    def fold_values(self) -> np.ndarray:
+        """(K, L): fold k's e-value of labels[i], the last column of blocks[k]."""
+        return np.array([block[:, -1] for block in self.blocks])
 
-
-@dataclass(frozen=True)
-class CrossTable(PlausibilityTable):
-    """Merged cross-conformal e-values with the SplitTable of every fold."""
-
-    folds: tuple = ()
+    @property
+    def p_values(self) -> np.ndarray:
+        """(K, L) split conformal p-values of every fold:
+        (#{sigma_i <= sigma_y} + 1) / (c + 1)."""
+        return np.array([
+            ((cal[None, :] <= row[:, None]).sum(axis=1) + 1) / (cal.size + 1)
+            for cal, row in zip(self.calibration, self.sigmas)
+        ])
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +141,8 @@ class CrossEPredictor(_EPredictor):
     each fold by its size over the folds' total (identical when folds are
     equal). Either way the merge is a convex combination of e-values, so
     validity survives the merge. A one-fold predictor is a split
-    predictor: it has nothing to merge, and `predict` returns its fold's
-    SplitTable.
+    predictor: it has nothing to merge, and its table's values are its
+    fold's e-values.
     """
 
     rule: ConformityRule
@@ -160,34 +163,24 @@ class CrossEPredictor(_EPredictor):
         sizes = [len(calibration) for calibration in self.calibration_summaries]
         return math.fsum(s * a for s, a in zip(sizes, fold_alphas)) / sum(sizes)
 
-    def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> PlausibilityTable:
+    def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> CrossTable:
         """Score every (fold, candidate) pair in one rule call, normalize each
-        fold's candidates in one block; the fold tables ride along in a
-        CrossTable, and one fold's table is returned as it is.
+        fold's candidates in one block, and merge the folds' e-values.
 
         `labels` defaults to the task's candidates. An empty list, a
         repeated label, a label outside the task's label space, or a
         non-finite x raises before anything is scored."""
         labels = _query_labels(self.task, labels)
-        # the labels were just checked, and every block passed check_e_rows,
-        # so the tables skip PlausibilityTable's checks
-        folds = []
-        for calibration, row in zip(self.calibration_summaries, self.rule.score_folds(x, labels)):
-            block = self.normalizer.block(calibration, row)
-            folds.append(
-                _unchecked(
-                    SplitTable,
-                    labels=labels,
-                    values=tuple(block[:, -1].tolist()),
-                    calibration=calibration.array,
-                    sigmas=tuple(row.tolist()),
-                    block=block,
-                )
-            )
-        if len(folds) == 1:
-            return folds[0]
-        merged = tuple(self._merge(column) for column in zip(*(t.values for t in folds)))
-        return _unchecked(CrossTable, labels=labels, values=merged, folds=tuple(folds))
+        sigmas = self.rule.score_folds(x, labels)
+        sigmas.setflags(write=False)
+        folds = self.calibration_summaries
+        blocks = tuple(map(self.normalizer.block, folds, sigmas))
+        columns = [block[:, -1].tolist() for block in blocks]
+        # one fold is not merged: a size_proportional mean, s * e / s, can
+        # round e
+        values = columns[0] if len(blocks) == 1 else map(self._merge, zip(*columns))
+        calibration = tuple(fold.array for fold in folds)
+        return CrossTable(labels, tuple(values), calibration, sigmas, blocks)
 
     def component_bound(self) -> Optional[float]:
         """The largest fold bound (a mean of e-values never exceeds it);

@@ -363,7 +363,7 @@ def _compare_row(predictor, z) -> tuple:
     merged e-value, both p-merges of the fold p-values, their harmonic mean
     and its distance from 1/mean(1/p)."""
     table = predictor.predict(z.x, (z.y,))
-    ps = tuple(fold.p_values[0] for fold in table.folds)
+    ps = table.p_values[:, 0].tolist()
     unadjusted = cross_p_merge(ps, adjusted=False)
     adjusted = cross_p_merge(ps, adjusted=True)
     harm = harmonic_mean(ps)

@@ -192,7 +192,7 @@ class TestKnnDifferential:
         expected = [_reference_knn(proper, k, x, y) for x, y in zip(cal_X, cal_y)]
         assert split.calibration_summaries[0].values == tuple(expected)
         for x in queries:
-            assert split.predict(x, candidates).sigmas == tuple(reference(x))
+            assert split.predict(x, candidates).sigmas.tolist() == [reference(x)]
 
 
 def _fold_query_reference(rule, training, x, labels):

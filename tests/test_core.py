@@ -244,6 +244,20 @@ class TestFoldPartition:
         with pytest.raises(TooFewFoldsError):
             FoldPartition(((0, 1),), 2, 0)
 
+    def test_fold_indices_must_be_integers(self):
+        for folds, dtype in (
+            (((0.5, 1.7), (2.2, 3.9)), "float64"),
+            (((0, 1), (2.0, 3)), "float64"),
+            ((np.array([True, False]), (2, 3)), "bool"),
+        ):
+            with pytest.raises(OutOfRangeError, match=f"^fold indices must be integers, got {dtype}$"):
+                FoldPartition(folds, 4, 0)
+        # an empty fold keeps its error; integer arrays of any width pass
+        with pytest.raises(TooFewObservationsError):
+            FoldPartition(((), (0, 1)), 2, 0)
+        part = FoldPartition((np.array([0, 2], dtype=np.int8), range(1, 4, 2)), 4, 0)
+        assert part.fold_of.tolist() == [0, 1, 0, 1]
+
     def test_complement_is_every_other_fold(self):
         # fold k is folds[k]; its complement is the rows whose fold_of
         # entry is any other index
@@ -434,6 +448,46 @@ class TestTasksAndData:
                 ds.subset(indices)
         with pytest.raises(OutOfRangeError, match="subset index 3 not in 0..2"):
             ds.subset([4, 0, 1]).subset([3])
+
+    @pytest.mark.parametrize("indices, dtype", [
+        ([1.5], "float64"),
+        ([0, 2.0], "float64"),
+        (np.array([True, False, True, False, True]), "bool"),
+        ([True], "bool"),
+        (["1"], "<U1"),
+        ([2**70], "object"),
+    ])
+    def test_subset_indices_must_be_integers(self, indices, dtype):
+        ds = Dataset(np.arange(10.0).reshape(5, 2), np.array([0, 1, 1, 0, 1]), TASK01)
+        with pytest.raises(OutOfRangeError, match=rf"^subset indices must be integers, got {dtype}$"):
+            ds.subset(indices)
+        with pytest.raises(OutOfRangeError, match="^subset indices must be integers: "):
+            ds.subset([[0], [1, 2]])
+        for indices in ([np.int32(3), 1], np.array([3, 1], dtype=np.uint8), range(3, 0, -2)):
+            assert ds.subset(indices).X.tolist() == [[6.0, 7.0], [2.0, 3.0]]
+
+    @pytest.mark.parametrize("X, y, task, message", [
+        ([["a", "b"]], [0], TASK01, "features must be real numbers: could not convert"),
+        ([[1.0], [1.0, 2.0]], [0, 1], TASK01, "features must be real numbers: setting an array"),
+        ([[1.0], [2.0]], ["a", 1.0], RegressionTask((0.0, 1.0)), "labels must be real numbers: "),
+        ([[1.0], [2.0]], [[0], [1, 1]], TASK01, "labels must be one per row: "),
+    ], ids=["string-feature", "ragged-features", "string-label", "ragged-labels"])
+    def test_malformed_numbers_named(self, X, y, task, message):
+        with pytest.raises(OutOfRangeError, match=f"^{message}"):
+            Dataset(X, y, task)
+
+    def test_malformed_summaries_and_features_named(self):
+        with pytest.raises(OutOfRangeError, match="^summaries must be real numbers: "):
+            SummaryVector(["a"])
+        with pytest.raises(OutOfRangeError, match="^e-values must be real numbers: "):
+            EValueVector([0.5, [1.0]])
+        with pytest.raises(OutOfRangeError, match="^feature vector must be real numbers: "):
+            Observation((0.0, "a"), 1)
+        with pytest.raises(OutOfRangeError, match="^feature vector must be real numbers: "):
+            Observation(1.0, 1)
+        # numbers numpy and float() read keep their path
+        assert SummaryVector(["1.5", 2]).values == (1.5, 2.0)
+        assert Observation(("1.5", np.float32(2.0)), 1).x == (1.5, 2.0)
 
     def test_subset_copies_rows_read_only_without_revalidating(self, monkeypatch):
         ds = Dataset(np.arange(10.0).reshape(5, 2), np.array([0, 1, 1, 0, 1]), TASK01)

@@ -75,6 +75,18 @@ def test_block_with_a_too_large_candidate_refused():
             Normalizer("mean").block(SummaryVector((1.0, 2.0)), [1.0, 1e308])
 
 
+def test_block_needs_a_flat_sequence_of_numbers():
+    calibration = SummaryVector((1.0, 2.0))
+    with pytest.raises(OutOfRangeError, match=r"^expected a flat sequence, got shape \(1, 2\)$"):
+        Normalizer("mean").block(calibration, [[1.0, 2.0]])
+    with pytest.raises(OutOfRangeError, match="^candidate summaries must be real numbers: "):
+        Normalizer("mean").block(calibration, ["a"])
+    # a caller's writable array is neither frozen nor shared
+    sigmas = np.array([1.0, 3.0])
+    block = Normalizer("sum").block(calibration, sigmas)
+    assert block[:, -1].tolist() == [0.25, 0.5] and sigmas.flags.writeable
+
+
 @pytest.mark.parametrize("kind", ["sum", "mean"])
 def test_block_of_no_candidates_is_empty(kind):
     block = Normalizer(kind).block(SummaryVector((1.0, 2.0)), [])
@@ -273,7 +285,7 @@ class TestBlockDifferential:
 
         table = _split_predictor(kind, calibration, sigmas).predict((0.0,))
         assert table.values == ref_values
-        assert np.array_equal(table.block, block)
+        assert np.array_equal(table.blocks[0], block)
 
         assert _NORMALIZE[kind]((*calibration, sigmas[0])).values == ref_alphas[0]
 
@@ -313,9 +325,10 @@ class TestBlockDifferential:
     def test_block_and_vectors_are_read_only(self):
         table = _split_predictor("mean", [1.0, 2.0, 3.0], [0.5, 4.0]).predict((0.0,))
         for array in (
-            table.block,
-            table.block[0],
-            table.calibration,
+            table.blocks[0],
+            table.blocks[0][0],
+            table.calibration[0],
+            table.sigmas,
             get_normalizer("sum").block(SummaryVector((1.0,)), (2.0, 3.0)),
             mean_normalize((1.0, 2.0)).array,
             SummaryVector((1.0, 2.0)).array,

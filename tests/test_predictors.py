@@ -47,7 +47,6 @@ from confee.predictors import (
     CrossTable,
     FullEPredictor,
     OnlineTrace,
-    SplitTable,
     _query_labels,
 )
 from conftest import _reference_knn
@@ -68,7 +67,7 @@ class TestSplit:
         # mean-normalizing (1, 1) and (1, 1/4) gives 1.0 and 0.4
         assert abs(pred.e_at((3.0,), 3.0) - 1.0) <= 1e-9
         assert abs(pred.e_at((3.0,), 0.0) - 0.4) <= 1e-9
-        assert pred.predict((3.0,), (0.0,)).block[0].tolist() == [1.6, 0.4]
+        assert pred.predict((3.0,), (0.0,)).blocks[0].tolist() == [[1.6, 0.4]]
         table = pred.predict((3.0,))
         assert table.labels == (0.0, 3.0)
         assert table[3.0] == pred.e_at((3.0,), 3.0)
@@ -76,17 +75,19 @@ class TestSplit:
     def test_p_values(self):
         pred = _ridge_split_example()
         # one calibration summary equal to 1: p = (#{<=} + 1) / (c + 1)
-        assert pred.predict((3.0,), (3.0,)).p_values == (1.0,)
-        assert pred.predict((3.0,), (0.0,)).p_values == (0.5,)
+        assert pred.predict((3.0,), (3.0,)).p_values.tolist() == [[1.0]]
+        assert pred.predict((3.0,), (0.0,)).p_values.tolist() == [[0.5]]
         table = pred.predict((3.0,))
-        assert dict(zip(table.labels, table.p_values)) == {0.0: 0.5, 3.0: 1.0}
+        assert dict(zip(table.labels, table.p_values[0].tolist())) == {0.0: 0.5, 3.0: 1.0}
 
     def test_split_is_the_one_fold_cross_predictor(self):
         pred = _ridge_split_example()
         assert isinstance(pred, CrossEPredictor) and pred.rule.K == 1
         assert len(pred.calibration_summaries) == 1
-        # one fold has nothing to merge: predict returns the fold's table
-        assert type(pred.predict((3.0,))) is SplitTable
+        # one fold has nothing to merge: the table's values are the fold's
+        table = pred.predict((3.0,))
+        assert type(table) is CrossTable and len(table.blocks) == 1
+        assert table.values == tuple(table.fold_values[0].tolist())
 
     def test_calibration_order_equivariance_bitwise(self):
         rng = np.random.default_rng(314)
@@ -118,7 +119,7 @@ class TestCross:
     def test_merge_is_arithmetic_mean(self):
         data, pred = self._fitted()
         z = data.observation(3)
-        folds = tuple(t.values[0] for t in pred.predict(z.x, (z.y,)).folds)
+        folds = tuple(pred.predict(z.x, (z.y,)).fold_values[:, 0].tolist())
         assert len(folds) == 5
         assert pred.e_at(z.x, z.y) == math.fsum(folds) / 5
 
@@ -126,7 +127,7 @@ class TestCross:
         data = sample(get_scenario("gm2d"), 23, 8)
         pred = fit_cross(data, 5, 17, "knn", "mean", weighting="size_proportional", k=3)
         z = data.observation(3)
-        folds = tuple(t.values[0] for t in pred.predict(z.x, (z.y,)).folds)
+        folds = tuple(pred.predict(z.x, (z.y,)).fold_values[:, 0].tolist())
         sizes = [len(c) for c in pred.calibration_summaries]
         expected = math.fsum(s * a for s, a in zip(sizes, folds)) / 23
         assert pred.e_at(z.x, z.y) == expected
@@ -246,7 +247,10 @@ def _reference_cross(training, partition, kind, normalizer, weighting, queries, 
 
 
 def _fold_view(table) -> tuple:
-    return table.values, [(t.sigmas, list(map(tuple, t.block.tolist()))) for t in table.folds]
+    return table.values, [
+        (tuple(sigmas), list(map(tuple, block.tolist())))
+        for sigmas, block in zip(table.sigmas.tolist(), table.blocks)
+    ]
 
 
 class TestCrossFitDifferential:
@@ -416,8 +420,8 @@ class TestExchangeabilityOracle:
             z = rotated.observation(test_row)
             table = predictor.predict(z.x, (z.y,))
             es.append(table.values[0])
-            ps.append(table.p_values[0])
-            sigmas.append(table.sigmas[0])
+            ps.append(table.p_values[0, 0])
+            sigmas.append(table.sigmas[0, 0])
         _assert_rotation_mean(es, normalizer)
         _assert_rotation_p(ps, sigmas)
 
@@ -438,10 +442,10 @@ class TestExchangeabilityOracle:
                     rotated.subset(range(n)), partition, rule, normalizer, **params
                 )
                 z = rotated.observation(n)
-                table = predictor.predict(z.x, (z.y,)).folds[k]
-                es.append(table.values[0])
-                ps.append(table.p_values[0])
-                sigmas.append(table.sigmas[0])
+                table = predictor.predict(z.x, (z.y,))
+                es.append(table.fold_values[k, 0])
+                ps.append(table.p_values[k, 0])
+                sigmas.append(table.sigmas[k, 0])
             _assert_rotation_mean(es, normalizer)
             _assert_rotation_p(ps, sigmas)
 
@@ -542,6 +546,17 @@ class TestQueryDomain:
         with pytest.raises(LabelOutOfSpaceError, match="^label 7 not in task labels$"):
             predictor.e_at((0.0, 0.0), 7)
 
+    @pytest.mark.parametrize("x", [(0.0, "a"), ((0.0,), 1.0)], ids=["string", "ragged"])
+    @pytest.mark.parametrize("fit", ["split", "cross", "full"])
+    def test_malformed_x_named(self, fit, x):
+        if fit == "full":
+            assignment = support_set_assignment(unit_margin_provider((0.0, 0.0)))
+            predictor, name = FullEPredictor(self.GM2D, assignment), "feature vector"
+        else:
+            predictor, name = _fit(fit, "knn", self.GM2D), "x"
+        with pytest.raises(OutOfRangeError, match=f"^{name} must be real numbers: "):
+            predictor.predict(x)
+
     def test_full_predictor_label_outside_the_task(self):
         assignment = support_set_assignment(unit_margin_provider((0.0, 0.0)))
         predictor = FullEPredictor(self.GM2D, assignment)
@@ -586,17 +601,9 @@ class TestQueryDomain:
             fit_cross_from_partition(self.GM2D, make_fold_partition(30, 5, 1))
 
 
-def _public_copy(table):
-    """The same table built through the public, checking constructors."""
-    if isinstance(table, CrossTable):
-        folds = tuple(_public_copy(fold) for fold in table.folds)
-        return CrossTable(table.labels, table.values, folds)
-    return SplitTable(table.labels, table.values, table.calibration, table.sigmas, table.block)
-
-
 class TestTables:
-    """predict builds its tables without PlausibilityTable's checks, from
-    labels and blocks it has just checked; the public constructors check."""
+    """Split and cross predictors answer every query with one CrossTable,
+    built by its public, checking constructor."""
 
     GM2D = sample(get_scenario("gm2d"), 40, 1)
     LINREG3 = sample(get_scenario("linreg3"), 40, 1)
@@ -612,19 +619,65 @@ class TestTables:
         ],
         ids=["knn", "knn-numpy-labels", "ridge", "ridge-numpy-grid"],
     )
-    def test_equal_to_the_checked_tables(self, kind, training, labels, fit):
-        table = _fit(fit, kind, training).predict((0.3, -0.2, 0.1)[: training.dim], labels)
-        public = _public_copy(table)
-        assert type(table) is type(public) and table == public
-        assert table.labels == public.labels and table.values == public.values
-        assert [type(label) for label in table.labels] == [type(lab) for lab in public.labels]
-        folds = table.folds if isinstance(table, CrossTable) else (table,)
-        public_folds = public.folds if isinstance(public, CrossTable) else (public,)
-        for fold, public_fold in zip(folds, public_folds):
-            assert type(fold) is SplitTable and fold == public_fold
-            assert fold.p_values == public_fold.p_values
-            assert fold.sigmas == public_fold.sigmas
-            assert np.array_equal(fold.block, public_fold.block)
+    def test_equal_to_the_checked_tables(self, monkeypatch, kind, training, labels, fit):
+        predictor = _fit(fit, kind, training)
+        built = []
+        check = PlausibilityTable.__post_init__
+
+        def counted(table):
+            built.append(table)
+            check(table)
+
+        monkeypatch.setattr(PlausibilityTable, "__post_init__", counted)
+        table = predictor.predict((0.3, -0.2, 0.1)[: training.dim], labels)
+        assert built == [table] and built[0] is table and type(table) is CrossTable
+        public = CrossTable(
+            table.labels, table.values, table.calibration, table.sigmas, table.blocks
+        )
+        assert table == public and table.values == public.values
+        assert [type(label) for label in table.labels] == [
+            type(label) for label in _query_labels(training.task, labels)
+        ]
+        K, L = predictor.rule.K, len(table.labels)
+        assert table.sigmas.shape == table.fold_values.shape == table.p_values.shape == (K, L)
+        for calibration, vector, block in zip(
+            table.calibration, predictor.calibration_summaries, table.blocks
+        ):
+            assert calibration is vector.array and block.shape == (L, calibration.size + 1)
+        for array in (table.sigmas, *table.blocks, *table.calibration):
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_one_fold_values_are_the_fold_values(self, weighting):
+        # a one-fold size_proportional merge, size * e / size, can round
+        # away from e; a split table does not merge
+        pred = replace(fit_split(self.GM2D, 11, "knn"), weighting=weighting)
+        merged_differs = False
+        for x in self.GM2D.X[:10]:
+            table = pred.predict(x)
+            fold = table.fold_values[0].tolist()
+            assert table.values == tuple(fold)
+            merged_differs |= [pred._merge((e,)) for e in fold] != fold
+        assert merged_differs == (weighting == "size_proportional")
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_cross_values_merge_the_fold_values(self, weighting):
+        pred = fit_cross(self.GM2D, 3, 1, "knn", weighting=weighting)
+        for x in self.GM2D.X[:5]:
+            table = pred.predict(x)
+            columns = table.fold_values.T.tolist()
+            assert table.values == tuple(pred._merge(column) for column in columns)
+
+    @pytest.mark.parametrize("fit", ["split", "cross"])
+    def test_p_values_per_fold(self, fit):
+        pred = _fit(fit, "knn", self.GM2D)
+        for x in self.GM2D.X[:5]:
+            table = pred.predict(x)
+            for k, vector in enumerate(pred.calibration_summaries):
+                cal = vector.values
+                for i, sigma in enumerate(table.sigmas[k].tolist()):
+                    rank = sum(1 for s in cal if s <= sigma) + 1
+                    assert table.p_values[k, i] == rank / (len(cal) + 1)
 
     @pytest.mark.parametrize("labels, values, error", [
         (("a", "a"), (0.5, 0.5), OutOfRangeError),
@@ -635,11 +688,10 @@ class TestTables:
         (("a", "b"), (math.inf, 0.5), NonFiniteEntryError),
     ])
     def test_public_constructors_check(self, labels, values, error):
-        split = SplitTable(("a",), (0.5,), np.array([1.0]), (1.0,), np.array([[1.0, 1.0]]))
+        L = len(values)
+        fold = (np.array([1.0]), np.ones((1, L)), (np.ones((L, 2)),))
         with pytest.raises(error):
-            SplitTable(labels, values, np.array([1.0]), (1.0,) * len(values), np.ones((1, 2)))
-        with pytest.raises(error):
-            CrossTable(labels, values, (split, split))
+            CrossTable(labels, values, *fold)
         with pytest.raises(error):
             PlausibilityTable(labels, values)
 

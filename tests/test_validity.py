@@ -366,8 +366,8 @@ class TestBuildPredictor:
         ][20:]
         assert predictor.calibration_summaries[0].values == tuple(calibration)
         for x in ((0.0, 0.0), (1.5, -0.5), tuple(self.TRAIN.X[3]), tuple(self.TRAIN.X[25])):
-            sigmas = tuple(_reference_knn(proper, spec.k, x, y) for y in GM2D.task.candidates)
-            assert predictor.predict(x).sigmas == sigmas
+            sigmas = [_reference_knn(proper, spec.k, x, y) for y in GM2D.task.candidates]
+            assert predictor.predict(x).sigmas.tolist() == [sigmas]
 
     def test_split_calibration_size_bounds(self):
         with pytest.raises(OutOfRangeError):

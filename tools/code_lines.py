@@ -3,7 +3,8 @@
 A line counts when it holds a token other than a comment, a line break or
 an indent change, and lies outside every docstring (the leading string
 statement of a module, class or function). Prints one line per file and
-the total.
+the total. Each PATH must exist; otherwise, or with none, the usage line
+goes to stderr and the exit status is 1.
 
     python3 tools/code_lines.py src/confee
 """
@@ -54,11 +55,12 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv: list) -> int:
-    if not argv:
+    paths = list(map(Path, argv))
+    if not paths or not all(path.exists() for path in paths):
         sys.stderr.write("usage: code_lines.py PATH [PATH ...]\n")
         return 1
     files = []
-    for arg in map(Path, argv):
+    for arg in paths:
         files.extend(sorted(arg.rglob("*.py")) if arg.is_dir() else [arg])
     total = 0
     for path in files:
