@@ -84,6 +84,19 @@ CASES = {
         "rep.json",
         "fcaa8b6b0f97426a4f83a6749f6daba8b4b74c8a8c6183fbeecc0deaa191758d",
     ),
+    # longer streams: most rounds fit on prefixes of hundreds of rows
+    "validate-time-long": (
+        ("validate", "--mode", "time", "--rounds", "700", "--warmup", "20", "--seed", "1",
+         "--out", "rep.json"),
+        "rep.json",
+        "240628238c0854e2a737072eb97fb144f757efec8598d0fa43bbe6a79d9210bd",
+    ),
+    "validate-time-split": (
+        ("validate", "--mode", "time", "--predictor", "split", "--rounds", "300", "--warmup",
+         "20", "--seed", "1", "--out", "rep.json"),
+        "rep.json",
+        "1f841759050a3c4479ae13b65ca93ca3d48389e01cf923a2915fd27848e7a43f",
+    ),
 }
 
 
