@@ -30,6 +30,15 @@ The knn distance kernel adds the squared coordinate differences of each
 pair of rows left to right, one column at a time, without building the
 (a, b, d) difference tensor; tests/test_conformity.py::TestDistanceKernel
 checks it against a scalar left fold.
+
+Fits on the prefixes of one stream (the online harness) need not refit.
+A NeighbourTable keeps every stream row's TABLE_WIDTH = 64 nearest
+same-label stream rows, sorted by (distance, index), built in blocks of
+TABLE_BLOCK = 64 rows as the prefix reaches them; a KnnRule given the
+table walks each fold row's list, skipping rows past the prefix and rows
+in its own fold, and takes its kk nearest from the list. Only a row whose
+walk runs out of its list goes through the exact kernel. The summaries
+are bit for bit a refit's (see NeighbourTable).
 """
 
 from __future__ import annotations
@@ -55,18 +64,26 @@ from .errors import (
 EPSILON_FLOOR = 1e-6
 
 
-def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Euclidean distances between rows of A and rows of B, exact per entry.
+def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of A and B, which broadcast
+    against each other with the features on the last axis; exact per entry.
 
     Each entry is the square root of (a_0 - b_0)**2 + (a_1 - b_1)**2 + ...
-    added left to right; only (a, b) arrays are built, one column at a time.
+    added left to right, one column at a time, so it is the same double
+    whatever shapes it is computed in.
     """
-    acc = np.subtract.outer(A[:, 0], B[:, 0])
+    acc = np.subtract(A[..., 0], B[..., 0])
     acc *= acc
-    for j in range(1, A.shape[1]):
-        sq = np.subtract.outer(A[:, j], B[:, j])
+    for j in range(1, A.shape[-1]):
+        sq = np.subtract(A[..., j], B[..., j])
         acc += np.multiply(sq, sq, out=sq)
     return np.sqrt(acc, out=acc)
+
+
+def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The (a, b) distances between every row of A and every row of B;
+    only (a, b) arrays are built, one column at a time."""
+    return _distances(A[:, None, :], B[None, :, :])
 
 
 def _knn_summaries(D: np.ndarray, k: int) -> np.ndarray:
@@ -159,6 +176,143 @@ def _by_label(labels, codes: np.ndarray, fold_of: np.ndarray, K: int) -> tuple:
     }
 
 
+#: Entries of each row's list in a NeighbourTable. On a 1383-row gm2d
+#: stream 64 entries keep all but the early rounds' walks inside the list,
+#: in a table of 1383 x 64 int32 indices, 0.34 MiB.
+TABLE_WIDTH = 64
+#: Stream rows whose lists are built together: each block's distance
+#: matrix is at most TABLE_BLOCK rows by one label's stream rows, which
+#: keeps the build's temporaries, and so peak RSS, small.
+TABLE_BLOCK = 64
+#: A walk reads this many entries of each list first and the whole list
+#: only for the rows that run out of them. Over the 1363 fits of a
+#: 1383-row stream, held-out scoring took 0.72-0.79 s with 16 entries,
+#: 0.75-1.03 s with 8 or 32, and 1.07-1.12 s reading whole lists.
+FIRST_PASS = 16
+#: Rows walked together. Bounding the walk's temporaries, like the
+#: build's, keeps their size from growing with the prefix: unbounded, they
+#: raised the online benchmark's peak RSS by 0.9 MiB at 1383 rounds.
+WALK_ROWS = 512
+
+
+class NeighbourTable:
+    """Every stream row's TABLE_WIDTH nearest same-label stream rows, from
+    which a knn fit on a prefix of the stream takes its held-out
+    summaries without computing a distance matrix.
+
+    Row r's list holds stream indices sorted by (distance, index), padded
+    with the index n (past every prefix) where the label has fewer rows.
+    r counts as infinitely far from itself, so it is left out or sorts
+    last; it is never taken, being in its own fold. The lists are built a
+    block of TABLE_BLOCK rows at a time, when a prefix first reaches the
+    block, from `_pairwise_distances` against the label's stream rows.
+
+    `held_out` walks the list of each row in a fold: it skips rows past
+    the prefix and rows in the row's own fold and takes the first
+    kk = min(k, the label's prefix rows outside that fold). A valid row not
+    in the list lies at least as far as the list's last entry, so those
+    are kk smallest valid distances in ascending order: the values that
+    `_knn_summaries` picks and sorts. Their distances are computed again by
+    the same kernel, which gives each pair the double a fit computes (each
+    entry is computed on its own, and (a - b)**2 is bitwise (b - a)**2),
+    and summed by the same np.add.reduce over a C-contiguous (rows, kk)
+    array, so every summary is bit for bit a fit's. The rows whose walk
+    runs out take `_knn_summaries` against their label's rows outside
+    their fold, one call per (label, fold).
+    """
+
+    def __init__(self, stream: Dataset):
+        _, codes = stream.label_codes
+        self.stream = stream
+        # label c's stream rows, ascending: by_label[starts[c]:starts[c + 1]]
+        self._by_label = np.argsort(codes, kind="stable")
+        self._starts = np.bincount(codes + 1).cumsum()
+        self._near = np.empty((stream.n, TABLE_WIDTH), np.int32)
+        self._built = 0
+
+    def _extend(self, p: int) -> None:
+        """Build the lists of every stream row below p."""
+        X, n, codes = self.stream.X, self.stream.n, self.stream.label_codes[1]
+        width = self._near.shape[1]
+        sizes = np.diff(self._starts)
+        while self._built < p:
+            lo = self._built
+            hi = min(lo + TABLE_BLOCK, n)
+            near = self._near[lo:hi]
+            near[:] = n
+            block = codes[lo:hi]
+            # np.bincount, not np.unique: numpy 2.4's unique costs 1.7 MiB
+            # of peak RSS on its first call
+            for c in np.flatnonzero(np.bincount(block[sizes[block] > 1])).tolist():
+                members = self._by_label[self._starts[c] : self._starts[c + 1]]
+                rows = np.flatnonzero(block == c)
+                D = _pairwise_distances(X[lo + rows], X[members])
+                D[np.arange(rows.size), np.searchsorted(members, lo + rows)] = np.inf
+                w = min(width, members.size)
+                cols = np.arange(w)[None, :]
+                if w < members.size:
+                    cols = np.sort(np.argpartition(D, w - 1, axis=1)[:, :w], axis=1)
+                    D = np.take_along_axis(D, cols, axis=1)
+                by_distance = np.argsort(D, axis=1, kind="stable")
+                near[rows, :w] = members[np.take_along_axis(cols, by_distance, axis=1)]
+            self._built = hi
+
+    def held_out(self, training: Dataset, fold_of: np.ndarray, k: int) -> np.ndarray:
+        """KnnRule(training, k, fold_of).held_out, bit for bit, for a
+        training set made of the stream's first rows."""
+        p, codes = training.n, self.stream.label_codes[1]
+        if not (
+            np.array_equal(training.X, self.stream.X[:p])
+            and np.array_equal(training.label_codes[1], codes[:p])
+        ):
+            raise OutOfRangeError("the training set is not a prefix of the table's stream")
+        self._extend(p)
+        codes = codes[:p]
+        K = int(fold_of.max()) + 1
+        S = K + 1
+        counts = np.bincount(codes * S + fold_of + 1, minlength=S * len(self._starts))
+        counts = counts.reshape(-1, S)
+        # need[c, f]: kk of label c's rows in fold f
+        need = np.minimum(k, counts.sum(axis=1)[:, None] - counts[:, 1:])
+        # proper[f, j]: stream row j is one of fold f's proper rows
+        proper = np.zeros((K, self.stream.n + 1), bool)
+        proper[:, :p] = fold_of != np.arange(K)[:, None]
+        out = np.full(p, np.nan)
+        rows = np.flatnonzero(fold_of >= 0)
+        for lo in range(0, rows.size, WALK_ROWS):
+            self._walk(rows[lo : lo + WALK_ROWS], codes, fold_of, need, proper, k, out)
+        return out
+
+    def _walk(self, rows, codes, fold_of, need, proper, k, out) -> None:
+        """Set out[rows] to the rows' held-out summaries: from their lists'
+        first FIRST_PASS entries, then their whole lists, then the exact
+        kernel."""
+        X, stride, W = self.stream.X, proper.shape[1], self._near.shape[1]
+        label, fold = codes[rows], fold_of[rows]
+        need = need[label, fold]
+        for width in sorted({min(FIRST_PASS, W), W}):
+            near = self._near[rows, :width]
+            ok = proper.ravel()[(fold * stride)[:, None] + near]
+            taken = np.cumsum(ok, axis=1)
+            done = taken[:, -1] >= need
+            ok &= taken <= need[:, None]
+            for kk in np.flatnonzero(np.bincount(need[done])).tolist():
+                these = done & (need == kk)
+                if kk == 0:
+                    out[rows[these]] = EPSILON_FLOOR
+                    continue
+                picks = X[near[ok & these[:, None]].reshape(-1, kk)]
+                dist = _distances(X[rows[these], None, :], picks)
+                out[rows[these]] = 1.0 / (1.0 + np.add.reduce(dist, axis=1) / kk)
+            rows, label, fold, need = rows[~done], label[~done], fold[~done], need[~done]
+            if not rows.size:
+                return
+        for c, f in set(zip(label.tolist(), fold.tolist())):
+            these = rows[(label == c) & (fold == f)]
+            others = np.flatnonzero((codes == c) & (fold_of != f))
+            out[these] = _knn_summaries(_pairwise_distances(X[these], X[others]), k)
+
+
 class KnnRule(ConformityRule):
     """sigma = 1 / (1 + mean distance to the k nearest same-label proper points).
 
@@ -172,9 +326,13 @@ class KnnRule(ConformityRule):
     into one slice per fold. Fold f's proper rows of a label are the rows
     before and after its own slice, so a query takes one distance row per
     candidate label and every fold's selection from that row.
+
+    With a `table` (a NeighbourTable whose stream starts with the training
+    rows) the held-out summaries are walked from the table, not refitted;
+    they are the same doubles either way.
     """
 
-    def __init__(self, training: Dataset, k: int = 3, fold_of=None):
+    def __init__(self, training: Dataset, k: int = 3, fold_of=None, *, table=None):
         if k < 1:
             raise OutOfRangeError(f"k={k}; need at least 1 neighbour")
         super().__init__(training, fold_of)
@@ -183,8 +341,11 @@ class KnnRule(ConformityRule):
         self.k = k
         order, self._cuts = _by_label(*training.label_codes, self.fold_of, self.K)
         self._X = training.X[order]
-        held_out = np.empty(training.n)
-        held_out[order] = self._held_out_in_order()
+        if table is None:
+            held_out = np.empty(training.n)
+            held_out[order] = self._held_out_in_order()
+        else:
+            held_out = table.held_out(training, self.fold_of, k)
         held_out.setflags(write=False)
         self.held_out = held_out
 

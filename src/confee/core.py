@@ -73,6 +73,24 @@ def _real_array(convert, values, name: str) -> np.ndarray:
         raise OutOfRangeError(f"{name} must be real numbers: {exc}") from None
 
 
+def _real_floats(values, name: str) -> tuple:
+    """The values as Python floats; a value that is no real number raises
+    OutOfRangeError naming the input in place of Python's error."""
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise OutOfRangeError(f"{name} must be real numbers: {exc}") from None
+
+
+def _distinct(labels: tuple, name: str) -> bool:
+    """Whether the labels are distinct; a label that cannot be hashed
+    raises OutOfRangeError naming the input in place of Python's error."""
+    try:
+        return len(set(labels)) == len(labels)
+    except TypeError as exc:
+        raise OutOfRangeError(f"{name} must be hashable: {exc}") from None
+
+
 def _frozen_array(values, dtype, name: str) -> np.ndarray:
     """values, named `name` in errors, as a read-only 1-D array of dtype:
     float, or np.intp for indices.
@@ -95,7 +113,7 @@ def _frozen_array(values, dtype, name: str) -> np.ndarray:
             raise OutOfRangeError(f"{name} must be integers, got {array.dtype}")
         array = array.astype(dtype, copy=False)
     if array.ndim != 1:
-        raise OutOfRangeError(f"expected a flat sequence, got shape {array.shape}")
+        raise OutOfRangeError(f"{name} must be a flat sequence, got shape {array.shape}")
     if array.flags.writeable:
         if array is values:
             array = array.copy()
@@ -113,7 +131,7 @@ class ClassificationTask:
         labels = tuple(_py_scalar(v) for v in self.labels)
         if not labels:
             raise OutOfRangeError("classification task needs at least one label")
-        if len(set(labels)) != len(labels):
+        if not _distinct(labels, "classification labels"):
             raise OutOfRangeError("duplicate labels in classification task")
         object.__setattr__(self, "labels", labels)
 
@@ -129,7 +147,7 @@ class RegressionTask:
     grid: tuple
 
     def __post_init__(self):
-        grid = tuple(float(g) for g in self.grid)
+        grid = _real_floats(self.grid, "regression grid")
         if not grid:
             raise OutOfRangeError("regression grid is empty")
         if not all(math.isfinite(g) for g in grid):
@@ -485,10 +503,10 @@ class PlausibilityTable:
 
     def __post_init__(self):
         labels = tuple(_py_scalar(v) for v in self.labels)
-        values = tuple(float(v) for v in self.values)
+        values = _real_floats(self.values, "table values")
         if len(labels) != len(values) or not labels:
             raise OutOfRangeError("labels and values must align and be non-empty")
-        if len(set(labels)) != len(labels):
+        if not _distinct(labels, "candidate labels"):
             raise OutOfRangeError("duplicate candidate labels")
         if not all(math.isfinite(v) for v in values):
             raise NonFiniteEntryError("table values must be finite")

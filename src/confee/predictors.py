@@ -47,6 +47,7 @@ from .core import (
     SummaryVector,
     _ONE,
     _py_scalar,
+    _real_floats,
     float_units,
     make_fold_partition,
 )
@@ -287,7 +288,7 @@ def cross_p_merge(p_values: Sequence[float], adjusted: bool = True) -> float:
     The unadjusted mean (adjusted=False) is exposed for comparison but is
     not a p-value in general; the factor-2 version is.
     """
-    ps = [float(p) for p in p_values]
+    ps = _real_floats(p_values, "p-values")
     if not ps:
         raise OutOfRangeError("no p-values to merge")
     for p in ps:
@@ -299,7 +300,10 @@ def cross_p_merge(p_values: Sequence[float], adjusted: bool = True) -> float:
 
 def e_to_p(e: float) -> float:
     """Calibrate an e-value into a p-value: p = min(1, 1/e)."""
-    e = float(e)
+    try:
+        e = float(e)
+    except (TypeError, ValueError) as exc:
+        raise OutOfRangeError(f"e-value must be a real number: {exc}") from None
     if not math.isfinite(e) or e < 0.0:
         raise OutOfRangeError(f"e-value {e} must be finite and nonnegative")
     if e == 0.0:
@@ -309,7 +313,7 @@ def e_to_p(e: float) -> float:
 
 def harmonic_mean(values: Sequence[float]) -> float:
     """Harmonic mean; zero if any entry is zero. Never beats the arithmetic mean."""
-    vals = [float(v) for v in values]
+    vals = _real_floats(values, "entries")
     if not vals:
         raise OutOfRangeError("empty sequence")
     if not all(math.isfinite(v) for v in vals):

@@ -7,10 +7,16 @@ verdict flags a violation only when the empirical mean exceeds 1 by more
 than three standard errors, so a correct implementation flags nothing
 while an inflated one (e.g. a constant 2) is caught immediately.
 
-Time harness: one growing data stream; at each round refit on the prefix
+Time harness: one growing data stream; at each round fit on the prefix
 and record the e-value at the realized label. The running mean must
 settle at or below 1; the harness requires a declared per-component bound
-on the predictor's outputs, since the guarantee needs boundedness.
+on the predictor's outputs, since the guarantee needs boundedness. A split
+or cross knn spec does not refit the held-out summaries on every prefix:
+the harness keeps one conformity.NeighbourTable for the stream (each row's
+64 nearest same-label rows, built 64 rows at a time as the prefix reaches
+them) and every round's KnnRule walks it, falling back to the exact
+kernel for the rows whose walk runs out. Every summary, e-value and
+report byte is the one a refit gives.
 
 Comparison harness: fits one cross predictor per trial and reads out both
 the merged e-value and the fold p-values, so the e-side bound and the
@@ -23,7 +29,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
-from .conformity import support_set_assignment, unit_margin_provider
+from .conformity import NeighbourTable, support_set_assignment, unit_margin_provider
 from .core import ClassificationTask, Dataset, PlausibilityTable, Task, derive_seed
 from .data import Scenario, sample
 from .errors import DimensionMismatchError, OutOfRangeError, UnboundedNormalizerError
@@ -103,20 +109,21 @@ class ConstantEPredictor(_EPredictor):
         return self.value
 
 
-def build_predictor(spec: PredictorSpec, training: Dataset, fold_seed: int):
+def build_predictor(spec: PredictorSpec, training: Dataset, fold_seed: int, *, table=None):
     """Materialize a spec on a concrete training set.
 
     split uses the last calibration_size observations as the calibration
     part; cross partitions under fold_seed; full runs the unit-margin
     support-set assignment, whose positive_label must be one of the labels
-    of a classification task.
+    of a classification task. A split or cross knn spec passes `table`, a
+    conformity.NeighbourTable whose stream starts with the training rows,
+    to its KnnRule.
     """
     if spec.kind == "const":
         return ConstantEPredictor(spec.const_value, training.task)
+    params = spec.rule_params() if table is None else {**spec.rule_params(), "table": table}
     if spec.kind == "split":
-        return fit_split(
-            training, spec.calibration_size, spec.rule, spec.normalizer, **spec.rule_params()
-        )
+        return fit_split(training, spec.calibration_size, spec.rule, spec.normalizer, **params)
     if spec.kind == "cross":
         return fit_cross(
             training,
@@ -125,7 +132,7 @@ def build_predictor(spec: PredictorSpec, training: Dataset, fold_seed: int):
             spec.rule,
             spec.normalizer,
             spec.weighting,
-            **spec.rule_params(),
+            **params,
         )
     task = training.task
     if isinstance(task, ClassificationTask) and spec.positive_label not in task.labels:
@@ -274,9 +281,10 @@ def _first_fit_rows(spec: PredictorSpec) -> int:
     return max(K, -(-proper * K // (K - 1)))
 
 
-def _online_round(spec: PredictorSpec, stream: Dataset, seed: int, i: int) -> tuple:
+def _online_round(spec: PredictorSpec, stream: Dataset, seed: int, i: int, table=None) -> tuple:
     """Round i: fit on the first i - 1 rows of the stream and score row i - 1
-    at its realized label.
+    at its realized label; a knn fit takes its held-out summaries from
+    `table`, the stream's NeighbourTable, if one is given.
 
     The predictor's declared bound is read before any e-value, so a
     predictor that declares none (a full predictor, or a split or cross
@@ -285,7 +293,8 @@ def _online_round(spec: PredictorSpec, stream: Dataset, seed: int, i: int) -> tu
     `build_predictor` is looked up as a module global at each call:
     bench/worker.py starts an online item's clock by patching it.
     """
-    predictor = build_predictor(spec, stream.subset(range(i - 1)), derive_seed(seed, 2, i))
+    prefix = stream.subset(range(i - 1))
+    predictor = build_predictor(spec, prefix, derive_seed(seed, 2, i), table=table)
     bound = predictor.component_bound()
     if bound is None:
         raise UnboundedNormalizerError("predictor declares no bound")
@@ -302,11 +311,13 @@ def online_time_validity(
     warmup: int = 20,
     tolerance: float = 0.05,
 ) -> TimeValidityReport:
-    """Refit on each growing prefix; track the running mean of realized e-values.
+    """Fit on each growing prefix; track the running mean of realized e-values.
 
     Rounds up to `warmup` emit the neutral value 1 (nothing to fit yet);
     afterwards round i fits on observations 1..i-1 and scores observation i
-    at its realized label, so the first fit runs on `warmup` rows and a
+    at its realized label. A split or cross knn fit takes its held-out
+    summaries from the stream's NeighbourTable, the same doubles a refit
+    on the prefix gives. The first fit runs on `warmup` rows and a
     split or cross spec refuses a warmup too short for it. Each fitted round
     is one `_online_round`, which asks the fitted predictor for its bound
     (`component_bound()`) and refuses one that declares none, a full
@@ -328,7 +339,13 @@ def online_time_validity(
             )
 
     stream = sample(scenario, n_rounds, derive_seed(seed, 1))
-    rounds = [_online_round(spec, stream, seed, i) for i in range(warmup + 1, n_rounds + 1)]
+    knn = spec.kind in ("split", "cross") and spec.rule == "knn"
+    # the table builds each row's list inside the first round that fits
+    # on the row, so no list is built before the first fit
+    table = NeighbourTable(stream) if knn else None
+    rounds = [
+        _online_round(spec, stream, seed, i, table) for i in range(warmup + 1, n_rounds + 1)
+    ]
     e_values = [1.0] * warmup + [e for e, _ in rounds]
     bound_used = max([0.0, *(bound for _, bound in rounds)])
     trace = OnlineTrace(e_values)

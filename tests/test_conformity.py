@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,11 +20,18 @@ from confee import (
     SupportSet,
     support_set_assignment,
     support_set_e_values,
+    KnnRule,
     fit_split,
     train_conformity,
     unit_margin_provider,
 )
-from confee.conformity import _knn_summaries, _pairwise_distances, _ridge_summaries
+from confee import conformity
+from confee.conformity import (
+    NeighbourTable,
+    _knn_summaries,
+    _pairwise_distances,
+    _ridge_summaries,
+)
 from conftest import _reference_distance, _reference_knn
 
 TASK01 = ClassificationTask((0, 1))
@@ -246,6 +255,110 @@ class TestKnnQueryFolds:
         for x in (*X[:3], *rng.standard_normal((2, d))):
             expected = _fold_query_reference(rule, training, x, candidates)
             assert rule.score_folds(x, candidates).tolist() == expected.tolist()
+
+
+def _table_rounds(stream, table, k, folds, split, rng):
+    """Every prefix of the stream that a knn rule with k neighbours can be
+    fitted on, with a fold vector drawn for it: yields (p, fold_of, the
+    rule fitted with the table, the rule refitted without it)."""
+    for p in range(2, stream.n + 1):
+        prefix = stream.subset(range(p))
+        if split:  # a split spec: the last c rows calibrate, the rest are in no fold
+            c = int(rng.integers(1, p))
+            fold_of = np.repeat([-1, 0], [p - c, c])
+        else:
+            fold_of = rng.integers(0, min(folds, p), p)
+            fold_of[:2] = (0, 1)  # no fold holds every row
+        kk = min(k, p - np.bincount(fold_of + 1)[1:].max())
+        if kk < 1:
+            continue
+        yield p, fold_of, KnnRule(prefix, kk, fold_of, table=table), KnnRule(prefix, kk, fold_of)
+
+
+class TestNeighbourTable:
+    """A fit on a prefix of a stream takes its held-out summaries from the
+    stream's neighbour table, round by round bit for bit the summaries of
+    a refit, whichever of the walk's passes or the exact kernel gives them."""
+
+    @settings(max_examples=120, deadline=None)
+    @example(n=30, d=2, folds=5, k=3, n_labels=2, width=64, split=False, grid=0.0, seed=0)
+    @example(n=40, d=1, folds=3, k=12, n_labels=1, width=64, split=False, grid=0.0, seed=1)
+    @example(n=25, d=2, folds=4, k=3, n_labels=3, width=1, split=False, grid=0.5, seed=2)
+    @example(n=30, d=2, folds=2, k=2, n_labels=2, width=2, split=True, grid=0.5, seed=3)
+    @given(
+        n=st.integers(2, 60),
+        d=st.integers(1, 3),
+        folds=st.integers(2, 8),
+        k=st.integers(1, 12),
+        n_labels=st.integers(1, 4),
+        width=st.sampled_from([1, 2, 3, 5, 16, 64]),
+        split=st.booleans(),
+        grid=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_a_refit_every_round(
+        self, n, d, folds, k, n_labels, width, split, grid, seed
+    ):
+        rng = np.random.default_rng(seed)
+        labels = tuple(range(n_labels))
+        # uneven label shares: some labels hold fewer than k rows; on a
+        # grid, points repeat and distances tie
+        y = rng.choice(n_labels, n, p=rng.dirichlet(np.full(n_labels, 0.5)))
+        X = rng.standard_normal((n, d))
+        if grid:
+            X = np.round(X / grid) * grid
+        stream = Dataset(X, y, ClassificationTask(labels))
+        with mock.patch.object(conformity, "TABLE_WIDTH", width):
+            table = NeighbourTable(stream)
+        for p, fold_of, walked, refit in _table_rounds(stream, table, k, folds, split, rng):
+            assert walked.held_out.tobytes() == refit.held_out.tobytes(), p
+            if p < n:  # the next row, at its true label
+                z = stream.observation(p)
+                assert walked.score_folds(z.x, [z.y]).tobytes() == refit.score_folds(
+                    z.x, [z.y]
+                ).tobytes()
+
+    def test_regression_stream_is_floored(self):
+        # every label holds one row, so no row has a same-label neighbour
+        rng = np.random.default_rng(5)
+        X, y = rng.standard_normal((40, 2)), rng.standard_normal(40)
+        stream = Dataset(X, y, RegressionTask((0.0,)))
+        table = NeighbourTable(stream)
+        for split in (False, True):
+            for p, fold_of, walked, refit in _table_rounds(stream, table, 3, 5, split, rng):
+                assert walked.held_out.tobytes() == refit.held_out.tobytes()
+                assert (walked.held_out[fold_of >= 0] == EPSILON_FLOOR).all()
+
+    def test_walks_that_run_out_take_the_exact_kernel(self, monkeypatch):
+        calls = []
+        knn_summaries = conformity._knn_summaries
+
+        def counted(D, k):
+            calls.append(D.shape[0])
+            return knn_summaries(D, k)
+
+        rng = np.random.default_rng(7)
+        stream = Dataset(rng.standard_normal((80, 2)), rng.integers(0, 2, 80), TASK01)
+        wide = NeighbourTable(stream)
+        monkeypatch.setattr(conformity, "TABLE_WIDTH", 2)
+        narrow = NeighbourTable(stream)
+        fold_of = np.arange(79) % 5
+        prefix = stream.subset(range(79))
+        monkeypatch.setattr(conformity, "_knn_summaries", counted)
+        held_out = KnnRule(prefix, 3, fold_of, table=narrow).held_out
+        assert sum(calls) > 0
+        calls.clear()
+        assert KnnRule(prefix, 3, fold_of, table=wide).held_out.tobytes() == held_out.tobytes()
+        assert calls == []
+        assert KnnRule(prefix, 3, fold_of).held_out.tobytes() == held_out.tobytes()
+
+    def test_training_must_be_a_prefix_of_the_stream(self):
+        rng = np.random.default_rng(3)
+        stream = Dataset(rng.standard_normal((20, 2)), rng.integers(0, 2, 20), TASK01)
+        table = NeighbourTable(stream)
+        fold_of = np.arange(10) % 2
+        with pytest.raises(OutOfRangeError, match="not a prefix of the table's stream"):
+            KnnRule(stream.subset(range(1, 11)), 1, fold_of, table=table)
 
 
 class TestRidgeQueryFolds:

@@ -198,8 +198,16 @@ class TestVectorValues:
         assert len(summary) == 2 and len(EValueVector(iter([1.0, 0.0]))) == 2
 
     def test_two_dimensional_input_refused(self):
-        with pytest.raises(OutOfRangeError, match=r"expected a flat sequence, got shape \(1, 2\)"):
+        flat = r"must be a flat sequence, got shape \(1, 2\)$"
+        with pytest.raises(OutOfRangeError, match=f"^summaries {flat}"):
             SummaryVector([[1.0, 2.0]])
+        with pytest.raises(OutOfRangeError, match=f"^e-values {flat}"):
+            EValueVector([[0.5, 1.0]])
+        data = Dataset(np.zeros((3, 1)), np.array([0, 1, 0]), ClassificationTask((0, 1)))
+        with pytest.raises(OutOfRangeError, match=f"^subset indices {flat}"):
+            data.subset([[0, 1]])
+        with pytest.raises(OutOfRangeError, match=f"^fold indices {flat}"):
+            FoldPartition(([[0, 1]], [2]), 3, 0)
 
 
 class TestFoldPartition:
@@ -488,6 +496,19 @@ class TestTasksAndData:
         # numbers numpy and float() read keep their path
         assert SummaryVector(["1.5", 2]).values == (1.5, 2.0)
         assert Observation(("1.5", np.float32(2.0)), 1).x == (1.5, 2.0)
+
+    def test_malformed_task_and_table_inputs_named(self):
+        with pytest.raises(OutOfRangeError, match="^regression grid must be real numbers: "):
+            RegressionTask(("a",))
+        with pytest.raises(OutOfRangeError, match="^classification labels must be hashable: "):
+            ClassificationTask(([0], [1]))
+        with pytest.raises(OutOfRangeError, match="^table values must be real numbers: "):
+            PlausibilityTable(("a",), ("x",))
+        with pytest.raises(OutOfRangeError, match="^candidate labels must be hashable: "):
+            PlausibilityTable(([0],), (1.0,))
+        # numbers float() reads keep their path
+        assert RegressionTask(("1.5", np.float32(2.0))).grid == (1.5, 2.0)
+        assert PlausibilityTable((0, 1), ("0.5", np.float64(2.0))).values == (0.5, 2.0)
 
     def test_subset_copies_rows_read_only_without_revalidating(self, monkeypatch):
         ds = Dataset(np.arange(10.0).reshape(5, 2), np.array([0, 1, 1, 0, 1]), TASK01)

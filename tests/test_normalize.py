@@ -77,7 +77,9 @@ def test_block_with_a_too_large_candidate_refused():
 
 def test_block_needs_a_flat_sequence_of_numbers():
     calibration = SummaryVector((1.0, 2.0))
-    with pytest.raises(OutOfRangeError, match=r"^expected a flat sequence, got shape \(1, 2\)$"):
+    with pytest.raises(
+        OutOfRangeError, match=r"^candidate summaries must be a flat sequence, got shape \(1, 2\)$"
+    ):
         Normalizer("mean").block(calibration, [[1.0, 2.0]])
     with pytest.raises(OutOfRangeError, match="^candidate summaries must be real numbers: "):
         Normalizer("mean").block(calibration, ["a"])

@@ -711,6 +711,18 @@ class TestScalarOps:
         assert e_to_p(0.0) == 1.0
         assert e_to_p(0.5) == 1.0  # capped
 
+    def test_malformed_numbers_named(self):
+        with pytest.raises(OutOfRangeError, match="^e-value must be a real number: "):
+            e_to_p("a")
+        with pytest.raises(OutOfRangeError, match="^p-values must be real numbers: "):
+            cross_p_merge(["a"])
+        with pytest.raises(OutOfRangeError, match="^entries must be real numbers: "):
+            harmonic_mean([0.5, None])
+        # numbers float() reads keep their path
+        assert e_to_p("2") == 0.5
+        assert cross_p_merge(["0.25", np.float32(0.75)], adjusted=False) == 0.5
+        assert harmonic_mean(["0.5", 0.5]) == 0.5
+
     def test_harmonic_vs_arithmetic(self):
         rng = np.random.default_rng(404)
         for _ in range(1000):

@@ -180,6 +180,46 @@ class TestTimeHarness:
         with pytest.raises(OutOfRangeError):
             online_time_validity(GM2D, split, 60, 1, warmup=20)
 
+    @pytest.mark.parametrize("spec, rounds, seed", [
+        (CROSS_KNN, 260, 3),
+        (PredictorSpec(kind="cross", rule="knn", k=9, folds=3, normalizer="sum"), 120, 8),
+        (PredictorSpec(kind="split", rule="knn", calibration_size=12), 200, 5),
+    ])
+    def test_same_report_as_a_refit_every_round(self, spec, rounds, seed):
+        """The harness's knn fits take their held-out summaries from the
+        stream's neighbour table; this loop refits KnnRule on every prefix."""
+        warmup = 20
+        stream = sample(GM2D, rounds, core.derive_seed(seed, 1))
+        es, bounds = [1.0] * warmup, [0.0]
+        for i in range(warmup + 1, rounds + 1):
+            prefix = stream.subset(range(i - 1))
+            if spec.kind == "split":
+                predictor = predictors.fit_split(
+                    prefix, spec.calibration_size, "knn", spec.normalizer, k=spec.k
+                )
+            else:
+                partition = core.make_fold_partition(
+                    prefix.n, spec.folds, core.derive_seed(seed, 2, i)
+                )
+                rule = conformity.KnnRule(prefix, spec.k, partition.fold_of)
+                calibration = tuple(
+                    core.SummaryVector(rule.held_out[fold]) for fold in partition.folds
+                )
+                predictor = predictors.CrossEPredictor(
+                    rule, calibration, predictors.get_normalizer(spec.normalizer), prefix.task
+                )
+            z = stream.observation(i - 1)
+            es.append(float(predictor.e_at(z.x, z.y)))
+            bounds.append(float(predictor.component_bound()))
+        trace = predictors.OnlineTrace(es)
+        final = trace.running_means[-1]
+        expected = validity.TimeValidityReport(
+            rounds, warmup, 0.05, max(bounds), final, max(trace.running_means[warmup:]),
+            "consistent" if final <= 1.05 else "violation", trace,
+        )
+        report = online_time_validity(GM2D, spec, rounds, seed, warmup=warmup)
+        assert report.to_dict() == expected.to_dict()
+
     @pytest.mark.parametrize("spec, minimum", [
         # split holds c rows out and knn needs k proper rows: 10 + 3
         (PredictorSpec(kind="split", calibration_size=10), 13),
@@ -339,10 +379,12 @@ class TestModuleLevelItems:
 
     def test_online_round(self):
         stream = sample(GM2D, 60, 5)
+        expected = validity._online_round(CROSS_KNN, stream, 5, 30)
         bound = functools.partial(validity._online_round, CROSS_KNN, stream, 5)
-        assert pickle.loads(pickle.dumps(bound))(30) == validity._online_round(
-            CROSS_KNN, stream, 5, 30
-        )
+        assert pickle.loads(pickle.dumps(bound))(30) == expected
+        table = conformity.NeighbourTable(stream)
+        bound = functools.partial(validity._online_round, CROSS_KNN, stream, 5, table=table)
+        assert pickle.loads(pickle.dumps(bound))(30) == expected
 
     @pytest.mark.parametrize("reader", ["_e_at_truth", "_compare_row"])
     def test_space_trial(self, reader):

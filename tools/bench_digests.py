@@ -5,7 +5,8 @@
 Runs `python3 bench/run.py --workload W --seed 1 --seconds 1 --trace 1`
 from the root of the checkout for each workload, reads `digests` from the
 `run {...}` line (the untraced and the traced run's report digest) and
-prints them. Exits 1 unless every digest equals its workload's pin.
+prints them, with the call's wall time. Exits 1 unless every digest equals
+its workload's pin; the wall time is a report, not a gate.
 
 The digests are SHA-256 sums of the reports, so they pin every number a
 workload computes. A change that alters them on purpose updates the pins
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,29 +29,32 @@ PINS = {
 }
 
 
-def digests(workload: str) -> list:
-    """The report digests of one traced benchmark call; [] if it failed."""
+def digests(workload: str) -> tuple:
+    """(the report digests of one traced benchmark call, [] if it failed;
+    the call's wall time in seconds)."""
     command = [
         sys.executable, "bench/run.py",
         "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1",
     ]
+    start = time.perf_counter()
     proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    wall = time.perf_counter() - start
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
     for line in proc.stdout.splitlines():
         if line.startswith("run "):
-            return json.loads(line[len("run "):])["digests"]
-    return []
+            return json.loads(line[len("run "):])["digests"], wall
+    return [], wall
 
 
 def main() -> int:
     ok = True
     for workload, pin in PINS.items():
-        got = digests(workload)
+        got, wall = digests(workload)
         good = len(got) == 2 and all(d == pin for d in got)
         ok = ok and good
         print(f"{workload}: {' '.join(map(str, got)) or 'no digests'} "
-              f"{'ok' if good else f'MISMATCH (pinned {pin})'}")
+              f"{'ok' if good else f'MISMATCH (pinned {pin})'} ({wall:.1f} s)")
     return 0 if ok else 1
 
 
