@@ -49,7 +49,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, EValueVector, Observation, RegressionTask, _real_array
+from .core import (
+    Dataset, EValueVector, Observation, RegressionTask, _integer, _real_array, _real_floats
+)
 from .errors import (
     DimensionMismatchError,
     EmptyProperSetError,
@@ -333,6 +335,7 @@ class KnnRule(ConformityRule):
     """
 
     def __init__(self, training: Dataset, k: int = 3, fold_of=None, *, table=None):
+        k = _integer(k, "k")
         if k < 1:
             raise OutOfRangeError(f"k={k}; need at least 1 neighbour")
         super().__init__(training, fold_of)
@@ -449,13 +452,14 @@ class RidgeRule(ConformityRule):
     """
 
     def __init__(self, training: Dataset, lam: float = 1.0, fold_of=None):
+        (lam,) = _real_floats((lam,), "lam")
         if lam < 0:
             raise OutOfRangeError(f"lam={lam} must be nonnegative")
         if not math.isfinite(lam):
             raise OutOfRangeError("lam must be finite")
         super().__init__(training, fold_of)
         yf = _numeric_labels(training)
-        self.lam = float(lam)
+        self.lam = lam
         X = training.X
         folds = [self.fold_of == f for f in range(self.K)]
         self.betas = tuple(_ridge_beta(X[~fold], yf[~fold], self.lam) for fold in folds)
@@ -513,7 +517,8 @@ class SupportSet:
     m: int
 
     def __post_init__(self):
-        indices = tuple(int(i) for i in self.indices)
+        indices = tuple(_integer(i, "support indices") for i in self.indices)
+        object.__setattr__(self, "m", _integer(self.m, "m"))
         if self.m < 1:
             raise OutOfRangeError("support set needs a positive sequence length")
         if len(set(indices)) != len(indices):
@@ -550,10 +555,10 @@ def unit_margin_provider(
     for the positive label and -1 otherwise (so misclassified points always
     count). Mirrors which points would constrain a maximum-margin separator.
     """
-    w = np.asarray(w, dtype=float)
+    w = _real_array(np.asarray, w, "w")
+    (b,) = _real_floats((b,), "b")
     if w.ndim != 1 or not np.isfinite(w).all() or not math.isfinite(b):
         raise OutOfRangeError("w must be a finite vector and b a finite scalar")
-    b = float(b)
 
     def provider(observations: Sequence[Observation]) -> SupportSet:
         obs = list(observations)

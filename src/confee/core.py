@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
@@ -35,11 +36,17 @@ from .errors import (
 E_MEAN_TOLERANCE = 1e-12
 
 
-def _seed_sequence(parts) -> np.random.SeedSequence:
-    key = tuple(int(p) for p in parts)
+def _seed_sequence(parts: tuple) -> np.random.SeedSequence:
+    """The SeedSequence of a key of nonnegative integers; a part that is
+    no integer (1.5, "3", None) or is negative raises OutOfRangeError."""
+    try:
+        key = tuple(map(operator.index, parts))
+    except TypeError:
+        raise OutOfRangeError(f"seed parts must be integers, got {parts!r}") from None
     if any(p < 0 for p in key):
         raise OutOfRangeError(f"seed parts must be nonnegative, got {key}")
-    return np.random.SeedSequence(key)
+    # a one-part key as a plain int: the same streams, cheaper to build
+    return np.random.SeedSequence(key[0] if len(key) == 1 else key)
 
 
 def derive_seed(*parts: int) -> int:
@@ -71,6 +78,15 @@ def _real_array(convert, values, name: str) -> np.ndarray:
         return convert(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise OutOfRangeError(f"{name} must be real numbers: {exc}") from None
+
+
+def _integer(value, name: str) -> int:
+    """value as a Python int, as operator.index gives it; a value that is no
+    integer (1.5, 2.0, "3") raises OutOfRangeError naming the input."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise OutOfRangeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _real_floats(values, name: str) -> tuple:
@@ -172,10 +188,7 @@ class Observation:
     y: object
 
     def __post_init__(self):
-        try:
-            x = tuple(float(v) for v in self.x)
-        except (TypeError, ValueError) as exc:
-            raise OutOfRangeError(f"feature vector must be real numbers: {exc}") from None
+        x = _real_floats(self.x, "feature vector")
         if not all(math.isfinite(v) for v in x):
             raise NonFiniteEntryError("feature vector must be finite")
         object.__setattr__(self, "x", x)
@@ -408,17 +421,6 @@ def check_e_rows(block: np.ndarray) -> np.ndarray:
     return block
 
 
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass cls that holds fields as given.
-
-    Its checks do not run: for values the package has just built and
-    checked, in the form the checks would leave them in.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class _FloatVector:
     """A checked, non-empty vector held as a read-only float64 array.
@@ -547,14 +549,15 @@ class FoldPartition:
         if min(sizes) == 0:
             raise TooFewObservationsError("every fold needs at least one observation")
         flat = np.concatenate(folds)
-        # the range checks come first: bincount refuses negative entries
-        # and sizes its output by the largest one
-        if (
-            flat.size != self.n
-            or flat.min() < 0
-            or flat.max() >= self.n
-            or not (np.bincount(flat, minlength=self.n) == 1).all()
-        ):
+        try:
+            # bincount refuses a negative index; one past n - 1 is counted
+            # at n, so no index sizes the count array beyond n + 1
+            exact = flat.size == self.n and bool(
+                (np.bincount(np.minimum(flat, self.n), minlength=self.n) == 1).all()
+            )
+        except ValueError:
+            exact = False
+        if not exact:
             raise OutOfRangeError("folds must partition 0..n-1 exactly")
         if max(sizes) - min(sizes) > 1:
             raise OutOfRangeError(f"fold sizes {sizes} differ by more than one")
@@ -579,25 +582,18 @@ class FoldPartition:
 def make_fold_partition(n: int, K: int, seed: int) -> FoldPartition:
     """Randomly partition 0..n-1 into K balanced folds.
 
-    Permutes the indices under the seed and slices contiguously; the first
-    n mod K folds get the extra observation. The folds are views of that
-    one read-only permutation. Identical (n, K, seed) give an identical
-    partition.
+    Permutes the indices under `spawn_rng(seed)` and slices contiguously;
+    the first n mod K folds get the extra observation. The folds are views
+    of that one read-only permutation, and FoldPartition checks them as it
+    checks any folds. Identical (n, K, seed) give an identical partition.
     """
+    n, K = _integer(n, "n"), _integer(K, "K")
     if K < 2:
         raise TooFewFoldsError(f"K={K}; need at least 2")
     if n < K:
         raise TooFewObservationsError(f"n={n} observations cannot fill K={K} folds")
-    if seed < 0:
-        raise OutOfRangeError("seed must be nonnegative")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = spawn_rng(seed).permutation(n)
     perm.setflags(write=False)
     base, extra = divmod(n, K)
     bounds = [k * base + min(k, extra) for k in range(K + 1)]
-    # the slices of one permutation cover 0..n-1 exactly, with sizes that
-    # differ by at most one: FoldPartition's checks would pass
-    fold_of = np.empty(n, dtype=np.intp)
-    fold_of[perm] = np.repeat(np.arange(K), np.diff(bounds))
-    fold_of.setflags(write=False)
-    folds = tuple(perm[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-    return _unchecked(FoldPartition, folds=folds, n=n, seed=seed, fold_of=fold_of)
+    return FoldPartition(tuple(perm[lo:hi] for lo, hi in zip(bounds, bounds[1:])), n, seed)

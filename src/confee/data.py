@@ -1,14 +1,16 @@
 """Seeded synthetic scenarios, CSV round-tripping, and the output opener.
 
-`sample(scenario, n, seed)` spawns two child seeds from
-`SeedSequence(seed)` and reads one numpy Generator of each from its start:
+`sample(scenario, n, seed)` spawns two child seeds from the seed's
+SeedSequence and reads one numpy Generator of each from its start:
 the first gives the mixture labels (or the regression noise), the second
 the features, n rows of `dim` standard normals. Each draw depends only on
 the draws before it in its stream, so a longer sample extends a shorter
 one with the same seed unchanged; observation i cannot be drawn without
 drawing observations 0..i-1. The numbers are numpy's: `integers` and the
 ziggurat `standard_normal` of PCG64, which NEP 19 lets numpy change
-between releases.
+between releases. Seeds go through core: the SeedSequence comes from
+`core._seed_sequence`, which refuses a seed that is no nonnegative integer,
+and the regression weights from `core.spawn_rng`.
 
 CSV format: header x1,...,xd,y then one observation per row. Floats are
 written with repr, so a save/load round trip is exact. The y column is
@@ -25,7 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ClassificationTask, Dataset, RegressionTask, Task, spawn_rng
+from .core import (
+    ClassificationTask, Dataset, RegressionTask, Task, _integer, _real_floats, _seed_sequence,
+    spawn_rng,
+)
 from .errors import (
     InvalidScenarioError,
     LabelOutOfSpaceError,
@@ -70,11 +75,15 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise InvalidScenarioError(f"kind must be one of {SCENARIO_KINDS}")
+        for name in ("classes", "dim", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("separation", "noise_sd"):
+            object.__setattr__(self, name, _real_floats((getattr(self, name),), name)[0])
         if self.dim < 1:
             raise InvalidScenarioError("dim must be at least 1")
         if self.seed < 0:
             raise InvalidScenarioError("seed must be nonnegative")
-        object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
+        object.__setattr__(self, "grid", _real_floats(self.grid, "grid"))
         if self.kind == "gaussian_mixture":
             if self.classes < 2:
                 raise InvalidScenarioError("mixture needs at least 2 classes")
@@ -130,11 +139,10 @@ def sample(scenario: Scenario, n: int, seed: int) -> Dataset:
     second the features, row by row; each is read from its start, so a
     longer sample extends a shorter one with the same seed unchanged.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise OutOfRangeError(f"n={n}; need at least one observation")
-    if seed < 0:
-        raise OutOfRangeError("seed must be nonnegative")
-    first, second = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    first, second = map(np.random.default_rng, _seed_sequence((seed,)).spawn(2))
     X = second.standard_normal((n, scenario.dim))
     if scenario.kind == "gaussian_mixture":
         labels = first.integers(scenario.classes, size=n)

@@ -46,6 +46,7 @@ from .core import (
     PlausibilityTable,
     SummaryVector,
     _ONE,
+    _integer,
     _py_scalar,
     _real_floats,
     float_units,
@@ -200,7 +201,7 @@ def fit_split(
     """The last calibration_size rows calibrate against a rule trained on
     the rows before them: a one-fold fit, its calibration rows in fold 0
     and the rest in no fold."""
-    n, c = training.n, calibration_size
+    n, c = training.n, _integer(calibration_size, "calibration_size")
     if not 1 <= c <= n - 1:
         raise OutOfRangeError(f"calibration_size {c} must lie in 1..{n - 1}")
     rule = train_conformity(kind, training, fold_of=np.repeat([-1, 0], [n - c, c]), **rule_params)
@@ -334,7 +335,7 @@ def harmonic_mean(values: Sequence[float]) -> float:
 
 def e_prediction_set(table: PlausibilityTable, epsilon: float) -> tuple:
     """Labels whose e-value strictly exceeds epsilon: {y : e^y > epsilon}."""
-    eps = float(epsilon)
+    (eps,) = _real_floats((epsilon,), "epsilon")
     if not 0.0 < eps < 1.0:
         raise OutOfRangeError(f"epsilon {eps} not in (0, 1)")
     return tuple(lab for lab, v in zip(table.labels, table.values) if v > eps)
@@ -355,7 +356,7 @@ class OnlineTrace:
     running_means: tuple = field(init=False)
 
     def __post_init__(self):
-        es = tuple(float(e) for e in self.e_values)
+        es = _real_floats(self.e_values, "trace e-values")
         if not es:
             raise OutOfRangeError("trace must be non-empty")
         if any(not math.isfinite(e) or e < 0 for e in es):

@@ -30,7 +30,9 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 from .conformity import NeighbourTable, support_set_assignment, unit_margin_provider
-from .core import ClassificationTask, Dataset, PlausibilityTable, Task, derive_seed
+from .core import (
+    ClassificationTask, Dataset, PlausibilityTable, Task, _integer, _real_floats, derive_seed
+)
 from .data import Scenario, sample
 from .errors import DimensionMismatchError, OutOfRangeError, UnboundedNormalizerError
 from .normalize import Normalizer
@@ -80,6 +82,7 @@ class PredictorSpec:
     def __post_init__(self):
         if self.kind not in PREDICTOR_KINDS:
             raise OutOfRangeError(f"kind must be one of {PREDICTOR_KINDS}")
+        object.__setattr__(self, "const_value", _real_floats((self.const_value,), "const_value")[0])
         if self.const_value < 0 or not math.isfinite(self.const_value):
             raise OutOfRangeError("const_value must be finite and nonnegative")
 
@@ -170,6 +173,9 @@ def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
     after another in the calling thread: `threads` must be at least 1,
     starts no thread and changes nothing.
     """
+    trials = _integer(trials, "trials")
+    n_train = _integer(n_train, "n_train")
+    threads = _integer(threads, "threads")
     if trials < 100:
         raise OutOfRangeError(f"trials={trials}; need at least 100 for a stable verdict")
     if n_train < 2:
@@ -325,6 +331,8 @@ def online_time_validity(
     checks (positive_label, margin_w) run first, when it is built. The
     verdict compares the final running mean against 1 + tolerance.
     """
+    n_rounds, warmup = _integer(n_rounds, "n_rounds"), _integer(warmup, "warmup")
+    (tolerance,) = _real_floats((tolerance,), "tolerance")
     if n_rounds < 50:
         raise OutOfRangeError(f"n_rounds={n_rounds}; need at least 50")
     if not 1 <= warmup < n_rounds:
@@ -415,7 +423,7 @@ def compare_e_vs_p(
     """
     if spec.kind != "cross":
         raise OutOfRangeError("comparison runs on a cross predictor spec")
-    eps = tuple(float(e) for e in epsilons)
+    eps = _real_floats(epsilons, "epsilons")
     if not eps or any(not 0 < e < 1 for e in eps):
         raise OutOfRangeError("epsilons must be non-empty and lie in (0, 1)")
     for e in eps:

@@ -8,24 +8,40 @@ from hypothesis import strategies as st
 from confee import (
     AverageExceedsOneError,
     ClassificationTask,
+    ConfeeError,
     Dataset,
     E_MEAN_TOLERANCE,
     EValueVector,
     EmptyDatasetError,
     FoldPartition,
+    KnnRule,
     LabelOutOfSpaceError,
     NegativeEntryError,
     NonFiniteEntryError,
     Observation,
+    OnlineTrace,
     OutOfRangeError,
     PlausibilityTable,
+    PredictorSpec,
     RegressionTask,
+    RidgeRule,
+    Scenario,
     SummaryVector,
+    SupportSet,
     TooFewFoldsError,
     TooFewObservationsError,
+    compare_e_vs_p,
     derive_seed,
+    e_prediction_set,
+    fit_cross,
+    fit_split,
+    get_scenario,
     make_fold_partition,
+    mc_space_validity,
+    online_time_validity,
+    sample,
     spawn_rng,
+    unit_margin_provider,
 )
 from confee import core
 from confee.core import FAST_ROWS, check_e_rows
@@ -251,6 +267,11 @@ class TestFoldPartition:
             FoldPartition(((0, 1, 2), (3,)), 4, 0)  # unbalanced
         with pytest.raises(TooFewFoldsError):
             FoldPartition(((0, 1),), 2, 0)
+        # an index far past n - 1 is refused without sizing anything by it
+        with pytest.raises(OutOfRangeError, match="partition 0..n-1 exactly"):
+            FoldPartition(((0, 2**62), (1,)), 3, 0)
+        with pytest.raises(OutOfRangeError, match="partition 0..n-1 exactly"):
+            FoldPartition(((0, -2**62), (1,)), 3, 0)
 
     def test_fold_indices_must_be_integers(self):
         for folds, dtype in (
@@ -625,3 +646,105 @@ class TestSeeding:
         assert not np.array_equal(a, c)
         with pytest.raises(OutOfRangeError):
             spawn_rng(-1)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3, 2**70 + 9])
+    def test_streams_are_the_plain_numpy_seeding(self, seed):
+        # the seeding each caller did by hand before every seed went
+        # through core._seed_sequence, rebuilt here
+        ss = np.random.SeedSequence
+        assert derive_seed(seed) == int(ss((seed,)).generate_state(1, np.uint64)[0] >> 1)
+        expected = np.random.default_rng(ss((seed,))).standard_normal(8)
+        assert np.array_equal(spawn_rng(seed).standard_normal(8), expected)
+        for n, K in ((50, 5), (1383, 5), (7, 3)):
+            perm = np.random.default_rng(seed).permutation(n)
+            base, extra = divmod(n, K)
+            bounds = [k * base + min(k, extra) for k in range(K + 1)]
+            folds = make_fold_partition(n, K, seed).folds
+            assert [fold.tolist() for fold in folds] == [
+                perm[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])
+            ]
+        for name in ("gm2d", "linreg3"):
+            scenario = get_scenario(name)
+            first, second = (np.random.default_rng(s) for s in ss(seed).spawn(2))
+            X = second.standard_normal((51, scenario.dim))
+            if scenario.kind == "gaussian_mixture":
+                y = first.integers(scenario.classes, size=51)
+                X += scenario.class_means()[y]
+            else:
+                y = np.array([scenario.weights() @ row for row in X])
+                y += scenario.noise_sd * first.standard_normal(51)
+            drawn = sample(scenario, 51, seed)
+            assert np.array_equal(drawn.X, X) and np.array_equal(drawn.y, y)
+
+    def test_make_fold_partition_runs_the_public_checks(self, monkeypatch):
+        checked = []
+        post_init = FoldPartition.__post_init__
+
+        def spy(partition):
+            checked.append(partition)
+            post_init(partition)
+
+        monkeypatch.setattr(FoldPartition, "__post_init__", spy)
+        part = make_fold_partition(10, 3, 4)
+        assert checked == [part] and checked[0] is part
+
+
+_GM2D = get_scenario("gm2d")
+_TRAINING = sample(_GM2D, 30, 1)
+_CROSS = PredictorSpec(kind="cross", rule="knn")
+
+
+# One call per malformed argument, and the name its error must start with.
+# Each value is refused by operator.index (counts, seeds) or by float()
+# (reals), and every refusal is a ConfeeError that names the argument.
+MALFORMED = [
+    ("seed parts", lambda: derive_seed(1.5)),
+    ("seed parts", lambda: derive_seed("3")),
+    ("seed parts", lambda: derive_seed(None)),
+    ("seed parts", lambda: spawn_rng(2, 1.5)),
+    ("seed parts", lambda: sample(_GM2D, 5, 1.5)),
+    ("seed parts", lambda: make_fold_partition(10, 2, 1.5)),
+    ("trace e-values", lambda: OnlineTrace(("a",))),
+    ("epsilon", lambda: e_prediction_set(PlausibilityTable((0, 1), (0.5, 1.5)), "a")),
+    ("epsilons", lambda: compare_e_vs_p(_GM2D, _CROSS, 100, 0, epsilons=("a",))),
+    ("grid", lambda: Scenario("linear_regression", grid=("a",))),
+    ("w", lambda: unit_margin_provider(("a",))),
+    ("b", lambda: unit_margin_provider((1.0,), "a")),
+    ("k", lambda: KnnRule(_TRAINING, 1.5)),
+    ("calibration_size", lambda: fit_split(_TRAINING, 2.5)),
+    ("K", lambda: fit_cross(_TRAINING, 5.0, 1)),
+    ("n", lambda: make_fold_partition(10.0, 2, 1)),
+    ("n", lambda: sample(_GM2D, 2.5, 1)),
+    ("trials", lambda: mc_space_validity(_GM2D, _CROSS, 100.5, 0)),
+    ("n_train", lambda: mc_space_validity(_GM2D, _CROSS, 100, 0, n_train=20.5)),
+    ("threads", lambda: mc_space_validity(_GM2D, _CROSS, 100, 0, threads=1.5)),
+    ("n_rounds", lambda: online_time_validity(_GM2D, _CROSS, 60.5, 0)),
+    ("warmup", lambda: online_time_validity(_GM2D, _CROSS, 60, 0, warmup=20.5)),
+    ("tolerance", lambda: online_time_validity(_GM2D, _CROSS, 60, 0, tolerance="a")),
+    ("classes", lambda: Scenario("gaussian_mixture", classes=2.0)),
+    ("dim", lambda: Scenario("gaussian_mixture", dim=np.float64(2))),
+    ("seed", lambda: Scenario("gaussian_mixture", seed="0")),
+    ("separation", lambda: Scenario("gaussian_mixture", separation="a")),
+    ("noise_sd", lambda: Scenario("linear_regression", noise_sd="a", grid=(0.0, 1.0))),
+    ("lam", lambda: RidgeRule(_TRAINING, lam="a")),
+    ("const_value", lambda: PredictorSpec(kind="const", const_value="a")),
+    ("support indices", lambda: SupportSet((1.5,), 3)),
+    ("m", lambda: SupportSet((1,), 3.0)),
+]
+
+
+@pytest.mark.parametrize("name, call", MALFORMED)
+def test_malformed_argument_is_named(name, call):
+    with pytest.raises(ConfeeError, match=f"^{name} must be "):
+        call()
+
+
+def test_integer_counts_keep_their_numbers():
+    # numpy integers pass wherever Python ints do, with the same results
+    for n, K, seed in ((50, 5, 3), (np.int64(50), np.int32(5), np.uint64(3))):
+        part = make_fold_partition(n, K, seed)
+        assert part == make_fold_partition(50, 5, 3)
+        assert np.array_equal(sample(_GM2D, n, seed).X, sample(_GM2D, 50, 3).X)
+    assert KnnRule(_TRAINING, np.int64(3)).k == 3
+    three = Scenario("gaussian_mixture", classes=np.int8(3))
+    assert three == Scenario("gaussian_mixture", classes=3) and three.task.labels == (0, 1, 2)
