@@ -1,7 +1,11 @@
 """Command-line interface: gen, predict, and validate.
 
 Reports are JSON with sorted keys and no timestamps, so identical inputs
-give byte-identical files. Every report embeds its fully resolved
+give byte-identical files: every report is written byte for byte as
+json.dumps(report, indent=2, sort_keys=True) would write it, by one
+writer. predict streams its results, each queried, written and dropped
+before the next, and a run that fails part-way writes nothing: the text
+goes to a temporary file first. Every report embeds its fully resolved
 configuration under "config"; rerunning with --config <report.json>
 reproduces the run exactly (output path and --threads are execution
 details and are deliberately not part of the config; --threads is checked
@@ -22,7 +26,11 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
+import tempfile
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
 
 from .conformity import RULE_KINDS
 from .core import ClassificationTask, RegressionTask, derive_seed
@@ -328,12 +336,83 @@ def _spec_from(cfg: dict) -> PredictorSpec:
     return PredictorSpec(**fields)
 
 
+# float.__repr__ of a non-finite float -> its spelling in json's output
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(value, indent: str) -> str:
+    """The text json.dumps(value, indent=2, sort_keys=True) gives, for a
+    value that starts on a line indented by `indent` ("\\n" and its spaces).
+
+    Reports hold str, int, float (NaN and infinities spelled as json spells
+    them), bool, None, lists, tuples and dicts with str keys. A container
+    whose values are all floats, or all strings, is joined in one str.join.
+    Anything else raises TypeError, as json does for what it cannot write."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if isinstance(value, (list, tuple)):
+        brackets, keys, values = "[]", None, value
+    elif isinstance(value, dict):
+        items = sorted(value.items())
+        brackets, values = "{}", [v for _, v in items]
+        keys = [encode_basestring_ascii(k) + ": " for k, _ in items]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not values:
+        return brackets
+    inner = indent + "  "
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        texts = list(map(float.__repr__, values))
+        texts = map(_NON_FINITE.get, texts, texts)
+    elif kinds == {str}:
+        texts = map(encode_basestring_ascii, values)
+    else:
+        texts = [_encode(v, inner) for v in values]
+    if keys is not None:
+        texts = map(str.__add__, keys, texts)
+    return brackets[0] + inner + ("," + inner).join(texts) + indent + brackets[1]
+
+
 def _write_report(report: dict, out) -> None:
-    """Stream the JSON to the --out path, or to stdout without one; no copy
-    of the whole text is built."""
-    with open_output(sys.stdout if out is None else out) as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write the report, a non-empty dict with str keys, to the --out path,
+    or to stdout without one, byte for byte as json.dumps(report, indent=2,
+    sort_keys=True) and a newline.
+
+    Streamed and spooled: no copy of the whole text is built. A value that
+    is an iterator (predict's results) is drawn, encoded and written one
+    item at a time, to an anonymous temporary file that is copied out only
+    once the report is complete, so a run that fails part-way writes
+    nothing."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        opening = "{"
+        for key in sorted(report):
+            spool.write(f"{opening}\n  {encode_basestring_ascii(key)}: ")
+            opening = ","
+            value = report[key]
+            if not isinstance(value, Iterator):
+                spool.write(_encode(value, "\n  "))
+                continue
+            bracket, indent = "[", "\n    "
+            for item in value:
+                spool.write(bracket + indent + _encode(item, indent))
+                bracket = ","
+            spool.write("[]" if bracket == "[" else "\n  ]")
+        spool.write("\n}\n")
+        spool.seek(0)
+        with open_output(sys.stdout if out is None else out) as fh:
+            shutil.copyfileobj(spool, fh)
 
 
 def _check_command(parser: _Parser, config: dict, command: str) -> None:
@@ -384,10 +463,9 @@ def _test_objects(parser: _Parser, cfg: dict, task, dim: int) -> list:
     return objects
 
 
-def _details_for(table) -> dict:
+def _details_for(table, keys: list) -> dict:
     """Verbose report details, read off the table of the one query pass:
     a split table's one fold flat, a cross table's folds in a list."""
-    keys = [format_label(y) for y in table.labels]
     if isinstance(table, CrossTable):
         folds = [
             {
@@ -413,30 +491,34 @@ def cmd_predict(parser: _Parser, args, cfg: dict) -> int:
     objects = _test_objects(parser, cfg, task, training.dim)
 
     epsilons = [float(e) for e in cfg["epsilons"]]
-    results = []
-    for x, true_label in objects:
-        table = predictor.predict(x)
-        entry = {
-            "x": list(x),
-            "true_label": None if true_label is None else format_label(true_label),
-            "e_values": {format_label(y): v for y, v in zip(table.labels, table.values)},
-            "prediction_sets": {
-                repr(eps): [format_label(y) for y in e_prediction_set(table, eps)]
-                for eps in epsilons
-            },
-        }
-        if isinstance(table, CrossTable) and len(table.blocks) > 1:
-            columns = table.fold_values.T.tolist()
-            entry["fold_e_values"] = dict(zip(map(format_label, table.labels), columns))
-        if cfg["verbose"]:
-            entry["details"] = _details_for(table)
-        results.append(entry)
-        # a table holds every normalized vector of its pass: free it before
-        # the next query builds another
-        del table
+    # every query answers the task's candidates: spell their keys once
+    keys = [format_label(y) for y in task.candidates]
+    key_of = dict(zip(task.candidates, keys))
+
+    def results():
+        """One entry per test object, queried as the writer draws it."""
+        for x, true_label in objects:
+            table = predictor.predict(x)
+            entry = {
+                "x": list(x),
+                "true_label": None if true_label is None else format_label(true_label),
+                "e_values": dict(zip(keys, table.values)),
+                "prediction_sets": {
+                    repr(eps): [key_of[y] for y in e_prediction_set(table, eps)]
+                    for eps in epsilons
+                },
+            }
+            if isinstance(table, CrossTable) and len(table.blocks) > 1:
+                entry["fold_e_values"] = dict(zip(keys, table.fold_values.T.tolist()))
+            if cfg["verbose"]:
+                entry["details"] = _details_for(table, keys)
+            # a table holds every normalized vector of its pass: free it
+            # before the next query builds another
+            del table
+            yield entry
 
     if isinstance(task, ClassificationTask):
-        task_obj = {"type": "classification", "labels": [format_label(y) for y in task.labels]}
+        task_obj = {"type": "classification", "labels": keys}
     else:
         task_obj = {"type": "regression", "grid": list(task.grid)}
     report = {
@@ -444,7 +526,7 @@ def cmd_predict(parser: _Parser, args, cfg: dict) -> int:
         "seed": cfg["seed"],
         "config": dict(cfg),
         "task": task_obj,
-        "results": results,
+        "results": results(),
     }
     _write_report(report, args.out)
     return 0

@@ -533,7 +533,7 @@ class FoldPartition:
     array; folds may be given as any integer sequences. `fold_of` is the
     same partition seen from the rows: a read-only intp array whose entry
     i is the index k into `folds` of the fold holding observation i. Partitions compare and
-    hash by their folds, n and seed.
+    hash by their folds, n and seed, which must be integers.
     """
 
     folds: tuple
@@ -542,6 +542,8 @@ class FoldPartition:
     fold_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         folds = tuple(_frozen_array(fold, np.intp, "fold indices") for fold in self.folds)
         if len(folds) < 2:
             raise TooFewFoldsError("need at least two folds")

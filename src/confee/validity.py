@@ -29,14 +29,17 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
-from .conformity import NeighbourTable, support_set_assignment, unit_margin_provider
+from .conformity import (
+    RULE_KINDS, NeighbourTable, support_set_assignment, unit_margin_provider
+)
 from .core import (
     ClassificationTask, Dataset, PlausibilityTable, Task, _integer, _real_floats, derive_seed
 )
 from .data import Scenario, sample
 from .errors import DimensionMismatchError, OutOfRangeError, UnboundedNormalizerError
-from .normalize import Normalizer
+from .normalize import NORMALIZER_KINDS, Normalizer
 from .predictors import (
+    WEIGHTINGS,
     FullEPredictor,
     OnlineTrace,
     _EPredictor,
@@ -64,6 +67,12 @@ class PredictorSpec:
     rule; folds and weighting apply to cross; calibration_size to split;
     const_value to const (a deliberately naive predictor used to prove the
     violation detector can fire); margin_* to full.
+
+    Fields are checked when the spec is built, before any harness draws
+    data: kind, rule, normalizer and weighting must be known, counts
+    integers and reals real numbers, and each OutOfRangeError names its
+    field. Ranges (k, folds and calibration_size against the training
+    size) are checked when a predictor is built from the spec.
     """
 
     kind: str = "cross"
@@ -82,7 +91,19 @@ class PredictorSpec:
     def __post_init__(self):
         if self.kind not in PREDICTOR_KINDS:
             raise OutOfRangeError(f"kind must be one of {PREDICTOR_KINDS}")
-        object.__setattr__(self, "const_value", _real_floats((self.const_value,), "const_value")[0])
+        if self.rule not in RULE_KINDS:
+            raise OutOfRangeError(f"rule must be one of {RULE_KINDS}, got {self.rule!r}")
+        if not isinstance(self.normalizer, Normalizer) and self.normalizer not in NORMALIZER_KINDS:
+            raise OutOfRangeError(
+                f"normalizer must be one of {NORMALIZER_KINDS} or a Normalizer, "
+                f"got {self.normalizer!r}"
+            )
+        if self.weighting not in WEIGHTINGS:
+            raise OutOfRangeError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
+        for name in ("k", "folds", "calibration_size"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("lam", "const_value", "margin_b"):
+            object.__setattr__(self, name, _real_floats((getattr(self, name),), name)[0])
         if self.const_value < 0 or not math.isfinite(self.const_value):
             raise OutOfRangeError("const_value must be finite and nonnegative")
 

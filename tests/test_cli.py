@@ -1,4 +1,5 @@
 import inspect
+import io
 import json
 import shutil
 import subprocess
@@ -8,6 +9,8 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confee import (
     PredictorSpec,
@@ -194,6 +197,24 @@ class TestPredict:
         assert capsys.readouterr().err.endswith(
             "error: x too large for ridge: x.beta overflows\n"
         )
+
+    def test_failed_batch_writes_nothing(self, tmp_path, capsys):
+        # the first object is queried and written to the spool, the second
+        # overflows: no report reaches stdout or --out
+        train = tmp_path / "reg.csv"
+        _run("gen", "--scenario", "linreg3", "--n", "20", "--seed", "1", "--out", str(train))
+        fresh, existing = tmp_path / "fresh.json", tmp_path / "existing.json"
+        existing.write_bytes(b'{"kept": true}\n')
+        argv = ["predict", "--input", str(train), "--grid=-3,0,3", "--rule", "ridge",
+                "--x", "0,0,0", "--x", "1.7e308,-1.7e308,-1.7e308"]
+        capsys.readouterr()
+        for out in ([], ["--out", str(fresh)], ["--out", str(existing)]):
+            assert _run(*argv, *out) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith("error: x too large for ridge: x.beta overflows\n")
+        assert not fresh.exists()
+        assert existing.read_bytes() == b'{"kept": true}\n'
 
     def test_ridge_residual_overflow_names_x_and_labels(self, tmp_path, capsys):
         # x.beta, about -1.6e308, is finite; the grid label 1.7e308 minus it is not
@@ -673,6 +694,58 @@ class TestPredictorDefaults:
         }
         assert config["predictor"] == spec.kind
         assert "margin_b" not in config and "positive_label" not in config
+
+
+# Report-shaped values: the scalars a report holds, json's edge cases
+# among them, in lists, tuples and dicts, nested, empty ones included.
+_FLOATS = st.one_of(
+    st.floats(),  # NaN, both infinities, -0.0 and subnormals among them
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0,
+                     1e-5, 0.0001, 1e22, 1.7976931348623157e308]),
+    st.floats().map(np.float64),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    _FLOATS,
+    st.text(),  # non-ASCII and control characters
+)
+_VALUES = st.recursive(
+    _SCALARS | st.lists(_FLOATS) | st.lists(st.text()) | st.dictionaries(st.text(), _FLOATS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES)
+    def test_encode_matches_json(self, value):
+        assert cli._encode(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.text(max_size=6), _VALUES, max_size=4), st.lists(_VALUES, max_size=3))
+    def test_report_matches_json(self, report, results):
+        # an iterator value is drawn item by item; the bytes are json's
+        expected = json.dumps({**report, "results": results}, indent=2, sort_keys=True) + "\n"
+        for value in (iter(results), results):
+            out = io.StringIO()
+            cli._write_report({**report, "results": value}, out)
+            assert out.getvalue() == expected
+
+    @pytest.mark.parametrize("value", [{1, 2}, {"a": [set()]}, (frozenset(),), {(1, 2): 0},
+                                       np.int64(1), [np.bool_(True)]])
+    def test_what_json_refuses_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._encode(value, "\n")
 
 
 class TestEntryPoints:

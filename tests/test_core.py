@@ -695,8 +695,9 @@ _CROSS = PredictorSpec(kind="cross", rule="knn")
 
 
 # One call per malformed argument, and the name its error must start with.
-# Each value is refused by operator.index (counts, seeds) or by float()
-# (reals), and every refusal is a ConfeeError that names the argument.
+# Each value is refused by operator.index (counts, seeds), by float()
+# (reals) or as an unknown kind, and every refusal is a ConfeeError that
+# names the argument.
 MALFORMED = [
     ("seed parts", lambda: derive_seed(1.5)),
     ("seed parts", lambda: derive_seed("3")),
@@ -739,6 +740,28 @@ def test_malformed_argument_is_named(name, call):
         call()
 
 
+# The same check for a spec or partition, which refuses a malformed field
+# when it is built. A list of its own keeps the names of the cases above.
+MALFORMED_FIELDS = [
+    ("rule", lambda: PredictorSpec(k=1.5, folds=5.0, rule="nope")),
+    ("k", lambda: PredictorSpec(k=1.5)),
+    ("folds", lambda: PredictorSpec(folds=5.0)),
+    ("calibration_size", lambda: PredictorSpec(calibration_size=2.5)),
+    ("normalizer", lambda: PredictorSpec(normalizer="bogus", weighting="bogus")),
+    ("weighting", lambda: PredictorSpec(weighting="bogus")),
+    ("lam", lambda: PredictorSpec(lam="a")),
+    ("margin_b", lambda: PredictorSpec(kind="full", margin_b="a")),
+    ("seed", lambda: FoldPartition(((0, 2), (1, 3)), 4, "x")),
+    ("n", lambda: FoldPartition(((0,), (1,)), 2.5, 0)),
+]
+
+
+@pytest.mark.parametrize("name, call", MALFORMED_FIELDS)
+def test_malformed_field_is_named(name, call):
+    with pytest.raises(ConfeeError, match=f"^{name} must be "):
+        call()
+
+
 def test_integer_counts_keep_their_numbers():
     # numpy integers pass wherever Python ints do, with the same results
     for n, K, seed in ((50, 5, 3), (np.int64(50), np.int32(5), np.uint64(3))):
@@ -746,5 +769,11 @@ def test_integer_counts_keep_their_numbers():
         assert part == make_fold_partition(50, 5, 3)
         assert np.array_equal(sample(_GM2D, n, seed).X, sample(_GM2D, 50, 3).X)
     assert KnnRule(_TRAINING, np.int64(3)).k == 3
+    spec = PredictorSpec(k=np.int64(3), folds=np.int32(5), calibration_size=np.uint8(10),
+                         lam=np.float32(2.0), margin_b=0)
+    assert spec == PredictorSpec(lam=2.0) and type(spec.folds) is int
+    assert type(spec.lam) is float and type(spec.margin_b) is float
+    part = FoldPartition(((0, 2), (1, 3)), np.int64(4), np.uint64(3))
+    assert (type(part.n), type(part.seed)) == (int, int) and part.seed == 3
     three = Scenario("gaussian_mixture", classes=np.int8(3))
     assert three == Scenario("gaussian_mixture", classes=3) and three.task.labels == (0, 1, 2)

@@ -461,25 +461,33 @@ def test_names_the_benchmark_wraps(monkeypatch, tmp_path):
     """bench/worker.py starts each timed item at the entry of a name it
     looks up in its owner's own vars: validity.sample (space),
     validity.build_predictor (online) and CrossEPredictor.predict
-    (predict); cli._write_report ends a predict item. Without one of them
-    items are silently timed from the workload's call, set-up and fitting
-    included."""
+    (predict). cli._write_report encloses a predict run's queries: it is
+    entered before the first and draws each result as it writes it.
+    Without one of them items are silently timed from the workload's
+    call, set-up and fitting included."""
     assert "predict" in vars(predictors.CrossEPredictor)
     assert "_write_report" in vars(cli)
     assert "build_predictor" in vars(validity)
-    # a predict run writes its report through one _write_report call
-    writes = []
+    # a predict run writes its report through one _write_report call,
+    # entered before any query
+    writes, queries = [], []
     write_report = vars(cli)["_write_report"]
+    query = vars(predictors.CrossEPredictor)["predict"]
 
     def counted_write(*args, **kwargs):
-        writes.append(args)
+        writes.append(len(queries))
         return write_report(*args, **kwargs)
 
+    def counted_query(*args, **kwargs):
+        queries.append(args)
+        return query(*args, **kwargs)
+
     monkeypatch.setattr(cli, "_write_report", counted_write)
+    monkeypatch.setattr(predictors.CrossEPredictor, "predict", counted_query)
     argv = ["predict", "--scenario", "gm2d", "--n", "20", "--x", "0,0", "--x", "1,1",
             "--out", str(tmp_path / "p.json")]
     assert cli.main(argv) == 0
-    assert len(writes) == 1
+    assert writes == [0] and len(queries) == 2
     # a space item starts at the training draw: a call whose n, read from
     # the second argument or n=, exceeds 1; the worker passes threads=1
     draws = []
