@@ -22,6 +22,7 @@ runtime errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -30,6 +31,7 @@ import shutil
 import sys
 import tempfile
 from collections.abc import Iterator
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .conformity import RULE_KINDS
@@ -340,14 +342,34 @@ def _spec_from(cfg: dict) -> PredictorSpec:
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+@functools.lru_cache(maxsize=32)
+def _float_layout(keys, shape, indent: str) -> str:
+    """The text of a container of floats with one %s per float: `shape`
+    floats if it is an int, else rows of shape[i] floats each; a list if
+    `keys` is None, else a dict with those keys in order, % escaped."""
+    inner = indent + "  "
+    if isinstance(shape, int):
+        cells = ["%s"] * shape
+    else:
+        cell = "," + inner + "  "
+        cells = ["[" + inner + "  " + cell.join(["%s"] * n) + inner + "]" for n in shape]
+    if keys is None:
+        return "[" + inner + ("," + inner).join(cells) + indent + "]"
+    keys = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys]
+    return "{" + inner + ("," + inner).join(map(str.__add__, keys, cells)) + indent + "}"
+
+
 def _encode(value, indent: str) -> str:
     """The text json.dumps(value, indent=2, sort_keys=True) gives, for a
     value that starts on a line indented by `indent` ("\\n" and its spaces).
 
     Reports hold str, int, float (NaN and infinities spelled as json spells
     them), bool, None, lists, tuples and dicts with str keys. A container
-    whose values are all floats, or all strings, is joined in one str.join.
-    Anything else raises TypeError, as json does for what it cannot write."""
+    whose values are all floats, or all non-empty lists of floats (predict's
+    e_values and fold_e_values), fills its cached layout (`_float_layout`)
+    with one pass of float.__repr__; one whose values are all strings is
+    joined in one str.join. Anything else raises TypeError, as json does
+    for what it cannot write."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -364,24 +386,31 @@ def _encode(value, indent: str) -> str:
     if isinstance(value, (list, tuple)):
         brackets, keys, values = "[]", None, value
     elif isinstance(value, dict):
-        items = sorted(value.items())
-        brackets, values = "{}", [v for _, v in items]
-        keys = [encode_basestring_ascii(k) + ": " for k, _ in items]
+        brackets, keys, values = "{}", None, ()
+        if value:
+            keys, values = zip(*sorted(value.items()))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if not values:
         return brackets
-    inner = indent + "  "
     kinds = set(map(type, values))
+    shape = None
     if kinds == {float}:
-        texts = list(map(float.__repr__, values))
-        texts = map(_NON_FINITE.get, texts, texts)
-    elif kinds == {str}:
+        cells, shape = values, len(values)
+    elif kinds == {list} and all(values) and type(values[0][0]) is float:
+        cells = list(chain.from_iterable(values))
+        if set(map(type, cells)) == {float}:
+            shape = tuple(map(len, values))
+    if shape is not None:
+        texts = list(map(float.__repr__, cells))
+        return _float_layout(keys, shape, indent) % tuple(map(_NON_FINITE.get, texts, texts))
+    inner = indent + "  "
+    if kinds == {str}:
         texts = map(encode_basestring_ascii, values)
     else:
         texts = [_encode(v, inner) for v in values]
     if keys is not None:
-        texts = map(str.__add__, keys, texts)
+        texts = map(str.__add__, [encode_basestring_ascii(k) + ": " for k in keys], texts)
     return brackets[0] + inner + ("," + inner).join(texts) + indent + brackets[1]
 
 

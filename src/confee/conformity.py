@@ -22,9 +22,10 @@ block; it scores every row of a fold against its label's proper rows.
 A query takes one distance row per label, copies it once per fold with
 the fold's own slice set to inf, and selects every fold that keeps the
 same number of the label's rows in one call. Ridge solves once per fold
-on the rows outside it, and a query predicts x.beta once per fold. Either
-way every summary is the double a fit on that fold's proper rows alone
-gives.
+on the rows outside it, and a query predicts x.beta for every fold in one
+row-wise multiply-and-sum over the stacked (K, d) coefficients and takes
+one (K, L) array of residuals. Either way every summary is the double a
+fit on that fold's proper rows alone gives.
 
 The knn distance kernel adds the squared coordinate differences of each
 pair of rows left to right, one column at a time, without building the
@@ -428,11 +429,17 @@ def _ridge_summaries(X: np.ndarray, yf: np.ndarray, beta: np.ndarray, name="x") 
     with np.errstate(over="ignore", invalid="ignore"):
         predictions = (X * beta).sum(axis=1)
         residuals = np.abs(yf - predictions)
+    _refuse_overflow(predictions, residuals, name)
+    return 1.0 / (1.0 + residuals)
+
+
+def _refuse_overflow(predictions: np.ndarray, residuals: np.ndarray, name: str) -> None:
+    """OutOfRangeError naming `name` if a prediction x.beta, or else a
+    residual y - x.beta, is not finite."""
     if not np.isfinite(predictions).all():
         raise OutOfRangeError(f"{name} too large for ridge: x.beta overflows")
     if not np.isfinite(residuals).all():
         raise OutOfRangeError(f"{name} or labels too large for ridge: y - x.beta overflows")
-    return 1.0 / (1.0 + residuals)
 
 
 def _float_labels(y) -> np.ndarray:
@@ -446,9 +453,10 @@ class RidgeRule(ConformityRule):
     """sigma = 1 / (1 + |y - x.beta|) with beta from ridge regression.
 
     No intercept; labels must be numeric (regression, or classification
-    encoded as -1/+1). Each fold f gets its own solve, `betas[f]`, on the
-    rows outside it, sorted into a canonical order first, so the fit
-    depends on the multiset of those rows only, bit for bit.
+    encoded as -1/+1). Each fold f gets its own solve, row f of the
+    read-only (K, d) array `betas`, on the rows outside it, sorted into a
+    canonical order first, so the fit depends on the multiset of those
+    rows only, bit for bit.
     """
 
     def __init__(self, training: Dataset, lam: float = 1.0, fold_of=None):
@@ -462,7 +470,8 @@ class RidgeRule(ConformityRule):
         self.lam = lam
         X = training.X
         folds = [self.fold_of == f for f in range(self.K)]
-        self.betas = tuple(_ridge_beta(X[~fold], yf[~fold], self.lam) for fold in folds)
+        self.betas = np.array([_ridge_beta(X[~fold], yf[~fold], self.lam) for fold in folds])
+        self.betas.setflags(write=False)
         held_out = np.full(training.n, np.nan)
         for fold, beta in zip(folds, self.betas):
             held_out[fold] = _ridge_summaries(X[fold], yf[fold], beta, "features")
@@ -470,9 +479,18 @@ class RidgeRule(ConformityRule):
         self.held_out = held_out
 
     def score_folds(self, x, labels) -> np.ndarray:
-        x = self._check_object(x)[None, :]
+        x = self._check_object(x)
         yf = _float_labels(labels)
-        return np.array([_ridge_summaries(x, yf, beta) for beta in self.betas])
+        # one row-wise multiply-and-sum for every fold: row f reduces the
+        # same d contiguous products as fold f's query alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            predictions = (x * self.betas).sum(axis=1)
+            residuals = np.abs(yf - predictions[:, None])
+        if not (np.isfinite(predictions).all() and np.isfinite(residuals).all()):
+            # the first fold at fault names the cause, as fold by fold
+            for f in range(self.K):
+                _refuse_overflow(predictions[f], residuals[f], "x")
+        return 1.0 / (1.0 + residuals)
 
 
 def _numeric_labels(training: Dataset) -> np.ndarray:

@@ -12,7 +12,9 @@ in no fold, and there is nothing to merge. The full predictor applies an
 e-assignment to the training sequence extended by the candidate example.
 
 Every query is one pass: `predict` scores each (fold, candidate label)
-pair once, normalizes a fold's candidates in one (L, c+1) block, and
+pair once, in one rule call, normalizes the candidates of all folds
+together (`Normalizer.blocks`: one block and one e-vector check per group
+of folds of equal size, each fold's (L, c+1) block a view of it), and
 returns one CrossTable, built by its public constructor, that also carries
 what the e-values were computed from (the calibration summaries, the
 (K, L) candidate summaries and the normalized blocks), so reports and the
@@ -166,8 +168,8 @@ class CrossEPredictor(_EPredictor):
         return math.fsum(s * a for s, a in zip(sizes, fold_alphas)) / sum(sizes)
 
     def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> CrossTable:
-        """Score every (fold, candidate) pair in one rule call, normalize each
-        fold's candidates in one block, and merge the folds' e-values.
+        """Score every (fold, candidate) pair in one rule call, normalize the
+        candidates of all folds together, and merge the folds' e-values.
 
         `labels` defaults to the task's candidates. An empty list, a
         repeated label, a label outside the task's label space, or a
@@ -176,13 +178,13 @@ class CrossEPredictor(_EPredictor):
         sigmas = self.rule.score_folds(x, labels)
         sigmas.setflags(write=False)
         folds = self.calibration_summaries
-        blocks = tuple(map(self.normalizer.block, folds, sigmas))
+        blocks = self.normalizer.blocks(folds, sigmas)
         columns = [block[:, -1].tolist() for block in blocks]
         # one fold is not merged: a size_proportional mean, s * e / s, can
         # round e
         values = columns[0] if len(blocks) == 1 else map(self._merge, zip(*columns))
         calibration = tuple(fold.array for fold in folds)
-        return CrossTable(labels, tuple(values), calibration, sigmas, blocks)
+        return CrossTable(labels, values, calibration, sigmas, blocks)
 
     def component_bound(self) -> Optional[float]:
         """The largest fold bound (a mean of e-values never exceeds it);
@@ -301,10 +303,7 @@ def cross_p_merge(p_values: Sequence[float], adjusted: bool = True) -> float:
 
 def e_to_p(e: float) -> float:
     """Calibrate an e-value into a p-value: p = min(1, 1/e)."""
-    try:
-        e = float(e)
-    except (TypeError, ValueError) as exc:
-        raise OutOfRangeError(f"e-value must be a real number: {exc}") from None
+    (e,) = _real_floats((e,), "e-value")
     if not math.isfinite(e) or e < 0.0:
         raise OutOfRangeError(f"e-value {e} must be finite and nonnegative")
     if e == 0.0:

@@ -1,6 +1,7 @@
 import inspect
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -721,6 +722,27 @@ _VALUES = st.recursive(
     ),
     max_leaves=20,
 )
+# Float tables, shaped like predict's fold_e_values and verbose blocks: a
+# dict or list of more than 20 non-empty rows of floats, of mixed lengths,
+# NaN and the infinities among them, keyed by text with % and non-ASCII
+# characters; and near misses the writer must encode the general way.
+_ROWS = st.lists(
+    st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0])),
+    min_size=1, max_size=6,
+)
+_TABLE_KEYS = st.text(alphabet=st.sampled_from('%s%%d é€\x00"\\k'), max_size=5) | st.text()
+_NEAR_MISS_ROWS = st.one_of(
+    _ROWS, st.just([]), _ROWS.map(tuple), st.lists(_FLOATS, min_size=1, max_size=3),
+    st.lists(st.integers(), min_size=1, max_size=3),
+)
+_FLOAT_TABLES = st.one_of(
+    st.dictionaries(_TABLE_KEYS, _ROWS, min_size=21, max_size=40),
+    st.lists(_ROWS, min_size=21, max_size=40),
+    st.dictionaries(_TABLE_KEYS, _ROWS, min_size=1, max_size=4),
+    st.lists(_ROWS, min_size=1, max_size=4),
+    st.dictionaries(_TABLE_KEYS, _NEAR_MISS_ROWS, min_size=1, max_size=30),
+    st.lists(_NEAR_MISS_ROWS, min_size=1, max_size=30),
+)
 
 
 class TestReportWriter:
@@ -739,7 +761,18 @@ class TestReportWriter:
             cli._write_report({**report, "results": value}, out)
             assert out.getvalue() == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(_FLOAT_TABLES, st.sampled_from(["\n", "\n    ", "\n      "]))
+    def test_float_tables_match_json(self, table, indent):
+        # each indent twice: the second call reads the cached layout
+        expected = json.dumps(table, indent=2, sort_keys=True).replace("\n", indent)
+        assert cli._encode(table, indent) == expected
+        assert cli._encode(table, indent) == expected
+        nested = {"fold_e_values": table, "x": [table]}
+        assert cli._encode(nested, "\n") == json.dumps(nested, indent=2, sort_keys=True)
+
     @pytest.mark.parametrize("value", [{1, 2}, {"a": [set()]}, (frozenset(),), {(1, 2): 0},
+                                       {(1, 2): [0.5]}, {"a": [0.5], 2: [0.5]},
                                        np.int64(1), [np.bool_(True)]])
     def test_what_json_refuses_raises_type_error(self, value):
         with pytest.raises(TypeError):

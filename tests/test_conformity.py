@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -472,6 +473,27 @@ class TestRidgeOverflow:
         x = np.copysign(1.7e308, rule.betas[0])
         with pytest.raises(OutOfRangeError, match=r"^x too large for ridge: x.beta overflows$"):
             rule.score_folds(x, [0.0, 1.0])
+
+    def test_only_the_last_fold_overflows(self):
+        # leaving out the last row (label 0) gives the largest beta, 7.5;
+        # the other folds' are 5.0
+        training = Dataset([[1.0]] * 4, [10.0, 10.0, 10.0, 0.0], RegressionTask((0.0,)))
+        rule = train_conformity("ridge", training, fold_of=np.arange(4), lam=1.0)
+        assert rule.betas.ravel().tolist() == [5.0, 5.0, 5.0, 7.5]
+        x = (1.7e308 / 6.0,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                OutOfRangeError, match=r"^x too large for ridge: x.beta overflows$"
+            ):
+                rule.score_folds(x, [0.0, 1.0])
+            # the first fold at fault names its cause: fold 0's residual
+            # overflows before fold 3's x.beta does
+            with pytest.raises(
+                OutOfRangeError,
+                match=r"^x or labels too large for ridge: y - x.beta overflows$",
+            ):
+                rule.score_folds(x, [-1e308])
 
     def test_beta_overflows(self):
         # X'X = 1.4e-319 and X'y = 1.4e-9 are finite; their quotient is not

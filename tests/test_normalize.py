@@ -22,7 +22,7 @@ from confee import (
     mean_normalize,
     sum_normalize,
 )
-from confee.core import FAST_ROWS, exact_partials
+from confee.core import FAST_ROWS, check_e_rows, exact_partials
 
 
 _NORMALIZE = {"sum": sum_normalize, "mean": mean_normalize}
@@ -407,3 +407,120 @@ class TestExactPartials:
         assert "partials" not in vars(calibration)
         get_normalizer("mean").block(calibration, [0.5] * FAST_ROWS)
         assert calibration.partials == exact_partials((0.1, 0.2, 0.3))
+
+
+# --- Folds normalized together against one fold at a time ----------------
+
+
+@st.composite
+def _fold_queries(draw):
+    """(calibrations, sigmas): K in 2..6 folds whose sizes differ by one, as
+    make_fold_partition's do, in a drawn order, so they form two groups,
+    and L in {1, 7, 8, 31} candidates per fold (on both sides of
+    FAST_ROWS); positive summaries log-uniform over a drawn span."""
+    K = draw(st.integers(2, 6))
+    base, extra = draw(st.integers(1, 40)), draw(st.integers(1, K - 1))
+    sizes = draw(st.permutations([base + 1] * extra + [base] * (K - extra)))
+    L = draw(st.sampled_from([1, 7, 8, 31]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.floats(-100.0, 100.0))
+    hi = draw(st.floats(lo, 100.0))
+    calibrations = [(10.0 ** rng.uniform(lo, hi, c)).tolist() for c in sizes]
+    sigmas = 10.0 ** rng.uniform(lo, hi, (K, L))
+    return calibrations, sigmas
+
+
+#: what a fold after the first may be spoiled with: a bad candidate, a
+#: non-positive calibration summary, or calibration summaries whose total,
+#: or whose entries times m, overflow
+_SPOILERS = st.sampled_from([
+    ("candidate", math.nan), ("candidate", math.inf), ("candidate", -math.inf),
+    ("candidate", 0.0), ("candidate", -1.0),
+    ("calibration", 0.0), ("calibration", -2.0),
+    ("calibration", _MAX), ("calibration", 1e308),
+])
+
+
+def _fold_by_fold(kind, folds, sigmas):
+    """The blocks of a loop over the folds, one Normalizer.block each."""
+    return [get_normalizer(kind).block(fold, row) for fold, row in zip(folds, sigmas)]
+
+
+def _error_outcome(compute):
+    """The bits of what compute() returns, or the class and message it raises."""
+    try:
+        return [block.tolist() for block in compute()]
+    except (OutOfRangeError, NonFiniteEntryError, NonPositiveSummaryError,
+            AverageExceedsOneError) as exc:
+        return type(exc), str(exc)
+
+
+class TestFoldsTogether:
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["sum", "mean"]), query=_fold_queries())
+    def test_each_fold_is_its_block_alone(self, kind, query):
+        calibrations, sigmas = query
+        folds = [SummaryVector(c) for c in calibrations]
+        blocks = get_normalizer(kind).blocks(folds, sigmas)
+        assert len(blocks) == len(folds)
+        for calibration, row, block in zip(calibrations, sigmas, blocks):
+            alone = get_normalizer(kind).block(SummaryVector(calibration), row)
+            assert block.shape == alone.shape == (sigmas.shape[1], len(calibration) + 1)
+            assert block.tobytes() == alone.tobytes()
+            # and the per-vector tuple code, one candidate at a time
+            assert block.tolist() == [list(_REFERENCE[kind]((*calibration, s))) for s in row]
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["sum", "mean"]),
+        query=_fold_queries(),
+        spoils=st.lists(
+            st.tuples(st.integers(1, 5), st.integers(0, 40), _SPOILERS), min_size=1, max_size=3
+        ),
+    )
+    @example(kind="mean", query=([[1.0, 2.0], [1.0]], np.ones((2, 8))),
+             spoils=[(1, 0, ("calibration", 1e308))])
+    @example(kind="sum", query=([[1.0, 2.0], [1.0], [3.0, 4.0]], np.ones((3, 1))),
+             spoils=[(2, 0, ("candidate", math.nan)), (1, 0, ("calibration", _MAX))])
+    def test_first_bad_fold_raises_its_error(self, kind, query, spoils):
+        """A bad summary in a fold after the first raises the class and
+        message of a loop over the folds: the first fold at fault decides."""
+        calibrations, sigmas = query
+        calibrations, sigmas = [list(c) for c in calibrations], sigmas.copy()
+        for k, i, (where, value) in spoils:
+            k = k % len(calibrations) or 1
+            if where == "candidate":
+                sigmas[k, i % sigmas.shape[1]] = value
+            else:
+                calibrations[k][i % len(calibrations[k])] = value
+        folds = [SummaryVector(c) for c in calibrations]
+        expected = _error_outcome(lambda: _fold_by_fold(kind, folds, sigmas))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _error_outcome(lambda: get_normalizer(kind).blocks(folds, sigmas)) == expected
+
+    def test_each_group_is_checked_once(self, monkeypatch):
+        """Each group of folds of one size passes check_e_rows once, with
+        every row of its folds."""
+        from confee import normalize
+
+        seen = []
+
+        def counting(block):
+            seen.append(block.shape)
+            return check_e_rows(block)
+
+        monkeypatch.setattr(normalize, "check_e_rows", counting)
+        folds = [SummaryVector([1.0] * c) for c in (3, 3, 2, 3, 2)]
+        get_normalizer("mean").blocks(folds, np.ones((5, 7)))
+        assert seen == [(21, 4), (14, 3)]
+
+    def test_sigmas_need_one_row_per_fold(self):
+        folds = [SummaryVector([1.0, 2.0])] * 2
+        with pytest.raises(
+            OutOfRangeError,
+            match=r"^candidate summaries must hold one row per fold \(2\), got shape \(3,\)$",
+        ):
+            get_normalizer("mean").blocks(folds, [1.0, 2.0, 3.0])
