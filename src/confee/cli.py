@@ -51,6 +51,7 @@ from .normalize import NORMALIZER_KINDS
 from .predictors import WEIGHTINGS, CrossTable, FullTable, e_prediction_set
 from .validity import (
     DEFAULT_EPSILONS,
+    MAX_THREADS,
     PREDICTOR_KINDS,
     PredictorSpec,
     build_predictor,
@@ -198,8 +199,8 @@ def build_parser() -> _Parser:
     validate.add_argument("--warmup", type=int)
     validate.add_argument("--tolerance", type=_number)
     validate.add_argument("--threads", type=int, default=1,
-                          help="at least 1; accepted for compatibility, starts no thread "
-                               "and changes nothing")
+                          help=f"1 to {MAX_THREADS}; accepted for compatibility, starts no "
+                               "thread and changes nothing")
 
     # subcommand -> its parser; values read from --config are checked
     # against the flags defined there
@@ -567,6 +568,8 @@ def cmd_validate(parser: _Parser, args, cfg: dict) -> int:
     threads = args.threads
     if threads < 1:
         parser.error(f"--threads must be at least 1, got {threads}")
+    if threads > MAX_THREADS:
+        parser.error(f"--threads must be at most {MAX_THREADS}, got {threads}")
 
     if cfg["mode"] == "space":
         body = mc_space_validity(

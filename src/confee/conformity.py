@@ -18,7 +18,11 @@ A cross fit passes its partition's folds; a split fit is the one-fold
 case, its calibration rows in fold 0 and its proper rows in none. knn
 sorts the rows once by label and then by fold, so fold f's proper rows of
 a label are the slices before and after fold f's slice of that label's
-block; it scores every row of a fold against its label's proper rows.
+block. The fit takes a block of at most MASKED_BLOCK = 128 rows as one
+distance matrix of its fold rows against the whole block, with each
+fold's own (rows, columns) slice set to inf, and selects every fold that
+keeps the same number of the label's rows in one call; a larger block
+takes one distance call per fold, against the fold's proper rows.
 A query takes one distance row per label, copies it once per fold with
 the fold's own slice set to inf, and selects every fold that keeps the
 same number of the label's rows in one call. Ridge solves once per fold
@@ -196,6 +200,14 @@ FIRST_PASS = 16
 #: build's, keeps their size from growing with the prefix: unbounded, they
 #: raised the online benchmark's peak RSS by 0.9 MiB at 1383 rounds.
 WALK_ROWS = 512
+#: A knn fit scores a label block of at most this many rows from one masked
+#: distance matrix (KnnRule._masked_held_out), a larger one with one call
+#: per fold. The matrix holds K/(K-1) times the loop's entries and each
+#: call partitions longer rows, so it wins only while numpy's per-call
+#: cost dominates: on gm2d cross fits (K=5, k=3) the held-out scoring took
+#: 68 against 295 us with blocks of about 25 rows, 250 against 437 with
+#: about 100, about the same with 130, and 609 against 480 with about 150.
+MASKED_BLOCK = 128
 
 
 class NeighbourTable:
@@ -328,7 +340,14 @@ class KnnRule(ConformityRule):
     label's value, that starts with its rows in no fold and is then cut
     into one slice per fold. Fold f's proper rows of a label are the rows
     before and after its own slice, so a query takes one distance row per
-    candidate label and every fold's selection from that row.
+    candidate label and every fold's selection from that row. The fit
+    takes a block of at most MASKED_BLOCK rows the same way: one distance
+    matrix of its fold rows against the whole block, each fold's own
+    slice set to inf, one `_knn_summaries` call per group of folds that
+    keep the same kk. The kk smallest entries of a masked row are the
+    finite entries that the fold's proper rows alone give, so each summary
+    is the double of a per-fold call; larger blocks, and every block of a
+    fit whose distances could overflow, take one call per fold.
 
     With a `table` (a NeighbourTable whose stream starts with the training
     rows) the held-out summaries are walked from the table, not refitted;
@@ -357,13 +376,41 @@ class KnnRule(ConformityRule):
         """Each sorted row's summary against its label's rows outside its
         fold; NaN for the rows in no fold."""
         X, out = self._X, np.full(len(self._X), np.nan)
+        # 2 max|x| sqrt(d) < 1e154 keeps every squared distance below 1e308,
+        # so no distance overflows. The masked matrix also computes the pairs
+        # inside a fold, which the loop never does; a fit that could overflow
+        # keeps the loop, so that numpy warns of an overflow exactly when
+        # the loop's own pairs overflow.
+        masked = 2.0 * float(np.abs(X).max()) * math.sqrt(X.shape[1]) < 1e154
         for cuts in self._cuts.values():
             lo, hi = cuts[0], cuts[-1]
+            if masked and hi - lo <= MASKED_BLOCK:
+                self._masked_held_out(cuts, out)
+                continue
             for a, b in zip(cuts[1:], cuts[2:]):
                 if a < b:
                     others = np.concatenate((X[lo:a], X[b:hi]))
                     out[a:b] = _knn_summaries(_pairwise_distances(X[a:b], others), self.k)
         return out
+
+    def _masked_held_out(self, cuts: list, out: np.ndarray) -> None:
+        """Set out for the fold rows of one label block from one distance
+        matrix of those rows against the whole block, each fold's own
+        (rows, columns) slice set to inf; the folds that keep the same
+        kk = min(k, the block's rows outside the fold) share one call."""
+        lo, first, hi = cuts[0], cuts[1], cuts[-1]
+        D = _pairwise_distances(self._X[first:hi], self._X[lo:hi])
+        kk = np.empty(hi - first, np.intp)  # each fold row's kk
+        for a, b in zip(cuts[1:], cuts[2:]):
+            D[a - first : b - first, a - lo : b - lo] = np.inf
+            kk[a - first : b - first] = min(self.k, hi - lo - (b - a))
+        kks = set(kk.tolist())
+        if len(kks) == 1:  # the usual case takes every row, without a copy
+            out[first:hi] = _knn_summaries(D, kks.pop())
+            return
+        for c in kks:
+            rows = np.flatnonzero(kk == c)
+            out[first + rows] = _knn_summaries(D[rows], c)
 
     def score_folds(self, x, labels) -> np.ndarray:
         x = self._check_object(x)[None, :]

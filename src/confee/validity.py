@@ -53,6 +53,9 @@ from .predictors import (
 #: Levels t of the reported tail rates P(e >= t); Markov bounds each by 1/t.
 TAIL_THRESHOLDS = (2.0, 5.0, 10.0, 20.0)
 DEFAULT_EPSILONS = (0.05, 0.1, 0.2)
+#: The most `threads` a harness accepts. The trials run in the calling
+#: thread whatever the value; the bound only refuses an absurd one.
+MAX_THREADS = 64
 PREDICTOR_KINDS = ("split", "cross", "full", "const")
 
 CONSISTENT = "consistent"
@@ -191,8 +194,8 @@ def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
 
     The space and compare harnesses draw their trials only through here,
     and here their shared preconditions are checked. The trials run one
-    after another in the calling thread: `threads` must be at least 1,
-    starts no thread and changes nothing.
+    after another in the calling thread: `threads` must lie in
+    1..MAX_THREADS, starts no thread and changes nothing.
     """
     trials = _integer(trials, "trials")
     n_train = _integer(n_train, "n_train")
@@ -203,6 +206,8 @@ def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
         raise OutOfRangeError("n_train must be at least 2")
     if threads < 1:
         raise OutOfRangeError(f"threads={threads}; need at least 1")
+    if threads > MAX_THREADS:
+        raise OutOfRangeError(f"threads={threads}; at most {MAX_THREADS}")
     return [_space_trial(scenario, spec, seed, n_train, read, t) for t in range(trials)]
 
 
@@ -263,7 +268,7 @@ def mc_space_validity(
     """Estimate the mean e-value at the true label over fresh IID trials.
 
     Each trial is one `_space_trial` read by `_e_at_truth`. `threads` must
-    be at least 1; it starts no thread and changes nothing.
+    lie in 1..MAX_THREADS; it starts no thread and changes nothing.
     """
     es = _run_trials(scenario, spec, trials, seed, n_train, threads, _e_at_truth)
     mean, se = _mean_and_se(es)
@@ -439,8 +444,8 @@ def compare_e_vs_p(
     ties has E[1/p] = 1 + 1/2 + ... + 1/(c+1) > 1, so 1/p is not an
     e-value. Each trial is one `_space_trial` read by `_compare_row`.
     The spec kind is checked first, then the levels (distinct, in (0, 1)),
-    then `_run_trials`' preconditions. `threads` must be at least 1; it
-    starts no thread and changes nothing.
+    then `_run_trials`' preconditions. `threads` must lie in 1..MAX_THREADS;
+    it starts no thread and changes nothing.
     """
     if spec.kind != "cross":
         raise OutOfRangeError("comparison runs on a cross predictor spec")

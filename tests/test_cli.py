@@ -22,6 +22,7 @@ from confee import (
     mc_space_validity,
     online_time_validity,
     sample,
+    validity,
 )
 
 
@@ -334,6 +335,18 @@ class TestValidate:
         for value in ("0", "-2"):
             assert _run("validate", "--trials", "100", "--threads", value) == 1
             assert f"error: --threads must be at least 1, got {value}" in capsys.readouterr().err
+
+    def test_threads_above_the_cap_rejected(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a harness sampled")
+
+        monkeypatch.setattr(validity, "sample", refuse)
+        cap = validity.MAX_THREADS
+        for mode in ("space", "time", "compare"):
+            for value in (str(cap + 1), "1000000000"):
+                assert _run("validate", "--mode", mode, "--threads", value) == 1
+                err = capsys.readouterr().err
+                assert f"error: --threads must be at most {cap}, got {value}" in err
 
     def test_warmup_too_short_for_the_first_fit(self, capsys):
         assert _run("validate", "--mode", "time", "--predictor", "split", "--c", "10",

@@ -258,6 +258,113 @@ class TestKnnQueryFolds:
             assert rule.score_folds(x, candidates).tolist() == expected.tolist()
 
 
+def _held_out_reference(training, fold_of, k):
+    """Every fold row's summary from its label's rows outside its fold,
+    concatenated: one distance call per (fold, label)."""
+    out = np.full(training.n, np.nan)
+    for f in range(int(fold_of.max()) + 1):
+        for label in set(training.y.tolist()):
+            rows = (fold_of == f) & (training.y == label)
+            others = training.X[(fold_of != f) & (training.y == label)]
+            out[rows] = _knn_summaries(_pairwise_distances(training.X[rows], others), k)
+    return out
+
+
+def _fit_watching_masked_blocks(training, k, fold_of):
+    """(KnnRule(training, k, fold_of), the row count of every label block
+    the fit took from one masked matrix, in label order)."""
+    masked = []
+    masked_held_out = KnnRule._masked_held_out
+
+    def watched(rule, cuts, out):
+        masked.append(cuts[-1] - cuts[0])
+        masked_held_out(rule, cuts, out)
+
+    with mock.patch.object(KnnRule, "_masked_held_out", watched):
+        return KnnRule(training, k, fold_of), masked
+
+
+class TestKnnFitFolds:
+    """A knn fit scores a label block of at most MASKED_BLOCK rows from one
+    masked distance matrix, with one call per group of folds that keep the
+    same number of the label's rows, and a larger block with one call per
+    fold; bit for bit the per-fold selection either way."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the far rows overflow
+    @settings(max_examples=300, deadline=None)
+    @example(n=9, d=2, K=2, k=1, n_labels=1, split=False, far=True, boundary=None, seed=0)
+    @example(n=12, d=1, K=3, k=5, n_labels=2, split=True, far=False, boundary=None, seed=1)
+    @example(n=20, d=2, K=5, k=3, n_labels=2, split=False, far=False, boundary=0, seed=2)
+    @given(
+        n=st.integers(2, 60),
+        d=st.integers(1, 3),
+        K=st.integers(2, 8),
+        k=st.integers(1, 12),
+        n_labels=st.integers(1, 4),
+        split=st.booleans(),
+        far=st.booleans(),
+        boundary=st.sampled_from([None, -1, 0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_fold_selection(
+        self, n, d, K, k, n_labels, split, far, boundary, seed
+    ):
+        rng = np.random.default_rng(seed)
+        K = min(K, n)  # a fold number names a row at most
+        # uneven label shares, so some labels are rarer than k and some
+        # fold holds every row of a label; rounded points repeat
+        y = rng.choice(n_labels, n, p=rng.dirichlet(np.full(n_labels, 0.5)))
+        if boundary is not None:  # one more label, of MASKED_BLOCK + boundary rows
+            y = np.concatenate([y, np.full(conformity.MASKED_BLOCK + boundary, n_labels)])
+            n_labels += 1
+        n = y.size
+        X = np.round(rng.standard_normal((n, d)), 1)
+        # split: rows in no fold are proper for every fold
+        fold_of = rng.integers(-1 if split else 0, K, n)
+        fold_of[:2] = (0, 1)
+        if far:  # two identical label-0 rows whose distances to the rest overflow
+            X[:2], y[:2] = 1e200, 0
+        training = Dataset(X, y, ClassificationTask(tuple(range(n_labels))))
+        k = min(k, n - np.bincount(fold_of + 1).max())
+        rule, masked = _fit_watching_masked_blocks(training, k, fold_of)
+        expected = _held_out_reference(training, fold_of, k)
+        assert rule.held_out.tobytes() == expected.tobytes()
+        blocks = np.bincount(y).tolist()
+        # a fit whose distances may overflow takes the loop for every label
+        assert masked == ([] if far else [b for b in blocks if 0 < b <= conformity.MASKED_BLOCK])
+
+    @pytest.mark.parametrize(
+        "X, y, fold_of, expected",
+        [
+            # label 0's rows all sit in fold 0, so every kk of its block is 0
+            (
+                [[0.0], [1.0], [1e200], [0.0], [2.0]],
+                [0, 0, 0, 1, 1],
+                [0, 0, 0, 0, 1],
+                [EPSILON_FLOOR] * 3 + [1.0 / 3.0] * 2,
+            ),
+            # of label 0's pairs only (1e154, -1e154) overflows, and those
+            # two rows share fold 0
+            (
+                [[1e154], [-1e154], [0.0], [0.0]],
+                [0, 0, 0, 0],
+                [0, 0, 1, 1],
+                [1.0 / (1.0 + 1e154)] * 4,
+            ),
+        ],
+        ids=["one-fold-label", "inside-a-fold"],
+    )
+    def test_pairs_inside_a_fold_warn_of_nothing(self, X, y, fold_of, expected):
+        training = Dataset(X, y, TASK01)
+        fold_of = np.array(fold_of)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rule = KnnRule(training, 1, fold_of)
+            reference = _held_out_reference(training, fold_of, 1)
+        assert rule.held_out.tolist() == expected
+        assert rule.held_out.tobytes() == reference.tobytes()
+
+
 def _table_rounds(stream, table, k, folds, split, rng):
     """Every prefix of the stream that a knn rule with k neighbours can be
     fitted on, with a fold vector drawn for it: yields (p, fold_of, the

@@ -362,14 +362,28 @@ class TestThreads:
             with pytest.raises(OutOfRangeError, match=f"threads={threads}; need at least 1"):
                 compare_e_vs_p(GM2D, CROSS_KNN, 100, 1, n_train=30, threads=threads)
 
+    def test_above_the_cap_rejected_before_any_trial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a trial or thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(validity, "_space_trial", refuse)
+        for threads in (validity.MAX_THREADS + 1, 1_000_000_000):
+            message = f"threads={threads}; at most {validity.MAX_THREADS}"
+            with pytest.raises(OutOfRangeError, match=message):
+                mc_space_validity(GM2D, CROSS_KNN, 100, 1, n_train=30, threads=threads)
+            with pytest.raises(OutOfRangeError, match=message):
+                compare_e_vs_p(GM2D, CROSS_KNN, 100, 1, n_train=30, threads=threads)
+
     def test_no_thread_started(self, monkeypatch):
         def refuse(thread):
             raise AssertionError(f"a harness started thread {thread.name}")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        space = mc_space_validity(GM2D, CROSS_KNN, 100, 9, n_train=30, threads=4)
-        compare = compare_e_vs_p(GM2D, CROSS_KNN, 100, 9, n_train=30, threads=4)
-        assert space.trials == compare.trials == 100
+        for threads in (4, validity.MAX_THREADS):
+            space = mc_space_validity(GM2D, CROSS_KNN, 100, 9, n_train=30, threads=threads)
+            compare = compare_e_vs_p(GM2D, CROSS_KNN, 100, 9, n_train=30, threads=threads)
+            assert space.trials == compare.trials == 100
 
 
 class TestModuleLevelItems:
