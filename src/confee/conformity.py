@@ -18,18 +18,21 @@ A cross fit passes its partition's folds; a split fit is the one-fold
 case, its calibration rows in fold 0 and its proper rows in none. knn
 sorts the rows once by label and then by fold, so fold f's proper rows of
 a label are the slices before and after fold f's slice of that label's
-block. The fit takes a block of at most MASKED_BLOCK = 128 rows as one
-distance matrix of its fold rows against the whole block, with each
-fold's own (rows, columns) slice set to inf, and selects every fold that
-keeps the same number of the label's rows in one call; a larger block
-takes one distance call per fold, against the fold's proper rows.
-A query takes one distance row per label, copies it once per fold with
-the fold's own slice set to inf, and selects every fold that keeps the
-same number of the label's rows in one call. Ridge solves once per fold
-on the rows outside it, and a query predicts x.beta for every fold in one
-row-wise multiply-and-sum over the stacked (K, d) coefficients and takes
-one (K, L) array of residuals. Either way every summary is the double a
-fit on that fold's proper rows alone gives.
+block. The fit and the query mask them with one routine, `_hide_folds`:
+given the distances of some rows to a whole label block, it sets each
+fold's own slice of the block to inf in that fold's rows, and the rows
+that keep the same number of the label's rows share one selection. A
+query passes one distance row per label, copied once per fold; the fit
+passes a block of at most MASKED_BLOCK = 128 rows as one distance matrix
+of its fold rows against the whole block, and takes a larger block with
+one distance call per fold, against the fold's proper rows. So a fold
+row's held-out summary is the query's summary of that row in its own
+fold. One function, `_nearest_summaries`, turns the nearest distances
+into summaries for fits, queries and table walks. Ridge solves once per
+fold on the rows outside it, and a query predicts x.beta for every fold
+in one row-wise multiply-and-sum over the stacked (K, d) coefficients
+and takes one (K, L) array of residuals. Either way every summary is the
+double a fit on that fold's proper rows alone gives.
 
 The knn distance kernel adds the squared coordinate differences of each
 pair of rows left to right, one column at a time, without building the
@@ -93,9 +96,20 @@ def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _distances(A[:, None, :], B[None, :, :])
 
 
+def _nearest_summaries(nearest: np.ndarray) -> np.ndarray:
+    """1 / (1 + mean of each row of `nearest`), a C-contiguous (rows, kk)
+    array of each row's kk nearest distances in ascending order;
+    EPSILON_FLOOR for every row if kk = 0."""
+    kk = nearest.shape[1]
+    if kk == 0:
+        return np.full(nearest.shape[0], EPSILON_FLOOR)
+    # the sum and division that ndarray.mean makes, without its wrapper
+    return 1.0 / (1.0 + np.add.reduce(nearest, axis=1) / kk)
+
+
 def _knn_summaries(D: np.ndarray, k: int) -> np.ndarray:
-    """1 / (1 + mean of the kk smallest entries of each row of D), with
-    kk = min(k, columns); EPSILON_FLOOR for every row if D has no column.
+    """The summaries of the kk = min(k, columns) smallest entries of each
+    row of D (see _nearest_summaries).
 
     The kk smallest are picked with np.partition and then sorted: the same
     values in the same order as the head of a full sort, so the mean is
@@ -103,11 +117,36 @@ def _knn_summaries(D: np.ndarray, k: int) -> np.ndarray:
     kk finite ones.
     """
     kk = min(k, D.shape[1])
-    if kk == 0:
-        return np.full(D.shape[0], EPSILON_FLOOR)
-    D = np.partition(D, kk - 1, axis=1)
-    # the sum and division that ndarray.mean makes, without its wrapper
-    return 1.0 / (1.0 + np.add.reduce(np.sort(D[:, :kk], axis=1), axis=1) / kk)
+    nearest = np.sort(np.partition(D, kk - 1, axis=1)[:, :kk], axis=1) if kk else D[:, :0]
+    return _nearest_summaries(nearest)
+
+
+def _hide_folds(D: np.ndarray, cuts: list, bounds: Sequence[int], k: int) -> np.ndarray:
+    """The summaries of the rows of D, the distances of some rows to the
+    whole label block that `cuts` bound (see _by_label), each row against
+    the block's rows outside its own fold: rows bounds[f]:bounds[f + 1] of
+    D are fold f's.
+
+    Each fold's rows see the fold's own slice of the block as inf and
+    average over kk = min(k, the block's rows outside the fold). The kk
+    smallest entries of a masked row are the finite entries that the
+    fold's proper rows alone give, so each summary is the double of a
+    call on those rows alone. The rows that keep the same kk share one
+    `_knn_summaries` call.
+    """
+    lo, size = cuts[0], cuts[-1] - cuts[0]
+    kks = []  # each row's kk
+    for a, b, first, last in zip(cuts[1:], cuts[2:], bounds, bounds[1:]):
+        D[first:last, a - lo : b - lo] = np.inf
+        kks += [min(k, size - (b - a))] * (last - first)
+    groups = set(kks)
+    if len(groups) == 1:  # the usual case takes every row, without a copy
+        return _knn_summaries(D, groups.pop())
+    out = np.empty(D.shape[0])
+    for kk in groups:
+        rows = [i for i, c in enumerate(kks) if c == kk]
+        out[rows] = _knn_summaries(D[rows], kk)
+    return out
 
 
 class ConformityRule:
@@ -230,10 +269,10 @@ class NeighbourTable:
     `_knn_summaries` picks and sorts. Their distances are computed again by
     the same kernel, which gives each pair the double a fit computes (each
     entry is computed on its own, and (a - b)**2 is bitwise (b - a)**2),
-    and summed by the same np.add.reduce over a C-contiguous (rows, kk)
-    array, so every summary is bit for bit a fit's. The rows whose walk
-    runs out take `_knn_summaries` against their label's rows outside
-    their fold, one call per (label, fold).
+    and go through the fit's own `_nearest_summaries` as a C-contiguous
+    (rows, kk) array, so every summary is bit for bit a fit's. The rows
+    whose walk runs out take `_knn_summaries` against their label's rows
+    outside their fold, one call per (label, fold).
     """
 
     def __init__(self, stream: Dataset):
@@ -313,12 +352,9 @@ class NeighbourTable:
             ok &= taken <= need[:, None]
             for kk in np.flatnonzero(np.bincount(need[done])).tolist():
                 these = done & (need == kk)
-                if kk == 0:
-                    out[rows[these]] = EPSILON_FLOOR
-                    continue
-                picks = X[near[ok & these[:, None]].reshape(-1, kk)]
-                dist = _distances(X[rows[these], None, :], picks)
-                out[rows[these]] = 1.0 / (1.0 + np.add.reduce(dist, axis=1) / kk)
+                walked = rows[these]
+                picks = X[near[ok & these[:, None]].reshape(walked.size, kk)]
+                out[walked] = _nearest_summaries(_distances(X[walked, None, :], picks))
             rows, label, fold, need = rows[~done], label[~done], fold[~done], need[~done]
             if not rows.size:
                 return
@@ -339,15 +375,13 @@ class KnnRule(ConformityRule):
     and then by fold: each label is one contiguous block, found by the
     label's value, that starts with its rows in no fold and is then cut
     into one slice per fold. Fold f's proper rows of a label are the rows
-    before and after its own slice, so a query takes one distance row per
-    candidate label and every fold's selection from that row. The fit
-    takes a block of at most MASKED_BLOCK rows the same way: one distance
-    matrix of its fold rows against the whole block, each fold's own
-    slice set to inf, one `_knn_summaries` call per group of folds that
-    keep the same kk. The kk smallest entries of a masked row are the
-    finite entries that the fold's proper rows alone give, so each summary
-    is the double of a per-fold call; larger blocks, and every block of a
-    fit whose distances could overflow, take one call per fold.
+    before and after its own slice. A query and the fit select them the
+    same way, through `_hide_folds`: a query from one distance row per
+    candidate label, copied once per fold, and the fit, for a block of at
+    most MASKED_BLOCK rows, from one distance matrix of its fold rows
+    against the whole block. Larger blocks, and every block of a fit whose
+    distances could overflow, take one call per fold; each summary is the
+    double of a per-fold call either way.
 
     With a `table` (a NeighbourTable whose stream starts with the training
     rows) the held-out summaries are walked from the table, not refitted;
@@ -395,46 +429,22 @@ class KnnRule(ConformityRule):
 
     def _masked_held_out(self, cuts: list, out: np.ndarray) -> None:
         """Set out for the fold rows of one label block from one distance
-        matrix of those rows against the whole block, each fold's own
-        (rows, columns) slice set to inf; the folds that keep the same
-        kk = min(k, the block's rows outside the fold) share one call."""
+        matrix of those rows against the whole block, masked by fold."""
         lo, first, hi = cuts[0], cuts[1], cuts[-1]
         D = _pairwise_distances(self._X[first:hi], self._X[lo:hi])
-        kk = np.empty(hi - first, np.intp)  # each fold row's kk
-        for a, b in zip(cuts[1:], cuts[2:]):
-            D[a - first : b - first, a - lo : b - lo] = np.inf
-            kk[a - first : b - first] = min(self.k, hi - lo - (b - a))
-        kks = set(kk.tolist())
-        if len(kks) == 1:  # the usual case takes every row, without a copy
-            out[first:hi] = _knn_summaries(D, kks.pop())
-            return
-        for c in kks:
-            rows = np.flatnonzero(kk == c)
-            out[first + rows] = _knn_summaries(D[rows], c)
+        out[first:hi] = _hide_folds(D, cuts, [c - first for c in cuts[1:]], self.k)
 
     def score_folds(self, x, labels) -> np.ndarray:
         x = self._check_object(x)[None, :]
         out = np.full((self.K, len(labels)), EPSILON_FLOOR)
+        folds = range(self.K + 1)  # row f of the masked copies is fold f's
         for j, label in enumerate(labels):
             cuts = self._cuts.get(label)
             if cuts is None:
                 continue
-            lo = cuts[0]
-            row = _pairwise_distances(x, self._X[lo : cuts[-1]])[0]
-            # fold f hides its own slice behind inf and averages over the
-            # kk nearest of the rest; the folds that keep the same kk share
-            # one call
-            D = np.empty((self.K, row.size))
-            D[:] = row
-            kks = []
-            for f, (a, b) in enumerate(zip(cuts[1:], cuts[2:])):
-                D[f, a - lo : b - lo] = np.inf
-                kks.append(min(self.k, row.size - (b - a)))
-            for kk in set(kks):
-                folds = [f for f, c in enumerate(kks) if c == kk]
-                # a list index copies; the usual one group takes every fold
-                folds = slice(None) if len(folds) == self.K else folds
-                out[folds, j] = _knn_summaries(D[folds], kk)
+            D = np.empty((self.K, cuts[-1] - cuts[0]))
+            D[:] = _pairwise_distances(x, self._X[cuts[0] : cuts[-1]])
+            out[:, j] = _hide_folds(D, cuts, folds, self.k)
         return out
 
 

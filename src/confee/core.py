@@ -310,8 +310,8 @@ class Dataset:
 
 
 #: Blocks of at least this many rows take the fast paths: the certified
-#: numpy row sums of `check_e_rows` and the totals from the calibration's
-#: `exact_partials` in `normalize.Normalizer.block`. Below it the plain
+#: numpy row sums of `check_e_rows` and the totals that `normalize._blocks`
+#: takes from the calibration's `SummaryVector.partials`. Below it the plain
 #: math.fsum loops cost less: on a 2-vCPU Xeon (Python 3.11, numpy 2.4)
 #: the two ways cost the same at 8 candidates and 10 calibration
 #: summaries, and the fast one wins from 2 candidates at 200 summaries.

@@ -31,10 +31,9 @@ form at most two groups of equal c. Each group is one (G * L, c+1) array,
 filled with its folds' scaled summaries and divided by the totals in one
 pass, whose rows pass the e-vector check (`core.check_e_rows`) in one
 call; each fold's block is a read-only view of its group's rows.
-`Normalizer.block` is the one-fold case, and `sum_normalize` and
-`mean_normalize` the one-fold, one-candidate case: the last summary plays
-the candidate. Summaries whose total, or whose mean-scaled entries, would
-overflow are refused as too large.
+`sum_normalize` and `mean_normalize` are the one-fold, one-candidate
+case: the last summary plays the candidate. Summaries whose total, or
+whose mean-scaled entries, would overflow are refused as too large.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .core import (
-    FAST_ROWS, EValueVector, SummaryVector, _frozen_array, _real_array, check_e_rows
+    FAST_ROWS, EValueVector, SummaryVector, _real_array, check_e_rows
 )
 from .errors import NonFiniteEntryError, NonPositiveSummaryError, OutOfRangeError
 
@@ -177,14 +176,6 @@ class Normalizer:
         calibrations = [fold.array for fold in folds]
         positives = [fold.positive for fold in folds]
         return _blocks(self.kind, calibrations, positives, sigmas, folds)
-
-    def block(self, calibration: SummaryVector, sigmas) -> np.ndarray:
-        """Row i normalizes the calibration summaries followed by sigmas[i]:
-        the one-fold case of `blocks`. sigmas must be a flat sequence of
-        real numbers.
-        """
-        sigmas = _frozen_array(sigmas, float, "candidate summaries")
-        return self.blocks((calibration,), sigmas[None, :])[0]
 
     def component_bound(self, m: int) -> Optional[float]:
         """Upper bound on any output component for a length-m input."""

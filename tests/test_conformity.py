@@ -329,6 +329,11 @@ class TestKnnFitFolds:
         rule, masked = _fit_watching_masked_blocks(training, k, fold_of)
         expected = _held_out_reference(training, fold_of, k)
         assert rule.held_out.tobytes() == expected.tobytes()
+        # the fit is the query's diagonal: a fold row, queried at its own
+        # label, gets its held-out summary from its own fold
+        for i in np.flatnonzero(fold_of >= 0).tolist():
+            diagonal = rule.score_folds(X[i], [y[i]])[fold_of[i], 0]
+            assert diagonal.tobytes() == rule.held_out[i].tobytes(), i
         blocks = np.bincount(y).tolist()
         # a fit whose distances may overflow takes the loop for every label
         assert masked == ([] if far else [b for b in blocks if 0 < b <= conformity.MASKED_BLOCK])
@@ -420,6 +425,10 @@ class TestNeighbourTable:
             table = NeighbourTable(stream)
         for p, fold_of, walked, refit in _table_rounds(stream, table, k, folds, split, rng):
             assert walked.held_out.tobytes() == refit.held_out.tobytes(), p
+            # the walk is the query's diagonal too
+            for i in np.flatnonzero(fold_of >= 0).tolist():
+                diagonal = walked.score_folds(X[i], [y[i]])[fold_of[i], 0]
+                assert diagonal.tobytes() == walked.held_out[i].tobytes(), (p, i)
             if p < n:  # the next row, at its true label
                 z = stream.observation(p)
                 assert walked.score_folds(z.x, [z.y]).tobytes() == refit.score_folds(

@@ -72,26 +72,27 @@ def test_block_with_a_too_large_candidate_refused():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OutOfRangeError, match="summaries are too large to normalize"):
-            Normalizer("mean").block(SummaryVector((1.0, 2.0)), [1.0, 1e308])
+            Normalizer("mean").blocks((SummaryVector((1.0, 2.0)),), [[1.0, 1e308]])
 
 
-def test_block_needs_a_flat_sequence_of_numbers():
+def test_block_needs_a_row_of_real_numbers():
     calibration = SummaryVector((1.0, 2.0))
     with pytest.raises(
-        OutOfRangeError, match=r"^candidate summaries must be a flat sequence, got shape \(1, 2\)$"
+        OutOfRangeError,
+        match=r"^candidate summaries must hold one row per fold \(1\), got shape \(1, 1, 2\)$",
     ):
-        Normalizer("mean").block(calibration, [[1.0, 2.0]])
+        Normalizer("mean").blocks((calibration,), [[[1.0, 2.0]]])
     with pytest.raises(OutOfRangeError, match="^candidate summaries must be real numbers: "):
-        Normalizer("mean").block(calibration, ["a"])
+        Normalizer("mean").blocks((calibration,), [["a"]])
     # a caller's writable array is neither frozen nor shared
-    sigmas = np.array([1.0, 3.0])
-    block = Normalizer("sum").block(calibration, sigmas)
+    sigmas = np.array([[1.0, 3.0]])
+    block = Normalizer("sum").blocks((calibration,), sigmas)[0]
     assert block[:, -1].tolist() == [0.25, 0.5] and sigmas.flags.writeable
 
 
 @pytest.mark.parametrize("kind", ["sum", "mean"])
 def test_block_of_no_candidates_is_empty(kind):
-    block = Normalizer(kind).block(SummaryVector((1.0, 2.0)), [])
+    block = Normalizer(kind).blocks((SummaryVector((1.0, 2.0)),), [[]])[0]
     assert block.shape == (0, 3) and not block.flags.writeable
 
 
@@ -280,7 +281,7 @@ class TestBlockDifferential:
         c, L = len(calibration), len(sigmas)
         ref_values, ref_alphas = _ref_split_query(kind, calibration, sigmas)
 
-        block = get_normalizer(kind).block(SummaryVector(calibration), sigmas)
+        block = get_normalizer(kind).blocks((SummaryVector(calibration),), [sigmas])[0]
         assert block.shape == (L, c + 1)
         for row, alpha in zip(block, ref_alphas):
             assert np.array_equal(row, np.array(alpha))
@@ -331,7 +332,7 @@ class TestBlockDifferential:
             table.blocks[0][0],
             table.calibration[0],
             table.sigmas,
-            get_normalizer("sum").block(SummaryVector((1.0,)), (2.0, 3.0)),
+            get_normalizer("sum").blocks((SummaryVector((1.0,)),), [(2.0, 3.0)])[0],
             mean_normalize((1.0, 2.0)).array,
             SummaryVector((1.0, 2.0)).array,
         ):
@@ -388,7 +389,7 @@ class TestExactPartials:
         vector = SummaryVector(calibration)
 
         def block():
-            return [row.tolist() for row in get_normalizer(kind).block(vector, sigmas)]
+            return [row.tolist() for row in get_normalizer(kind).blocks((vector,), [sigmas])[0]]
 
         def one_at_a_time():
             return [list(_NORMALIZE[kind]((*calibration, s)).values) for s in sigmas]
@@ -403,9 +404,9 @@ class TestExactPartials:
 
     def test_only_blocks_of_fast_rows_compute_partials(self):
         calibration = SummaryVector((0.1, 0.2, 0.3))
-        get_normalizer("mean").block(calibration, [0.5] * (FAST_ROWS - 1))
+        get_normalizer("mean").blocks((calibration,), [[0.5] * (FAST_ROWS - 1)])
         assert "partials" not in vars(calibration)
-        get_normalizer("mean").block(calibration, [0.5] * FAST_ROWS)
+        get_normalizer("mean").blocks((calibration,), [[0.5] * FAST_ROWS])
         assert calibration.partials == exact_partials((0.1, 0.2, 0.3))
 
 
@@ -442,8 +443,8 @@ _SPOILERS = st.sampled_from([
 
 
 def _fold_by_fold(kind, folds, sigmas):
-    """The blocks of a loop over the folds, one Normalizer.block each."""
-    return [get_normalizer(kind).block(fold, row) for fold, row in zip(folds, sigmas)]
+    """The blocks of a loop over the folds, one one-fold `blocks` call each."""
+    return [get_normalizer(kind).blocks((fold,), [row])[0] for fold, row in zip(folds, sigmas)]
 
 
 def _error_outcome(compute):
@@ -464,7 +465,7 @@ class TestFoldsTogether:
         blocks = get_normalizer(kind).blocks(folds, sigmas)
         assert len(blocks) == len(folds)
         for calibration, row, block in zip(calibrations, sigmas, blocks):
-            alone = get_normalizer(kind).block(SummaryVector(calibration), row)
+            alone = get_normalizer(kind).blocks((SummaryVector(calibration),), [row])[0]
             assert block.shape == alone.shape == (sigmas.shape[1], len(calibration) + 1)
             assert block.tobytes() == alone.tobytes()
             # and the per-vector tuple code, one candidate at a time
