@@ -29,10 +29,14 @@ one distance call per fold, against the fold's proper rows. So a fold
 row's held-out summary is the query's summary of that row in its own
 fold. One function, `_nearest_summaries`, turns the nearest distances
 into summaries for fits, queries and table walks. Ridge solves once per
-fold on the rows outside it, and a query predicts x.beta for every fold
-in one row-wise multiply-and-sum over the stacked (K, d) coefficients
-and takes one (K, L) array of residuals. Either way every summary is the
-double a fit on that fold's proper rows alone gives.
+fold on the rows outside it and scores through one routine,
+`_ridge_summaries`: each row of features against its own fold's
+coefficients, in one row-wise multiply-and-sum, with one overflow check
+that names the first fold at fault. The fit passes every fold row
+against its fold's row of the stacked (K, d) coefficients, and a query
+its one x against all K rows, so a fold row's held-out summary is the
+query's summary of that row in its own fold. Either way every summary is
+the double a fit on that fold's proper rows alone gives.
 
 The knn distance kernel adds the squared coordinate differences of each
 pair of rows left to right, one column at a time, without building the
@@ -477,26 +481,27 @@ def _ridge_beta(X: np.ndarray, yf: np.ndarray, lam: float) -> np.ndarray:
     return beta
 
 
-def _ridge_summaries(X: np.ndarray, yf: np.ndarray, beta: np.ndarray, name="x") -> np.ndarray:
-    """1 / (1 + |y - x.beta|) for the rows x of X and labels yf (broadcast);
-    OutOfRangeError naming `name` (x, or the features) where x.beta
-    overflows, and `name` and the labels where y - x.beta does."""
+def _ridge_summaries(X: np.ndarray, yf: np.ndarray, betas: np.ndarray, folds, name: str):
+    """A (rows, L) array of 1 / (1 + |y - x.beta|): row i scores row i of
+    X, or the one x broadcast, against betas[i], the coefficients of its
+    fold folds[i], at the labels yf broadcast against (rows, 1). Where
+    x.beta, or else y - x.beta, is not finite, the first fold at fault
+    raises OutOfRangeError naming `name` (x, or the features), and the
+    labels for y - x.beta."""
     # row-wise multiply-and-sum instead of a matrix product: the BLAS
-    # kernel may round differently for different batch shapes
+    # kernel may round differently for different batch shapes, and each
+    # row reduces the same d contiguous products however many rows there are
     with np.errstate(over="ignore", invalid="ignore"):
-        predictions = (X * beta).sum(axis=1)
-        residuals = np.abs(yf - predictions)
-    _refuse_overflow(predictions, residuals, name)
+        predictions = (X * betas).sum(axis=1)
+        residuals = np.abs(yf - predictions[:, None])
+    if not (np.isfinite(predictions).all() and np.isfinite(residuals).all()):
+        folds = np.asarray(folds)
+        for f in np.unique(folds).tolist():
+            if not np.isfinite(predictions[folds == f]).all():
+                raise OutOfRangeError(f"{name} too large for ridge: x.beta overflows")
+            if not np.isfinite(residuals[folds == f]).all():
+                raise OutOfRangeError(f"{name} or labels too large for ridge: y - x.beta overflows")
     return 1.0 / (1.0 + residuals)
-
-
-def _refuse_overflow(predictions: np.ndarray, residuals: np.ndarray, name: str) -> None:
-    """OutOfRangeError naming `name` if a prediction x.beta, or else a
-    residual y - x.beta, is not finite."""
-    if not np.isfinite(predictions).all():
-        raise OutOfRangeError(f"{name} too large for ridge: x.beta overflows")
-    if not np.isfinite(residuals).all():
-        raise OutOfRangeError(f"{name} or labels too large for ridge: y - x.beta overflows")
 
 
 def _float_labels(y) -> np.ndarray:
@@ -514,6 +519,12 @@ class RidgeRule(ConformityRule):
     read-only (K, d) array `betas`, on the rows outside it, sorted into a
     canonical order first, so the fit depends on the multiset of those
     rows only, bit for bit.
+
+    The fit and the query score through `_ridge_summaries`: the fit in one
+    call, each fold row against its own fold's row of `betas`, and a query
+    in one call, x against row f for fold f. So a fold row's held-out
+    summary is, bit for bit, the query's summary of that row in its own
+    fold, and both refuse an overflow with the same messages.
     """
 
     def __init__(self, training: Dataset, lam: float = 1.0, fold_of=None):
@@ -529,25 +540,18 @@ class RidgeRule(ConformityRule):
         folds = [self.fold_of == f for f in range(self.K)]
         self.betas = np.array([_ridge_beta(X[~fold], yf[~fold], self.lam) for fold in folds])
         self.betas.setflags(write=False)
+        rows = self.fold_of >= 0
+        fold = self.fold_of[rows]
         held_out = np.full(training.n, np.nan)
-        for fold, beta in zip(folds, self.betas):
-            held_out[fold] = _ridge_summaries(X[fold], yf[fold], beta, "features")
+        held_out[rows] = _ridge_summaries(
+            X[rows], yf[rows, None], self.betas[fold], fold, "features"
+        )[:, 0]
         held_out.setflags(write=False)
         self.held_out = held_out
 
     def score_folds(self, x, labels) -> np.ndarray:
         x = self._check_object(x)
-        yf = _float_labels(labels)
-        # one row-wise multiply-and-sum for every fold: row f reduces the
-        # same d contiguous products as fold f's query alone
-        with np.errstate(over="ignore", invalid="ignore"):
-            predictions = (x * self.betas).sum(axis=1)
-            residuals = np.abs(yf - predictions[:, None])
-        if not (np.isfinite(predictions).all() and np.isfinite(residuals).all()):
-            # the first fold at fault names the cause, as fold by fold
-            for f in range(self.K):
-                _refuse_overflow(predictions[f], residuals[f], "x")
-        return 1.0 / (1.0 + residuals)
+        return _ridge_summaries(x, _float_labels(labels), self.betas, range(self.K), "x")
 
 
 def _numeric_labels(training: Dataset) -> np.ndarray:

@@ -218,7 +218,10 @@ def _e_at_truth(predictor, z) -> float:
 
 def _mean_and_se(values: Sequence[float]) -> tuple:
     n = len(values)
-    mean = math.fsum(values) / n
+    try:
+        mean = math.fsum(values) / n
+    except OverflowError:
+        raise OutOfRangeError("e-values too large to average: their sum overflows") from None
     var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var) / math.sqrt(n)
 
@@ -382,7 +385,10 @@ def online_time_validity(
     ]
     e_values = [1.0] * warmup + [e for e, _ in rounds]
     bound_used = max([0.0, *(bound for _, bound in rounds)])
-    trace = OnlineTrace(e_values)
+    try:
+        trace = OnlineTrace(e_values)
+    except OverflowError:
+        raise OutOfRangeError("e-values too large to average: their sum overflows") from None
     final = trace.running_means[-1]
     max_after = max(trace.running_means[warmup:])
     verdict = CONSISTENT if final <= 1.0 + tolerance else VIOLATION

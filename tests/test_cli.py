@@ -348,6 +348,17 @@ class TestValidate:
                 err = capsys.readouterr().err
                 assert f"error: --threads must be at most {cap}, got {value}" in err
 
+    @pytest.mark.parametrize("mode_args", [
+        ("--mode", "time", "--rounds", "50", "--warmup", "20"),
+        ("--mode", "space", "--trials", "100", "--n", "20"),
+    ])
+    def test_e_values_whose_sum_overflows_refused(self, capsys, mode_args):
+        huge = "const" + "9" * 308  # finite, and two of them overflow a sum
+        assert _run("validate", *mode_args, "--predictor", huge) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: e-values too large to average: their sum overflows\n"
+        )
+
     def test_warmup_too_short_for_the_first_fit(self, capsys):
         assert _run("validate", "--mode", "time", "--predictor", "split", "--c", "10",
                     "--warmup", "11", "--rounds", "60") == 1

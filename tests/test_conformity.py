@@ -31,7 +31,6 @@ from confee.conformity import (
     NeighbourTable,
     _knn_summaries,
     _pairwise_distances,
-    _ridge_summaries,
 )
 from conftest import _reference_distance, _reference_knn
 
@@ -501,8 +500,16 @@ class TestRidgeQueryFolds:
         x = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3, d)
         labels = rng.standard_normal(L) * 10.0
         tiled = np.tile(x, (L, 1))
-        expected = [_ridge_summaries(tiled, labels, beta).tolist() for beta in rule.betas]
+        expected = [
+            (1.0 / (1.0 + np.abs(labels - (tiled * beta).sum(axis=1)))).tolist()
+            for beta in rule.betas
+        ]
         assert rule.score_folds(x, labels.tolist()).tolist() == expected
+        # the fit is the query's diagonal: a fold row, queried at its own
+        # label, gets its held-out summary from its own fold
+        for i in np.flatnonzero(fold_of >= 0).tolist():
+            diagonal = rule.score_folds(X[i], [training.y[i]])[fold_of[i], 0]
+            assert diagonal.tobytes() == rule.held_out[i].tobytes(), i
 
 
 class TestRidge:

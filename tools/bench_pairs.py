@@ -14,11 +14,14 @@ For each end-to-end metric of BENCHMARK.json it prints each side's median
 and quartiles, the pairs the working tree won (ties count for neither
 side) and whether the gain rule holds: the working tree wins at least 9
 in 10 pairs and the medians differ by more than the interquartile range of
-REF's runs. It also says when the working tree's median is worse than
-REF's by more than the metric's bound. These lines are a report, not a
-gate: the exit status is 1 only for bad arguments, an unknown REF or a
-benchmark run that fails or gives incorrect output. Bad arguments print the
-usage line before any benchmark starts.
+REF's runs. It ends with the no-regression verdict: "unresolved" when the
+interquartile range of REF's runs exceeds the metric's bound times REF's
+median, unless every run of the working tree beats every run of REF;
+otherwise "worse than its bound" when the working tree's median is worse
+than REF's by more than the bound, and "held" when it is not. These lines
+are a report, not a gate: the exit status is 1 only for bad arguments, an
+unknown REF or a benchmark run that fails or gives incorrect output. Bad
+arguments print the usage line before any benchmark starts.
 """
 
 from __future__ import annotations
@@ -85,13 +88,19 @@ def summary(metric: dict, before: list, after: list) -> str:
     q1, old, q3 = _quartiles(before)
     p1, new, p3 = _quartiles(after)
     gain = wins >= 0.9 * len(before) and sign * (new - old) > q3 - q1
-    worse = sign * (old - new) > metric["bound"] * abs(old)
+    bound = metric["bound"] * abs(old)
+    beats_every_run = min(sign * v for v in after) > max(sign * v for v in before)
+    if q3 - q1 > bound and not beats_every_run:
+        verdict = "unresolved"
+    elif sign * (old - new) > bound:
+        verdict = f"worse than its {metric['bound']:.0%} bound"
+    else:
+        verdict = "held"
     return (
         f"{metric['name']}: ref median {old:.4g} [{q1:.4g}, {q3:.4g}], "
         f"now median {new:.4g} [{p1:.4g}, {p3:.4g}] {metric['unit']}; "
         f"now better in {wins} of {len(before)} pairs; "
-        f"gain rule {'met' if gain else 'not met'}"
-        + (f"; worse than its {metric['bound']:.0%} bound" if worse else "")
+        f"gain rule {'met' if gain else 'not met'}; no regression: {verdict}"
     )
 
 
