@@ -38,6 +38,13 @@ its one x against all K rows, so a fold row's held-out summary is the
 query's summary of that row in its own fold. Either way every summary is
 the double a fit on that fold's proper rows alone gives.
 
+The space and compare harnesses fit and query a chunk of knn trials at
+once through `_stacked_summaries`: one distance tensor of every trial's
+fold rows and its test object, once per fold, against all its rows, in
+which a pair is hidden where the labels differ or the folds are the same.
+Each point keeps the same kk and the same kk smallest entries as in a fit
+on its own trial, so every summary is that fit's.
+
 The knn distance kernel adds the squared coordinate differences of each
 pair of rows left to right, one column at a time, without building the
 (a, b, d) difference tensor; tests/test_conformity.py::TestDistanceKernel
@@ -100,6 +107,14 @@ def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _distances(A[:, None, :], B[None, :, :])
 
 
+def _finite_distances(X) -> bool:
+    """Whether no distance between rows of X (features on the last axis)
+    can overflow: 2 max|x| sqrt(d) < 1e154 keeps every squared distance
+    below 1e308."""
+    X = np.asarray(X)
+    return 2.0 * float(np.abs(X).max()) * math.sqrt(X.shape[-1]) < 1e154
+
+
 def _nearest_summaries(nearest: np.ndarray) -> np.ndarray:
     """1 / (1 + mean of each row of `nearest`), a C-contiguous (rows, kk)
     array of each row's kk nearest distances in ascending order;
@@ -143,6 +158,12 @@ def _hide_folds(D: np.ndarray, cuts: list, bounds: Sequence[int], k: int) -> np.
     for a, b, first, last in zip(cuts[1:], cuts[2:], bounds, bounds[1:]):
         D[first:last, a - lo : b - lo] = np.inf
         kks += [min(k, size - (b - a))] * (last - first)
+    return _summaries_by_kk(D, kks)
+
+
+def _summaries_by_kk(D: np.ndarray, kks: list) -> np.ndarray:
+    """The summaries of the kks[i] smallest entries of each row i of D (see
+    _knn_summaries); the rows that share a kk share one call."""
     groups = set(kks)
     if len(groups) == 1:  # the usual case takes every row, without a copy
         return _knn_summaries(D, groups.pop())
@@ -151,6 +172,32 @@ def _hide_folds(D: np.ndarray, cuts: list, bounds: Sequence[int], k: int) -> np.
         rows = [i for i, c in enumerate(kks) if c == kk]
         out[rows] = _knn_summaries(D[rows], kk)
     return out
+
+
+def _stacked_summaries(X, codes, fold_of, points, point_codes, point_folds, k: int) -> np.ndarray:
+    """The knn summaries of points in B training sets at once.
+
+    X (B, n, d) holds the sets' rows, and codes and fold_of (B, n) each
+    row's label number and fold (-1 for a row in no fold). Entry (b, j) of
+    the (B, p) result scores points[b, j] against the rows of set b that
+    have the label number point_codes[b, j] and lie outside the fold
+    point_folds[..., j]: a fold row's held-out summary, when the point is
+    that row in its own fold, or a query's summary against the fold's
+    proper rows, the double a KnnRule fitted on set b alone gives either
+    way.
+
+    One distance tensor holds every point against every row of its set;
+    an entry is hidden (inf) where the labels differ or the folds are the
+    same, so each point's kk = min(k, its visible entries) smallest entries
+    are the ones that a fit on its own set selects (see _hide_folds).
+    """
+    n = X.shape[1]
+    D = _distances(points[:, :, None, :], X[:, None, :, :])
+    hide = point_codes[:, :, None] != codes[:, None, :]
+    hide |= point_folds[..., None] == fold_of[:, None, :]
+    D[hide] = np.inf
+    kks = np.minimum(k, n - np.count_nonzero(hide, axis=2)).ravel().tolist()
+    return _summaries_by_kk(D.reshape(-1, n), kks).reshape(hide.shape[:2])
 
 
 class ConformityRule:
@@ -414,12 +461,11 @@ class KnnRule(ConformityRule):
         """Each sorted row's summary against its label's rows outside its
         fold; NaN for the rows in no fold."""
         X, out = self._X, np.full(len(self._X), np.nan)
-        # 2 max|x| sqrt(d) < 1e154 keeps every squared distance below 1e308,
-        # so no distance overflows. The masked matrix also computes the pairs
-        # inside a fold, which the loop never does; a fit that could overflow
-        # keeps the loop, so that numpy warns of an overflow exactly when
-        # the loop's own pairs overflow.
-        masked = 2.0 * float(np.abs(X).max()) * math.sqrt(X.shape[1]) < 1e154
+        # The masked matrix also computes the pairs inside a fold, which the
+        # loop never does; a fit that could overflow keeps the loop, so that
+        # numpy warns of an overflow exactly when the loop's own pairs
+        # overflow.
+        masked = _finite_distances(X)
         for cuts in self._cuts.values():
             lo, hi = cuts[0], cuts[-1]
             if masked and hi - lo <= MASKED_BLOCK:

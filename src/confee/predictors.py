@@ -19,7 +19,10 @@ returns one CrossTable, built by its public constructor, that also carries
 what the e-values were computed from (the calibration summaries, the
 (K, L) candidate summaries and the normalized blocks), so reports and the
 p-value side need no second pass. A split predictor's answer is the
-one-fold table.
+one-fold table. `_stacked_tables` gives the tables of a chunk of knn
+trials, each fitted and queried at its test point's label, from one
+stacked fit and query and one normalization of all their folds; every
+table merges its folds through the same `_cross_table` as `predict`.
 
 p-value counterparts are included for comparison experiments: the split
 conformal p-values of every fold (`CrossTable.p_values`, a (K, L) array)
@@ -38,7 +41,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .conformity import ConformityRule, train_conformity
+from .conformity import ConformityRule, _stacked_summaries, train_conformity
 from .core import (
     ClassificationTask,
     Dataset,
@@ -55,7 +58,7 @@ from .core import (
     make_fold_partition,
 )
 from .errors import LabelOutOfSpaceError, NonFiniteEntryError, OutOfRangeError
-from .normalize import Normalizer, get_normalizer
+from .normalize import Normalizer, _blocks, get_normalizer
 
 WEIGHTINGS = ("uniform", "size_proportional")
 
@@ -133,6 +136,27 @@ class CrossTable(PlausibilityTable):
         ])
 
 
+def _merge(weighting: str, sizes: Sequence[int], fold_values: Sequence[float]) -> float:
+    """One label's fold e-values merged: their mean for "uniform", and for
+    "size_proportional" their mean weighted by the folds' `sizes`."""
+    if weighting == "uniform":
+        return math.fsum(fold_values) / len(fold_values)
+    return math.fsum(s * e for s, e in zip(sizes, fold_values)) / sum(sizes)
+
+
+def _cross_table(labels, calibration, sigmas, blocks, weighting: str) -> CrossTable:
+    """The CrossTable of one query, whose value for labels[i] merges the
+    fold e-values of row i of the blocks (see CrossTable); one fold is not
+    merged, since a size_proportional mean, s * e / s, can round e."""
+    columns = [block[:, -1].tolist() for block in blocks]
+    if len(blocks) == 1:
+        values = columns[0]
+    else:
+        sizes = [fold.size for fold in calibration]
+        values = [_merge(weighting, sizes, column) for column in zip(*columns)]
+    return CrossTable(labels, values, calibration, sigmas, blocks)
+
+
 @dataclass(frozen=True, eq=False)
 class CrossEPredictor(_EPredictor):
     """One rule fitted on the training set and the fold of every row; fold
@@ -161,12 +185,6 @@ class CrossEPredictor(_EPredictor):
         if len(self.calibration_summaries) != self.rule.K:
             raise OutOfRangeError("need exactly one calibration vector per fold")
 
-    def _merge(self, fold_alphas: Sequence[float]) -> float:
-        if self.weighting == "uniform":
-            return math.fsum(fold_alphas) / len(fold_alphas)
-        sizes = [len(calibration) for calibration in self.calibration_summaries]
-        return math.fsum(s * a for s, a in zip(sizes, fold_alphas)) / sum(sizes)
-
     def predict(self, x: Sequence[float], labels: Optional[Sequence] = None) -> CrossTable:
         """Score every (fold, candidate) pair in one rule call, normalize the
         candidates of all folds together, and merge the folds' e-values.
@@ -179,12 +197,8 @@ class CrossEPredictor(_EPredictor):
         sigmas.setflags(write=False)
         folds = self.calibration_summaries
         blocks = self.normalizer.blocks(folds, sigmas)
-        columns = [block[:, -1].tolist() for block in blocks]
-        # one fold is not merged: a size_proportional mean, s * e / s, can
-        # round e
-        values = columns[0] if len(blocks) == 1 else map(self._merge, zip(*columns))
         calibration = tuple(fold.array for fold in folds)
-        return CrossTable(labels, values, calibration, sigmas, blocks)
+        return _cross_table(labels, calibration, sigmas, blocks, self.weighting)
 
     def component_bound(self) -> Optional[float]:
         """The largest fold bound (a mean of e-values never exceeds it);
@@ -243,6 +257,70 @@ def fit_cross(
     """Partition the training set into K seeded folds and fit once."""
     partition = make_fold_partition(training.n, K, seed)
     return fit_cross_from_partition(training, partition, kind, normalizer, weighting, **rule_params)
+
+
+def _stacked_tables(
+    drawn: Sequence[Dataset],
+    folds: Sequence[tuple],
+    k: int,
+    normalizer: Normalizer,
+    weighting: str,
+) -> list:
+    """What B knn predictors answer, fitted and queried at once: for each
+    drawn set, the CrossTable that a split or cross predictor fitted on all
+    its rows but the last, with weighting `weighting`, gives for its last
+    row at that row's label, bit for bit.
+
+    Fold f of set b holds the rows folds[b][f], in the order its
+    calibration vector keeps (a split fit's one fold is its calibration
+    rows); the other rows are in no fold, and every set has the same fold
+    sizes. The summaries come from conformity._stacked_summaries and the
+    B·K folds are normalized in one normalize._blocks call; the summaries
+    are checked finite once and positive once per fold, as SummaryVector
+    and Normalizer.blocks check them. Each table merges its folds through
+    _cross_table, as `predict` does.
+    """
+    B = len(drawn)
+    X = np.array([d.X for d in drawn])
+    codes = np.array([d.label_codes[1] for d in drawn])
+    n = X.shape[1] - 1
+    sizes = [len(fold) for fold in folds[0]]
+    K, bounds = len(sizes), [0, *accumulate(sizes)]
+    rows = np.array([np.concatenate(f) for f in folds])
+    row_folds = np.repeat(np.arange(K), sizes)
+    fold_of = np.full((B, n), -1)
+    np.put_along_axis(fold_of, rows, row_folds[None, :], axis=1)
+    # the points scored: each set's fold rows, then its test row (row n)
+    # once per fold
+    take = np.concatenate((rows, np.full((B, K), n)), axis=1)
+    summaries = _stacked_summaries(
+        X[:, :n],
+        codes[:, :n],
+        fold_of,
+        np.take_along_axis(X, take[:, :, None], axis=1),
+        np.take_along_axis(codes, take, axis=1),
+        np.concatenate((row_folds, np.arange(K))),
+        k,
+    )
+    summaries.setflags(write=False)
+    held = summaries[:, : bounds[-1]]
+    if not np.isfinite(held).all():
+        raise NonFiniteEntryError("summaries must be finite")
+    positives = np.logical_and.reduceat(held > 0, bounds[:-1], axis=1).ravel().tolist()
+    calibrations = [row[lo:hi] for row in held for lo, hi in zip(bounds, bounds[1:])]
+    sigmas = summaries[:, bounds[-1] :].reshape(B * K, 1)
+    sigmas.setflags(write=False)
+    blocks = _blocks(normalizer.kind, calibrations, positives, sigmas)
+    return [
+        _cross_table(
+            (_py_scalar(d.y[n]),),
+            tuple(calibrations[b * K : (b + 1) * K]),
+            sigmas[b * K : (b + 1) * K],
+            blocks[b * K : (b + 1) * K],
+            weighting,
+        )
+        for b, d in enumerate(drawn)
+    ]
 
 
 @dataclass(frozen=True)

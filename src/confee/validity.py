@@ -21,6 +21,18 @@ report byte is the one a refit gives.
 Comparison harness: fits one cross predictor per trial and reads out both
 the merged e-value and the fold p-values, so the e-side bound and the
 p-side merging rules are measured on identical draws.
+
+The space and compare harnesses run their trials through `_run_trials`,
+and each reads a trial's answer, the predictor's table at the test
+point's true label, with one reader (`_e_at_truth`, `_compare_row`). A
+split or cross knn spec runs in chunks of trials (`_chunk_trials`, at most
+CHUNK_ENTRIES distance entries, two trials or more): each trial is drawn
+as on its own, and then the chunk is fitted and queried at once, one
+distance tensor for all its fits and queries, one normalization of all
+its folds and one table per trial (predictors._stacked_tables). Every
+other spec, a chunk whose distances could overflow, and a training set
+too large for two trials a chunk go trial by trial (`_space_trial`), the
+reference that the stacked path matches bit for bit.
 """
 
 from __future__ import annotations
@@ -30,20 +42,22 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 from .conformity import (
-    RULE_KINDS, NeighbourTable, support_set_assignment, unit_margin_provider
+    RULE_KINDS, NeighbourTable, _finite_distances, support_set_assignment, unit_margin_provider
 )
 from .core import (
-    ClassificationTask, Dataset, PlausibilityTable, Task, _integer, _real_floats, derive_seed
+    ClassificationTask, Dataset, PlausibilityTable, Task, _integer, _real_floats, derive_seed,
+    make_fold_partition,
 )
 from .data import Scenario, sample
 from .errors import DimensionMismatchError, OutOfRangeError, UnboundedNormalizerError
-from .normalize import NORMALIZER_KINDS, Normalizer
+from .normalize import NORMALIZER_KINDS, Normalizer, get_normalizer
 from .predictors import (
     WEIGHTINGS,
     FullEPredictor,
     OnlineTrace,
     _EPredictor,
     _query_labels,
+    _stacked_tables,
     cross_p_merge,
     fit_cross,
     fit_split,
@@ -175,31 +189,100 @@ def build_predictor(spec: PredictorSpec, training: Dataset, fold_seed: int, *, t
     return FullEPredictor(training, support_set_assignment(provider))
 
 
-def _space_trial(scenario, spec, seed, n_train, read, t):
-    """Trial t: one draw of n_train + 1 observations, one fitted predictor.
+def _space_trial(scenario, spec, seed, n_train, read, t, drawn=None):
+    """Trial t on its own: one draw of n_train + 1 observations, one fitted
+    predictor, one query. A stacked chunk of trials (see `_run_trials`)
+    gives each of them the same result.
 
     The first n_train observations train the predictor and the last one is
-    the test point; returns read(predictor, test_observation). `sample`
-    is looked up as a module global at each call: bench/worker.py starts
-    a space item's clock by patching it.
+    the test point; returns read(table), the predictor's table at the test
+    point's true label. `drawn` is the trial's draw, if a chunk drew it
+    already. `sample` is looked up as a module global at each call:
+    bench/worker.py starts a space item's clock by patching it, and a
+    stacked chunk draws through it too.
     """
-    drawn = sample(scenario, n_train + 1, derive_seed(seed, t, 0))
+    if drawn is None:
+        drawn = sample(scenario, n_train + 1, derive_seed(seed, t, 0))
     training = drawn.subset(range(n_train))
     predictor = build_predictor(spec, training, derive_seed(seed, t, 2))
-    return read(predictor, drawn.observation(n_train))
+    z = drawn.observation(n_train)
+    return read(predictor.predict(z.x, (z.y,)))
+
+
+#: Distance entries in one chunk of stacked trials. A trial holds
+#: (r + K) * n of them: its r fold rows and its test object once per fold
+#: against its n training rows. Like TABLE_BLOCK, the bound keeps the
+#: chunk's temporaries, and so peak RSS, small: over 3000 gm2d cross-knn
+#: trials (n = 50, K = 5, 7 trials a chunk) peak RSS read 36.7-36.9 MiB,
+#: as trial by trial (36.8), and 37.0-37.1, 37.6-37.8 and 39.4 MiB at
+#: 40,000, 80,000 and 160,000 entries, for 3-4%, 4-9% and 12% more trials
+#: per second.
+CHUNK_ENTRIES = 20_000
+
+
+def _chunk_trials(spec: PredictorSpec, n_train: int) -> int:
+    """The trials that _run_trials fits and queries together, or 0 for
+    none: a split or cross knn spec, with folds and a k that a fit accepts,
+    and a normalizer that normalizes as Normalizer.blocks does, takes as
+    many trials as CHUNK_ENTRIES holds, if that is two or more.
+
+    A stacked fit computes every pair of a trial's rows, where a per-trial
+    fit computes each label's block only, so stacking wins by sharing
+    numpy's per-call cost among trials, and a chunk of one trial loses.
+    Per-trial time over stacked time, median of 5 alternating runs of 200
+    gm2d trials: cross (K = 5) 1.77 at n = 50 (7 trials a chunk), 1.27 at
+    n = 90 (2) and 0.94 at n = 100 (1); split (c = 10) 1.59 at n = 400 (4)
+    and 1.21 at n = 900 (2). gm5c read 2.00, 1.35 and 1.02, and 1.89 and
+    1.29.
+    """
+    if spec.rule != "knn" or spec.k < 1:
+        return 0
+    if type(get_normalizer(spec.normalizer)).blocks is not Normalizer.blocks:
+        return 0
+    if spec.kind == "split" and spec.calibration_size >= 1:
+        rows, K = spec.calibration_size, 1
+    elif spec.kind == "cross" and spec.folds >= 2:
+        rows, K = n_train, spec.folds
+    else:
+        return 0
+    size = CHUNK_ENTRIES // ((rows + K) * n_train)
+    return size if size >= 2 else 0
+
+
+def _stacked_trials(scenario, spec, seed, n_train, read, ts) -> list:
+    """_space_trial(..., read, t) for each t of ts, fitted and queried
+    together (predictors._stacked_tables) after every trial of the chunk is
+    drawn; a chunk whose distances could overflow goes trial by trial."""
+    drawn = [sample(scenario, n_train + 1, derive_seed(seed, t, 0)) for t in ts]
+    if not _finite_distances([d.X for d in drawn]):
+        return [_space_trial(scenario, spec, seed, n_train, read, t, d) for t, d in zip(ts, drawn)]
+    if spec.kind == "split":
+        folds = [(range(n_train - spec.calibration_size, n_train),)] * len(ts)
+    else:
+        folds = [
+            make_fold_partition(n_train, spec.folds, derive_seed(seed, t, 2)).folds for t in ts
+        ]
+    normalizer = get_normalizer(spec.normalizer)
+    return list(map(read, _stacked_tables(drawn, folds, spec.k, normalizer, spec.weighting)))
 
 
 def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
     """_space_trial(..., read, t) for t in 0..trials-1, in order.
 
     The space and compare harnesses draw their trials only through here,
-    and here their shared preconditions are checked. The trials run one
+    and here their shared preconditions are checked, before any draw. A
+    split or cross spec needs n_train rows enough for its first fit (see
+    _first_fit_rows). Where `_chunk_trials` says so, the trials run in
+    chunks of that many: each trial of a chunk is drawn as _space_trial
+    draws it, and then the chunk is fitted and queried at once, with the
+    same doubles, checks and merge as trial by trial. The trials run one
     after another in the calling thread: `threads` must lie in
     1..MAX_THREADS, starts no thread and changes nothing.
     """
     trials = _integer(trials, "trials")
     n_train = _integer(n_train, "n_train")
     threads = _integer(threads, "threads")
+    seed = _seed(seed)
     if trials < 100:
         raise OutOfRangeError(f"trials={trials}; need at least 100 for a stable verdict")
     if n_train < 2:
@@ -208,12 +291,28 @@ def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
         raise OutOfRangeError(f"threads={threads}; need at least 1")
     if threads > MAX_THREADS:
         raise OutOfRangeError(f"threads={threads}; at most {MAX_THREADS}")
-    return [_space_trial(scenario, spec, seed, n_train, read, t) for t in range(trials)]
+    _check_first_fit(spec, "n_train", n_train)
+    size = _chunk_trials(spec, n_train)
+    if not size:
+        return [_space_trial(scenario, spec, seed, n_train, read, t) for t in range(trials)]
+    out = []
+    for lo in range(0, trials, size):
+        chunk = range(lo, min(lo + size, trials))
+        out += _stacked_trials(scenario, spec, seed, n_train, read, chunk)
+    return out
 
 
-def _e_at_truth(predictor, z) -> float:
+def _seed(seed) -> int:
+    """A harness's master seed, a nonnegative integer, checked before any draw."""
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise OutOfRangeError(f"seed={seed}; need a nonnegative integer")
+    return seed
+
+
+def _e_at_truth(table) -> float:
     """The space harness's reader: the e-value at the test point's true label."""
-    return float(predictor.e_at(z.x, z.y))
+    return float(table.values[0])
 
 
 def _mean_and_se(values: Sequence[float]) -> tuple:
@@ -270,8 +369,10 @@ def mc_space_validity(
 ) -> SpaceValidityReport:
     """Estimate the mean e-value at the true label over fresh IID trials.
 
-    Each trial is one `_space_trial` read by `_e_at_truth`. `threads` must
-    lie in 1..MAX_THREADS; it starts no thread and changes nothing.
+    Each trial is one `_space_trial`, alone or in a stacked chunk (see
+    `_run_trials`), read by `_e_at_truth`. The seed, the counts and a
+    split or cross spec's first fit are checked before any draw. `threads`
+    must lie in 1..MAX_THREADS; it starts no thread and changes nothing.
     """
     es = _run_trials(scenario, spec, trials, seed, n_train, threads, _e_at_truth)
     mean, se = _mean_and_se(es)
@@ -316,6 +417,17 @@ def _first_fit_rows(spec: PredictorSpec) -> int:
     return max(K, -(-proper * K // (K - 1)))
 
 
+def _check_first_fit(spec: PredictorSpec, name: str, rows: int) -> None:
+    """Refuse a split or cross spec whose first fit would get fewer rows
+    than _first_fit_rows: `rows` of them, passed as the argument `name`."""
+    if spec.kind in ("split", "cross"):
+        minimum = _first_fit_rows(spec)
+        if rows < minimum:
+            raise OutOfRangeError(
+                f"{name}={rows}; the first {spec.kind} fit needs at least {minimum} rows"
+            )
+
+
 def _online_round(spec: PredictorSpec, stream: Dataset, seed: int, i: int, table=None) -> tuple:
     """Round i: fit on the first i - 1 rows of the stream and score row i - 1
     at its realized label; a knn fit takes its held-out summaries from
@@ -352,8 +464,9 @@ def online_time_validity(
     afterwards round i fits on observations 1..i-1 and scores observation i
     at its realized label. A split or cross knn fit takes its held-out
     summaries from the stream's NeighbourTable, the same doubles a refit
-    on the prefix gives. The first fit runs on `warmup` rows and a
-    split or cross spec refuses a warmup too short for it. Each fitted round
+    on the prefix gives. The seed is checked before the stream is drawn.
+    The first fit runs on `warmup` rows and a split or cross spec refuses a
+    warmup too short for it. Each fitted round
     is one `_online_round`, which asks the fitted predictor for its bound
     (`component_bound()`) and refuses one that declares none, a full
     predictor among them, before the first e-value; a full spec's own
@@ -368,12 +481,8 @@ def online_time_validity(
         raise OutOfRangeError("warmup must lie in 1..n_rounds-1")
     if not 0 < tolerance < 1:
         raise OutOfRangeError("tolerance must lie in (0, 1)")
-    if spec.kind in ("split", "cross"):
-        minimum = _first_fit_rows(spec)
-        if warmup < minimum:
-            raise OutOfRangeError(
-                f"warmup={warmup}; the first {spec.kind} fit needs at least {minimum} rows"
-            )
+    seed = _seed(seed)
+    _check_first_fit(spec, "warmup", warmup)
 
     stream = sample(scenario, n_rounds, derive_seed(seed, 1))
     knn = spec.kind in ("split", "cross") and spec.rule == "knn"
@@ -415,11 +524,10 @@ class ComparisonReport(_Report):
     verdict: str
 
 
-def _compare_row(predictor, z) -> tuple:
-    """The compare harness's reader: one query at the true label gives the
+def _compare_row(table) -> tuple:
+    """The compare harness's reader: the table at the true label gives the
     merged e-value, both p-merges of the fold p-values, their harmonic mean
     and its distance from 1/mean(1/p)."""
-    table = predictor.predict(z.x, (z.y,))
     ps = table.p_values[:, 0].tolist()
     unadjusted = cross_p_merge(ps, adjusted=False)
     adjusted = cross_p_merge(ps, adjusted=True)
@@ -448,10 +556,11 @@ def compare_e_vs_p(
     fold p-values, which is 1/mean(1/p). The reciprocal 1/p is no
     calibrator: a conformal p-value with c calibration summaries and no
     ties has E[1/p] = 1 + 1/2 + ... + 1/(c+1) > 1, so 1/p is not an
-    e-value. Each trial is one `_space_trial` read by `_compare_row`.
-    The spec kind is checked first, then the levels (distinct, in (0, 1)),
-    then `_run_trials`' preconditions. `threads` must lie in 1..MAX_THREADS;
-    it starts no thread and changes nothing.
+    e-value. Each trial is one `_space_trial`, alone or in a stacked chunk
+    (see `_run_trials`), read by `_compare_row`. The spec kind is checked
+    first, then the levels (distinct, in (0, 1)), then `_run_trials`'
+    preconditions, all before any draw. `threads` must lie in
+    1..MAX_THREADS; it starts no thread and changes nothing.
     """
     if spec.kind != "cross":
         raise OutOfRangeError("comparison runs on a cross predictor spec")

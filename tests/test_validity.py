@@ -3,10 +3,14 @@ import math
 import pickle
 import re
 import threading
+import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from confee import cli, conformity, core, predictors, validity
 from confee import (
@@ -17,6 +21,7 @@ from confee import (
     OutOfRangeError,
     PREDICTOR_PRESETS,
     PredictorSpec,
+    Scenario,
     TooFewFoldsError,
     UnboundedNormalizerError,
     build_predictor,
@@ -27,6 +32,7 @@ from confee import (
     sample,
 )
 
+from confee.predictors import _stacked_tables
 from conftest import _reference_knn
 
 GM2D = get_scenario("gm2d")
@@ -286,19 +292,28 @@ class TestComparison:
 
 class TestTrialDrawing:
     @pytest.mark.parametrize("harness", [mc_space_validity, compare_e_vs_p])
-    def test_trial_takes_one_distance_row_per_label(self, query_rows, harness):
-        # a trial queries its true label only; every fold's complement is
-        # selected from that label's one distance row
-        counts = query_rows(validity)
+    def test_trial_takes_one_distance_row_per_label(self, monkeypatch, harness):
+        # a chunk of stacked trials computes one distance tensor: each
+        # trial's 20 fold rows, and its test object at its true label only,
+        # one distance row for each of the 5 folds, against its 20 rows
+        shapes = []
+        distances = conformity._distances
+
+        def counted(A, B):
+            shapes.append(np.broadcast_shapes(A.shape[:-1], B.shape[:-1]))
+            return distances(A, B)
+
+        monkeypatch.setattr(conformity, "_distances", counted)
         harness(GM2D, CROSS_KNN, 100, 4, n_train=20)
-        assert counts == [1] * 100
+        size = validity.CHUNK_ENTRIES // ((20 + 5) * 20)
+        assert shapes == [(min(size, 100 - lo), 20 + 5, 20) for lo in range(0, 100, size)]
 
 
 class TestTrialWork:
     """What a space trial does, counted rather than timed."""
 
     @staticmethod
-    def _count(monkeypatch, spec, trials) -> Counter:
+    def _count(monkeypatch, spec, trials, n_train=50) -> Counter:
         calls = Counter()
         sampling = []
 
@@ -328,30 +343,171 @@ class TestTrialWork:
         count(core, "_number_labels", "label numberings")
         count(conformity, "_by_label", "label groupings")
         count(core.Dataset, "subset", "subsets")
-        mc_space_validity(GM2D, spec, trials, 4, n_train=50)
+        count(predictors, "_stacked_summaries", "stacked fits")
+        mc_space_validity(GM2D, spec, trials, 4, n_train=n_train)
         return calls
 
     @staticmethod
-    def _one_fit_per_trial(trials) -> Counter:
+    def _draws(trials) -> Counter:
         return Counter({
             "spawn_rng in sample": 0,
             "default_rng in sample": 2 * trials,  # one per stream, not per observation
             "dataset validations": trials,  # one draw: training set and test point
             "label numberings": trials,  # at validation, not per subset or fit
-            # one sort of the training rows by label and fold per fit; a
-            # query looks its candidate labels up in that sort
-            "label groupings": trials,
-            # the training rows of the draw; the folds are slices of the fit
-            "subsets": trials,
         })
 
+    def _stacked_work(self, spec, trials) -> Counter:
+        # a chunk fits its trials from one stack of their draws: no row is
+        # copied into a training set or sorted by label and fold
+        size = validity._chunk_trials(spec, 50)
+        return self._draws(trials) + Counter({"stacked fits": -(-trials // size)})
+
     def test_space_trial_work(self, monkeypatch):
-        assert self._count(monkeypatch, CROSS_KNN, 100) == self._one_fit_per_trial(100)
+        assert validity._chunk_trials(CROSS_KNN, 50) == 7
+        assert self._count(monkeypatch, CROSS_KNN, 100) == self._stacked_work(CROSS_KNN, 100)
 
     def test_split_trial_work(self, monkeypatch):
-        # a split fit is the one-fold case: no proper or calibration copy
+        # a split fit is the one-fold case: its trial holds c + 1 distance
+        # rows, so a chunk takes more of them
         spec = PREDICTOR_PRESETS["split-knn-mean"]
-        assert self._count(monkeypatch, spec, 100) == self._one_fit_per_trial(100)
+        assert validity._chunk_trials(spec, 50) == 36
+        assert self._count(monkeypatch, spec, 100) == self._stacked_work(spec, 100)
+
+    def test_per_trial_work(self, monkeypatch):
+        # at 100 rows a chunk would hold one trial, which goes alone
+        assert validity._chunk_trials(CROSS_KNN, 100) == 0
+        per_trial = self._draws(100) + Counter({
+            # one sort of the training rows by label and fold per fit; a
+            # query looks its candidate labels up in that sort
+            "label groupings": 100,
+            # the training rows of the draw; the folds are slices of the fit
+            "subsets": 100,
+        })
+        assert self._count(monkeypatch, CROSS_KNN, 100, n_train=100) == per_trial
+
+
+def _refuse_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a harness drew data")
+
+    monkeypatch.setattr(validity, "sample", refuse)
+
+
+class TestSeedChecks:
+    """Each harness checks its seed, and names it, before any draw."""
+
+    HARNESSES = {
+        "space": lambda seed: mc_space_validity(GM2D, CROSS_KNN, 100, seed, n_train=30),
+        "compare": lambda seed: compare_e_vs_p(GM2D, CROSS_KNN, 100, seed, n_train=30),
+        "online": lambda seed: online_time_validity(GM2D, CROSS_KNN, 60, seed),
+    }
+
+    @pytest.mark.parametrize("harness", HARNESSES)
+    def test_seed_refused_before_any_draw(self, monkeypatch, harness):
+        _refuse_draws(monkeypatch)
+        run = self.HARNESSES[harness]
+        with pytest.raises(OutOfRangeError, match="^seed=-1; need a nonnegative integer$"):
+            run(-1)
+        for seed in (1.5, "3", None):
+            message = f"seed must be an integer, got {seed!r}"
+            with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
+                run(seed)
+
+
+class TestFirstFit:
+    """The space and compare harnesses refuse a training size too small for
+    the first fit before any draw, as the time harness refuses its warmup."""
+
+    @pytest.mark.parametrize("spec, minimum", [
+        (PredictorSpec(kind="split", calibration_size=10), 13),
+        (PredictorSpec(kind="split", rule="ridge", calibration_size=10), 11),
+        (PredictorSpec(kind="cross", folds=2), 6),
+        (PredictorSpec(kind="cross", k=5, folds=3), 8),
+        (PredictorSpec(kind="cross", k=9), 12),
+    ])
+    def test_n_train_covers_the_first_fit(self, monkeypatch, spec, minimum):
+        scenario = get_scenario("linreg3") if spec.rule == "ridge" else GM2D
+        harnesses = [mc_space_validity] + [compare_e_vs_p] * (spec.kind == "cross")
+        message = f"^n_train={minimum - 1}; the first {spec.kind} fit needs at least {minimum} rows"
+        with monkeypatch.context() as patched:
+            _refuse_draws(patched)
+            for harness in harnesses:
+                with pytest.raises(OutOfRangeError, match=message):
+                    harness(scenario, spec, 100, 1, n_train=minimum - 1)
+        for harness in harnesses:
+            assert harness(scenario, spec, 100, 1, n_train=minimum).trials == 100
+
+
+def _rounded_sample(scenario, n, seed):
+    """A draw whose features are rounded to integers: duplicate points."""
+    drawn = sample(scenario, n, seed)
+    return Dataset(np.round(drawn.X), drawn.y, drawn.task)
+
+
+class TestStackedTrials:
+    """_run_trials fits and queries chunks of split and cross knn trials at
+    once; each result has the bytes that _space_trial gives trial by trial."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scenario=st.sampled_from(["gm2d", "gm5c", "gm2d_hard"]),
+        kind=st.sampled_from(["cross", "split"]),
+        folds=st.integers(2, 8),
+        calibration_size=st.integers(1, 12),
+        k=st.integers(1, 6),
+        extra=st.integers(0, 30),
+        normalizer=st.sampled_from(["mean", "sum"]),
+        weighting=st.sampled_from(["uniform", "size_proportional"]),
+        compare=st.booleans(),
+        duplicates=st.booleans(),
+        trials=st.integers(100, 130),
+        chunk=st.integers(2, 130),
+        seed=st.integers(0, 2**32),
+    )
+    # rare labels: gm5c on 3 rows in two folds leaves labels with kk = 0,
+    # and on 12 rows in six folds rows with kk < k
+    @example("gm5c", "cross", 2, 1, 1, 1, "mean", "uniform", True, False, 100, 7, 5)
+    @example("gm5c", "cross", 6, 1, 3, 6, "sum", "size_proportional", True, False, 101, 2, 5)
+    @example("gm5c", "split", 2, 3, 2, 0, "mean", "uniform", False, True, 100, 100, 5)
+    def test_matches_per_trial(
+        self, scenario, kind, folds, calibration_size, k, extra, normalizer, weighting,
+        compare, duplicates, trials, chunk, seed,
+    ):
+        spec = PredictorSpec(
+            kind=kind, k=k, folds=folds, calibration_size=calibration_size,
+            normalizer=normalizer, weighting=weighting,
+        )
+        scenario = get_scenario(scenario)
+        n = max(2, validity._first_fit_rows(spec)) + extra
+        read = validity._compare_row if compare and kind == "cross" else validity._e_at_truth
+        rows, K = (n, folds) if kind == "cross" else (calibration_size, 1)
+        chunk = min(chunk, trials)
+        draw = _rounded_sample if duplicates else sample
+        with mock.patch.object(validity, "sample", draw), \
+                mock.patch.object(validity, "CHUNK_ENTRIES", chunk * (rows + K) * n), \
+                mock.patch.object(validity, "_stacked_tables", wraps=_stacked_tables) as tables:
+            assert validity._chunk_trials(spec, n) == chunk
+            stacked = validity._run_trials(scenario, spec, trials, seed, n, 1, read)
+            one_by_one = [
+                validity._space_trial(scenario, spec, seed, n, read, t) for t in range(trials)
+            ]
+        assert tables.call_count == -(-trials // chunk)
+        assert np.array(stacked).tobytes() == np.array(one_by_one).tobytes()
+
+    def test_a_chunk_that_could_overflow_goes_trial_by_trial(self, monkeypatch):
+        # labels 1e200 apart: a stacked fit would compute their overflowing
+        # pairs, which a per-trial fit never computes
+        far = Scenario("gaussian_mixture", separation=1e200)
+        stacked = mock.Mock(wraps=_stacked_tables)
+        monkeypatch.setattr(validity, "_stacked_tables", stacked)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            es = validity._run_trials(far, CROSS_KNN, 100, 3, 20, 1, validity._e_at_truth)
+        assert stacked.call_count == 0
+        assert es == [
+            validity._space_trial(far, CROSS_KNN, 3, 20, validity._e_at_truth, t)
+            for t in range(100)
+        ]
 
 
 class TestThreads:
@@ -368,6 +524,7 @@ class TestThreads:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         monkeypatch.setattr(validity, "_space_trial", refuse)
+        monkeypatch.setattr(validity, "sample", refuse)
         for threads in (validity.MAX_THREADS + 1, 1_000_000_000):
             message = f"threads={threads}; at most {validity.MAX_THREADS}"
             with pytest.raises(OutOfRangeError, match=message):
