@@ -48,7 +48,12 @@ on its own trial, so every summary is that fit's.
 The knn distance kernel adds the squared coordinate differences of each
 pair of rows left to right, one column at a time, without building the
 (a, b, d) difference tensor; tests/test_conformity.py::TestDistanceKernel
-checks it against a scalar left fold.
+checks it against a scalar left fold. It has one overflow policy: a
+distance whose sum overflows is +inf, without a warning, in fits,
+queries, table walks and stacked chunks alike, and no path is chosen by
+the size of the features. The masked fit and a stacked chunk compute
+pairs that a per-fold fit skips (two rows of one fold, or of two labels);
+those are hidden (inf) anyway, so every summary is the same double.
 
 Fits on the prefixes of one stream (the online harness) need not refit.
 A NeighbourTable keeps every stream row's TABLE_WIDTH = 64 nearest
@@ -91,13 +96,17 @@ def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     Each entry is the square root of (a_0 - b_0)**2 + (a_1 - b_1)**2 + ...
     added left to right, one column at a time, so it is the same double
-    whatever shapes it is computed in.
+    whatever shapes it is computed in. An entry whose sum overflows is
+    +inf, as it would be with numpy's warning, but without the warning, so
+    every caller computes pairs that it then hides (sets to inf) whatever
+    the size of the features.
     """
-    acc = np.subtract(A[..., 0], B[..., 0])
-    acc *= acc
-    for j in range(1, A.shape[-1]):
-        sq = np.subtract(A[..., j], B[..., j])
-        acc += np.multiply(sq, sq, out=sq)
+    with np.errstate(over="ignore"):
+        acc = np.subtract(A[..., 0], B[..., 0])
+        acc *= acc
+        for j in range(1, A.shape[-1]):
+            sq = np.subtract(A[..., j], B[..., j])
+            acc += np.multiply(sq, sq, out=sq)
     return np.sqrt(acc, out=acc)
 
 
@@ -105,14 +114,6 @@ def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The (a, b) distances between every row of A and every row of B;
     only (a, b) arrays are built, one column at a time."""
     return _distances(A[:, None, :], B[None, :, :])
-
-
-def _finite_distances(X) -> bool:
-    """Whether no distance between rows of X (features on the last axis)
-    can overflow: 2 max|x| sqrt(d) < 1e154 keeps every squared distance
-    below 1e308."""
-    X = np.asarray(X)
-    return 2.0 * float(np.abs(X).max()) * math.sqrt(X.shape[-1]) < 1e154
 
 
 def _nearest_summaries(nearest: np.ndarray) -> np.ndarray:
@@ -430,9 +431,9 @@ class KnnRule(ConformityRule):
     same way, through `_hide_folds`: a query from one distance row per
     candidate label, copied once per fold, and the fit, for a block of at
     most MASKED_BLOCK rows, from one distance matrix of its fold rows
-    against the whole block. Larger blocks, and every block of a fit whose
-    distances could overflow, take one call per fold; each summary is the
-    double of a per-fold call either way.
+    against the whole block. Larger blocks take one call per fold; each
+    summary is the double of a per-fold call either way. A distance that
+    overflows is +inf on either path, without a warning (see _distances).
 
     With a `table` (a NeighbourTable whose stream starts with the training
     rows) the held-out summaries are walked from the table, not refitted;
@@ -461,14 +462,9 @@ class KnnRule(ConformityRule):
         """Each sorted row's summary against its label's rows outside its
         fold; NaN for the rows in no fold."""
         X, out = self._X, np.full(len(self._X), np.nan)
-        # The masked matrix also computes the pairs inside a fold, which the
-        # loop never does; a fit that could overflow keeps the loop, so that
-        # numpy warns of an overflow exactly when the loop's own pairs
-        # overflow.
-        masked = _finite_distances(X)
         for cuts in self._cuts.values():
             lo, hi = cuts[0], cuts[-1]
-            if masked and hi - lo <= MASKED_BLOCK:
+            if hi - lo <= MASKED_BLOCK:
                 self._masked_held_out(cuts, out)
                 continue
             for a, b in zip(cuts[1:], cuts[2:]):

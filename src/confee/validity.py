@@ -30,9 +30,12 @@ CHUNK_ENTRIES distance entries, two trials or more): each trial is drawn
 as on its own, and then the chunk is fitted and queried at once, one
 distance tensor for all its fits and queries, one normalization of all
 its folds and one table per trial (predictors._stacked_tables). Every
-other spec, a chunk whose distances could overflow, and a training set
-too large for two trials a chunk go trial by trial (`_space_trial`), the
-reference that the stacked path matches bit for bit.
+other spec, and a training set too large for two trials a chunk, go trial
+by trial (`_space_trial`), the reference that the stacked path matches bit
+for bit. A chunk stacks whatever the size of its features: its tensor
+also holds pairs that a trial's own fit skips (two labels, or one fold),
+and such a pair, if it overflows, is +inf without a warning, like every
+knn distance (conformity._distances), and hidden anyway.
 """
 
 from __future__ import annotations
@@ -41,9 +44,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
-from .conformity import (
-    RULE_KINDS, NeighbourTable, _finite_distances, support_set_assignment, unit_margin_provider
-)
+from .conformity import RULE_KINDS, NeighbourTable, support_set_assignment, unit_margin_provider
 from .core import (
     ClassificationTask, Dataset, PlausibilityTable, Task, _integer, _real_floats, derive_seed,
     make_fold_partition,
@@ -189,20 +190,19 @@ def build_predictor(spec: PredictorSpec, training: Dataset, fold_seed: int, *, t
     return FullEPredictor(training, support_set_assignment(provider))
 
 
-def _space_trial(scenario, spec, seed, n_train, read, t, drawn=None):
+def _space_trial(scenario, spec, seed, n_train, read, t):
     """Trial t on its own: one draw of n_train + 1 observations, one fitted
     predictor, one query. A stacked chunk of trials (see `_run_trials`)
     gives each of them the same result.
 
     The first n_train observations train the predictor and the last one is
     the test point; returns read(table), the predictor's table at the test
-    point's true label. `drawn` is the trial's draw, if a chunk drew it
-    already. `sample` is looked up as a module global at each call:
-    bench/worker.py starts a space item's clock by patching it, and a
-    stacked chunk draws through it too.
+    point's true label. A knn distance that overflows is +inf here as in
+    a stacked chunk, without a warning. `sample` is looked up as a module
+    global at each call: bench/worker.py starts a space item's clock by
+    patching it, and a stacked chunk draws through it too.
     """
-    if drawn is None:
-        drawn = sample(scenario, n_train + 1, derive_seed(seed, t, 0))
+    drawn = sample(scenario, n_train + 1, derive_seed(seed, t, 0))
     training = drawn.subset(range(n_train))
     predictor = build_predictor(spec, training, derive_seed(seed, t, 2))
     z = drawn.observation(n_train)
@@ -252,10 +252,9 @@ def _chunk_trials(spec: PredictorSpec, n_train: int) -> int:
 def _stacked_trials(scenario, spec, seed, n_train, read, ts) -> list:
     """_space_trial(..., read, t) for each t of ts, fitted and queried
     together (predictors._stacked_tables) after every trial of the chunk is
-    drawn; a chunk whose distances could overflow goes trial by trial."""
+    drawn. Whatever the size of the features: a pair that overflows is +inf
+    without a warning, as in a trial's own fit (conformity._distances)."""
     drawn = [sample(scenario, n_train + 1, derive_seed(seed, t, 0)) for t in ts]
-    if not _finite_distances([d.X for d in drawn]):
-        return [_space_trial(scenario, spec, seed, n_train, read, t, d) for t, d in zip(ts, drawn)]
     if spec.kind == "split":
         folds = [(range(n_train - spec.calibration_size, n_train),)] * len(ts)
     else:

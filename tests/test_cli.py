@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import io
 import json
@@ -227,6 +228,13 @@ class TestPredict:
         assert capsys.readouterr().err.endswith(
             "error: x or labels too large for ridge: y - x.beta overflows\n"
         )
+
+    def test_knn_overflow_warns_of_nothing(self, capsys):
+        # in process, so that pyproject's filter turns a numpy overflow
+        # warning raised from confee into a failure: every distance from x
+        # overflows to inf, and the zero summaries are refused
+        assert _run("predict", "--scenario", "gm2d", "--x", "1e200,1e200") == 1
+        assert capsys.readouterr().err == "confee: error: summaries must be strictly positive\n"
 
     def test_header_only_test_file_adds_no_objects(self, train_csv, tmp_path):
         test_path = tmp_path / "test.csv"
@@ -821,6 +829,15 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_importing_the_main_module_runs_nothing(self, monkeypatch):
+        # a worker process started by spawn or forkserver imports the parent's
+        # main module again, so importing confee.__main__ must not run main
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda *args: calls.append(args) or 0)
+        monkeypatch.delitem(sys.modules, "confee.__main__", raising=False)
+        importlib.import_module("confee.__main__")
+        assert calls == []
 
     def test_console_script(self, tmp_path):
         exe = shutil.which("confee")

@@ -144,7 +144,7 @@ class TestTimeHarness:
             def component_bound(self, m):
                 return None
 
-            def block(self, calibration, sigmas):
+            def blocks(self, folds, sigmas):
                 raise AssertionError("an e-value was computed before the refusal")
 
         for kind in ("cross", "split"):
@@ -494,16 +494,17 @@ class TestStackedTrials:
         assert tables.call_count == -(-trials // chunk)
         assert np.array(stacked).tobytes() == np.array(one_by_one).tobytes()
 
-    def test_a_chunk_that_could_overflow_goes_trial_by_trial(self, monkeypatch):
-        # labels 1e200 apart: a stacked fit would compute their overflowing
-        # pairs, which a per-trial fit never computes
+    def test_a_chunk_whose_distances_overflow_stacks(self, monkeypatch):
+        # labels 1e200 apart: a stacked fit computes their overflowing
+        # pairs, which a per-trial fit never computes, as inf and quietly
         far = Scenario("gaussian_mixture", separation=1e200)
         stacked = mock.Mock(wraps=_stacked_tables)
         monkeypatch.setattr(validity, "_stacked_tables", stacked)
+        size = validity._chunk_trials(CROSS_KNN, 20)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             es = validity._run_trials(far, CROSS_KNN, 100, 3, 20, 1, validity._e_at_truth)
-        assert stacked.call_count == 0
+        assert size >= 2 and stacked.call_count == -(-100 // size)
         assert es == [
             validity._space_trial(far, CROSS_KNN, 3, 20, validity._e_at_truth, t)
             for t in range(100)
