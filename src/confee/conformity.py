@@ -60,9 +60,10 @@ A NeighbourTable keeps every stream row's TABLE_WIDTH = 64 nearest
 same-label stream rows, sorted by (distance, index), built in blocks of
 TABLE_BLOCK = 64 rows as the prefix reaches them; a KnnRule given the
 table walks each fold row's list, skipping rows past the prefix and rows
-in its own fold, and takes its kk nearest from the list. Only a row whose
-walk runs out of its list goes through the exact kernel. The summaries
-are bit for bit a refit's (see NeighbourTable).
+in its own fold, and takes its kk nearest from the list. The rows whose
+walk runs out of their lists are scored together, by one
+`_stacked_summaries` call against the prefix, the routine that stacked
+trials use. The summaries are bit for bit a refit's (see NeighbourTable).
 """
 
 from __future__ import annotations
@@ -323,8 +324,9 @@ class NeighbourTable:
     entry is computed on its own, and (a - b)**2 is bitwise (b - a)**2),
     and go through the fit's own `_nearest_summaries` as a C-contiguous
     (rows, kk) array, so every summary is bit for bit a fit's. The rows
-    whose walk runs out take `_knn_summaries` against their label's rows
-    outside their fold, one call per (label, fold).
+    whose walk runs out take one `_stacked_summaries` call per walk, the
+    prefix as its one training set, which hides every pair of two labels
+    or one fold, so each gets the exact kernel's summary too.
     """
 
     def __init__(self, stream: Dataset):
@@ -354,11 +356,11 @@ class NeighbourTable:
                 rows = np.flatnonzero(block == c)
                 D = _pairwise_distances(X[lo + rows], X[members])
                 D[np.arange(rows.size), np.searchsorted(members, lo + rows)] = np.inf
+                # a label of at most `width` rows keeps every column: the
+                # sort puts them back in order
                 w = min(width, members.size)
-                cols = np.arange(w)[None, :]
-                if w < members.size:
-                    cols = np.sort(np.argpartition(D, w - 1, axis=1)[:, :w], axis=1)
-                    D = np.take_along_axis(D, cols, axis=1)
+                cols = np.sort(np.argpartition(D, w - 1, axis=1)[:, :w], axis=1)
+                D = np.take_along_axis(D, cols, axis=1)
                 by_distance = np.argsort(D, axis=1, kind="stable")
                 near[rows, :w] = members[np.take_along_axis(cols, by_distance, axis=1)]
             self._built = hi
@@ -391,8 +393,9 @@ class NeighbourTable:
 
     def _walk(self, rows, codes, fold_of, need, proper, k, out) -> None:
         """Set out[rows] to the rows' held-out summaries: from their lists'
-        first FIRST_PASS entries, then their whole lists, then the exact
-        kernel."""
+        first FIRST_PASS entries, then their whole lists, then, for the rows
+        whose walk runs out, one `_stacked_summaries` call against the
+        prefix."""
         X, stride, W = self.stream.X, proper.shape[1], self._near.shape[1]
         label, fold = codes[rows], fold_of[rows]
         need = need[label, fold]
@@ -410,10 +413,12 @@ class NeighbourTable:
             rows, label, fold, need = rows[~done], label[~done], fold[~done], need[~done]
             if not rows.size:
                 return
-        for c, f in set(zip(label.tolist(), fold.tolist())):
-            these = rows[(label == c) & (fold == f)]
-            others = np.flatnonzero((codes == c) & (fold_of != f))
-            out[these] = _knn_summaries(_pairwise_distances(X[these], X[others]), k)
+        # the prefix as one training set: each row sees its label's rows
+        # outside its fold, and its kk is min(k, those rows), its `need`
+        p = codes.size
+        out[rows] = _stacked_summaries(
+            X[None, :p], codes[None], fold_of[None], X[None, rows], label[None], fold, k
+        )[0]
 
 
 class KnnRule(ConformityRule):

@@ -309,16 +309,6 @@ class Dataset:
         return view
 
 
-#: Blocks of at least this many rows take the fast paths: the certified
-#: numpy row sums of `check_e_rows` and the totals that `normalize._blocks`
-#: takes from the calibration's `SummaryVector.partials`. Below it the plain
-#: math.fsum loops cost less: on a 2-vCPU Xeon (Python 3.11, numpy 2.4)
-#: the two ways cost the same at 8 candidates and 10 calibration
-#: summaries, and the fast one wins from 2 candidates at 200 summaries.
-#: A query of one candidate (every `e_at`) never computes partials.
-FAST_ROWS = 8
-
-
 #: 2**-1074 units in one
 _ONE = 1 << 1074
 
@@ -395,7 +385,7 @@ def check_e_rows(block: np.ndarray) -> np.ndarray:
     a row whose sum overflows has a mean above 1 too. Returns the block,
     read-only.
 
-    A block of at least FAST_ROWS rows is filtered first, as in Shewchuk's
+    Every block, of any row count, is filtered first, as in Shewchuk's
     adaptive predicates (Shewchuk 1997): a row whose numpy sum is at most
     `_certified_total(m)` provably passes the exact check and skips it.
     Only the other rows, in order, take math.fsum, so the first row that
@@ -407,10 +397,8 @@ def check_e_rows(block: np.ndarray) -> np.ndarray:
     if (block < 0).any():
         raise NegativeEntryError("e-values must be nonnegative")
     m = block.shape[1]
-    rows = block
-    if block.shape[0] >= FAST_ROWS:
-        with np.errstate(over="ignore"):  # an overflowing sum is inf
-            rows = block[block.sum(axis=1) > _certified_total(m)]
+    with np.errstate(over="ignore"):  # an overflowing sum is inf
+        rows = block[block.sum(axis=1) > _certified_total(m)]
     try:
         for total in map(math.fsum, rows.tolist()):
             if total / m > 1.0 + E_MEAN_TOLERANCE:

@@ -14,9 +14,10 @@ on the predictor's outputs, since the guarantee needs boundedness. A split
 or cross knn spec does not refit the held-out summaries on every prefix:
 the harness keeps one conformity.NeighbourTable for the stream (each row's
 64 nearest same-label rows, built 64 rows at a time as the prefix reaches
-them) and every round's KnnRule walks it, falling back to the exact
-kernel for the rows whose walk runs out. Every summary, e-value and
-report byte is the one a refit gives.
+them) and every round's KnnRule walks it; the rows whose walk runs out
+are scored together by the routine that stacked trials use
+(conformity._stacked_summaries). Every summary, e-value and report byte
+is the one a refit gives.
 
 Comparison harness: fits one cross predictor per trial and reads out both
 the merged e-value and the fold p-values, so the e-side bound and the
@@ -50,7 +51,9 @@ from .core import (
     make_fold_partition,
 )
 from .data import Scenario, sample
-from .errors import DimensionMismatchError, OutOfRangeError, UnboundedNormalizerError
+from .errors import (
+    DimensionMismatchError, OutOfRangeError, TooFewFoldsError, UnboundedNormalizerError
+)
 from .normalize import NORMALIZER_KINDS, Normalizer, get_normalizer
 from .predictors import (
     WEIGHTINGS,
@@ -222,9 +225,9 @@ CHUNK_ENTRIES = 20_000
 
 def _chunk_trials(spec: PredictorSpec, n_train: int) -> int:
     """The trials that _run_trials fits and queries together, or 0 for
-    none: a split or cross knn spec, with folds and a k that a fit accepts,
-    and a normalizer that normalizes as Normalizer.blocks does, takes as
-    many trials as CHUNK_ENTRIES holds, if that is two or more.
+    none: a split or cross knn spec that passed _check_first_fit, with a
+    normalizer that normalizes as Normalizer.blocks does, takes as many
+    trials as CHUNK_ENTRIES holds, if that is two or more.
 
     A stacked fit computes every pair of a trial's rows, where a per-trial
     fit computes each label's block only, so stacking wins by sharing
@@ -235,16 +238,11 @@ def _chunk_trials(spec: PredictorSpec, n_train: int) -> int:
     and 1.21 at n = 900 (2). gm5c read 2.00, 1.35 and 1.02, and 1.89 and
     1.29.
     """
-    if spec.rule != "knn" or spec.k < 1:
+    if spec.rule != "knn" or spec.kind not in ("split", "cross"):
         return 0
     if type(get_normalizer(spec.normalizer)).blocks is not Normalizer.blocks:
         return 0
-    if spec.kind == "split" and spec.calibration_size >= 1:
-        rows, K = spec.calibration_size, 1
-    elif spec.kind == "cross" and spec.folds >= 2:
-        rows, K = n_train, spec.folds
-    else:
-        return 0
+    rows, K = (spec.calibration_size, 1) if spec.kind == "split" else (n_train, spec.folds)
     size = CHUNK_ENTRIES // ((rows + K) * n_train)
     return size if size >= 2 else 0
 
@@ -401,30 +399,38 @@ class TimeValidityReport(_Report):
 
 
 def _first_fit_rows(spec: PredictorSpec) -> int:
-    """Fewest rows a split or cross spec can be fitted on.
+    """Fewest rows a split or cross spec, with fields that a fit accepts,
+    can be fitted on.
 
     The proper part needs k rows for knn and one for ridge; split holds c
     rows out for calibration, cross its largest fold.
     """
-    proper = max(spec.k, 1) if spec.rule == "knn" else 1
+    proper = spec.k if spec.rule == "knn" else 1
     if spec.kind == "split":
         return spec.calibration_size + proper
     K = spec.folds
-    if K < 2:
-        return K  # fit_cross refuses the fold count itself
     # n rows leave n - ceil(n/K) = floor(n (K-1) / K) outside the largest fold
     return max(K, -(-proper * K // (K - 1)))
 
 
 def _check_first_fit(spec: PredictorSpec, name: str, rows: int) -> None:
-    """Refuse a split or cross spec whose first fit would get fewer rows
-    than _first_fit_rows: `rows` of them, passed as the argument `name`."""
-    if spec.kind in ("split", "cross"):
-        minimum = _first_fit_rows(spec)
-        if rows < minimum:
-            raise OutOfRangeError(
-                f"{name}={rows}; the first {spec.kind} fit needs at least {minimum} rows"
-            )
+    """Refuse a split or cross spec that its first fit, on `rows` rows
+    passed as the argument `name`, would refuse, with the fit's own error
+    and in the fit's order: a fold count below 2 or a calibration size
+    below 1, then a knn k below 1; then fewer rows than _first_fit_rows."""
+    if spec.kind not in ("split", "cross"):
+        return
+    if spec.kind == "cross" and spec.folds < 2:
+        raise TooFewFoldsError(f"K={spec.folds}; need at least 2")
+    if spec.kind == "split" and spec.calibration_size < 1:
+        raise OutOfRangeError(f"calibration_size {spec.calibration_size} must lie in 1..{rows - 1}")
+    if spec.rule == "knn" and spec.k < 1:
+        raise OutOfRangeError(f"k={spec.k}; need at least 1 neighbour")
+    minimum = _first_fit_rows(spec)
+    if rows < minimum:
+        raise OutOfRangeError(
+            f"{name}={rows}; the first {spec.kind} fit needs at least {minimum} rows"
+        )
 
 
 def _online_round(spec: PredictorSpec, stream: Dataset, seed: int, i: int, table=None) -> tuple:

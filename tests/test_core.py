@@ -44,7 +44,8 @@ from confee import (
     unit_margin_provider,
 )
 from confee import core
-from confee.core import FAST_ROWS, check_e_rows
+from confee.core import check_e_rows
+from confee.normalize import FAST_ROWS
 
 TASK01 = ClassificationTask((0, 1))
 
@@ -145,13 +146,13 @@ def _row(rng, m, kind):
 
 @st.composite
 def _e_blocks(draw):
-    """(L, m) blocks, L below and at or above FAST_ROWS and m up to 10**4,
+    """(L, m) blocks, L from 1 to 24 and m up to 10**4,
     whose rows sit at the mean check's edge: totals within a few ulp of
     m * (1 + E_MEAN_TOLERANCE), rows numpy's sum undershoots, zeros,
     subnormals and entries whose sum overflows; now and then one entry is
     negative or not finite."""
     m = draw(st.one_of(st.integers(1, 40), st.integers(41, 10_000)))
-    L = draw(st.one_of(st.integers(1, FAST_ROWS - 1), st.integers(FAST_ROWS, 24)))
+    L = draw(st.integers(1, 24))
     L = max(1, min(L, 250_000 // m))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = draw(st.lists(st.sampled_from(["near", "lossy", "zeros", "subnormal", "huge"]),
@@ -191,16 +192,17 @@ class TestCertifiedRowCheck:
         calls = []
         fsum = math.fsum
         monkeypatch.setattr(core.math, "fsum", lambda row: calls.append(1) or fsum(row))
-        check_e_rows(np.full((FAST_ROWS, 5), 0.5))
-        assert calls == []
-        check_e_rows(np.full((FAST_ROWS - 1, 5), 0.5))
-        assert len(calls) == FAST_ROWS - 1
-        # rows at the largest passing mean are too close for the numpy sum
-        # to clear; they are checked exactly and pass
-        rows = np.full((FAST_ROWS, 4), 0.5)
-        rows[3] = rows[5] = _TOP
-        check_e_rows(rows)
-        assert len(calls) == FAST_ROWS + 1
+        # the filter covers a block of any row count, one row included
+        for L in (1, 2, 7, 8, 24):
+            check_e_rows(np.full((L, 5), 0.5))
+            assert calls == []
+            # rows at the largest passing mean are too close for the numpy
+            # sum to clear; they are checked exactly and pass
+            rows = np.full((L, 4), 0.5)
+            rows[::3] = _TOP
+            check_e_rows(rows)
+            assert len(calls) == len(range(0, L, 3))
+            calls.clear()
 
 
 class TestVectorValues:

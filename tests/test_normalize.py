@@ -22,7 +22,8 @@ from confee import (
     mean_normalize,
     sum_normalize,
 )
-from confee.core import FAST_ROWS, check_e_rows, exact_partials
+from confee.core import check_e_rows, exact_partials
+from confee.normalize import FAST_ROWS
 
 
 _NORMALIZE = {"sum": sum_normalize, "mean": mean_normalize}

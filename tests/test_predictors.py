@@ -40,7 +40,7 @@ from confee import (
     train_conformity,
     unit_margin_provider,
 )
-from confee.core import FAST_ROWS
+from confee.normalize import FAST_ROWS
 from confee.predictors import (
     WEIGHTINGS,
     CrossEPredictor,

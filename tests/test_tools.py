@@ -56,3 +56,31 @@ _SETUP = {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
 def test_bench_pairs_no_regression_verdict(metric, before, after, verdict):
     line = _tool("bench_pairs").summary(metric, before, after)
     assert line.endswith(f"; no regression: {verdict}")
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda pins: pins.pop("online-time-knn"), "online-time-knn: in BENCHMARK.json, not pinned"),
+    (lambda pins: pins.update({"no-such-workload": "0" * 64}),
+     "no-such-workload: pinned, not in BENCHMARK.json"),
+])
+def test_bench_digests_refuses_workloads_other_than_the_benchmarks(
+    change, message, monkeypatch, capsys
+):
+    bench_digests = _tool("bench_digests")
+
+    def started(workload):
+        raise AssertionError("a benchmark was run")
+
+    pins = dict(bench_digests.PINS)
+    change(pins)
+    monkeypatch.setattr(bench_digests, "PINS", pins)
+    monkeypatch.setattr(bench_digests, "digests", started)
+    assert bench_digests.main() == 1
+    assert capsys.readouterr().err == f"{message}\n"
+
+
+def test_bench_digests_pins_every_benchmark_workload(monkeypatch, capsys):
+    bench_digests = _tool("bench_digests")
+    monkeypatch.setattr(bench_digests, "digests", lambda w: ([bench_digests.PINS[w]] * 2, 0.0))
+    assert bench_digests.main() == 0
+    assert capsys.readouterr().out.count(" ok (") == len(bench_digests.PINS)

@@ -437,6 +437,39 @@ class TestFirstFit:
         for harness in harnesses:
             assert harness(scenario, spec, 100, 1, n_train=minimum).trials == 100
 
+    @pytest.mark.parametrize("spec, error, message", [
+        (PredictorSpec(folds=1), TooFewFoldsError, "K=1; need at least 2"),
+        (PredictorSpec(folds=1, k=0), TooFewFoldsError, "K=1; need at least 2"),
+        (PredictorSpec(k=0), OutOfRangeError, "k=0; need at least 1 neighbour"),
+        (PredictorSpec(kind="split", calibration_size=0), OutOfRangeError,
+         "calibration_size 0 must lie in 1..{last}"),
+        (PredictorSpec(kind="split", calibration_size=0, k=0), OutOfRangeError,
+         "calibration_size 0 must lie in 1..{last}"),
+    ])
+    def test_a_spec_no_fit_accepts_is_refused_before_any_draw(
+        self, monkeypatch, spec, error, message
+    ):
+        # each harness refuses it with the fit's own error, and names the
+        # field before a training size too small for the first fit (3 rows)
+        runs = [
+            (lambda: mc_space_validity(GM2D, spec, 100, 1, n_train=30), 30),
+            (lambda: mc_space_validity(GM2D, spec, 100, 1, n_train=3), 3),
+            (lambda: online_time_validity(GM2D, spec, 60, 1, warmup=20), 20),
+        ]
+        if spec.kind == "cross":
+            runs.append((lambda: compare_e_vs_p(GM2D, spec, 100, 1, n_train=30), 30))
+        _refuse_draws(monkeypatch)
+        for run, rows in runs:
+            expected = re.escape(message.format(last=rows - 1))
+            with pytest.raises(error, match=f"^{expected}$"):
+                run()
+
+    def test_ridge_ignores_k(self):
+        spec = PredictorSpec(rule="ridge", k=0)
+        scenario = get_scenario("linreg3")
+        assert mc_space_validity(scenario, spec, 100, 1, n_train=30).trials == 100
+        assert online_time_validity(scenario, spec, 60, 1).rounds == 60
+
 
 def _rounded_sample(scenario, n, seed):
     """A draw whose features are rounded to integers: duplicate points."""

@@ -6,7 +6,10 @@ Runs `python3 bench/run.py --workload W --seed 1 --seconds 1 --trace 1`
 from the root of the checkout for each workload, reads `digests` from the
 `run {...}` line (the untraced and the traced run's report digest) and
 prints them, with the call's wall time. Exits 1 unless every digest equals
-its workload's pin; the wall time is a report, not a gate.
+its workload's pin; the wall time is a report, not a gate. The pinned
+workloads must be BENCHMARK.json's: where they differ, it names the
+difference and exits 1 before running anything, so a workload added to
+the benchmark is not skipped without a word.
 
 The digests are SHA-256 sums of the reports, so they pin every number a
 workload computes. A change that alters them on purpose updates the pins
@@ -48,6 +51,14 @@ def digests(workload: str) -> tuple:
 
 
 def main() -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    declared = {workload["name"] for workload in spec["workloads"]}
+    for name in sorted(declared - set(PINS)):
+        sys.stderr.write(f"{name}: in BENCHMARK.json, not pinned\n")
+    for name in sorted(set(PINS) - declared):
+        sys.stderr.write(f"{name}: pinned, not in BENCHMARK.json\n")
+    if declared != set(PINS):
+        return 1
     ok = True
     for workload, pin in PINS.items():
         got, wall = digests(workload)
