@@ -9,7 +9,8 @@ goes to a temporary file first. Every report embeds its fully resolved
 configuration under "config"; rerunning with --config <report.json>
 reproduces the run exactly (output path and --threads are execution
 details and are deliberately not part of the config; --threads is checked
-but starts no thread).
+but starts no thread). A config key that names no setting of the command,
+a misspelt one or an execution flag, is refused by name.
 
 Seed resolution order: --seed flag, then the config file, then the
 CONFEE_SEED environment variable, then 0.
@@ -272,7 +273,9 @@ def _load_config(parser: _Parser, path) -> dict:
 
 def _resolve(parser: _Parser, args, config: dict) -> dict:
     """The run's config, one key per flag of its command besides the
-    execution flags: flag > config file > default, key by key."""
+    execution flags: flag > config file > default, key by key. A config
+    key that is none of these keys, nor `command`, is refused: the first
+    in sorted order."""
     spec = PredictorSpec()
     defaults = {key: getattr(spec, field) for key, field in _SPEC_FIELDS.items()}
     defaults.update(_DEFAULTS[args.command], seed=_env_seed(parser))
@@ -291,6 +294,9 @@ def _resolve(parser: _Parser, args, config: dict) -> dict:
                 parser.error(f"config key {key!r}: {exc}")
         else:
             resolved[key] = defaults.get(key)
+    unknown = sorted(config.keys() - resolved.keys())
+    if unknown:
+        parser.error(f"config key {unknown[0]!r}: not a setting of '{args.command}'")
     return resolved
 
 

@@ -284,9 +284,11 @@ TABLE_WIDTH = 64
 #: keeps the build's temporaries, and so peak RSS, small.
 TABLE_BLOCK = 64
 #: A walk reads this many entries of each list first and the whole list
-#: only for the rows that run out of them. Over the 1363 fits of a
-#: 1383-row stream, held-out scoring took 0.72-0.79 s with 16 entries,
-#: 0.75-1.03 s with 8 or 32, and 1.07-1.12 s reading whole lists.
+#: only for the rows that run out of them. One pass over 32 entries, with
+#: the same exact-kernel fallback, lost on the online benchmark (1383
+#: rounds): items_per_s read 1084 -> 1000 and 1060 -> 963, and 8 of 32
+#: pairs were better. One pass over 16 or 24 entries took 22-48% and
+#: 6-10% longer in process, and 40 or 48 entries were no better than 32.
 FIRST_PASS = 16
 #: Rows walked together. Bounding the walk's temporaries, like the
 #: build's, keeps their size from growing with the prefix: unbounded, they
@@ -342,7 +344,6 @@ class NeighbourTable:
         """Build the lists of every stream row below p."""
         X, n, codes = self.stream.X, self.stream.n, self.stream.label_codes[1]
         width = self._near.shape[1]
-        sizes = np.diff(self._starts)
         while self._built < p:
             lo = self._built
             hi = min(lo + TABLE_BLOCK, n)
@@ -351,7 +352,7 @@ class NeighbourTable:
             block = codes[lo:hi]
             # np.bincount, not np.unique: numpy 2.4's unique costs 1.7 MiB
             # of peak RSS on its first call
-            for c in np.flatnonzero(np.bincount(block[sizes[block] > 1])).tolist():
+            for c in np.flatnonzero(np.bincount(block)).tolist():
                 members = self._by_label[self._starts[c] : self._starts[c + 1]]
                 rows = np.flatnonzero(block == c)
                 D = _pairwise_distances(X[lo + rows], X[members])
@@ -472,10 +473,10 @@ class KnnRule(ConformityRule):
             if hi - lo <= MASKED_BLOCK:
                 self._masked_held_out(cuts, out)
                 continue
+            # an empty fold slice gives a (0, m) matrix and no summaries
             for a, b in zip(cuts[1:], cuts[2:]):
-                if a < b:
-                    others = np.concatenate((X[lo:a], X[b:hi]))
-                    out[a:b] = _knn_summaries(_pairwise_distances(X[a:b], others), self.k)
+                others = np.concatenate((X[lo:a], X[b:hi]))
+                out[a:b] = _knn_summaries(_pairwise_distances(X[a:b], others), self.k)
         return out
 
     def _masked_held_out(self, cuts: list, out: np.ndarray) -> None:

@@ -275,9 +275,10 @@ def _stacked_tables(
     calibration vector keeps (a split fit's one fold is its calibration
     rows); the other rows are in no fold, and every set has the same fold
     sizes. The summaries come from conformity._stacked_summaries and the
-    B·K folds are normalized in one normalize._blocks call; the summaries
-    are checked finite once and positive once per fold, as SummaryVector
-    and Normalizer.blocks check them. Each table merges its folds through
+    B·K folds are normalized in one normalize._blocks call. A knn summary
+    lies in [0, 1], so only positivity is checked, once per fold, as
+    Normalizer.blocks checks it: a summary whose distances overflow is 0.0,
+    and _blocks refuses its fold. Each table merges its folds through
     _cross_table, as `predict` does.
     """
     B = len(drawn)
@@ -304,8 +305,6 @@ def _stacked_tables(
     )
     summaries.setflags(write=False)
     held = summaries[:, : bounds[-1]]
-    if not np.isfinite(held).all():
-        raise NonFiniteEntryError("summaries must be finite")
     positives = np.logical_and.reduceat(held > 0, bounds[:-1], axis=1).ravel().tolist()
     calibrations = [row[lo:hi] for row in held for lo, hi in zip(bounds, bounds[1:])]
     sigmas = summaries[:, bounds[-1] :].reshape(B * K, 1)

@@ -162,8 +162,14 @@ def build_predictor(spec: PredictorSpec, training: Dataset, fold_seed: int, *, t
     support-set assignment, whose positive_label must be one of the labels
     of a classification task. A split or cross knn spec passes `table`, a
     conformity.NeighbourTable whose stream starts with the training rows,
-    to its KnnRule.
+    to its KnnRule; any other spec given a table raises OutOfRangeError
+    before any fit.
     """
+    if table is not None and (spec.rule != "knn" or spec.kind not in ("split", "cross")):
+        raise OutOfRangeError(
+            "table: a neighbour table serves split and cross knn specs only; "
+            f"this spec has kind={spec.kind!r}, rule={spec.rule!r}"
+        )
     if spec.kind == "const":
         return ConstantEPredictor(spec.const_value, training.task)
     params = spec.rule_params() if table is None else {**spec.rule_params(), "table": table}

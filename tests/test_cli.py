@@ -540,6 +540,20 @@ class TestConfigAndEnv:
         assert _run("validate", "--config", str(path)) == 1
         assert "error: config key 'mode': invalid choice: 'spaec'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("predict", ["--x", "0,0"]),
+        ("validate", ["--trials", "100"]),
+    ])
+    @pytest.mark.parametrize("key", ["trails", "threads", "out"])
+    def test_config_key_that_names_no_setting_refused(self, tmp_path, capsys, command, flags, key):
+        # a misspelt setting, or an execution flag; the first in sorted order is named
+        path, out = tmp_path / "c.json", tmp_path / "r.json"
+        path.write_text(json.dumps({"n": 30, key: 5, "zz": 1}))
+        assert _run(command, "--config", str(path), *flags, "--out", str(out)) == 1
+        assert (f"error: config key {key!r}: not a setting of '{command}'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_env_seed(self, tmp_path, monkeypatch):
         by_flag = tmp_path / "flag.json"
         by_env = tmp_path / "env.json"

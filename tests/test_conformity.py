@@ -335,6 +335,19 @@ class TestKnnFitFolds:
         blocks = np.bincount(y).tolist()
         assert masked == [b for b in blocks if 0 < b <= conformity.MASKED_BLOCK]
 
+    def test_a_large_block_with_an_empty_fold(self):
+        # label 1 holds MASKED_BLOCK + 1 rows, none of them in fold 0, so
+        # its block goes fold by fold and fold 0's slice of it is empty
+        rng = np.random.default_rng(8)
+        m = conformity.MASKED_BLOCK + 1
+        y = np.repeat([0, 1], [6, m])
+        fold_of = np.concatenate([[0, 0, 1, 1, 2, 2], rng.integers(1, 3, m)])
+        training = Dataset(rng.standard_normal((y.size, 2)), y, TASK01)
+        rule, masked = _fit_watching_masked_blocks(training, 3, fold_of)
+        assert masked == [6]
+        expected = _held_out_reference(training, fold_of, 3)
+        assert rule.held_out.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize(
         "X, y, fold_of, expected",
         [

@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,48 @@ def test_bench_digests_pins_every_benchmark_workload(monkeypatch, capsys):
     monkeypatch.setattr(bench_digests, "digests", lambda w: ([bench_digests.PINS[w]] * 2, 0.0))
     assert bench_digests.main() == 0
     assert capsys.readouterr().out.count(" ok (") == len(bench_digests.PINS)
+
+
+_SOURCE = b'''"""A module docstring."""
+# a comment line
+
+total = (1 +
+         2)  # a trailing comment
+
+
+def f():
+    """A docstring
+    on two lines."""
+    return total
+'''
+
+
+def test_code_lines_counts_code_only():
+    # the two lines of the expression, the def and the return
+    assert _tool("code_lines").code_lines(_SOURCE) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--against", "HEAD"],
+    ["no-such-file.py"],
+    ["--against", "no-such-ref", "a.py"],
+])
+def test_code_lines_refuses_bad_arguments(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.py").write_bytes(_SOURCE)
+    assert _tool("code_lines").main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "usage: code_lines.py [--against REF] PATH [PATH ...]\n"
+    assert captured.out == ""
+
+
+def test_code_lines_against_a_ref(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.py").write_bytes(_SOURCE)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "a.py"], ["commit", "-q", "-m", "a"]):
+        subprocess.run([*git, *args], check=True, capture_output=True)
+    assert _tool("code_lines").main(["--against", "HEAD", "a.py"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [f"{4:6d}  {4:6d}  {'+0':>6}  {name}" for name in ("a.py", "total")]

@@ -527,6 +527,24 @@ class TestStackedTrials:
         assert tables.call_count == -(-trials // chunk)
         assert np.array(stacked).tobytes() == np.array(one_by_one).tobytes()
 
+    @pytest.mark.parametrize("harness", [mc_space_validity, compare_e_vs_p])
+    def test_a_normalizer_that_overrides_blocks_goes_trial_by_trial(self, harness):
+        # a stacked chunk normalizes through normalize._blocks, which would
+        # bypass the override, so every trial calls it once
+        calls = []
+
+        class Counted(Normalizer):
+            def blocks(self, folds, sigmas):
+                calls.append(len(folds))
+                return super().blocks(folds, sigmas)
+
+        counted = PredictorSpec(normalizer=Counted("mean"))
+        assert validity._chunk_trials(CROSS_KNN, 20) >= 2
+        assert validity._chunk_trials(counted, 20) == 0
+        report = harness(GM2D, counted, 100, 6, n_train=20)
+        assert len(calls) == 100
+        assert report == harness(GM2D, CROSS_KNN, 100, 6, n_train=20)
+
     def test_a_chunk_whose_distances_overflow_stacks(self, monkeypatch):
         # labels 1e200 apart: a stacked fit computes their overflowing
         # pairs, which a per-trial fit never computes, as inf and quietly
@@ -628,6 +646,21 @@ class TestBuildPredictor:
         c = build_predictor(CROSS_KNN, self.TRAIN, 6)
         assert a.rule.fold_of.tolist() == b.rule.fold_of.tolist()
         assert a.rule.fold_of.tolist() != c.rule.fold_of.tolist()
+
+    @pytest.mark.parametrize("spec", [
+        PredictorSpec(kind="cross", rule="ridge"),
+        PredictorSpec(kind="split", rule="ridge"),
+        PredictorSpec(kind="full"),
+        PredictorSpec(kind="const"),
+    ], ids=["cross-ridge", "split-ridge", "full", "const"])
+    def test_a_table_serves_knn_fits_only(self, spec, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rule was fitted")
+
+        monkeypatch.setattr(predictors, "train_conformity", refuse)
+        table = conformity.NeighbourTable(self.TRAIN)
+        with pytest.raises(OutOfRangeError, match="^table: a neighbour table serves split"):
+            build_predictor(spec, self.TRAIN, 0, table=table)
 
     def test_const_predictor(self):
         predictor = build_predictor(PredictorSpec(kind="const", const_value=0.5), self.TRAIN, 0)
