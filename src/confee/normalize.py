@@ -11,18 +11,20 @@ Both are scale-invariant (multiplying all summaries by c > 0 changes
 nothing) and permutation-equivariant at the bit level, because the total
 is an exactly rounded sum.
 
-A cross query normalizes the L candidates of all K folds together:
-`Normalizer.blocks` gives fold k an (L, c_k+1) block whose row i holds
-its c_k calibration summaries and candidate i's summary in the last
-column, divided by the row's total, correctly rounded, after scaling by m
-for mean: fl(fl(v * m) / total), or fl(v / total) for sum, the same two
-IEEE operations per component as Python's `v * m / total`, so every
-component is the double the per-vector formula gives. A correctly rounded
-total does not depend on how it is computed (Shewchuk 1997): below
-FAST_ROWS candidates it is math.fsum of the row; from there on it is
-math.fsum of the calibration's exact partials (`SummaryVector.partials`,
-a handful of doubles that sum exactly to its sum, computed once per fit)
-and the candidate's summary, the same double in O(1) per candidate.
+Every normalization goes through one routine, `_blocks`: a cross query,
+a chunk of stacked trials and `sum_normalize` alike, so a `Normalizer`
+lends it only its kind. `_blocks` normalizes the L candidates of all K
+folds together and gives fold k an (L, c_k+1) block whose row i holds its
+c_k calibration summaries and candidate i's summary in the last column,
+divided by the row's total, correctly rounded, after scaling by m for
+mean: fl(fl(v * m) / total), or fl(v / total) for sum, the same two IEEE
+operations per component as Python's `v * m / total`, so every component
+is the double the per-vector formula gives. A correctly rounded total
+does not depend on how it is computed (Shewchuk 1997): below FAST_ROWS
+candidates it is math.fsum of the row; from there on it is math.fsum of
+the calibration's exact partials (`SummaryVector.partials`, a handful of
+doubles that sum exactly to its sum, computed once per fit) and the
+candidate's summary, the same double in O(1) per candidate.
 
 The candidates are checked, the totals taken and overflow refused fold by
 fold, so the first error is the one a loop over the folds raises. Folds
@@ -44,7 +46,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import EValueVector, SummaryVector, _real_array, check_e_rows
+from .core import EValueVector, SummaryVector, check_e_rows
 from .errors import NonFiniteEntryError, NonPositiveSummaryError, OutOfRangeError
 
 SummaryLike = Union[SummaryVector, Iterable[float]]
@@ -67,10 +69,16 @@ def _blocks(
     vectors: Optional[Sequence[SummaryVector]] = None,
 ) -> tuple:
     """The checked (L, c_k + 1) block of each of K folds, from the (K, L)
-    candidate summaries `sigmas`; `calibrations[k]` is finite, and
-    `positives[k]` says whether it is also strictly positive. `vectors`,
-    the SummaryVectors the calibrations are the arrays of, if given, lend
-    their kept `partials` to L >= FAST_ROWS candidates."""
+    float array of candidate summaries `sigmas`: row i of block k
+    normalizes `calibrations[k]` followed by sigmas[k, i].
+
+    `calibrations[k]` is finite, and `positives[k]` says whether it is also
+    strictly positive. `vectors`, the SummaryVectors the calibrations are
+    the arrays of, if given, lend their kept `partials` to L >= FAST_ROWS
+    candidates. Returns K read-only float64 blocks whose rows all passed
+    the e-vector check; the last column of block k is fold k's e-values of
+    the candidates. The folds of one size share one block, of which each
+    fold's is a view."""
     L = sigmas.shape[1]
     # the candidates pass if every one is finite and positive, and so is
     # every calibration; only otherwise are they looked at one by one
@@ -154,7 +162,9 @@ NORMALIZER_KINDS = ("sum", "mean")
 class Normalizer:
     """Named normalizing transformation with a declared per-component bound.
 
-    Subclasses may override `component_bound`; returning None declares the
+    A normalizer is its kind, which names the `_blocks` rule every
+    predictor and harness normalizes by, and its bound. `component_bound`
+    is the one method a subclass may override; returning None declares the
     output unbounded, which the time-average harness refuses to run with.
     """
 
@@ -163,26 +173,6 @@ class Normalizer:
     def __post_init__(self):
         if self.kind not in NORMALIZER_KINDS:
             raise OutOfRangeError(f"unknown normalizer kind {self.kind!r}")
-
-    def blocks(self, folds: Sequence[SummaryVector], sigmas) -> tuple:
-        """Row i of block k normalizes folds[k]'s summaries followed by
-        sigmas[k, i].
-
-        sigmas must be a (K, L) array of real numbers, one row per fold.
-        Returns K read-only (L, c_k + 1) float64 blocks whose rows all
-        passed the e-vector check; the last column of block k is fold k's
-        e-values of the candidates. The folds of one size share one block,
-        of which each fold's is a view.
-        """
-        sigmas = _real_array(np.asarray, sigmas, "candidate summaries")
-        if sigmas.ndim != 2 or sigmas.shape[0] != len(folds):
-            raise OutOfRangeError(
-                f"candidate summaries must hold one row per fold ({len(folds)}), "
-                f"got shape {sigmas.shape}"
-            )
-        calibrations = [fold.array for fold in folds]
-        positives = [fold.positive for fold in folds]
-        return _blocks(self.kind, calibrations, positives, sigmas, folds)
 
     def component_bound(self, m: int) -> Optional[float]:
         """Upper bound on any output component for a length-m input."""

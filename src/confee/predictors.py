@@ -13,16 +13,17 @@ e-assignment to the training sequence extended by the candidate example.
 
 Every query is one pass: `predict` scores each (fold, candidate label)
 pair once, in one rule call, normalizes the candidates of all folds
-together (`Normalizer.blocks`: one block and one e-vector check per group
-of folds of equal size, each fold's (L, c+1) block a view of it), and
-returns one CrossTable, built by its public constructor, that also carries
-what the e-values were computed from (the calibration summaries, the
-(K, L) candidate summaries and the normalized blocks), so reports and the
-p-value side need no second pass. A split predictor's answer is the
-one-fold table. `_stacked_tables` gives the tables of a chunk of knn
-trials, each fitted and queried at its test point's label, from one
-stacked fit and query and one normalization of all their folds; every
-table merges its folds through the same `_cross_table` as `predict`.
+together by its normalizer's kind (`normalize._blocks`: one block and one
+e-vector check per group of folds of equal size, each fold's (L, c+1)
+block a view of it), and returns one CrossTable, built by its public
+constructor, that also carries what the e-values were computed from (the
+calibration summaries, the (K, L) candidate summaries and the normalized
+blocks), so reports and the p-value side need no second pass. A split
+predictor's answer is the one-fold table. `_stacked_tables` gives the
+tables of a chunk of knn trials, each fitted and queried at its test
+point's label, from one stacked fit and query and one `_blocks` call for
+all their folds; every table merges its folds through the same
+`_cross_table` as `predict`.
 
 p-value counterparts are included for comparison experiments: the split
 conformal p-values of every fold (`CrossTable.p_values`, a (K, L) array)
@@ -196,8 +197,9 @@ class CrossEPredictor(_EPredictor):
         sigmas = self.rule.score_folds(x, labels)
         sigmas.setflags(write=False)
         folds = self.calibration_summaries
-        blocks = self.normalizer.blocks(folds, sigmas)
         calibration = tuple(fold.array for fold in folds)
+        positives = [fold.positive for fold in folds]
+        blocks = _blocks(self.normalizer.kind, calibration, positives, sigmas, folds)
         return _cross_table(labels, calibration, sigmas, blocks, self.weighting)
 
     def component_bound(self) -> Optional[float]:
@@ -263,23 +265,24 @@ def _stacked_tables(
     drawn: Sequence[Dataset],
     folds: Sequence[tuple],
     k: int,
-    normalizer: Normalizer,
+    kind: str,
     weighting: str,
 ) -> list:
     """What B knn predictors answer, fitted and queried at once: for each
     drawn set, the CrossTable that a split or cross predictor fitted on all
-    its rows but the last, with weighting `weighting`, gives for its last
-    row at that row's label, bit for bit.
+    its rows but the last, with a normalizer of kind `kind` and weighting
+    `weighting`, gives for its last row at that row's label, bit for bit.
 
     Fold f of set b holds the rows folds[b][f], in the order its
     calibration vector keeps (a split fit's one fold is its calibration
     rows); the other rows are in no fold, and every set has the same fold
     sizes. The summaries come from conformity._stacked_summaries and the
-    B·K folds are normalized in one normalize._blocks call. A knn summary
-    lies in [0, 1], so only positivity is checked, once per fold, as
-    Normalizer.blocks checks it: a summary whose distances overflow is 0.0,
-    and _blocks refuses its fold. Each table merges its folds through
-    _cross_table, as `predict` does.
+    B·K folds are normalized in one normalize._blocks call, the routine
+    `predict` normalizes by. A knn summary lies in [0, 1], so only
+    positivity is checked, once per fold, as a fit's SummaryVector checks
+    it: a summary whose distances overflow is 0.0, and _blocks refuses its
+    fold. Each table merges its folds through _cross_table, as `predict`
+    does.
     """
     B = len(drawn)
     X = np.array([d.X for d in drawn])
@@ -309,7 +312,7 @@ def _stacked_tables(
     calibrations = [row[lo:hi] for row in held for lo, hi in zip(bounds, bounds[1:])]
     sigmas = summaries[:, bounds[-1] :].reshape(B * K, 1)
     sigmas.setflags(write=False)
-    blocks = _blocks(normalizer.kind, calibrations, positives, sigmas)
+    blocks = _blocks(kind, calibrations, positives, sigmas)
     return [
         _cross_table(
             (_py_scalar(d.y[n]),),

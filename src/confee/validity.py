@@ -10,7 +10,8 @@ while an inflated one (e.g. a constant 2) is caught immediately.
 Time harness: one growing data stream; at each round fit on the prefix
 and record the e-value at the realized label. The running mean must
 settle at or below 1; the harness requires a declared per-component bound
-on the predictor's outputs, since the guarantee needs boundedness. A split
+on the predictor's outputs, since the guarantee needs boundedness, and
+refuses a spec whose first fit would declare none before it draws. A split
 or cross knn spec does not refit the held-out summaries on every prefix:
 the harness keeps one conformity.NeighbourTable for the stream (each row's
 64 nearest same-label rows, built 64 rows at a time as the prefix reaches
@@ -26,17 +27,19 @@ p-side merging rules are measured on identical draws.
 The space and compare harnesses run their trials through `_run_trials`,
 and each reads a trial's answer, the predictor's table at the test
 point's true label, with one reader (`_e_at_truth`, `_compare_row`). A
-split or cross knn spec runs in chunks of trials (`_chunk_trials`, at most
-CHUNK_ENTRIES distance entries, two trials or more): each trial is drawn
-as on its own, and then the chunk is fitted and queried at once, one
-distance tensor for all its fits and queries, one normalization of all
-its folds and one table per trial (predictors._stacked_tables). Every
-other spec, and a training set too large for two trials a chunk, go trial
-by trial (`_space_trial`), the reference that the stacked path matches bit
-for bit. A chunk stacks whatever the size of its features: its tensor
-also holds pairs that a trial's own fit skips (two labels, or one fold),
-and such a pair, if it overflows, is +inf without a warning, like every
-knn distance (conformity._distances), and hidden anyway.
+split or cross knn spec, whatever its normalizer, runs in chunks of
+trials (`_chunk_trials`, at most CHUNK_ENTRIES distance entries, two
+trials or more): each trial is drawn as on its own, and then the chunk is
+fitted and queried at once, one distance tensor for all its fits and
+queries, one normalization of all its folds (normalize._blocks, the
+routine every query normalizes by) and one table per trial
+(predictors._stacked_tables). Every other spec, and a training set too
+large for two trials a chunk, go trial by trial (`_space_trial`), the
+reference that the stacked path matches bit for bit. A chunk stacks
+whatever the size of its features: its tensor also holds pairs that a
+trial's own fit skips (two labels, or one fold), and such a pair, if it
+overflows, is +inf without a warning, like every knn distance
+(conformity._distances), and hidden anyway.
 """
 
 from __future__ import annotations
@@ -185,18 +188,24 @@ def build_predictor(spec: PredictorSpec, training: Dataset, fold_seed: int, *, t
             spec.weighting,
             **params,
         )
-    task = training.task
+    return FullEPredictor(training, _full_assignment(spec, training.task, training.dim))
+
+
+def _full_assignment(spec: PredictorSpec, task: Task, dim: int):
+    """A full spec's support-set e-assignment for data of task `task` with
+    `dim` features, after the spec's own checks: positive_label must be one
+    of the labels of a classification task, and margin_w must have dim
+    entries (default: dim zeros)."""
     if isinstance(task, ClassificationTask) and spec.positive_label not in task.labels:
         raise OutOfRangeError(
             f"positive_label {spec.positive_label!r} is not one of the task's labels {task.labels}"
         )
-    w = spec.margin_w if spec.margin_w is not None else (0.0,) * training.dim
-    if len(w) != training.dim:
+    w = spec.margin_w if spec.margin_w is not None else (0.0,) * dim
+    if len(w) != dim:
         raise DimensionMismatchError(
-            f"margin_w has {len(w)} entries; the training data has {training.dim} features"
+            f"margin_w has {len(w)} entries; the training data has {dim} features"
         )
-    provider = unit_margin_provider(w, spec.margin_b, spec.positive_label)
-    return FullEPredictor(training, support_set_assignment(provider))
+    return support_set_assignment(unit_margin_provider(w, spec.margin_b, spec.positive_label))
 
 
 def _space_trial(scenario, spec, seed, n_train, read, t):
@@ -231,9 +240,8 @@ CHUNK_ENTRIES = 20_000
 
 def _chunk_trials(spec: PredictorSpec, n_train: int) -> int:
     """The trials that _run_trials fits and queries together, or 0 for
-    none: a split or cross knn spec that passed _check_first_fit, with a
-    normalizer that normalizes as Normalizer.blocks does, takes as many
-    trials as CHUNK_ENTRIES holds, if that is two or more.
+    none: a split or cross knn spec that passed _check_first_fit takes as
+    many trials as CHUNK_ENTRIES holds, if that is two or more.
 
     A stacked fit computes every pair of a trial's rows, where a per-trial
     fit computes each label's block only, so stacking wins by sharing
@@ -245,8 +253,6 @@ def _chunk_trials(spec: PredictorSpec, n_train: int) -> int:
     1.29.
     """
     if spec.rule != "knn" or spec.kind not in ("split", "cross"):
-        return 0
-    if type(get_normalizer(spec.normalizer)).blocks is not Normalizer.blocks:
         return 0
     rows, K = (spec.calibration_size, 1) if spec.kind == "split" else (n_train, spec.folds)
     size = CHUNK_ENTRIES // ((rows + K) * n_train)
@@ -265,8 +271,8 @@ def _stacked_trials(scenario, spec, seed, n_train, read, ts) -> list:
         folds = [
             make_fold_partition(n_train, spec.folds, derive_seed(seed, t, 2)).folds for t in ts
         ]
-    normalizer = get_normalizer(spec.normalizer)
-    return list(map(read, _stacked_tables(drawn, folds, spec.k, normalizer, spec.weighting)))
+    kind = get_normalizer(spec.normalizer).kind
+    return list(map(read, _stacked_tables(drawn, folds, spec.k, kind, spec.weighting)))
 
 
 def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
@@ -439,15 +445,33 @@ def _check_first_fit(spec: PredictorSpec, name: str, rows: int) -> None:
         )
 
 
+def _check_first_bound(spec: PredictorSpec, scenario: Scenario, rows: int) -> None:
+    """Refuse, before any draw, a spec whose first fit, on `rows` rows of
+    `scenario`, would declare no bound, with `_online_round`'s error: a
+    full spec, after its own checks (`_full_assignment`), or a split or
+    cross spec that passed `_check_first_fit` and whose normalizer declares
+    none at the size plus one of a calibration fold of that fit (split
+    holds out c rows in one fold, cross splits the rows into K folds)."""
+    if spec.kind == "full":
+        _full_assignment(spec, scenario.task, scenario.dim)
+        raise UnboundedNormalizerError("predictor declares no bound")
+    if spec.kind in ("split", "cross"):
+        c, K = (spec.calibration_size, 1) if spec.kind == "split" else (rows, spec.folds)
+        bound = get_normalizer(spec.normalizer).component_bound
+        if None in (bound(c // K + 1), bound(-(-c // K) + 1)):
+            raise UnboundedNormalizerError("predictor declares no bound")
+
+
 def _online_round(spec: PredictorSpec, stream: Dataset, seed: int, i: int, table=None) -> tuple:
     """Round i: fit on the first i - 1 rows of the stream and score row i - 1
     at its realized label; a knn fit takes its held-out summaries from
     `table`, the stream's NeighbourTable, if one is given.
 
-    The predictor's declared bound is read before any e-value, so a
-    predictor that declares none (a full predictor, or a split or cross
-    one whose normalizer declares none) is refused first, with one
-    message. Returns (e, bound).
+    The predictor's declared bound is read before its e-value, so a split
+    or cross predictor whose normalizer declares none at this round's fold
+    sizes is refused first, with `_check_first_bound`'s message (which
+    refuses a full spec, and a first fit without a bound, before the
+    stream is drawn). Returns (e, bound).
     `build_predictor` is looked up as a module global at each call:
     bench/worker.py starts an online item's clock by patching it.
     """
@@ -477,12 +501,15 @@ def online_time_validity(
     summaries from the stream's NeighbourTable, the same doubles a refit
     on the prefix gives. The seed is checked before the stream is drawn.
     The first fit runs on `warmup` rows and a split or cross spec refuses a
-    warmup too short for it. Each fitted round
-    is one `_online_round`, which asks the fitted predictor for its bound
-    (`component_bound()`) and refuses one that declares none, a full
-    predictor among them, before the first e-value; a full spec's own
-    checks (positive_label, margin_w) run first, when it is built. The
-    verdict compares the final running mean against 1 + tolerance.
+    warmup too short for it. A spec whose first fit would declare no bound
+    is refused before the stream is drawn too (`_check_first_bound`): a
+    full spec, after its own checks (positive_label, margin_w), or a split
+    or cross spec whose normalizer declares none at that fit's calibration
+    sizes. Each fitted round is one `_online_round`, which asks the fitted
+    predictor for its bound (`component_bound()`) and refuses one that
+    declares none before its e-value, as a normalizer may at a later
+    round's sizes. The verdict compares the final running mean against
+    1 + tolerance.
     """
     n_rounds, warmup = _integer(n_rounds, "n_rounds"), _integer(warmup, "warmup")
     (tolerance,) = _real_floats((tolerance,), "tolerance")
@@ -494,6 +521,7 @@ def online_time_validity(
         raise OutOfRangeError("tolerance must lie in (0, 1)")
     seed = _seed(seed)
     _check_first_fit(spec, "warmup", warmup)
+    _check_first_bound(spec, scenario, warmup)
 
     stream = sample(scenario, n_rounds, derive_seed(seed, 1))
     knn = spec.kind in ("split", "cross") and spec.rule == "knn"

@@ -23,10 +23,18 @@ from confee import (
     sum_normalize,
 )
 from confee.core import check_e_rows, exact_partials
-from confee.normalize import FAST_ROWS
+from confee.normalize import FAST_ROWS, _blocks
 
 
 _NORMALIZE = {"sum": sum_normalize, "mean": mean_normalize}
+
+
+def _blocks_of(kind, folds, sigmas):
+    """normalize._blocks of the SummaryVectors `folds` and the (K, L)
+    candidate summaries `sigmas`, as a query passes them."""
+    sigmas = np.array(sigmas, dtype=float)
+    calibrations = [fold.array for fold in folds]
+    return _blocks(kind, calibrations, [fold.positive for fold in folds], sigmas, folds)
 
 
 def test_sum_normalize_worked_example():
@@ -73,27 +81,12 @@ def test_block_with_a_too_large_candidate_refused():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OutOfRangeError, match="summaries are too large to normalize"):
-            Normalizer("mean").blocks((SummaryVector((1.0, 2.0)),), [[1.0, 1e308]])
-
-
-def test_block_needs_a_row_of_real_numbers():
-    calibration = SummaryVector((1.0, 2.0))
-    with pytest.raises(
-        OutOfRangeError,
-        match=r"^candidate summaries must hold one row per fold \(1\), got shape \(1, 1, 2\)$",
-    ):
-        Normalizer("mean").blocks((calibration,), [[[1.0, 2.0]]])
-    with pytest.raises(OutOfRangeError, match="^candidate summaries must be real numbers: "):
-        Normalizer("mean").blocks((calibration,), [["a"]])
-    # a caller's writable array is neither frozen nor shared
-    sigmas = np.array([[1.0, 3.0]])
-    block = Normalizer("sum").blocks((calibration,), sigmas)[0]
-    assert block[:, -1].tolist() == [0.25, 0.5] and sigmas.flags.writeable
+            _blocks_of("mean", (SummaryVector((1.0, 2.0)),), [[1.0, 1e308]])
 
 
 @pytest.mark.parametrize("kind", ["sum", "mean"])
 def test_block_of_no_candidates_is_empty(kind):
-    block = Normalizer(kind).blocks((SummaryVector((1.0, 2.0)),), [[]])[0]
+    block = _blocks_of(kind, (SummaryVector((1.0, 2.0)),), [[]])[0]
     assert block.shape == (0, 3) and not block.flags.writeable
 
 
@@ -282,7 +275,7 @@ class TestBlockDifferential:
         c, L = len(calibration), len(sigmas)
         ref_values, ref_alphas = _ref_split_query(kind, calibration, sigmas)
 
-        block = get_normalizer(kind).blocks((SummaryVector(calibration),), [sigmas])[0]
+        block = _blocks_of(kind, (SummaryVector(calibration),), [sigmas])[0]
         assert block.shape == (L, c + 1)
         for row, alpha in zip(block, ref_alphas):
             assert np.array_equal(row, np.array(alpha))
@@ -333,7 +326,7 @@ class TestBlockDifferential:
             table.blocks[0][0],
             table.calibration[0],
             table.sigmas,
-            get_normalizer("sum").blocks((SummaryVector((1.0,)),), [(2.0, 3.0)])[0],
+            _blocks_of("sum", (SummaryVector((1.0,)),), [(2.0, 3.0)])[0],
             mean_normalize((1.0, 2.0)).array,
             SummaryVector((1.0, 2.0)).array,
         ):
@@ -390,7 +383,7 @@ class TestExactPartials:
         vector = SummaryVector(calibration)
 
         def block():
-            return [row.tolist() for row in get_normalizer(kind).blocks((vector,), [sigmas])[0]]
+            return [row.tolist() for row in _blocks_of(kind, (vector,), [sigmas])[0]]
 
         def one_at_a_time():
             return [list(_NORMALIZE[kind]((*calibration, s)).values) for s in sigmas]
@@ -405,9 +398,9 @@ class TestExactPartials:
 
     def test_only_blocks_of_fast_rows_compute_partials(self):
         calibration = SummaryVector((0.1, 0.2, 0.3))
-        get_normalizer("mean").blocks((calibration,), [[0.5] * (FAST_ROWS - 1)])
+        _blocks_of("mean", (calibration,), [[0.5] * (FAST_ROWS - 1)])
         assert "partials" not in vars(calibration)
-        get_normalizer("mean").blocks((calibration,), [[0.5] * FAST_ROWS])
+        _blocks_of("mean", (calibration,), [[0.5] * FAST_ROWS])
         assert calibration.partials == exact_partials((0.1, 0.2, 0.3))
 
 
@@ -444,8 +437,8 @@ _SPOILERS = st.sampled_from([
 
 
 def _fold_by_fold(kind, folds, sigmas):
-    """The blocks of a loop over the folds, one one-fold `blocks` call each."""
-    return [get_normalizer(kind).blocks((fold,), [row])[0] for fold, row in zip(folds, sigmas)]
+    """The blocks of a loop over the folds, one one-fold `_blocks` call each."""
+    return [_blocks_of(kind, (fold,), [row])[0] for fold, row in zip(folds, sigmas)]
 
 
 def _error_outcome(compute):
@@ -463,10 +456,10 @@ class TestFoldsTogether:
     def test_each_fold_is_its_block_alone(self, kind, query):
         calibrations, sigmas = query
         folds = [SummaryVector(c) for c in calibrations]
-        blocks = get_normalizer(kind).blocks(folds, sigmas)
+        blocks = _blocks_of(kind, folds, sigmas)
         assert len(blocks) == len(folds)
         for calibration, row, block in zip(calibrations, sigmas, blocks):
-            alone = get_normalizer(kind).blocks((SummaryVector(calibration),), [row])[0]
+            alone = _blocks_of(kind, (SummaryVector(calibration),), [row])[0]
             assert block.shape == alone.shape == (sigmas.shape[1], len(calibration) + 1)
             assert block.tobytes() == alone.tobytes()
             # and the per-vector tuple code, one candidate at a time
@@ -501,7 +494,7 @@ class TestFoldsTogether:
         expected = _error_outcome(lambda: _fold_by_fold(kind, folds, sigmas))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _error_outcome(lambda: get_normalizer(kind).blocks(folds, sigmas)) == expected
+            assert _error_outcome(lambda: _blocks_of(kind, folds, sigmas)) == expected
 
     def test_each_group_is_checked_once(self, monkeypatch):
         """Each group of folds of one size passes check_e_rows once, with
@@ -516,13 +509,5 @@ class TestFoldsTogether:
 
         monkeypatch.setattr(normalize, "check_e_rows", counting)
         folds = [SummaryVector([1.0] * c) for c in (3, 3, 2, 3, 2)]
-        get_normalizer("mean").blocks(folds, np.ones((5, 7)))
+        _blocks_of("mean", folds, np.ones((5, 7)))
         assert seen == [(21, 4), (14, 3)]
-
-    def test_sigmas_need_one_row_per_fold(self):
-        folds = [SummaryVector([1.0, 2.0])] * 2
-        with pytest.raises(
-            OutOfRangeError,
-            match=r"^candidate summaries must hold one row per fold \(2\), got shape \(3,\)$",
-        ):
-            get_normalizer("mean").blocks(folds, [1.0, 2.0, 3.0])

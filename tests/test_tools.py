@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -28,11 +29,36 @@ def test_bench_pairs_refuses_before_any_benchmark(argv, message, monkeypatch, ca
     def started(*args, **kwargs):
         raise AssertionError("a benchmark tree was built or run")
 
-    monkeypatch.setattr(bench_pairs, "_ref_tree", started)
+    monkeypatch.setattr(bench_pairs, "_tree", started)
     monkeypatch.setattr(bench_pairs, "_bench", started)
     assert bench_pairs.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and message in err
+
+
+def test_bench_pairs_runs_both_sides_from_sibling_copies(monkeypatch, capsys):
+    bench_pairs = _tool("bench_pairs")
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    trees, sources = [], {}
+
+    def bench(tree, workload, seed, seconds):
+        trees.append(tree)
+        for name in ("bench/run.py", "BENCHMARK.json"):
+            assert (tree / name).is_file()
+        sources[tree] = (tree / "src/confee/normalize.py").read_bytes()
+        return {metric["name"]: 1.0 for metric in spec["end_to_end"]}
+
+    monkeypatch.setattr(bench_pairs, "_bench", bench)
+    argv = ["--against", "HEAD", "--workload", "predict-ridge-batch", "--pairs", "2"]
+    assert bench_pairs.main(argv) == 0
+    assert "2 pairs at --seconds" in capsys.readouterr().out
+    # two pairs, REF first in the first: ref, now, now, ref
+    ref, now = trees[0], trees[1]
+    assert trees == [ref, now, now, ref] and ref != now and ref.parent == now.parent
+    assert all(bench_pairs.ROOT not in (tree, *tree.parents) for tree in trees)
+    # the working tree's side holds a copy of its src/
+    assert sources[now] == (bench_pairs.ROOT / "src/confee/normalize.py").read_bytes()
+    assert not ref.parent.exists()
 
 
 _ITEMS = {"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}

@@ -16,6 +16,7 @@ from confee import cli, conformity, core, predictors, validity
 from confee import (
     ConstantEPredictor,
     Dataset,
+    DimensionMismatchError,
     KTooLargeError,
     Normalizer,
     OutOfRangeError,
@@ -139,18 +140,60 @@ class TestTimeHarness:
         assert type(report.bound_used) is float
         assert max(report.trace.e_values) <= bound
 
-    def test_unbounded_normalizer_refused(self):
+    def test_unbounded_normalizer_refused(self, monkeypatch):
         class NoBound(Normalizer):
             def component_bound(self, m):
                 return None
 
-            def blocks(self, folds, sigmas):
-                raise AssertionError("an e-value was computed before the refusal")
+        def normalized(*args):
+            raise AssertionError("an e-value was computed before the refusal")
 
+        monkeypatch.setattr(predictors, "_blocks", normalized)
         for kind in ("cross", "split"):
             spec = PredictorSpec(kind=kind, rule="knn", normalizer=NoBound("mean"))
             with pytest.raises(UnboundedNormalizerError, match="^predictor declares no bound$"):
                 online_time_validity(GM2D, spec, 60, 1)
+
+    def test_no_bound_refused_before_any_draw(self, monkeypatch):
+        class NoBound(Normalizer):
+            def component_bound(self, m):
+                return None
+
+        _refuse_draws(monkeypatch)
+        for spec in (
+            PredictorSpec(kind="full"),
+            PredictorSpec(kind="split", normalizer=NoBound("mean")),
+            PredictorSpec(kind="cross", normalizer=NoBound("sum")),
+        ):
+            with pytest.raises(UnboundedNormalizerError, match="^predictor declares no bound$"):
+                online_time_validity(GM2D, spec, 60, 1)
+        # a full spec's own checks come first, against the scenario's task
+        # and features
+        with pytest.raises(OutOfRangeError, match="^positive_label 7 is not one of"):
+            online_time_validity(GM2D, PredictorSpec(kind="full", positive_label=7), 60, 1)
+        with pytest.raises(
+            DimensionMismatchError,
+            match="^margin_w has 3 entries; the training data has 2 features$",
+        ):
+            online_time_validity(GM2D, PredictorSpec(kind="full", margin_w=(1.0,) * 3), 60, 1)
+
+    def test_a_bound_lost_at_a_later_round_is_refused_there(self, monkeypatch):
+        class UpToFive(Normalizer):
+            def component_bound(self, m):
+                return float(m) if m <= 5 else None
+
+        spec = PredictorSpec(kind="cross", normalizer=UpToFive("mean"))
+        draws = mock.Mock(wraps=sample)
+        monkeypatch.setattr(validity, "sample", draws)
+        # a first fit on 21 rows has folds of 5 and 4 rows: refused undrawn
+        with pytest.raises(UnboundedNormalizerError, match="^predictor declares no bound$"):
+            online_time_validity(GM2D, spec, 60, 1, warmup=21)
+        assert draws.call_count == 0
+        # on 20 rows, five folds of 4 declare a bound; the round that fits
+        # on 21 rows is refused
+        with pytest.raises(UnboundedNormalizerError, match="^predictor declares no bound$"):
+            online_time_validity(GM2D, spec, 60, 1, warmup=20)
+        assert draws.call_count == 1
 
     def test_one_fold_refused_before_any_e_value(self, monkeypatch):
         def e_at(self, x, y):
@@ -528,21 +571,20 @@ class TestStackedTrials:
         assert np.array(stacked).tobytes() == np.array(one_by_one).tobytes()
 
     @pytest.mark.parametrize("harness", [mc_space_validity, compare_e_vs_p])
-    def test_a_normalizer_that_overrides_blocks_goes_trial_by_trial(self, harness):
-        # a stacked chunk normalizes through normalize._blocks, which would
-        # bypass the override, so every trial calls it once
-        calls = []
+    def test_a_normalizer_that_overrides_its_bound_stacks(self, harness, monkeypatch):
+        # a subclass overrides component_bound only, so its trials normalize
+        # by its kind and stack as the plain spec's do
+        class Bounded(Normalizer):
+            def component_bound(self, m):
+                return 2.0 * m
 
-        class Counted(Normalizer):
-            def blocks(self, folds, sigmas):
-                calls.append(len(folds))
-                return super().blocks(folds, sigmas)
-
-        counted = PredictorSpec(normalizer=Counted("mean"))
-        assert validity._chunk_trials(CROSS_KNN, 20) >= 2
-        assert validity._chunk_trials(counted, 20) == 0
-        report = harness(GM2D, counted, 100, 6, n_train=20)
-        assert len(calls) == 100
+        bounded = PredictorSpec(normalizer=Bounded("mean"))
+        size = validity._chunk_trials(bounded, 20)
+        assert size >= 2 and size == validity._chunk_trials(CROSS_KNN, 20)
+        stacked = mock.Mock(wraps=_stacked_tables)
+        monkeypatch.setattr(validity, "_stacked_tables", stacked)
+        report = harness(GM2D, bounded, 100, 6, n_train=20)
+        assert stacked.call_count == -(-100 // size)
         assert report == harness(GM2D, CROSS_KNN, 100, 6, n_train=20)
 
     def test_a_chunk_whose_distances_overflow_stacks(self, monkeypatch):

@@ -2,13 +2,15 @@
 
     python3 tools/bench_pairs.py --against REF --workload W --pairs N [--seconds S]
 
-Builds a temporary tree that holds REF's `src/` (from `git archive`) and
-the working tree's `bench/` and `BENCHMARK.json`, so both sides run the
-same benchmark code. Then runs `bench/run.py --workload W --seed SEED
+Builds two sibling temporary trees the same way, one per side: REF's
+`src/` (from `git archive`) or a copy of the working tree's, each beside a
+copy of the working tree's `bench/` and `BENCHMARK.json`, so both sides run
+the same benchmark code from the same kind of place, and neither runs from
+the repository itself. Then runs `bench/run.py --workload W --seed SEED
 --seconds S --trace 0` once on each side per pair, alternating which side
 runs first, with one fresh seed per pair (a random base plus the pair's
 index, printed with the pair). S defaults to BENCHMARK.json's
-`run_seconds`. The temporary tree is removed at the end.
+`run_seconds`. The temporary trees are removed at the end.
 
 For each end-to-end metric of BENCHMARK.json it prints each side's median
 and quartiles, the pairs the working tree won (ties count for neither
@@ -36,6 +38,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,16 +47,22 @@ def _git(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True)
 
 
-def _ref_tree(ref: str, tree: Path) -> None:
-    """REF's src/ and the working tree's benchmark, under tree."""
-    archive = tree / "src.tar"
-    listed = _git("archive", "--format=tar", f"--output={archive}", ref, "src")
-    if listed.returncode:
-        raise RuntimeError(f"git archive {ref} src: {listed.stderr.decode().strip()}")
-    with tarfile.open(archive) as tar:
-        tar.extractall(tree, filter="data")
-    archive.unlink()
-    shutil.copytree(ROOT / "bench", tree / "bench", ignore=shutil.ignore_patterns("__pycache__"))
+def _tree(tree: Path, ref: Optional[str]) -> None:
+    """A new directory tree holding REF's src/, or the working tree's for
+    ref None, and the working tree's benchmark."""
+    ignore = shutil.ignore_patterns("__pycache__")
+    tree.mkdir()
+    if ref is None:
+        shutil.copytree(ROOT / "src", tree / "src", ignore=ignore)
+    else:
+        archive = tree / "src.tar"
+        listed = _git("archive", "--format=tar", f"--output={archive}", ref, "src")
+        if listed.returncode:
+            raise RuntimeError(f"git archive {ref} src: {listed.stderr.decode().strip()}")
+        with tarfile.open(archive) as tar:
+            tar.extractall(tree, filter="data")
+        archive.unlink()
+    shutil.copytree(ROOT / "bench", tree / "bench", ignore=ignore)
     shutil.copy2(ROOT / "BENCHMARK.json", tree / "BENCHMARK.json")
 
 
@@ -125,8 +134,9 @@ def main(argv=None) -> int:
     runs = {"ref": [], "now": []}
     try:
         with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-            trees = {"ref": Path(tmp), "now": ROOT}
-            _ref_tree(args.against, trees["ref"])
+            trees = {"ref": Path(tmp) / "ref", "now": Path(tmp) / "now"}
+            _tree(trees["ref"], args.against)
+            _tree(trees["now"], None)
             for pair in range(args.pairs):
                 seed = base + pair
                 order = ("ref", "now") if pair % 2 == 0 else ("now", "ref")
