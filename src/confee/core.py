@@ -17,6 +17,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -61,6 +62,107 @@ def derive_seed(*parts: int) -> int:
 def spawn_rng(*parts: int) -> np.random.Generator:
     """Deterministic generator keyed by a tuple of integers."""
     return np.random.default_rng(_seed_sequence(parts))
+
+
+# numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+#: PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128 in pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA4 << 64 | 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _generate_state(words: list, n: int) -> list:
+    """`SeedSequence(entropy).generate_state(n, np.uint64)` for many keys at
+    once: words[i] holds entropy word i (low word first, as numpy splits
+    an integer) of every key, a uint32 array, so every key has len(words)
+    words. Returns n uint64 arrays, word j of every key's state.
+
+    numpy's algorithm: the words hash into a pool of four (absent words
+    hash as 0), every pool word is mixed into every other, and words past
+    the fourth are mixed into each; the state cycles over the pool with a
+    second hash. The hash constants do not depend on the data. Array
+    arithmetic wraps around in uint32 without a warning."""
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * np.uint32(hash_a)
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return result ^ result >> 16
+
+    zero = np.zeros_like(words[0])
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b, state = _INIT_B, []
+    for i in range(2 * n):
+        value = pool[i % 4] ^ np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _MASK32
+        value = value * np.uint32(hash_b)
+        state.append((value ^ value >> 16).astype(np.uint64))
+    return [state[2 * j] | state[2 * j + 1] << np.uint64(32) for j in range(n)]
+
+
+def _derive_seeds(seed: int, ts: range, tag: int) -> np.ndarray:
+    """[derive_seed(seed, t, tag) for t in ts] as a uint64 array, computed
+    together (`_generate_state`) for the nonnegative integers seed, tag and ts.
+
+    A key's words are its parts' words in turn; a trial index of 2**32 or
+    more has more than one, and such a range goes through derive_seed."""
+    if ts[-1] > _MASK32:
+        return np.array([derive_seed(seed, t, tag) for t in ts], dtype=np.uint64)
+    head = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        head.append(seed & _MASK32)
+    t = np.arange(ts.start, ts.stop, ts.step, dtype=np.uint32)
+    words = [np.full_like(t, word) for word in head] + [t, np.full_like(t, tag)]
+    return _generate_state(words, 1)[0] >> np.uint64(1)
+
+
+def _pcg64_states(seeds: np.ndarray, child=None) -> list:
+    """The PCG64 state, a (state, inc) pair of ints, of
+    `default_rng(SeedSequence(seed))` for each seed of a uint64 array, or,
+    for a child index, of that child of `SeedSequence(seed).spawn(...)`.
+
+    A spawned child pads its parent's words to the pool size before its
+    spawn key; a seed below 2**32 has one word, whose absent second word
+    hashes as 0 anyway, so two words serve every seed. PCG64 seeds from
+    four state words (s, then i, high word first): inc = 2 i + 1 and the
+    state is s + inc advanced one step, all modulo 2**128."""
+    words = [(seeds >> np.uint64(shift)).astype(np.uint32) for shift in (0, 32)]
+    if child is not None:
+        zero = np.zeros_like(words[0])
+        words += [zero, zero, np.full_like(zero, child)]
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*(v.tolist() for v in _generate_state(words, 4))):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        out.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return out
+
+
+def _reseeded(rng: np.random.Generator, state: tuple) -> np.random.Generator:
+    """rng, a PCG64 Generator, set to `state`, a pair of _pcg64_states: it
+    then draws what a new generator of that state draws."""
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state[0], "inc": state[1]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _py_scalar(value):
@@ -569,6 +671,19 @@ class FoldPartition:
         return hash((self.n, self.seed, tuple(fold.tobytes() for fold in self.folds)))
 
 
+def _fold_sizes(n: int, K: int) -> list:
+    """The sizes of make_fold_partition's K folds of n rows, in fold order."""
+    base, extra = divmod(n, K)
+    return [base + (k < extra) for k in range(K)]
+
+
+def _stacked_fold_rows(n: int, states: Sequence[tuple], rng: np.random.Generator) -> np.ndarray:
+    """Row b holds the permutation that make_fold_partition(n, K, seed)
+    slices into folds, for any K, where states[b] is `_pcg64_states` of
+    that seed, drawn with rng (see _reseeded)."""
+    return np.array([_reseeded(rng, state).permutation(n) for state in states])
+
+
 def make_fold_partition(n: int, K: int, seed: int) -> FoldPartition:
     """Randomly partition 0..n-1 into K balanced folds.
 
@@ -584,6 +699,5 @@ def make_fold_partition(n: int, K: int, seed: int) -> FoldPartition:
         raise TooFewObservationsError(f"n={n} observations cannot fill K={K} folds")
     perm = spawn_rng(seed).permutation(n)
     perm.setflags(write=False)
-    base, extra = divmod(n, K)
-    bounds = [k * base + min(k, extra) for k in range(K + 1)]
+    bounds = [0, *accumulate(_fold_sizes(n, K))]
     return FoldPartition(tuple(perm[lo:hi] for lo, hi in zip(bounds, bounds[1:])), n, seed)

@@ -10,7 +10,9 @@ drawing observations 0..i-1. The numbers are numpy's: `integers` and the
 ziggurat `standard_normal` of PCG64, which NEP 19 lets numpy change
 between releases. Seeds go through core: the SeedSequence comes from
 `core._seed_sequence`, which refuses a seed that is no nonnegative integer,
-and the regression weights from `core.spawn_rng`.
+and the regression weights from `core.spawn_rng`. `_sample_stack` draws
+many samples at once from their streams' PCG64 states, which
+`core._pcg64_states` computes from their seeds without a SeedSequence.
 
 CSV format: header x1,...,xd,y then one observation per row. Floats are
 written with repr, so a save/load round trip is exact. The y column is
@@ -28,12 +30,13 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    ClassificationTask, Dataset, RegressionTask, Task, _integer, _real_floats, _seed_sequence,
-    spawn_rng,
+    ClassificationTask, Dataset, RegressionTask, Task, _integer, _real_floats, _reseeded,
+    _seed_sequence, spawn_rng,
 )
 from .errors import (
     InvalidScenarioError,
     LabelOutOfSpaceError,
+    NonFiniteEntryError,
     OutOfRangeError,
     ParseError,
     RaggedRowsError,
@@ -144,15 +147,48 @@ def sample(scenario: Scenario, n: int, seed: int) -> Dataset:
         raise OutOfRangeError(f"n={n}; need at least one observation")
     first, second = map(np.random.default_rng, _seed_sequence((seed,)).spawn(2))
     X = second.standard_normal((n, scenario.dim))
+    return Dataset(X, _labels(scenario, X, first), scenario.task)
+
+
+def _labels(scenario: Scenario, X: np.ndarray, first: np.random.Generator) -> np.ndarray:
+    """The labels of the rows X of a draw from the first stream: mixture
+    labels, whose class means are added to X in place, or regression labels."""
+    n = X.shape[0]
     if scenario.kind == "gaussian_mixture":
         labels = first.integers(scenario.classes, size=n)
         X += scenario.class_means()[labels]
-        return Dataset(X, labels, scenario.task)
+        return labels
     w = scenario.weights()
     # one dot product per row: a matrix product X @ w may round a row
     # differently for different n, which would break prefix extension
-    y = np.array([w @ row for row in X]) + scenario.noise_sd * first.standard_normal(n)
-    return Dataset(X, y, scenario.task)
+    return np.array([w @ row for row in X]) + scenario.noise_sd * first.standard_normal(n)
+
+
+def _sample_stack(scenario: Scenario, n: int, streams, rng: np.random.Generator) -> tuple:
+    """(X, y, codes) of B draws of n observations at once: for b in range(B),
+    X[b] and y[b] are the rows and labels of sample(scenario, n, seed) and
+    codes[b] the label numbers of that dataset (Dataset.label_codes), where
+    streams[b] holds the PCG64 states of the seed's two streams, the first
+    then the second (core._pcg64_states of its spawned children 0 and 1).
+
+    rng, a PCG64 Generator, is set to each state in turn (core._reseeded)
+    and draws as `sample` draws. X is checked finite, and so are regression
+    labels, with the errors of Dataset's checks; mixture labels, drawn in
+    0..classes-1, are the task's labels and their own numbers.
+    """
+    X = np.empty((len(streams), n, scenario.dim))
+    y = []
+    for rows, (first, second) in zip(X, streams):
+        _reseeded(rng, second).standard_normal(out=rows)
+        y.append(_labels(scenario, rows, _reseeded(rng, first)))
+    y = np.array(y)
+    if not np.isfinite(X).all():
+        raise NonFiniteEntryError("features must be finite")
+    if scenario.kind == "gaussian_mixture":
+        return X, y, y
+    if not np.isfinite(y).all():
+        raise NonFiniteEntryError("labels must be n finite reals")
+    return X, y, np.array([np.unique(row, return_inverse=True)[1] for row in y])
 
 
 SCENARIO_PRESETS = {

@@ -262,21 +262,26 @@ def fit_cross(
 
 
 def _stacked_tables(
-    drawn: Sequence[Dataset],
-    folds: Sequence[tuple],
+    X: np.ndarray,
+    codes: np.ndarray,
+    labels: Sequence,
+    rows: np.ndarray,
+    sizes: Sequence[int],
     k: int,
     kind: str,
     weighting: str,
 ) -> list:
     """What B knn predictors answer, fitted and queried at once: for each
-    drawn set, the CrossTable that a split or cross predictor fitted on all
-    its rows but the last, with a normalizer of kind `kind` and weighting
-    `weighting`, gives for its last row at that row's label, bit for bit.
+    set b of n + 1 rows X[b] with label numbers codes[b] (as
+    Dataset.label_codes numbers them), the CrossTable that a split or cross
+    predictor fitted on its first n rows, with a normalizer of kind `kind`
+    and weighting `weighting`, gives for its last row at that row's label,
+    labels[b], bit for bit.
 
-    Fold f of set b holds the rows folds[b][f], in the order its
-    calibration vector keeps (a split fit's one fold is its calibration
-    rows); the other rows are in no fold, and every set has the same fold
-    sizes. The summaries come from conformity._stacked_summaries and the
+    The folds of set b are consecutive slices of rows[b], of `sizes` rows
+    each, and keep their rows in that order, as its calibration vectors do
+    (a split fit's one fold is its calibration rows); the other rows are in
+    no fold. The summaries come from conformity._stacked_summaries and the
     B·K folds are normalized in one normalize._blocks call, the routine
     `predict` normalizes by. A knn summary lies in [0, 1], so only
     positivity is checked, once per fold, as a fit's SummaryVector checks
@@ -284,13 +289,8 @@ def _stacked_tables(
     fold. Each table merges its folds through _cross_table, as `predict`
     does.
     """
-    B = len(drawn)
-    X = np.array([d.X for d in drawn])
-    codes = np.array([d.label_codes[1] for d in drawn])
-    n = X.shape[1] - 1
-    sizes = [len(fold) for fold in folds[0]]
+    B, n = X.shape[0], X.shape[1] - 1
     K, bounds = len(sizes), [0, *accumulate(sizes)]
-    rows = np.array([np.concatenate(f) for f in folds])
     row_folds = np.repeat(np.arange(K), sizes)
     fold_of = np.full((B, n), -1)
     np.put_along_axis(fold_of, rows, row_folds[None, :], axis=1)
@@ -315,13 +315,13 @@ def _stacked_tables(
     blocks = _blocks(kind, calibrations, positives, sigmas)
     return [
         _cross_table(
-            (_py_scalar(d.y[n]),),
+            (label,),
             tuple(calibrations[b * K : (b + 1) * K]),
             sigmas[b * K : (b + 1) * K],
             blocks[b * K : (b + 1) * K],
             weighting,
         )
-        for b, d in enumerate(drawn)
+        for b, label in enumerate(labels)
     ]
 
 

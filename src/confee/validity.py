@@ -29,10 +29,14 @@ and each reads a trial's answer, the predictor's table at the test
 point's true label, with one reader (`_e_at_truth`, `_compare_row`). A
 split or cross knn spec, whatever its normalizer, runs in chunks of
 trials (`_chunk_trials`, at most CHUNK_ENTRIES distance entries, two
-trials or more): each trial is drawn as on its own, and then the chunk is
-fitted and queried at once, one distance tensor for all its fits and
-queries, one normalization of all its folds (normalize._blocks, the
-routine every query normalizes by) and one table per trial
+trials or more). The seeds and generator states of a block of trials are
+derived at once (`_trial_states`: numpy's SeedSequence hashing and
+PCG64's seeding, recomputed over arrays in core), and each chunk is drawn
+from its trials' states with one reused generator (data._sample_stack and
+the fold permutations), building no Dataset and no FoldPartition; then
+the chunk is fitted and queried at once, one distance tensor for all its
+fits and queries, one normalization of all its folds (normalize._blocks,
+the routine every query normalizes by) and one table per trial
 (predictors._stacked_tables). Every other spec, and a training set too
 large for two trials a chunk, go trial by trial (`_space_trial`), the
 reference that the stacked path matches bit for bit. A chunk stacks
@@ -48,12 +52,14 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .conformity import RULE_KINDS, NeighbourTable, support_set_assignment, unit_margin_provider
 from .core import (
-    ClassificationTask, Dataset, PlausibilityTable, Task, _integer, _real_floats, derive_seed,
-    make_fold_partition,
+    ClassificationTask, Dataset, PlausibilityTable, Task, _derive_seeds, _fold_sizes, _integer,
+    _pcg64_states, _real_floats, _stacked_fold_rows, derive_seed,
 )
-from .data import Scenario, sample
+from .data import Scenario, _sample_stack, sample
 from .errors import (
     DimensionMismatchError, OutOfRangeError, TooFewFoldsError, UnboundedNormalizerError
 )
@@ -218,7 +224,9 @@ def _space_trial(scenario, spec, seed, n_train, read, t):
     point's true label. A knn distance that overflows is +inf here as in
     a stacked chunk, without a warning. `sample` is looked up as a module
     global at each call: bench/worker.py starts a space item's clock by
-    patching it, and a stacked chunk draws through it too.
+    patching it. A stacked chunk draws the same numbers from the same
+    generator states without calling it (`_trial_states`), so the items
+    of a stacked run are timed from the workload's call.
     """
     drawn = sample(scenario, n_train + 1, derive_seed(seed, t, 0))
     training = drawn.subset(range(n_train))
@@ -236,6 +244,16 @@ def _space_trial(scenario, spec, seed, n_train, read, t):
 #: 40,000, 80,000 and 160,000 entries, for 3-4%, 4-9% and 12% more trials
 #: per second.
 CHUNK_ENTRIES = 20_000
+
+#: Trials whose generator states _run_trials derives at once, rounded down
+#: to whole chunks. Deriving costs a fixed number of numpy calls a block
+#: plus some Python a trial, and the states of a block stay alive until its
+#: last chunk is drawn. Over 2520 gm2d cross-knn trials (n = 50, 7 trials
+#: a chunk), median of 5: 30, 14, 7.6, 4.7, 4.2 and 4.9 us a trial at 28,
+#: 63, 126, 252, 504 and 1008 trials a block; peak RSS of 7200 trials read
+#: 36.9-37.1, 37.0-37.1, 37.3 and 37.9-38.0 MiB at 126, 252, 504 and 1008
+#: (36.7-37.0 when each trial seeded its own generators).
+SEED_BLOCK = 256
 
 
 def _chunk_trials(spec: PredictorSpec, n_train: int) -> int:
@@ -259,20 +277,36 @@ def _chunk_trials(spec: PredictorSpec, n_train: int) -> int:
     return size if size >= 2 else 0
 
 
-def _stacked_trials(scenario, spec, seed, n_train, read, ts) -> list:
-    """_space_trial(..., read, t) for each t of ts, fitted and queried
-    together (predictors._stacked_tables) after every trial of the chunk is
-    drawn. Whatever the size of the features: a pair that overflows is +inf
-    without a warning, as in a trial's own fit (conformity._distances)."""
-    drawn = [sample(scenario, n_train + 1, derive_seed(seed, t, 0)) for t in ts]
+def _trial_states(seed: int, ts: range) -> list:
+    """For each trial t of ts, the PCG64 states (core._pcg64_states) that
+    _space_trial's calls start from: the two streams of its draw's seed,
+    derive_seed(seed, t, 0), and its fold seed, derive_seed(seed, t, 2),
+    all derived together."""
+    draws = _derive_seeds(seed, ts, 0)
+    folds = _pcg64_states(_derive_seeds(seed, ts, 2))
+    return list(zip(_pcg64_states(draws, 0), _pcg64_states(draws, 1), folds))
+
+
+def _stacked_trials(scenario, spec, n_train, read, states) -> list:
+    """_space_trial(..., read, t) for the trials t whose _trial_states are
+    `states`, drawn together (data._sample_stack, and the fold permutations
+    of make_fold_partition) and then fitted and queried together
+    (predictors._stacked_tables). Whatever the size of the features: a pair
+    that overflows is +inf without a warning, as in a trial's own fit
+    (conformity._distances)."""
+    rng = np.random.default_rng(0)
+    X, y, codes = _sample_stack(scenario, n_train + 1, [state[:2] for state in states], rng)
     if spec.kind == "split":
-        folds = [(range(n_train - spec.calibration_size, n_train),)] * len(ts)
+        c = spec.calibration_size
+        rows, sizes = np.broadcast_to(np.arange(n_train - c, n_train), (len(states), c)), [c]
     else:
-        folds = [
-            make_fold_partition(n_train, spec.folds, derive_seed(seed, t, 2)).folds for t in ts
-        ]
+        rows = _stacked_fold_rows(n_train, [state[2] for state in states], rng)
+        sizes = _fold_sizes(n_train, spec.folds)
     kind = get_normalizer(spec.normalizer).kind
-    return list(map(read, _stacked_tables(drawn, folds, spec.k, kind, spec.weighting)))
+    tables = _stacked_tables(
+        X, codes, y[:, n_train].tolist(), rows, sizes, spec.k, kind, spec.weighting
+    )
+    return list(map(read, tables))
 
 
 def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
@@ -282,11 +316,12 @@ def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
     and here their shared preconditions are checked, before any draw. A
     split or cross spec needs n_train rows enough for its first fit (see
     _first_fit_rows). Where `_chunk_trials` says so, the trials run in
-    chunks of that many: each trial of a chunk is drawn as _space_trial
-    draws it, and then the chunk is fitted and queried at once, with the
-    same doubles, checks and merge as trial by trial. The trials run one
-    after another in the calling thread: `threads` must lie in
-    1..MAX_THREADS, starts no thread and changes nothing.
+    chunks of that many: the generator states of SEED_BLOCK trials or so,
+    whole chunks, are derived at once (_trial_states), and each chunk is
+    drawn from its states and then fitted and queried at once, with the
+    numbers, checks and merge of trial by trial. The trials run one after
+    another in the calling thread: `threads` must lie in 1..MAX_THREADS,
+    starts no thread and changes nothing.
     """
     trials = _integer(trials, "trials")
     n_train = _integer(n_train, "n_train")
@@ -304,10 +339,12 @@ def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
     size = _chunk_trials(spec, n_train)
     if not size:
         return [_space_trial(scenario, spec, seed, n_train, read, t) for t in range(trials)]
+    block = size * max(1, SEED_BLOCK // size)
     out = []
-    for lo in range(0, trials, size):
-        chunk = range(lo, min(lo + size, trials))
-        out += _stacked_trials(scenario, spec, seed, n_train, read, chunk)
+    for lo in range(0, trials, block):
+        states = _trial_states(seed, range(lo, min(lo + block, trials)))
+        for i in range(0, len(states), size):
+            out += _stacked_trials(scenario, spec, n_train, read, states[i : i + size])
     return out
 
 

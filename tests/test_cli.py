@@ -349,6 +349,7 @@ class TestValidate:
             raise AssertionError("a harness sampled")
 
         monkeypatch.setattr(validity, "sample", refuse)
+        monkeypatch.setattr(validity, "_sample_stack", refuse)
         cap = validity.MAX_THREADS
         for mode in ("space", "time", "compare"):
             for value in (str(cap + 1), "1000000000"):

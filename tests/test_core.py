@@ -678,6 +678,60 @@ class TestSeeding:
             drawn = sample(scenario, 51, seed)
             assert np.array_equal(drawn.X, X) and np.array_equal(drawn.y, y)
 
+    # master seeds of one, two and three or more key words
+    SEEDS = st.one_of(
+        st.just(0),
+        st.integers(1, 2**32 - 1),
+        st.integers(2**32, 2**64 - 1),
+        st.integers(2**64, 2**130),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEEDS,
+        start=st.one_of(st.just(0), st.integers(0, 10**6), st.integers(2**32 - 8, 2**32 + 8)),
+        count=st.integers(1, 12),
+        tag=st.sampled_from([0, 2]),
+    )
+    @example(seed=2**32 + 5, start=0, count=3, tag=0)
+    @example(seed=2**64 + 1, start=7, count=3, tag=2)
+    def test_derive_seeds_is_derive_seed(self, seed, start, count, tag):
+        # trial indices from 2**32 on have two key words
+        ts = range(start, start + count)
+        seeds = core._derive_seeds(seed, ts, tag)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_seed(seed, t, tag) for t in ts]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seeds=st.lists(
+            st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+            min_size=1, max_size=6,
+        ),
+        child=st.sampled_from([None, 0, 1]),
+    )
+    # derived seeds below 2**32 have one word: the same pools as two
+    @example(seeds=[0, 5, 2**32 - 1, 2**32, 2**40 + 3], child=None)
+    @example(seeds=[0, 5, 2**32 - 1, 2**32, 2**40 + 3], child=0)
+    @example(seeds=[0, 5, 2**32 - 1, 2**32, 2**40 + 3], child=1)
+    def test_pcg64_states_are_numpys(self, seeds, child):
+        # the state of default_rng(SeedSequence(seed)), or of a child that
+        # spawn gives, as `sample` and `make_fold_partition` seed them; a
+        # reused generator set to it draws as a new one does
+        states = core._pcg64_states(np.array(seeds, dtype=np.uint64), child)
+        rng = np.random.default_rng(0)
+        for seed, state in zip(seeds, states):
+            sequence = np.random.SeedSequence(seed)
+            if child is not None:
+                sequence = sequence.spawn(2)[child]
+            expected = np.random.default_rng(sequence)
+            assert state == (
+                expected.bit_generator.state["state"]["state"],
+                expected.bit_generator.state["state"]["inc"],
+            )
+            assert core._reseeded(rng, state).bit_generator.state == expected.bit_generator.state
+            assert rng.standard_normal(3).tobytes() == expected.standard_normal(3).tobytes()
+
     def test_make_fold_partition_runs_the_public_checks(self, monkeypatch):
         checked = []
         post_init = FoldPartition.__post_init__

@@ -18,6 +18,7 @@ from confee import (
     Dataset,
     DimensionMismatchError,
     KTooLargeError,
+    NonFiniteEntryError,
     Normalizer,
     OutOfRangeError,
     PREDICTOR_PRESETS,
@@ -28,11 +29,13 @@ from confee import (
     build_predictor,
     compare_e_vs_p,
     get_scenario,
+    make_fold_partition,
     mc_space_validity,
     online_time_validity,
     sample,
 )
 
+from confee.data import _sample_stack
 from confee.predictors import _stacked_tables
 from conftest import _reference_knn
 
@@ -358,30 +361,19 @@ class TestTrialWork:
     @staticmethod
     def _count(monkeypatch, spec, trials, n_train=50) -> Counter:
         calls = Counter()
-        sampling = []
 
-        def count(owner, name, key, only_in_sample=False):
+        def count(owner, name, key):
             original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                if sampling or not only_in_sample:
-                    calls[key] += 1
+                calls[key] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        sample_fn = validity.sample
-
-        def traced_sample(*args, **kwargs):
-            sampling.append(True)
-            try:
-                return sample_fn(*args, **kwargs)
-            finally:
-                sampling.pop()
-
-        monkeypatch.setattr(validity, "sample", traced_sample)
-        count(core, "spawn_rng", "spawn_rng in sample", only_in_sample=True)
-        count(np.random, "default_rng", "default_rng in sample", only_in_sample=True)
+        count(np.random, "default_rng", "generators built")
+        count(core, "_generate_state", "seed derivations")
+        count(validity, "_sample_stack", "chunk draws")
         count(core.Dataset, "__post_init__", "dataset validations")
         count(core, "_number_labels", "label numberings")
         count(conformity, "_by_label", "label groupings")
@@ -391,19 +383,22 @@ class TestTrialWork:
         return calls
 
     @staticmethod
-    def _draws(trials) -> Counter:
-        return Counter({
-            "spawn_rng in sample": 0,
-            "default_rng in sample": 2 * trials,  # one per stream, not per observation
-            "dataset validations": trials,  # one draw: training set and test point
-            "label numberings": trials,  # at validation, not per subset or fit
-        })
-
-    def _stacked_work(self, spec, trials) -> Counter:
-        # a chunk fits its trials from one stack of their draws: no row is
-        # copied into a training set or sorted by label and fold
+    def _stacked_work(spec, trials) -> Counter:
+        # one block of trials derives its seeds and generator states at
+        # once: the two draw seeds' and fold seeds' keys, the draw's two
+        # streams and the folds' generator; a chunk draws its trials with
+        # one generator and fits them from one stack of their draws: no
+        # dataset is built, no row is copied into a training set or sorted
+        # by label and fold
         size = validity._chunk_trials(spec, 50)
-        return self._draws(trials) + Counter({"stacked fits": -(-trials // size)})
+        assert size * (validity.SEED_BLOCK // size) >= trials
+        chunks = -(-trials // size)
+        return Counter({
+            "seed derivations": 5,
+            "generators built": chunks,
+            "chunk draws": chunks,
+            "stacked fits": chunks,
+        })
 
     def test_space_trial_work(self, monkeypatch):
         assert validity._chunk_trials(CROSS_KNN, 50) == 7
@@ -416,10 +411,22 @@ class TestTrialWork:
         assert validity._chunk_trials(spec, 50) == 36
         assert self._count(monkeypatch, spec, 100) == self._stacked_work(spec, 100)
 
+    def test_a_run_of_several_blocks(self, monkeypatch):
+        # 600 trials are three blocks of whole chunks: 252, 252 and 96
+        # trials, the last chunk of 5
+        counted = self._count(monkeypatch, CROSS_KNN, 600)
+        assert counted["seed derivations"] == 3 * 5
+        assert counted["chunk draws"] == counted["stacked fits"] == -(-600 // 7)
+
     def test_per_trial_work(self, monkeypatch):
         # at 100 rows a chunk would hold one trial, which goes alone
         assert validity._chunk_trials(CROSS_KNN, 100) == 0
-        per_trial = self._draws(100) + Counter({
+        per_trial = Counter({
+            # one per stream of the draw and one for the folds, not per
+            # observation
+            "generators built": 3 * 100,
+            "dataset validations": 100,  # one draw: training set and test point
+            "label numberings": 100,  # at validation, not per subset or fit
             # one sort of the training rows by label and fold per fit; a
             # query looks its candidate labels up in that sort
             "label groupings": 100,
@@ -429,11 +436,65 @@ class TestTrialWork:
         assert self._count(monkeypatch, CROSS_KNN, 100, n_train=100) == per_trial
 
 
+class TestChunkDraws:
+    """A chunk of stacked trials is drawn from generator states derived for
+    a block of trials at once, and draws each trial's bytes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scenario=st.sampled_from(["gm2d", "gm5c", "linreg3"]),
+        seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
+        start=st.integers(0, 10**4),
+        count=st.integers(1, 9),
+        n=st.integers(2, 60),
+        folds=st.integers(2, 8),
+    )
+    def test_each_trial_drawn_as_on_its_own(self, scenario, seed, start, count, n, folds):
+        scenario, n = get_scenario(scenario), max(n, folds)
+        ts = range(start, start + count)
+        states = validity._trial_states(seed, ts)
+        rng = np.random.default_rng(0)
+        X, y, codes = _sample_stack(scenario, n + 1, [state[:2] for state in states], rng)
+        rows = core._stacked_fold_rows(n, [state[2] for state in states], rng)
+        assert core._fold_sizes(n, folds) == [
+            fold.size for fold in make_fold_partition(n, folds, 0).folds
+        ]
+        for b, t in enumerate(ts):
+            drawn = sample(scenario, n + 1, core.derive_seed(seed, t, 0))
+            assert X[b].tobytes() == drawn.X.tobytes()
+            assert y[b].dtype == drawn.y.dtype and y[b].tobytes() == drawn.y.tobytes()
+            assert codes[b].tolist() == drawn.label_codes[1].tolist()
+            partition = make_fold_partition(n, folds, core.derive_seed(seed, t, 2))
+            assert rows[b].tobytes() == np.concatenate(partition.folds).tobytes()
+
+    @pytest.mark.parametrize("scenario, message", [
+        # means past the largest double
+        (dict(kind="gaussian_mixture", classes=3, dim=1, separation=1e308),
+         "features must be finite"),
+        (dict(kind="linear_regression", noise_sd=1.7e308, grid=(0.0,)),
+         "labels must be n finite reals"),
+    ])
+    def test_a_draw_that_is_not_finite_is_refused_as_a_dataset_refuses_it(
+        self, scenario, message
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            scenario = Scenario(**scenario)
+            assert validity._chunk_trials(CROSS_KNN, 30) >= 2
+            with pytest.raises(NonFiniteEntryError, match=f"^{message}$"):
+                validity._space_trial(scenario, CROSS_KNN, 1, 30, validity._e_at_truth, 0)
+            with pytest.raises(NonFiniteEntryError, match=f"^{message}$"):
+                mc_space_validity(scenario, CROSS_KNN, 100, 1, n_train=30)
+
+
 def _refuse_draws(monkeypatch):
+    """Make every draw of a harness fail: a trial's or stream's `sample`,
+    and a chunk's `_sample_stack`."""
     def refuse(*args, **kwargs):
         raise AssertionError("a harness drew data")
 
     monkeypatch.setattr(validity, "sample", refuse)
+    monkeypatch.setattr(validity, "_sample_stack", refuse)
 
 
 class TestSeedChecks:
@@ -520,13 +581,20 @@ def _rounded_sample(scenario, n, seed):
     return Dataset(np.round(drawn.X), drawn.y, drawn.task)
 
 
+def _rounded_stack(scenario, n, streams, rng):
+    """_sample_stack's draws with their features rounded as _rounded_sample
+    rounds them."""
+    X, y, codes = _sample_stack(scenario, n, streams, rng)
+    return np.round(X), y, codes
+
+
 class TestStackedTrials:
     """_run_trials fits and queries chunks of split and cross knn trials at
     once; each result has the bytes that _space_trial gives trial by trial."""
 
     @settings(max_examples=60, deadline=None)
     @given(
-        scenario=st.sampled_from(["gm2d", "gm5c", "gm2d_hard"]),
+        scenario=st.sampled_from(["gm2d", "gm5c", "gm2d_hard", "linreg3"]),
         kind=st.sampled_from(["cross", "split"]),
         folds=st.integers(2, 8),
         calibration_size=st.integers(1, 12),
@@ -538,16 +606,19 @@ class TestStackedTrials:
         duplicates=st.booleans(),
         trials=st.integers(100, 130),
         chunk=st.integers(2, 130),
-        seed=st.integers(0, 2**32),
+        seed=st.integers(0, 2**70),
+        seed_block=st.integers(1, 300),
     )
     # rare labels: gm5c on 3 rows in two folds leaves labels with kk = 0,
     # and on 12 rows in six folds rows with kk < k
-    @example("gm5c", "cross", 2, 1, 1, 1, "mean", "uniform", True, False, 100, 7, 5)
-    @example("gm5c", "cross", 6, 1, 3, 6, "sum", "size_proportional", True, False, 101, 2, 5)
-    @example("gm5c", "split", 2, 3, 2, 0, "mean", "uniform", False, True, 100, 100, 5)
+    @example("gm5c", "cross", 2, 1, 1, 1, "mean", "uniform", True, False, 100, 7, 5, 256)
+    @example("gm5c", "cross", 6, 1, 3, 6, "sum", "size_proportional", True, False, 101, 2, 5, 256)
+    @example("gm5c", "split", 2, 3, 2, 0, "mean", "uniform", False, True, 100, 100, 5, 256)
+    # a master seed of three key words, in blocks of two chunks
+    @example("gm2d", "cross", 5, 1, 3, 0, "mean", "uniform", False, False, 100, 7, 2**64 + 1, 14)
     def test_matches_per_trial(
         self, scenario, kind, folds, calibration_size, k, extra, normalizer, weighting,
-        compare, duplicates, trials, chunk, seed,
+        compare, duplicates, trials, chunk, seed, seed_block,
     ):
         spec = PredictorSpec(
             kind=kind, k=k, folds=folds, calibration_size=calibration_size,
@@ -558,9 +629,11 @@ class TestStackedTrials:
         read = validity._compare_row if compare and kind == "cross" else validity._e_at_truth
         rows, K = (n, folds) if kind == "cross" else (calibration_size, 1)
         chunk = min(chunk, trials)
-        draw = _rounded_sample if duplicates else sample
+        draw, stack = (_rounded_sample, _rounded_stack) if duplicates else (sample, _sample_stack)
         with mock.patch.object(validity, "sample", draw), \
+                mock.patch.object(validity, "_sample_stack", stack), \
                 mock.patch.object(validity, "CHUNK_ENTRIES", chunk * (rows + K) * n), \
+                mock.patch.object(validity, "SEED_BLOCK", seed_block), \
                 mock.patch.object(validity, "_stacked_tables", wraps=_stacked_tables) as tables:
             assert validity._chunk_trials(spec, n) == chunk
             stacked = validity._run_trials(scenario, spec, trials, seed, n, 1, read)
@@ -618,7 +691,7 @@ class TestThreads:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         monkeypatch.setattr(validity, "_space_trial", refuse)
-        monkeypatch.setattr(validity, "sample", refuse)
+        _refuse_draws(monkeypatch)
         for threads in (validity.MAX_THREADS + 1, 1_000_000_000):
             message = f"threads={threads}; at most {validity.MAX_THREADS}"
             with pytest.raises(OutOfRangeError, match=message):
@@ -744,7 +817,9 @@ def test_names_the_benchmark_wraps(monkeypatch, tmp_path):
     (predict). cli._write_report encloses a predict run's queries: it is
     entered before the first and draws each result as it writes it.
     Without one of them items are silently timed from the workload's
-    call, set-up and fitting included."""
+    call, set-up and fitting included: so are the items of a space run
+    whose trials are drawn in stacked chunks, the benchmark's among them,
+    which never call validity.sample."""
     assert "predict" in vars(predictors.CrossEPredictor)
     assert "_write_report" in vars(cli)
     assert "build_predictor" in vars(validity)
@@ -769,7 +844,8 @@ def test_names_the_benchmark_wraps(monkeypatch, tmp_path):
     assert cli.main(argv) == 0
     assert writes == [0] and len(queries) == 2
     # a space item starts at the training draw: a call whose n, read from
-    # the second argument or n=, exceeds 1; the worker passes threads=1
+    # the second argument or n=, exceeds 1; the worker passes threads=1. A
+    # trial drawn on its own makes one such call; stacked trials make none
     draws = []
     sample_ = vars(validity)["sample"]
 
@@ -778,8 +854,12 @@ def test_names_the_benchmark_wraps(monkeypatch, tmp_path):
         return sample_(*args, **kwargs)
 
     monkeypatch.setattr(validity, "sample", counted)
-    mc_space_validity(GM2D, CROSS_KNN, 100, 1, n_train=20, threads=1)
-    assert [n for n in draws if n > 1] == [21] * 100
+    assert validity._chunk_trials(CROSS_KNN, 100) == 0
+    mc_space_validity(GM2D, CROSS_KNN, 100, 1, n_train=100, threads=1)
+    assert [n for n in draws if n > 1] == [101] * 100
+    assert validity._chunk_trials(CROSS_KNN, 50) > 0
+    mc_space_validity(GM2D, CROSS_KNN, 100, 1, n_train=50, threads=1)
+    assert len(draws) == 100
     # an online item starts at its round's fit: one build_predictor call
     # for each round after the warmup
     fits = []
