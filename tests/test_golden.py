@@ -78,6 +78,26 @@ CASES = {
         "rep.json",
         "308211d6adce58e0322733ecc1baa1fd98f062b8b86db88eb59efc4fbaf485ea",
     ),
+    # trials fitted and queried one at a time: a cross knn training set too
+    # large for two trials a chunk, and a full predictor, which never stacks
+    "validate-space-lone": (
+        ("validate", "--mode", "space", "--n", "120", "--trials", "200", "--seed", "1",
+         "--out", "rep.json"),
+        "rep.json",
+        "fd2a932f76b03e0b2ece90873a616a510f164fe94e492f14fb8f5f21bbba4b27",
+    ),
+    "validate-compare-lone": (
+        ("validate", "--mode", "compare", "--n", "120", "--trials", "200", "--seed", "1",
+         "--out", "rep.json"),
+        "rep.json",
+        "b69c3635a383bf965df29e418cf8ba53f1d88158d93711b0187939b315411ec7",
+    ),
+    "validate-space-full": (
+        ("validate", "--mode", "space", "--predictor", "full", "--trials", "200", "--seed", "1",
+         "--out", "rep.json"),
+        "rep.json",
+        "eb8aa7d2e17bae9b8ff8773580f64d111f42d25a9b702b26657ef7af43eb20bf",
+    ),
     "validate-time": (
         ("validate", "--mode", "time", "--rounds", "200", "--warmup", "20", "--seed", "1",
          "--out", "rep.json"),
