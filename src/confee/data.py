@@ -10,9 +10,11 @@ drawing observations 0..i-1. The numbers are numpy's: `integers` and the
 ziggurat `standard_normal` of PCG64, which NEP 19 lets numpy change
 between releases. Seeds go through core: the SeedSequence comes from
 `core._seed_sequence`, which refuses a seed that is no nonnegative integer,
-and the regression weights from `core.spawn_rng`. `_sample_stack` draws
-many samples at once from their streams' PCG64 states, which
-`core._pcg64_states` computes from their seeds without a SeedSequence.
+and the regression weights from `core.spawn_rng`. The space and compare
+harnesses draw every trial through `_sample_stack` instead, a chunk of
+samples at once from their streams' PCG64 states, which
+`core._pcg64_states` computes from their seeds without a SeedSequence;
+`sample` draws the time harness's stream and the CLI's data sets.
 
 CSV format: header x1,...,xd,y then one observation per row. Floats are
 written with repr, so a save/load round trip is exact. The y column is
@@ -30,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    ClassificationTask, Dataset, RegressionTask, Task, _integer, _real_floats, _reseeded,
-    _seed_sequence, spawn_rng,
+    ClassificationTask, Dataset, RegressionTask, Task, _integer, _number_labels, _real_floats,
+    _reseeded, _seed_sequence, spawn_rng,
 )
 from .errors import (
     InvalidScenarioError,
@@ -173,7 +175,8 @@ def _sample_stack(scenario: Scenario, n: int, streams, rng: np.random.Generator)
 
     rng, a PCG64 Generator, is set to each state in turn (core._reseeded)
     and draws as `sample` draws. X is checked finite, and so are regression
-    labels, with the errors of Dataset's checks; mixture labels, drawn in
+    labels, with the errors of Dataset's checks, and numbered as Dataset
+    numbers them (core._number_labels); mixture labels, drawn in
     0..classes-1, are the task's labels and their own numbers.
     """
     X = np.empty((len(streams), n, scenario.dim))
@@ -188,7 +191,7 @@ def _sample_stack(scenario: Scenario, n: int, streams, rng: np.random.Generator)
         return X, y, y
     if not np.isfinite(y).all():
         raise NonFiniteEntryError("labels must be n finite reals")
-    return X, y, np.array([np.unique(row, return_inverse=True)[1] for row in y])
+    return X, y, np.array([_number_labels(row, scenario.task)[1] for row in y])
 
 
 SCENARIO_PRESETS = {

@@ -26,24 +26,26 @@ p-side merging rules are measured on identical draws.
 
 The space and compare harnesses run their trials through `_run_trials`,
 and each reads a trial's answer, the predictor's table at the test
-point's true label, with one reader (`_e_at_truth`, `_compare_row`). A
-split or cross knn spec, whatever its normalizer, runs in chunks of
-trials (`_chunk_trials`, at most CHUNK_ENTRIES distance entries, two
-trials or more). The seeds and generator states of a block of trials are
-derived at once (`_trial_states`: numpy's SeedSequence hashing and
-PCG64's seeding, recomputed over arrays in core), and each chunk is drawn
-from its trials' states with one reused generator (data._sample_stack and
-the fold permutations), building no Dataset and no FoldPartition; then
-the chunk is fitted and queried at once, one distance tensor for all its
-fits and queries, one normalization of all its folds (normalize._blocks,
-the routine every query normalizes by) and one table per trial
-(predictors._stacked_tables). Every other spec, and a training set too
-large for two trials a chunk, go trial by trial (`_space_trial`), the
-reference that the stacked path matches bit for bit. A chunk stacks
-whatever the size of its features: its tensor also holds pairs that a
-trial's own fit skips (two labels, or one fold), and such a pair, if it
-overflows, is +inf without a warning, like every knn distance
-(conformity._distances), and hidden anyway.
+point's true label, with one reader (`_e_at_truth`, `_compare_row`).
+Every trial is one `_space_trial`, alone or in a stacked chunk, and all
+are drawn one way. The seeds and generator states of a block of trials
+are derived at once (`_trial_states`: numpy's SeedSequence hashing and
+PCG64's seeding, recomputed over arrays in core), and each chunk of
+trials (`_chunk_trials`) is drawn from its trials' states with the run's
+one generator (data._sample_stack). A split or cross knn spec, whatever
+its normalizer, takes as many trials a chunk as CHUNK_ENTRIES distance
+entries hold; such a chunk of two or more, its folds drawn as
+permutations, builds no Dataset and no FoldPartition and is fitted and
+queried at once: one distance tensor for all its fits and queries, one
+normalization of all its folds (normalize._blocks, the routine every
+query normalizes by) and one table per trial (predictors._stacked_tables).
+Every other spec, and a training set too large for two trials a chunk,
+takes one trial a chunk, fitted and queried alone (`_space_trial`), as
+the public calls fit and query it. A chunk stacks whatever the size of
+its features: its tensor also holds pairs that a lone fit skips (two
+labels, or one fold), and such a pair, if it overflows, is +inf without
+a warning, like every knn distance (conformity._distances), and hidden
+anyway.
 """
 
 from __future__ import annotations
@@ -214,25 +216,19 @@ def _full_assignment(spec: PredictorSpec, task: Task, dim: int):
     return support_set_assignment(unit_margin_provider(w, spec.margin_b, spec.positive_label))
 
 
-def _space_trial(scenario, spec, seed, n_train, read, t):
-    """Trial t on its own: one draw of n_train + 1 observations, one fitted
-    predictor, one query. A stacked chunk of trials (see `_run_trials`)
-    gives each of them the same result.
+def _space_trial(scenario, spec, read, X, y, fold_seed):
+    """Fit and query one drawn trial: the rows X and labels y of a draw of
+    n + 1 observations of `scenario`. A stacked chunk of trials (see
+    `_run_trials`) gives each of them the same result.
 
-    The first n_train observations train the predictor and the last one is
-    the test point; returns read(table), the predictor's table at the test
-    point's true label. A knn distance that overflows is +inf here as in
-    a stacked chunk, without a warning. `sample` is looked up as a module
-    global at each call: bench/worker.py starts a space item's clock by
-    patching it. A stacked chunk draws the same numbers from the same
-    generator states without calling it (`_trial_states`), so the items
-    of a stacked run are timed from the workload's call.
+    The first n observations train the predictor, built with `fold_seed`,
+    and the last one is the test point; returns read(table), the
+    predictor's table at the test point's true label. A knn distance that
+    overflows is +inf here as in a stacked chunk, without a warning.
     """
-    drawn = sample(scenario, n_train + 1, derive_seed(seed, t, 0))
-    training = drawn.subset(range(n_train))
-    predictor = build_predictor(spec, training, derive_seed(seed, t, 2))
-    z = drawn.observation(n_train)
-    return read(predictor.predict(z.x, (z.y,)))
+    n = len(X) - 1
+    predictor = build_predictor(spec, Dataset(X[:n], y[:n], scenario.task), fold_seed)
+    return read(predictor.predict(X[n], (y[n],)))
 
 
 #: Distance entries in one chunk of stacked trials. A trial holds
@@ -257,13 +253,15 @@ SEED_BLOCK = 256
 
 
 def _chunk_trials(spec: PredictorSpec, n_train: int) -> int:
-    """The trials that _run_trials fits and queries together, or 0 for
-    none: a split or cross knn spec that passed _check_first_fit takes as
-    many trials as CHUNK_ENTRIES holds, if that is two or more.
+    """The trials that _run_trials draws together, at least one: a split or
+    cross knn spec that passed _check_first_fit takes as many trials as
+    CHUNK_ENTRIES holds, and every other spec one.
 
-    A stacked fit computes every pair of a trial's rows, where a per-trial
-    fit computes each label's block only, so stacking wins by sharing
-    numpy's per-call cost among trials, and a chunk of one trial loses.
+    A chunk of two trials or more is fitted and queried stacked, and a
+    chunk of one alone (`_space_trial`). A stacked fit computes every pair
+    of a trial's rows, where a lone fit computes each label's block only,
+    so stacking wins by sharing numpy's per-call cost among trials, and a
+    chunk of one trial would lose.
     Per-trial time over stacked time, median of 5 alternating runs of 200
     gm2d trials: cross (K = 5) 1.77 at n = 50 (7 trials a chunk), 1.27 at
     n = 90 (2) and 0.94 at n = 100 (1); split (c = 10) 1.59 at n = 400 (4)
@@ -271,31 +269,35 @@ def _chunk_trials(spec: PredictorSpec, n_train: int) -> int:
     1.29.
     """
     if spec.rule != "knn" or spec.kind not in ("split", "cross"):
-        return 0
+        return 1
     rows, K = (spec.calibration_size, 1) if spec.kind == "split" else (n_train, spec.folds)
-    size = CHUNK_ENTRIES // ((rows + K) * n_train)
-    return size if size >= 2 else 0
+    return max(1, CHUNK_ENTRIES // ((rows + K) * n_train))
 
 
 def _trial_states(seed: int, ts: range) -> list:
-    """For each trial t of ts, the PCG64 states (core._pcg64_states) that
-    _space_trial's calls start from: the two streams of its draw's seed,
-    derive_seed(seed, t, 0), and its fold seed, derive_seed(seed, t, 2),
-    all derived together."""
-    draws = _derive_seeds(seed, ts, 0)
-    folds = _pcg64_states(_derive_seeds(seed, ts, 2))
-    return list(zip(_pcg64_states(draws, 0), _pcg64_states(draws, 1), folds))
+    """For each trial t of ts, what its draw and fit start from, all
+    derived together: the PCG64 states (core._pcg64_states) of the two
+    streams of its draw's seed, derive_seed(seed, t, 0), then the state
+    and the int of its fold seed, derive_seed(seed, t, 2)."""
+    draws, folds = _derive_seeds(seed, ts, 0), _derive_seeds(seed, ts, 2)
+    states = _pcg64_states(draws, 0), _pcg64_states(draws, 1), _pcg64_states(folds)
+    return list(zip(*states, folds.tolist()))
 
 
-def _stacked_trials(scenario, spec, n_train, read, states) -> list:
-    """_space_trial(..., read, t) for the trials t whose _trial_states are
-    `states`, drawn together (data._sample_stack, and the fold permutations
-    of make_fold_partition) and then fitted and queried together
-    (predictors._stacked_tables). Whatever the size of the features: a pair
-    that overflows is +inf without a warning, as in a trial's own fit
-    (conformity._distances)."""
-    rng = np.random.default_rng(0)
+def _trial_chunk(scenario, spec, n_train, read, states, rng) -> list:
+    """read(table) for the trials whose _trial_states are `states`, drawn
+    together with rng, a PCG64 Generator (data._sample_stack), each as
+    `sample` draws n_train + 1 observations from its draw's seed.
+
+    A chunk of one trial is fitted and queried alone (`_space_trial`, with
+    its fold seed); a chunk of more is fitted and queried together
+    (predictors._stacked_tables), its folds the permutations that
+    make_fold_partition draws from their fold seeds. Whatever the size of
+    the features: a pair that overflows is +inf without a warning, as in a
+    lone fit (conformity._distances)."""
     X, y, codes = _sample_stack(scenario, n_train + 1, [state[:2] for state in states], rng)
+    if len(states) == 1:
+        return [_space_trial(scenario, spec, read, X[0], y[0], states[0][3])]
     if spec.kind == "split":
         c = spec.calibration_size
         rows, sizes = np.broadcast_to(np.arange(n_train - c, n_train), (len(states), c)), [c]
@@ -310,18 +312,19 @@ def _stacked_trials(scenario, spec, n_train, read, states) -> list:
 
 
 def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
-    """_space_trial(..., read, t) for t in 0..trials-1, in order.
+    """read(table) for trials 0..trials-1, in order: each one `_space_trial`,
+    alone or in a stacked chunk.
 
     The space and compare harnesses draw their trials only through here,
     and here their shared preconditions are checked, before any draw. A
     split or cross spec needs n_train rows enough for its first fit (see
-    _first_fit_rows). Where `_chunk_trials` says so, the trials run in
-    chunks of that many: the generator states of SEED_BLOCK trials or so,
-    whole chunks, are derived at once (_trial_states), and each chunk is
-    drawn from its states and then fitted and queried at once, with the
-    numbers, checks and merge of trial by trial. The trials run one after
-    another in the calling thread: `threads` must lie in 1..MAX_THREADS,
-    starts no thread and changes nothing.
+    _first_fit_rows). The trials run in chunks of `_chunk_trials`: the
+    generator states of SEED_BLOCK trials or so, whole chunks, are derived
+    at once (_trial_states), and each chunk is drawn from its states with
+    the run's one generator and then fitted and queried (_trial_chunk),
+    with the numbers, checks and merge of a lone trial. The trials run one
+    after another in the calling thread: `threads` must lie in
+    1..MAX_THREADS, starts no thread and changes nothing.
     """
     trials = _integer(trials, "trials")
     n_train = _integer(n_train, "n_train")
@@ -337,14 +340,13 @@ def _run_trials(scenario, spec, trials, seed, n_train, threads, read) -> list:
         raise OutOfRangeError(f"threads={threads}; at most {MAX_THREADS}")
     _check_first_fit(spec, "n_train", n_train)
     size = _chunk_trials(spec, n_train)
-    if not size:
-        return [_space_trial(scenario, spec, seed, n_train, read, t) for t in range(trials)]
     block = size * max(1, SEED_BLOCK // size)
+    rng = np.random.default_rng(0)
     out = []
     for lo in range(0, trials, block):
         states = _trial_states(seed, range(lo, min(lo + block, trials)))
         for i in range(0, len(states), size):
-            out += _stacked_trials(scenario, spec, n_train, read, states[i : i + size])
+            out += _trial_chunk(scenario, spec, n_train, read, states[i : i + size], rng)
     return out
 
 
@@ -495,7 +497,7 @@ def _check_first_bound(spec: PredictorSpec, scenario: Scenario, rows: int) -> No
     if spec.kind in ("split", "cross"):
         c, K = (spec.calibration_size, 1) if spec.kind == "split" else (rows, spec.folds)
         bound = get_normalizer(spec.normalizer).component_bound
-        if None in (bound(c // K + 1), bound(-(-c // K) + 1)):
+        if any(bound(size + 1) is None for size in _fold_sizes(c, K)):
             raise UnboundedNormalizerError("predictor declares no bound")
 
 

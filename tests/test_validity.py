@@ -28,6 +28,7 @@ from confee import (
     UnboundedNormalizerError,
     build_predictor,
     compare_e_vs_p,
+    derive_seed,
     get_scenario,
     make_fold_partition,
     mc_space_validity,
@@ -49,6 +50,17 @@ def _assert_trial_checks(harness):
         harness(GM2D, CROSS_KNN, 99, 1)
     with pytest.raises(OutOfRangeError, match="n_train must be at least 2"):
         harness(GM2D, CROSS_KNN, 100, 1, n_train=1)
+
+
+def _lone_trial(scenario, spec, seed, n_train, read, t, draw=sample):
+    """Trial t of a space or compare run under master seed `seed`, made of
+    public calls only: the reference every way `_run_trials` runs a trial
+    must match. draw(scenario, n, seed) draws the data, `sample` by
+    default."""
+    drawn = draw(scenario, n_train + 1, derive_seed(seed, t, 0))
+    predictor = build_predictor(spec, drawn.subset(range(n_train)), derive_seed(seed, t, 2))
+    z = drawn.observation(n_train)
+    return read(predictor.predict(z.x, (z.y,)))
 
 
 def _markov_ok(rate: float, t: float, trials: int) -> bool:
@@ -386,16 +398,16 @@ class TestTrialWork:
     def _stacked_work(spec, trials) -> Counter:
         # one block of trials derives its seeds and generator states at
         # once: the two draw seeds' and fold seeds' keys, the draw's two
-        # streams and the folds' generator; a chunk draws its trials with
-        # one generator and fits them from one stack of their draws: no
-        # dataset is built, no row is copied into a training set or sorted
-        # by label and fold
+        # streams and the folds' generator; the run draws every chunk with
+        # one generator, and a chunk's trials are fitted from one stack of
+        # their draws: no dataset is built, no row is copied into a
+        # training set or sorted by label and fold
         size = validity._chunk_trials(spec, 50)
         assert size * (validity.SEED_BLOCK // size) >= trials
         chunks = -(-trials // size)
         return Counter({
             "seed derivations": 5,
-            "generators built": chunks,
+            "generators built": 1,
             "chunk draws": chunks,
             "stacked fits": chunks,
         })
@@ -419,19 +431,22 @@ class TestTrialWork:
         assert counted["chunk draws"] == counted["stacked fits"] == -(-600 // 7)
 
     def test_per_trial_work(self, monkeypatch):
-        # at 100 rows a chunk would hold one trial, which goes alone
-        assert validity._chunk_trials(CROSS_KNN, 100) == 0
+        # at 100 rows a chunk holds one trial, which is fitted alone
+        assert validity._chunk_trials(CROSS_KNN, 100) == 1
         per_trial = Counter({
-            # one per stream of the draw and one for the folds, not per
+            # one block, as stacked trials derive theirs
+            "seed derivations": 5,
+            # the run's one, and one for each fit's folds, not per
             # observation
-            "generators built": 3 * 100,
-            "dataset validations": 100,  # one draw: training set and test point
+            "generators built": 1 + 100,
+            "chunk draws": 100,  # a chunk of one trial
+            "dataset validations": 100,  # the training set of the draw
             "label numberings": 100,  # at validation, not per subset or fit
             # one sort of the training rows by label and fold per fit; a
             # query looks its candidate labels up in that sort
             "label groupings": 100,
-            # the training rows of the draw; the folds are slices of the fit
-            "subsets": 100,
+            # no subset: the training set is built from the draw's rows, and
+            # the folds are slices of the fit
         })
         assert self._count(monkeypatch, CROSS_KNN, 100, n_train=100) == per_trial
 
@@ -480,16 +495,21 @@ class TestChunkDraws:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
             scenario = Scenario(**scenario)
+            with pytest.raises(NonFiniteEntryError, match=f"^{message}$"):
+                _lone_trial(scenario, CROSS_KNN, 1, 30, validity._e_at_truth, 0)
+            # a stacked chunk, and a chunk of one trial fitted alone
             assert validity._chunk_trials(CROSS_KNN, 30) >= 2
-            with pytest.raises(NonFiniteEntryError, match=f"^{message}$"):
-                validity._space_trial(scenario, CROSS_KNN, 1, 30, validity._e_at_truth, 0)
-            with pytest.raises(NonFiniteEntryError, match=f"^{message}$"):
-                mc_space_validity(scenario, CROSS_KNN, 100, 1, n_train=30)
+            assert validity._chunk_trials(CROSS_KNN, 100) == 1
+            for n_train in (30, 100):
+                with pytest.raises(NonFiniteEntryError, match=f"^{message}$"):
+                    validity._run_trials(
+                        scenario, CROSS_KNN, 100, 1, n_train, 1, validity._e_at_truth
+                    )
 
 
 def _refuse_draws(monkeypatch):
-    """Make every draw of a harness fail: a trial's or stream's `sample`,
-    and a chunk's `_sample_stack`."""
+    """Make every draw of a harness fail: a stream's `sample` and a chunk
+    of trials' `_sample_stack`."""
     def refuse(*args, **kwargs):
         raise AssertionError("a harness drew data")
 
@@ -589,13 +609,15 @@ def _rounded_stack(scenario, n, streams, rng):
 
 
 class TestStackedTrials:
-    """_run_trials fits and queries chunks of split and cross knn trials at
-    once; each result has the bytes that _space_trial gives trial by trial."""
+    """_run_trials draws every trial in chunks; it fits and queries a chunk
+    of two or more split or cross knn trials at once, and a chunk of one
+    trial alone; each result has the bytes of the public calls (_lone_trial)."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         scenario=st.sampled_from(["gm2d", "gm5c", "gm2d_hard", "linreg3"]),
-        kind=st.sampled_from(["cross", "split"]),
+        kind=st.sampled_from(["cross", "split", "full", "const"]),
+        rule=st.sampled_from(["knn", "ridge"]),
         folds=st.integers(2, 8),
         calibration_size=st.integers(1, 12),
         k=st.integers(1, 6),
@@ -605,42 +627,54 @@ class TestStackedTrials:
         compare=st.booleans(),
         duplicates=st.booleans(),
         trials=st.integers(100, 130),
-        chunk=st.integers(2, 130),
+        chunk=st.integers(1, 130),
         seed=st.integers(0, 2**70),
         seed_block=st.integers(1, 300),
     )
     # rare labels: gm5c on 3 rows in two folds leaves labels with kk = 0,
     # and on 12 rows in six folds rows with kk < k
-    @example("gm5c", "cross", 2, 1, 1, 1, "mean", "uniform", True, False, 100, 7, 5, 256)
-    @example("gm5c", "cross", 6, 1, 3, 6, "sum", "size_proportional", True, False, 101, 2, 5, 256)
-    @example("gm5c", "split", 2, 3, 2, 0, "mean", "uniform", False, True, 100, 100, 5, 256)
+    @example("gm5c", "cross", "knn", 2, 1, 1, 1, "mean", "uniform", True, False, 100, 7, 5, 256)
+    @example(
+        "gm5c", "cross", "knn", 6, 1, 3, 6, "sum", "size_proportional", True, False, 101, 2, 5, 256
+    )
+    @example("gm5c", "split", "knn", 2, 3, 2, 0, "mean", "uniform", False, True, 100, 100, 5, 256)
     # a master seed of three key words, in blocks of two chunks
-    @example("gm2d", "cross", 5, 1, 3, 0, "mean", "uniform", False, False, 100, 7, 2**64 + 1, 14)
+    @example(
+        "gm2d", "cross", "knn", 5, 1, 3, 0, "mean", "uniform", False, False, 100, 7, 2**64 + 1, 14
+    )
+    # a last chunk of one trial after stacked chunks; trials that never stack
+    @example("gm2d", "cross", "knn", 5, 1, 3, 0, "mean", "uniform", True, False, 101, 4, 3, 256)
+    @example("linreg3", "cross", "ridge", 5, 1, 3, 9, "mean", "uniform", True, True, 100, 7, 3, 9)
+    @example("gm2d", "full", "knn", 5, 1, 3, 9, "mean", "uniform", False, False, 100, 7, 3, 256)
+    @example("gm5c", "const", "knn", 5, 1, 3, 0, "sum", "uniform", False, False, 100, 7, 3, 256)
     def test_matches_per_trial(
-        self, scenario, kind, folds, calibration_size, k, extra, normalizer, weighting,
+        self, scenario, kind, rule, folds, calibration_size, k, extra, normalizer, weighting,
         compare, duplicates, trials, chunk, seed, seed_block,
     ):
+        stacks = rule == "knn" and kind in ("cross", "split")
+        # a ridge fit needs numeric labels; a full spec's margin leaves a few
+        # rows out of the support set
+        scenario = get_scenario("linreg3" if rule == "ridge" and kind != "full" else scenario)
         spec = PredictorSpec(
-            kind=kind, k=k, folds=folds, calibration_size=calibration_size,
-            normalizer=normalizer, weighting=weighting,
+            kind=kind, rule=rule, k=k, folds=folds, calibration_size=calibration_size,
+            normalizer=normalizer, weighting=weighting, const_value=0.5,
+            margin_w=(0.25,) + (0.0,) * (scenario.dim - 1), margin_b=0.25,
         )
-        scenario = get_scenario(scenario)
         n = max(2, validity._first_fit_rows(spec)) + extra
         read = validity._compare_row if compare and kind == "cross" else validity._e_at_truth
         rows, K = (n, folds) if kind == "cross" else (calibration_size, 1)
-        chunk = min(chunk, trials)
+        chunk = min(chunk, trials) if stacks else 1
         draw, stack = (_rounded_sample, _rounded_stack) if duplicates else (sample, _sample_stack)
-        with mock.patch.object(validity, "sample", draw), \
-                mock.patch.object(validity, "_sample_stack", stack), \
+        with mock.patch.object(validity, "_sample_stack", stack), \
                 mock.patch.object(validity, "CHUNK_ENTRIES", chunk * (rows + K) * n), \
                 mock.patch.object(validity, "SEED_BLOCK", seed_block), \
                 mock.patch.object(validity, "_stacked_tables", wraps=_stacked_tables) as tables:
             assert validity._chunk_trials(spec, n) == chunk
             stacked = validity._run_trials(scenario, spec, trials, seed, n, 1, read)
-            one_by_one = [
-                validity._space_trial(scenario, spec, seed, n, read, t) for t in range(trials)
-            ]
-        assert tables.call_count == -(-trials // chunk)
+        one_by_one = [_lone_trial(scenario, spec, seed, n, read, t, draw) for t in range(trials)]
+        # chunks are whole but for the run's last; a chunk of one is fitted alone
+        sizes = [min(chunk, trials - lo) for lo in range(0, trials, chunk)]
+        assert tables.call_count == sum(size >= 2 for size in sizes)
         assert np.array(stacked).tobytes() == np.array(one_by_one).tobytes()
 
     @pytest.mark.parametrize("harness", [mc_space_validity, compare_e_vs_p])
@@ -662,7 +696,7 @@ class TestStackedTrials:
 
     def test_a_chunk_whose_distances_overflow_stacks(self, monkeypatch):
         # labels 1e200 apart: a stacked fit computes their overflowing
-        # pairs, which a per-trial fit never computes, as inf and quietly
+        # pairs, which a lone fit never computes, as inf and quietly
         far = Scenario("gaussian_mixture", separation=1e200)
         stacked = mock.Mock(wraps=_stacked_tables)
         monkeypatch.setattr(validity, "_stacked_tables", stacked)
@@ -672,8 +706,7 @@ class TestStackedTrials:
             es = validity._run_trials(far, CROSS_KNN, 100, 3, 20, 1, validity._e_at_truth)
         assert size >= 2 and stacked.call_count == -(-100 // size)
         assert es == [
-            validity._space_trial(far, CROSS_KNN, 3, 20, validity._e_at_truth, t)
-            for t in range(100)
+            _lone_trial(far, CROSS_KNN, 3, 20, validity._e_at_truth, t) for t in range(100)
         ]
 
 
@@ -711,9 +744,10 @@ class TestThreads:
 
 
 class TestModuleLevelItems:
-    """Each trial and round is a module-level function of its index: bound
-    to its other arguments with functools.partial, it survives pickle, as a
-    worker process needs, and returns what the in-process call returns."""
+    """Each round is a module-level function of its index, and each chunk
+    of trials and each lone trial one of its draw: bound to its arguments
+    with functools.partial, it survives pickle, as a worker process needs,
+    and returns what the in-process call returns."""
 
     def test_online_round(self):
         stream = sample(GM2D, 60, 5)
@@ -726,11 +760,17 @@ class TestModuleLevelItems:
 
     @pytest.mark.parametrize("reader", ["_e_at_truth", "_compare_row"])
     def test_space_trial(self, reader):
+        # trials 7..9 of master seed 3: a stacked chunk of the three, and
+        # trial 7 drawn and fitted alone
         read = getattr(validity, reader)
-        bound = functools.partial(validity._space_trial, GM2D, CROSS_KNN, 3, 20, read)
-        assert pickle.loads(pickle.dumps(bound))(7) == validity._space_trial(
-            GM2D, CROSS_KNN, 3, 20, read, 7
-        )
+        states = validity._trial_states(3, range(7, 10))
+        rng = np.random.default_rng(0)
+        chunk = functools.partial(validity._trial_chunk, GM2D, CROSS_KNN, 20, read, states, rng)
+        expected = [_lone_trial(GM2D, CROSS_KNN, 3, 20, read, t) for t in range(7, 10)]
+        assert pickle.loads(pickle.dumps(chunk))() == chunk() == expected
+        X, y, _ = _sample_stack(GM2D, 21, [states[0][:2]], rng)
+        lone = functools.partial(validity._space_trial, GM2D, CROSS_KNN, read, X[0], y[0])
+        assert pickle.loads(pickle.dumps(lone))(states[0][3]) == lone(states[0][3]) == expected[0]
 
 
 class TestBuildPredictor:
@@ -817,9 +857,9 @@ def test_names_the_benchmark_wraps(monkeypatch, tmp_path):
     (predict). cli._write_report encloses a predict run's queries: it is
     entered before the first and draws each result as it writes it.
     Without one of them items are silently timed from the workload's
-    call, set-up and fitting included: so are the items of a space run
-    whose trials are drawn in stacked chunks, the benchmark's among them,
-    which never call validity.sample."""
+    call, set-up and fitting included: so are the items of every space
+    run, the benchmark's and its smoke check's const2 run among them,
+    which draw their trials in chunks and never call validity.sample."""
     assert "predict" in vars(predictors.CrossEPredictor)
     assert "_write_report" in vars(cli)
     assert "build_predictor" in vars(validity)
@@ -843,23 +883,16 @@ def test_names_the_benchmark_wraps(monkeypatch, tmp_path):
             "--out", str(tmp_path / "p.json")]
     assert cli.main(argv) == 0
     assert writes == [0] and len(queries) == 2
-    # a space item starts at the training draw: a call whose n, read from
-    # the second argument or n=, exceeds 1; the worker passes threads=1. A
-    # trial drawn on its own makes one such call; stacked trials make none
-    draws = []
-    sample_ = vars(validity)["sample"]
-
-    def counted(*args, **kwargs):
-        draws.append(args[1] if len(args) > 1 else kwargs["n"])
-        return sample_(*args, **kwargs)
-
-    monkeypatch.setattr(validity, "sample", counted)
-    assert validity._chunk_trials(CROSS_KNN, 100) == 0
+    # a space item would start at a training draw through validity.sample,
+    # but a space run draws every trial in chunks and never calls it
+    draws = mock.Mock(wraps=vars(validity)["sample"])
+    monkeypatch.setattr(validity, "sample", draws)
+    assert validity._chunk_trials(CROSS_KNN, 100) == 1
     mc_space_validity(GM2D, CROSS_KNN, 100, 1, n_train=100, threads=1)
-    assert [n for n in draws if n > 1] == [101] * 100
-    assert validity._chunk_trials(CROSS_KNN, 50) > 0
+    assert validity._chunk_trials(CROSS_KNN, 50) > 1
     mc_space_validity(GM2D, CROSS_KNN, 100, 1, n_train=50, threads=1)
-    assert len(draws) == 100
+    mc_space_validity(GM2D, PredictorSpec(kind="const", const_value=2.0), 100, 1, threads=1)
+    assert draws.call_count == 0
     # an online item starts at its round's fit: one build_predictor call
     # for each round after the warmup
     fits = []
@@ -872,3 +905,25 @@ def test_names_the_benchmark_wraps(monkeypatch, tmp_path):
     monkeypatch.setattr(validity, "build_predictor", counted_build)
     online_time_validity(GM2D, CROSS_KNN, 60, 1, warmup=20)
     assert len(fits) == 60 - 20
+
+
+@pytest.mark.parametrize("spec, scenario, n_train", [
+    (PREDICTOR_PRESETS["cross-ridge-mean"], "linreg3", 60),
+    (PredictorSpec(kind="full"), "gm2d", 60),
+    (PredictorSpec(kind="const"), "gm2d", 60),
+    (CROSS_KNN, "gm2d", 120),
+], ids=["cross-ridge", "full", "const", "cross-knn-lone"])
+def test_every_trial_is_drawn_in_chunks(monkeypatch, spec, scenario, n_train):
+    """Neither harness draws a trial through sample or derive_seed: specs
+    that never stack, and a knn training set too large to, draw in chunks
+    of one trial, as stacked trials draw."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial was drawn on its own")
+
+    monkeypatch.setattr(validity, "sample", refuse)
+    monkeypatch.setattr(validity, "derive_seed", refuse)
+    assert validity._chunk_trials(spec, n_train) == 1
+    scenario = get_scenario(scenario)
+    assert mc_space_validity(scenario, spec, 100, 1, n_train=n_train).trials == 100
+    if spec.kind == "cross":
+        assert compare_e_vs_p(scenario, spec, 100, 1, n_train=n_train).trials == 100
