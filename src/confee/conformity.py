@@ -68,6 +68,8 @@ trials use. The summaries are bit for bit a refit's (see NeighbourTable).
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -176,17 +178,19 @@ def _summaries_by_kk(D: np.ndarray, kks: list) -> np.ndarray:
     return out
 
 
-def _stacked_summaries(X, codes, fold_of, points, point_codes, point_folds, k: int) -> np.ndarray:
+def _stacked_summaries(X, y, fold_of, points, point_y, point_folds, k: int) -> np.ndarray:
     """The knn summaries of points in B training sets at once.
 
-    X (B, n, d) holds the sets' rows, and codes and fold_of (B, n) each
-    row's label number and fold (-1 for a row in no fold). Entry (b, j) of
-    the (B, p) result scores points[b, j] against the rows of set b that
-    have the label number point_codes[b, j] and lie outside the fold
-    point_folds[..., j]: a fold row's held-out summary, when the point is
-    that row in its own fold, or a query's summary against the fold's
-    proper rows, the double a KnnRule fitted on set b alone gives either
-    way.
+    X (B, n, d) holds the sets' rows, and y and fold_of (B, n) each row's
+    label and fold (-1 for a row in no fold). Entry (b, j) of the (B, p)
+    result scores points[b, j] against the rows of set b that have the
+    label point_y[b, j] and lie outside the fold point_folds[..., j]: a
+    fold row's held-out summary, when the point is that row in its own
+    fold, or a query's summary against the fold's proper rows, the double
+    a KnnRule fitted on set b alone gives either way. Labels are only
+    compared with `!=`, so any labelling that is equal exactly where the
+    labels are equal serves: stacked trials pass the labels they drew, a
+    NeighbourTable its stream's label numbers (Dataset.label_codes).
 
     One distance tensor holds every point against every row of its set;
     an entry is hidden (inf) where the labels differ or the folds are the
@@ -195,7 +199,7 @@ def _stacked_summaries(X, codes, fold_of, points, point_codes, point_folds, k: i
     """
     n = X.shape[1]
     D = _distances(points[:, :, None, :], X[:, None, :, :])
-    hide = point_codes[:, :, None] != codes[:, None, :]
+    hide = point_y[:, :, None] != y[:, None, :]
     hide |= point_folds[..., None] == fold_of[:, None, :]
     D[hide] = np.inf
     kks = np.minimum(k, n - np.count_nonzero(hide, axis=2)).ravel().tolist()
@@ -618,6 +622,14 @@ _RULES = {"knn": KnnRule, "ridge": RidgeRule}
 RULE_KINDS = tuple(_RULES)
 
 
+@functools.cache
+def _rule_params(rule: type) -> tuple:
+    """The parameters a rule class takes besides the training set and
+    fold_of, read from its constructor's signature."""
+    names = inspect.signature(rule).parameters
+    return tuple(name for name in names if name not in ("training", "fold_of"))
+
+
 def train_conformity(kind: str, training: Dataset, *, fold_of=None, **params) -> ConformityRule:
     """Fit a conformity rule of the given kind on a training set.
 
@@ -626,13 +638,20 @@ def train_conformity(kind: str, training: Dataset, *, fold_of=None, **params) ->
     every row is proper. A cross fit passes its partition's `fold_of`; a
     split fit puts its calibration rows in fold 0 and the rest in none.
     kinds (RULE_KINDS): "knn" fits a KnnRule (param k, default 3) and
-    "ridge" a RidgeRule (param lam, default 1.0); any other kind raises
-    OutOfRangeError.
+    "ridge" a RidgeRule (param lam, default 1.0); any other kind, or a
+    parameter the kind's rule does not take, raises OutOfRangeError before
+    any fit work.
     The fitted state is a deterministic function of (kind, params, the
     training set as a multiset of rows with their folds).
     """
     if kind not in RULE_KINDS:
         raise OutOfRangeError(f"unknown conformity kind {kind!r}")
+    takes = _rule_params(_RULES[kind])
+    for name in params:
+        if name not in takes:
+            raise OutOfRangeError(
+                f"{kind} rule takes no parameter {name!r}; it takes {', '.join(takes)}"
+            )
     return _RULES[kind](training, fold_of=fold_of, **params)
 
 

@@ -337,6 +337,8 @@ class Dataset:
             raise OutOfRangeError(f"X must be 2-D, got shape {X.shape}")
         if X.shape[0] == 0:
             raise EmptyDatasetError("dataset has no observations")
+        if X.shape[1] == 0:
+            raise OutOfRangeError(f"features: need at least one column, got shape {X.shape}")
         if not np.isfinite(X).all():
             raise NonFiniteEntryError("features must be finite")
         if isinstance(self.task, RegressionTask):

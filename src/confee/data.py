@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    ClassificationTask, Dataset, RegressionTask, Task, _integer, _number_labels, _real_floats,
+    ClassificationTask, Dataset, RegressionTask, Task, _integer, _real_floats,
     _reseeded, _seed_sequence, spawn_rng,
 )
 from .errors import (
@@ -167,17 +167,15 @@ def _labels(scenario: Scenario, X: np.ndarray, first: np.random.Generator) -> np
 
 
 def _sample_stack(scenario: Scenario, n: int, streams, rng: np.random.Generator) -> tuple:
-    """(X, y, codes) of B draws of n observations at once: for b in range(B),
-    X[b] and y[b] are the rows and labels of sample(scenario, n, seed) and
-    codes[b] the label numbers of that dataset (Dataset.label_codes), where
+    """(X, y) of B draws of n observations at once: for b in range(B), X[b]
+    and y[b] are the rows and labels of sample(scenario, n, seed), where
     streams[b] holds the PCG64 states of the seed's two streams, the first
     then the second (core._pcg64_states of its spawned children 0 and 1).
 
     rng, a PCG64 Generator, is set to each state in turn (core._reseeded)
     and draws as `sample` draws. X is checked finite, and so are regression
-    labels, with the errors of Dataset's checks, and numbered as Dataset
-    numbers them (core._number_labels); mixture labels, drawn in
-    0..classes-1, are the task's labels and their own numbers.
+    labels, with the errors of Dataset's checks; the labels are returned as
+    drawn, unnumbered.
     """
     X = np.empty((len(streams), n, scenario.dim))
     y = []
@@ -187,11 +185,9 @@ def _sample_stack(scenario: Scenario, n: int, streams, rng: np.random.Generator)
     y = np.array(y)
     if not np.isfinite(X).all():
         raise NonFiniteEntryError("features must be finite")
-    if scenario.kind == "gaussian_mixture":
-        return X, y, y
-    if not np.isfinite(y).all():
+    if scenario.kind == "linear_regression" and not np.isfinite(y).all():
         raise NonFiniteEntryError("labels must be n finite reals")
-    return X, y, np.array([_number_labels(row, scenario.task)[1] for row in y])
+    return X, y
 
 
 SCENARIO_PRESETS = {

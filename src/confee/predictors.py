@@ -21,9 +21,9 @@ calibration summaries, the (K, L) candidate summaries and the normalized
 blocks), so reports and the p-value side need no second pass. A split
 predictor's answer is the one-fold table. `_stacked_tables` gives the
 tables of a chunk of knn trials, each fitted and queried at its test
-point's label, from one stacked fit and query and one `_blocks` call for
-all their folds; every table merges its folds through the same
-`_cross_table` as `predict`.
+point's label, from one stacked fit and query, which compares the labels
+as drawn, and one `_blocks` call for all their folds; every table merges
+its folds through the same `_cross_table` as `predict`.
 
 p-value counterparts are included for comparison experiments: the split
 conformal p-values of every fold (`CrossTable.p_values`, a (K, L) array)
@@ -52,6 +52,7 @@ from .core import (
     PlausibilityTable,
     SummaryVector,
     _ONE,
+    _fold_sizes,
     _integer,
     _py_scalar,
     _real_floats,
@@ -263,26 +264,25 @@ def fit_cross(
 
 def _stacked_tables(
     X: np.ndarray,
-    codes: np.ndarray,
-    labels: Sequence,
+    y: np.ndarray,
     rows: np.ndarray,
-    sizes: Sequence[int],
+    K: int,
     k: int,
     kind: str,
     weighting: str,
 ) -> list:
     """What B knn predictors answer, fitted and queried at once: for each
-    set b of n + 1 rows X[b] with label numbers codes[b] (as
-    Dataset.label_codes numbers them), the CrossTable that a split or cross
-    predictor fitted on its first n rows, with a normalizer of kind `kind`
-    and weighting `weighting`, gives for its last row at that row's label,
-    labels[b], bit for bit.
+    set b of n + 1 rows X[b] with labels y[b], the CrossTable that a split
+    (K = 1) or cross predictor fitted on its first n rows, with a
+    normalizer of kind `kind` and weighting `weighting`, gives for its last
+    row at that row's label, y[b, n], bit for bit.
 
-    The folds of set b are consecutive slices of rows[b], of `sizes` rows
-    each, and keep their rows in that order, as its calibration vectors do
-    (a split fit's one fold is its calibration rows); the other rows are in
-    no fold. The summaries come from conformity._stacked_summaries and the
-    B·K folds are normalized in one normalize._blocks call, the routine
+    The K folds of set b are consecutive slices of rows[b], of the sizes
+    core._fold_sizes gives, and keep their rows in that order, as its
+    calibration vectors do (a split fit's one fold is its calibration
+    rows); the other rows are in no fold. The summaries come from
+    conformity._stacked_summaries, which compares the labels as drawn, and
+    the B·K folds are normalized in one normalize._blocks call, the routine
     `predict` normalizes by. A knn summary lies in [0, 1], so only
     positivity is checked, once per fold, as a fit's SummaryVector checks
     it: a summary whose distances overflow is 0.0, and _blocks refuses its
@@ -290,7 +290,8 @@ def _stacked_tables(
     does.
     """
     B, n = X.shape[0], X.shape[1] - 1
-    K, bounds = len(sizes), [0, *accumulate(sizes)]
+    sizes = _fold_sizes(rows.shape[1], K)
+    bounds = [0, *accumulate(sizes)]
     row_folds = np.repeat(np.arange(K), sizes)
     fold_of = np.full((B, n), -1)
     np.put_along_axis(fold_of, rows, row_folds[None, :], axis=1)
@@ -299,10 +300,10 @@ def _stacked_tables(
     take = np.concatenate((rows, np.full((B, K), n)), axis=1)
     summaries = _stacked_summaries(
         X[:, :n],
-        codes[:, :n],
+        y[:, :n],
         fold_of,
         np.take_along_axis(X, take[:, :, None], axis=1),
-        np.take_along_axis(codes, take, axis=1),
+        np.take_along_axis(y, take, axis=1),
         np.concatenate((row_folds, np.arange(K))),
         k,
     )
@@ -321,7 +322,7 @@ def _stacked_tables(
             blocks[b * K : (b + 1) * K],
             weighting,
         )
-        for b, label in enumerate(labels)
+        for b, label in enumerate(y[:, n].tolist())
     ]
 
 

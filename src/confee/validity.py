@@ -295,19 +295,16 @@ def _trial_chunk(scenario, spec, n_train, read, states, rng) -> list:
     make_fold_partition draws from their fold seeds. Whatever the size of
     the features: a pair that overflows is +inf without a warning, as in a
     lone fit (conformity._distances)."""
-    X, y, codes = _sample_stack(scenario, n_train + 1, [state[:2] for state in states], rng)
+    X, y = _sample_stack(scenario, n_train + 1, [state[:2] for state in states], rng)
     if len(states) == 1:
         return [_space_trial(scenario, spec, read, X[0], y[0], states[0][3])]
     if spec.kind == "split":
         c = spec.calibration_size
-        rows, sizes = np.broadcast_to(np.arange(n_train - c, n_train), (len(states), c)), [c]
+        rows, K = np.broadcast_to(np.arange(n_train - c, n_train), (len(states), c)), 1
     else:
-        rows = _stacked_fold_rows(n_train, [state[2] for state in states], rng)
-        sizes = _fold_sizes(n_train, spec.folds)
+        rows, K = _stacked_fold_rows(n_train, [state[2] for state in states], rng), spec.folds
     kind = get_normalizer(spec.normalizer).kind
-    tables = _stacked_tables(
-        X, codes, y[:, n_train].tolist(), rows, sizes, spec.k, kind, spec.weighting
-    )
+    tables = _stacked_tables(X, y, rows, K, spec.k, kind, spec.weighting)
     return list(map(read, tables))
 
 

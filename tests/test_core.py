@@ -445,6 +445,10 @@ class TestTasksAndData:
             Dataset(np.zeros((2, 2)), np.array([0]), task)
         with pytest.raises(OutOfRangeError):
             Dataset(np.zeros(3), np.array([0, 1, 0]), task)
+        # no feature column: a knn fit would fail inside its distance kernel
+        message = r"^features: need at least one column, got shape \(6, 0\)$"
+        with pytest.raises(OutOfRangeError, match=message):
+            Dataset(np.zeros((6, 0)), [0, 1, 0, 1, 0, 1], task)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_regression_labels_must_be_finite(self, bad):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confee import validity
+from confee import conformity, validity
 from confee import (
     ClassificationTask,
     ConstantEPredictor,
@@ -463,6 +463,9 @@ class TestFull:
         assert table[-1] == 5.0 / 3.0
         assert table[1] == 0.0
 
+    def test_declares_no_bound(self):
+        assert FullEPredictor(self.TRAIN, self.ASSIGN).component_bound() is None
+
     def test_default_labels_are_the_task_labels(self):
         predictor = FullEPredictor(self.TRAIN, self.ASSIGN)
         table = predictor.predict((1.5,))
@@ -488,6 +491,37 @@ class TestFull:
             sv = [i for i, (xi, yi) in enumerate(points) if (1 if yi == 1 else -1) * xi <= 1.0]
             expected = (5.0 / len(sv)) if 4 in sv else 0.0
             assert predictor.e_at((x,), y) == expected
+
+
+class TestRuleParams:
+    """A rule parameter that the chosen kind does not take is named, with
+    the kind, before any fit work."""
+
+    DATA = sample(get_scenario("linreg3"), 40, 1)
+
+    @pytest.mark.parametrize("fit, message", [
+        (lambda d: fit_cross(d, 5, 0, "knn", kk=3),
+         "knn rule takes no parameter 'kk'; it takes k, table"),
+        (lambda d: fit_split(d, 10, "ridge", k=3), "ridge rule takes no parameter 'k'; it takes lam"),
+        (lambda d: train_conformity("knn", d, lam=1.0),
+         "knn rule takes no parameter 'lam'; it takes k, table"),
+    ])
+    def test_refused(self, fit, message, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rule was fitted")
+
+        # every rule's fit passes through the base class; the rule
+        # classes keep their own signatures
+        monkeypatch.setattr(conformity.ConformityRule, "__init__", refuse)
+        with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
+            fit(self.DATA)
+
+    def test_accepted(self):
+        table = conformity.NeighbourTable(self.DATA)
+        x = self.DATA.X[0]
+        walked = fit_cross(self.DATA, 5, 0, "knn", k=2, table=table).predict(x)
+        assert walked.values == fit_cross(self.DATA, 5, 0, "knn", k=2).predict(x).values
+        assert fit_split(self.DATA, 10, "ridge", lam=0.5).rule.lam == 0.5
 
 
 def _fit(fit, kind, training):

@@ -225,6 +225,10 @@ class TestTimeHarness:
         monkeypatch.setattr(predictors.FullEPredictor, "predict", predict)
         with pytest.raises(UnboundedNormalizerError, match="^predictor declares no bound$"):
             online_time_validity(GM2D, PredictorSpec(kind="full"), 60, 1)
+        # the harness refuses it before the stream is drawn; a round called
+        # on its own refuses it from the bound it reads
+        with pytest.raises(UnboundedNormalizerError, match="^predictor declares no bound$"):
+            validity._online_round(PredictorSpec(kind="full"), sample(GM2D, 30, 2), 2, 25)
         # the spec's own checks run first, when the predictor is built
         with pytest.raises(OutOfRangeError, match="^positive_label 7 is not one of"):
             online_time_validity(GM2D, PredictorSpec(kind="full", positive_label=7), 60, 1)
@@ -371,7 +375,7 @@ class TestTrialWork:
     """What a space trial does, counted rather than timed."""
 
     @staticmethod
-    def _count(monkeypatch, spec, trials, n_train=50) -> Counter:
+    def _count(monkeypatch, spec, trials, n_train=50, scenario=GM2D) -> Counter:
         calls = Counter()
 
         def count(owner, name, key):
@@ -388,10 +392,11 @@ class TestTrialWork:
         count(validity, "_sample_stack", "chunk draws")
         count(core.Dataset, "__post_init__", "dataset validations")
         count(core, "_number_labels", "label numberings")
+        count(np, "unique", "np.unique calls")
         count(conformity, "_by_label", "label groupings")
         count(core.Dataset, "subset", "subsets")
         count(predictors, "_stacked_summaries", "stacked fits")
-        mc_space_validity(GM2D, spec, trials, 4, n_train=n_train)
+        mc_space_validity(scenario, spec, trials, 4, n_train=n_train)
         return calls
 
     @staticmethod
@@ -450,6 +455,21 @@ class TestTrialWork:
         })
         assert self._count(monkeypatch, CROSS_KNN, 100, n_train=100) == per_trial
 
+    def test_stacked_regression_trials_number_no_labels(self, monkeypatch):
+        # a chunk compares the labels it drew; nothing numbers them
+        assert validity._chunk_trials(CROSS_KNN, 50) >= 2
+        counted = self._count(monkeypatch, CROSS_KNN, 100, scenario=get_scenario("linreg3"))
+        assert counted["label numberings"] == counted["np.unique calls"] == 0
+        assert counted["stacked fits"] == counted["chunk draws"] == -(-100 // 7)
+
+    def test_a_lone_regression_trial_numbers_its_labels_once(self, monkeypatch):
+        # the training set's Dataset numbers them; the draw does not
+        spec = PREDICTOR_PRESETS["cross-ridge-mean"]
+        assert validity._chunk_trials(spec, 50) == 1
+        counted = self._count(monkeypatch, spec, 100, scenario=get_scenario("linreg3"))
+        assert counted["label numberings"] == counted["np.unique calls"] == 100
+        assert counted["dataset validations"] == counted["chunk draws"] == 100
+
 
 class TestChunkDraws:
     """A chunk of stacked trials is drawn from generator states derived for
@@ -469,7 +489,7 @@ class TestChunkDraws:
         ts = range(start, start + count)
         states = validity._trial_states(seed, ts)
         rng = np.random.default_rng(0)
-        X, y, codes = _sample_stack(scenario, n + 1, [state[:2] for state in states], rng)
+        X, y = _sample_stack(scenario, n + 1, [state[:2] for state in states], rng)
         rows = core._stacked_fold_rows(n, [state[2] for state in states], rng)
         assert core._fold_sizes(n, folds) == [
             fold.size for fold in make_fold_partition(n, folds, 0).folds
@@ -478,7 +498,6 @@ class TestChunkDraws:
             drawn = sample(scenario, n + 1, core.derive_seed(seed, t, 0))
             assert X[b].tobytes() == drawn.X.tobytes()
             assert y[b].dtype == drawn.y.dtype and y[b].tobytes() == drawn.y.tobytes()
-            assert codes[b].tolist() == drawn.label_codes[1].tolist()
             partition = make_fold_partition(n, folds, core.derive_seed(seed, t, 2))
             assert rows[b].tobytes() == np.concatenate(partition.folds).tobytes()
 
@@ -596,16 +615,17 @@ class TestFirstFit:
 
 
 def _rounded_sample(scenario, n, seed):
-    """A draw whose features are rounded to integers: duplicate points."""
+    """A draw whose features are rounded to integers, and its labels to
+    one decimal: duplicate points, and regression labels that tie (mixture
+    labels, integers, come back unchanged)."""
     drawn = sample(scenario, n, seed)
-    return Dataset(np.round(drawn.X), drawn.y, drawn.task)
+    return Dataset(np.round(drawn.X), np.round(drawn.y, 1), drawn.task)
 
 
 def _rounded_stack(scenario, n, streams, rng):
-    """_sample_stack's draws with their features rounded as _rounded_sample
-    rounds them."""
-    X, y, codes = _sample_stack(scenario, n, streams, rng)
-    return np.round(X), y, codes
+    """_sample_stack's draws rounded as _rounded_sample rounds them."""
+    X, y = _sample_stack(scenario, n, streams, rng)
+    return np.round(X), np.round(y, 1)
 
 
 class TestStackedTrials:
@@ -694,6 +714,27 @@ class TestStackedTrials:
         assert stacked.call_count == -(-100 // size)
         assert report == harness(GM2D, CROSS_KNN, 100, 6, n_train=20)
 
+    @pytest.mark.parametrize("reader", ["_e_at_truth", "_compare_row"])
+    def test_regression_labels_that_tie_stack(self, monkeypatch, reader):
+        # linreg3's labels rounded to one decimal tie inside a trial: a
+        # chunk hides a pair where the drawn labels differ, and a lone fit
+        # groups its rows by label number, the same rows either way
+        linreg3, read = get_scenario("linreg3"), getattr(validity, reader)
+        monkeypatch.setattr(validity, "_sample_stack", _rounded_stack)
+        stacked = mock.Mock(wraps=_stacked_tables)
+        monkeypatch.setattr(validity, "_stacked_tables", stacked)
+        size = validity._chunk_trials(CROSS_KNN, 30)
+        es = validity._run_trials(linreg3, CROSS_KNN, 100, 5, 30, 1, read)
+        assert size >= 2 and stacked.call_count == -(-100 // size)
+        lone = [
+            _lone_trial(linreg3, CROSS_KNN, 5, 30, read, t, _rounded_sample) for t in range(100)
+        ]
+        assert np.array(es).tobytes() == np.array(lone).tobytes()
+        # about half the test labels (45 of 100 here) tie a training label,
+        # so their summaries see neighbours
+        y = np.concatenate([c.args[1] for c in stacked.call_args_list])
+        assert sum(row[-1] in row[:-1] for row in y.tolist()) >= 40
+
     def test_a_chunk_whose_distances_overflow_stacks(self, monkeypatch):
         # labels 1e200 apart: a stacked fit computes their overflowing
         # pairs, which a lone fit never computes, as inf and quietly
@@ -768,7 +809,7 @@ class TestModuleLevelItems:
         chunk = functools.partial(validity._trial_chunk, GM2D, CROSS_KNN, 20, read, states, rng)
         expected = [_lone_trial(GM2D, CROSS_KNN, 3, 20, read, t) for t in range(7, 10)]
         assert pickle.loads(pickle.dumps(chunk))() == chunk() == expected
-        X, y, _ = _sample_stack(GM2D, 21, [states[0][:2]], rng)
+        X, y = _sample_stack(GM2D, 21, [states[0][:2]], rng)
         lone = functools.partial(validity._space_trial, GM2D, CROSS_KNN, read, X[0], y[0])
         assert pickle.loads(pickle.dumps(lone))(states[0][3]) == lone(states[0][3]) == expected[0]
 
