@@ -59,6 +59,8 @@ Fits on the prefixes of one stream (the online harness) need not refit.
 A NeighbourTable keeps every stream row's TABLE_WIDTH = 64 nearest
 same-label stream rows, sorted by (distance, index), built in blocks of
 TABLE_BLOCK = 64 rows as the prefix reaches them; a KnnRule given the
+table hands it the (label, fold) counts of its sort (see _by_label), from
+which the table reads the fold count and each label's kk per fold. The
 table walks each fold row's list, skipping rows past the prefix and rows
 in its own fold, and takes its kk nearest from the list. The rows whose
 walk runs out of their lists are scored together, by one
@@ -264,19 +266,22 @@ class ConformityRule:
 
 
 def _by_label(labels, codes: np.ndarray, fold_of: np.ndarray, K: int) -> tuple:
-    """(order, label -> cuts): the stable order that sorts rows by label
-    code and then by slot, fold_of + 1 (slot 0 holds the rows in no fold,
-    slot f + 1 fold f's rows), and for each label with rows the K + 2
-    positions of that order where its slots begin and its block ends."""
+    """(order, label -> cuts, counts): the stable order that sorts rows by
+    label code and then by slot, fold_of + 1 (slot 0 holds the rows in no
+    fold, slot f + 1 fold f's rows), for each label with rows the K + 2
+    positions of that order where its slots begin and its block ends, and
+    the (labels, K + 1) array of the rows of each label code in each slot."""
     S = K + 1
     key = codes * S + fold_of + 1
     order = np.argsort(key, kind="stable")
-    bounds = [0, *np.bincount(key, minlength=len(labels) * S).cumsum().tolist()]
-    return order, {
+    counts = np.bincount(key, minlength=len(labels) * S).reshape(-1, S)
+    bounds = [0, *counts.cumsum().tolist()]
+    cuts = {
         label: bounds[i * S : (i + 1) * S + 1]
         for i, label in enumerate(labels)
         if bounds[(i + 1) * S] > bounds[i * S]
     }
+    return order, cuts, counts
 
 
 #: Entries of each row's list in a NeighbourTable. On a 1383-row gm2d
@@ -320,7 +325,9 @@ class NeighbourTable:
     block of TABLE_BLOCK rows at a time, when a prefix first reaches the
     block, from `_pairwise_distances` against the label's stream rows.
 
-    `held_out` walks the list of each row in a fold: it skips rows past
+    `held_out` takes the fit's (label, fold) counts from the KnnRule's
+    sort, and reads the fold count and each label's kk per fold from
+    them; it walks the list of each row in a fold: it skips rows past
     the prefix and rows in the row's own fold and takes the first
     kk = min(k, the label's prefix rows outside that fold). A valid row not
     in the list lies at least as far as the list's last entry, so those
@@ -370,9 +377,11 @@ class NeighbourTable:
                 near[rows, :w] = members[np.take_along_axis(cols, by_distance, axis=1)]
             self._built = hi
 
-    def held_out(self, training: Dataset, fold_of: np.ndarray, k: int) -> np.ndarray:
+    def held_out(self, training: Dataset, fold_of: np.ndarray, k: int, counts) -> np.ndarray:
         """KnnRule(training, k, fold_of).held_out, bit for bit, for a
-        training set made of the stream's first rows."""
+        training set made of the stream's first rows; counts[c, s] is the
+        number of training rows of label code c in slot s (see _by_label),
+        so the fit has K = counts.shape[1] - 1 folds."""
         p, codes = training.n, self.stream.label_codes[1]
         if not (
             np.array_equal(training.X, self.stream.X[:p])
@@ -381,10 +390,7 @@ class NeighbourTable:
             raise OutOfRangeError("the training set is not a prefix of the table's stream")
         self._extend(p)
         codes = codes[:p]
-        K = int(fold_of.max()) + 1
-        S = K + 1
-        counts = np.bincount(codes * S + fold_of + 1, minlength=S * len(self._starts))
-        counts = counts.reshape(-1, S)
+        K = counts.shape[1] - 1
         # need[c, f]: kk of label c's rows in fold f
         need = np.minimum(k, counts.sum(axis=1)[:, None] - counts[:, 1:])
         # proper[f, j]: stream row j is one of fold f's proper rows
@@ -446,8 +452,9 @@ class KnnRule(ConformityRule):
     overflows is +inf on either path, without a warning (see _distances).
 
     With a `table` (a NeighbourTable whose stream starts with the training
-    rows) the held-out summaries are walked from the table, not refitted;
-    they are the same doubles either way.
+    rows) the held-out summaries are walked from the table, not refitted,
+    and the table takes the (label, fold) counts of the fit's sort, so it
+    counts no row again; they are the same doubles either way.
     """
 
     def __init__(self, training: Dataset, k: int = 3, fold_of=None, *, table=None):
@@ -458,13 +465,13 @@ class KnnRule(ConformityRule):
         if k > self.proper:
             raise KTooLargeError(f"k={k} exceeds the {self.proper} proper points")
         self.k = k
-        order, self._cuts = _by_label(*training.label_codes, self.fold_of, self.K)
+        order, self._cuts, counts = _by_label(*training.label_codes, self.fold_of, self.K)
         self._X = training.X[order]
         if table is None:
             held_out = np.empty(training.n)
             held_out[order] = self._held_out_in_order()
         else:
-            held_out = table.held_out(training, self.fold_of, k)
+            held_out = table.held_out(training, self.fold_of, k, counts)
         held_out.setflags(write=False)
         self.held_out = held_out
 
@@ -644,6 +651,15 @@ def train_conformity(kind: str, training: Dataset, *, fold_of=None, **params) ->
     The fitted state is a deterministic function of (kind, params, the
     training set as a multiset of rows with their folds).
     """
+    _check_params(kind, params)
+    return _RULES[kind](training, fold_of=fold_of, **params)
+
+
+def _check_params(kind: str, params) -> None:
+    """Refuse an unknown kind, or a parameter its rule does not take. The
+    predictors' fits call this before train_conformity too, since they pass
+    their own `fold_of`: a parameter of that name is refused here, not
+    passed twice."""
     if kind not in RULE_KINDS:
         raise OutOfRangeError(f"unknown conformity kind {kind!r}")
     takes = _rule_params(_RULES[kind])
@@ -652,7 +668,6 @@ def train_conformity(kind: str, training: Dataset, *, fold_of=None, **params) ->
             raise OutOfRangeError(
                 f"{kind} rule takes no parameter {name!r}; it takes {', '.join(takes)}"
             )
-    return _RULES[kind](training, fold_of=fold_of, **params)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .conformity import ConformityRule, _stacked_summaries, train_conformity
+from .conformity import ConformityRule, _check_params, _stacked_summaries, train_conformity
 from .core import (
     ClassificationTask,
     Dataset,
@@ -223,6 +223,7 @@ def fit_split(
     n, c = training.n, _integer(calibration_size, "calibration_size")
     if not 1 <= c <= n - 1:
         raise OutOfRangeError(f"calibration_size {c} must lie in 1..{n - 1}")
+    _check_params(kind, rule_params)
     rule = train_conformity(kind, training, fold_of=np.repeat([-1, 0], [n - c, c]), **rule_params)
     calibration = SummaryVector(rule.held_out[n - c :])
     return CrossEPredictor(rule, (calibration,), get_normalizer(normalizer), training.task)
@@ -243,6 +244,7 @@ def fit_cross_from_partition(
         raise OutOfRangeError(
             f"the partition covers {partition.n} rows; the training set has {training.n}"
         )
+    _check_params(kind, rule_params)
     rule = train_conformity(kind, training, fold_of=partition.fold_of, **rule_params)
     calibration = tuple(SummaryVector(rule.held_out[fold]) for fold in partition.folds)
     return CrossEPredictor(rule, calibration, get_normalizer(normalizer), training.task, weighting)

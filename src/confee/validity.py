@@ -501,7 +501,10 @@ def _check_first_bound(spec: PredictorSpec, scenario: Scenario, rows: int) -> No
 def _online_round(spec: PredictorSpec, stream: Dataset, seed: int, i: int, table=None) -> tuple:
     """Round i: fit on the first i - 1 rows of the stream and score row i - 1
     at its realized label; a knn fit takes its held-out summaries from
-    `table`, the stream's NeighbourTable, if one is given.
+    `table`, the stream's NeighbourTable, if one is given. The row is
+    scored from the stream's arrays, `stream.X[i - 1]` at `stream.y[i - 1]`,
+    as `_space_trial` scores its drawn arrays: the stream checked it when
+    it was drawn, so no Observation is built.
 
     The predictor's declared bound is read before its e-value, so a split
     or cross predictor whose normalizer declares none at this round's fold
@@ -516,8 +519,7 @@ def _online_round(spec: PredictorSpec, stream: Dataset, seed: int, i: int, table
     bound = predictor.component_bound()
     if bound is None:
         raise UnboundedNormalizerError("predictor declares no bound")
-    z = stream.observation(i - 1)
-    return float(predictor.e_at(z.x, z.y)), float(bound)
+    return float(predictor.e_at(stream.X[i - 1], stream.y[i - 1])), float(bound)
 
 
 def online_time_validity(

@@ -505,6 +505,14 @@ class TestRuleParams:
         (lambda d: fit_split(d, 10, "ridge", k=3), "ridge rule takes no parameter 'k'; it takes lam"),
         (lambda d: train_conformity("knn", d, lam=1.0),
          "knn rule takes no parameter 'lam'; it takes k, table"),
+        # the fits set every row's fold themselves
+        (lambda d: fit_cross(d, 5, 0, "knn", fold_of=[0] * 40),
+         "knn rule takes no parameter 'fold_of'; it takes k, table"),
+        (lambda d: fit_split(d, 10, "knn", fold_of=[0] * 40),
+         "knn rule takes no parameter 'fold_of'; it takes k, table"),
+        (lambda d: fit_cross_from_partition(d, make_fold_partition(40, 5, 0), "ridge",
+                                            fold_of=[0] * 40),
+         "ridge rule takes no parameter 'fold_of'; it takes lam"),
     ])
     def test_refused(self, fit, message, monkeypatch):
         def refuse(*args, **kwargs):

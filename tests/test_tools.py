@@ -79,10 +79,33 @@ _SETUP = {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
     # as wide, but every run now beats every run at REF
     (_ITEMS, [60, 80, 100, 120, 140], [141, 160, 170, 180, 190], "held"),
     (_SETUP, [0.6, 0.8, 1.0, 1.2, 1.4], [0.1, 0.2, 0.3, 0.4, 0.5], "held"),
+    # one pair shows no spread: unresolved, better or worse, unless the
+    # run now beats the run at REF
+    (_ITEMS, [100], [70], "unresolved"),
+    (_ITEMS, [100], [99], "unresolved"),
+    (_SETUP, [1.0], [1.3], "unresolved"),
+    (_ITEMS, [100], [101], "held"),
+    (_SETUP, [1.0], [0.9], "held"),
 ])
 def test_bench_pairs_no_regression_verdict(metric, before, after, verdict):
     line = _tool("bench_pairs").summary(metric, before, after)
     assert line.endswith(f"; no regression: {verdict}")
+
+
+@pytest.mark.parametrize("before, after, met", [
+    # ten pairs, every one won, by more than REF's interquartile range
+    ([100 + i for i in range(10)], [120 + i for i in range(10)], True),
+    # nine of ten won
+    ([100 + i for i in range(10)], [120 + i for i in range(9)] + [90], True),
+    # eight of ten won
+    ([100 + i for i in range(10)], [120 + i for i in range(8)] + [90, 91], False),
+    # every pair won, but fewer than ten pairs
+    ([100 + i for i in range(9)], [120 + i for i in range(9)], False),
+    ([100], [101], False),
+])
+def test_bench_pairs_gain_rule(before, after, met):
+    line = _tool("bench_pairs").summary(_ITEMS, before, after)
+    assert f"; gain rule {'met' if met else 'not met'}; " in line
 
 
 @pytest.mark.parametrize("change, message", [

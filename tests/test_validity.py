@@ -114,6 +114,37 @@ class TestSpaceHarness:
                     ), (name, scenario_name, seed)
 
 
+def _refit_every_round(scenario, spec, rounds, seed, warmup=20):
+    """The report of online_time_validity(scenario, spec, rounds, seed) for
+    a split or cross knn spec, from a KnnRule refitted on every prefix."""
+    stream = sample(scenario, rounds, core.derive_seed(seed, 1))
+    es, bounds = [1.0] * warmup, [0.0]
+    for i in range(warmup + 1, rounds + 1):
+        prefix = stream.subset(range(i - 1))
+        if spec.kind == "split":
+            predictor = predictors.fit_split(
+                prefix, spec.calibration_size, "knn", spec.normalizer, k=spec.k
+            )
+        else:
+            partition = core.make_fold_partition(prefix.n, spec.folds, core.derive_seed(seed, 2, i))
+            rule = conformity.KnnRule(prefix, spec.k, partition.fold_of)
+            calibration = tuple(
+                core.SummaryVector(rule.held_out[fold]) for fold in partition.folds
+            )
+            predictor = predictors.CrossEPredictor(
+                rule, calibration, predictors.get_normalizer(spec.normalizer), prefix.task
+            )
+        z = stream.observation(i - 1)
+        es.append(float(predictor.e_at(z.x, z.y)))
+        bounds.append(float(predictor.component_bound()))
+    trace = predictors.OnlineTrace(es)
+    final = trace.running_means[-1]
+    return validity.TimeValidityReport(
+        rounds, warmup, 0.05, max(bounds), final, max(trace.running_means[warmup:]),
+        "consistent" if final <= 1.05 else "violation", trace,
+    )
+
+
 class TestTimeHarness:
     def test_online_run_shape_and_verdict(self):
         report = online_time_validity(GM2D, CROSS_KNN, 120, 13, warmup=20)
@@ -256,37 +287,38 @@ class TestTimeHarness:
     def test_same_report_as_a_refit_every_round(self, spec, rounds, seed):
         """The harness's knn fits take their held-out summaries from the
         stream's neighbour table; this loop refits KnnRule on every prefix."""
-        warmup = 20
-        stream = sample(GM2D, rounds, core.derive_seed(seed, 1))
-        es, bounds = [1.0] * warmup, [0.0]
-        for i in range(warmup + 1, rounds + 1):
-            prefix = stream.subset(range(i - 1))
-            if spec.kind == "split":
-                predictor = predictors.fit_split(
-                    prefix, spec.calibration_size, "knn", spec.normalizer, k=spec.k
-                )
-            else:
-                partition = core.make_fold_partition(
-                    prefix.n, spec.folds, core.derive_seed(seed, 2, i)
-                )
-                rule = conformity.KnnRule(prefix, spec.k, partition.fold_of)
-                calibration = tuple(
-                    core.SummaryVector(rule.held_out[fold]) for fold in partition.folds
-                )
-                predictor = predictors.CrossEPredictor(
-                    rule, calibration, predictors.get_normalizer(spec.normalizer), prefix.task
-                )
-            z = stream.observation(i - 1)
-            es.append(float(predictor.e_at(z.x, z.y)))
-            bounds.append(float(predictor.component_bound()))
-        trace = predictors.OnlineTrace(es)
-        final = trace.running_means[-1]
-        expected = validity.TimeValidityReport(
-            rounds, warmup, 0.05, max(bounds), final, max(trace.running_means[warmup:]),
-            "consistent" if final <= 1.05 else "violation", trace,
-        )
-        report = online_time_validity(GM2D, spec, rounds, seed, warmup=warmup)
-        assert report.to_dict() == expected.to_dict()
+        report = online_time_validity(GM2D, spec, rounds, seed)
+        assert report.to_dict() == _refit_every_round(GM2D, spec, rounds, seed).to_dict()
+
+    @pytest.mark.parametrize("name, spec, rounds", [
+        ("gm5c", CROSS_KNN, 150),
+        # a regression stream, where every label value has its own number
+        ("linreg3", CROSS_KNN, 80),
+        ("gm5c", PredictorSpec(kind="split", rule="knn", calibration_size=12), 120),
+    ])
+    def test_same_report_as_a_refit_beyond_gm2d(self, name, spec, rounds):
+        scenario = get_scenario(name)
+        report = online_time_validity(scenario, spec, rounds, 4)
+        assert report.to_dict() == _refit_every_round(scenario, spec, rounds, 4).to_dict()
+
+    @pytest.mark.parametrize("name, spec", [
+        ("gm2d", CROSS_KNN),
+        ("gm2d", PredictorSpec(kind="split", rule="knn", calibration_size=12)),
+        ("linreg3", PredictorSpec(kind="cross", rule="ridge")),
+    ])
+    def test_rounds_build_no_observation(self, name, spec, monkeypatch):
+        """A round scores the stream's own row at its label, as a space
+        trial scores its drawn arrays; the row was checked when the stream
+        was drawn."""
+        scenario = get_scenario(name)
+        expected = online_time_validity(scenario, spec, 80, 4).to_dict()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an Observation was built")
+
+        monkeypatch.setattr(core.Dataset, "observation", refuse)
+        monkeypatch.setattr(core.Observation, "__post_init__", refuse)
+        assert online_time_validity(scenario, spec, 80, 4).to_dict() == expected
 
     @pytest.mark.parametrize("spec, minimum", [
         # split holds c rows out and knn needs k proper rows: 10 + 3

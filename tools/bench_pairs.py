@@ -14,16 +14,18 @@ index, printed with the pair). S defaults to BENCHMARK.json's
 
 For each end-to-end metric of BENCHMARK.json it prints each side's median
 and quartiles, the pairs the working tree won (ties count for neither
-side) and whether the gain rule holds: the working tree wins at least 9
-in 10 pairs and the medians differ by more than the interquartile range of
-REF's runs. It ends with the no-regression verdict: "unresolved" when the
-interquartile range of REF's runs exceeds the metric's bound times REF's
-median, unless every run of the working tree beats every run of REF;
-otherwise "worse than its bound" when the working tree's median is worse
-than REF's by more than the bound, and "held" when it is not. These lines
-are a report, not a gate: the exit status is 1 only for bad arguments, an
-unknown REF or a benchmark run that fails or gives incorrect output. Bad
-arguments print the usage line before any benchmark starts.
+side) and whether the gain rule holds: over at least 10 pairs, the
+working tree wins at least 9 in 10 of them and the medians differ by more
+than the interquartile range of REF's runs; fewer pairs never meet it. It
+ends with the no-regression verdict: "unresolved" when REF has one run,
+which shows no spread, or when the interquartile range of REF's runs
+exceeds the metric's bound times REF's median, unless every run of the
+working tree beats every run of REF; otherwise "worse than its bound"
+when the working tree's median is worse than REF's by more than the
+bound, and "held" when it is not. These lines are a report, not a gate:
+the exit status is 1 only for bad arguments, an unknown REF or a
+benchmark run that fails or gives incorrect output. Bad arguments print
+the usage line before any benchmark starts.
 """
 
 from __future__ import annotations
@@ -96,10 +98,10 @@ def summary(metric: dict, before: list, after: list) -> str:
     wins = sum(sign * (new - old) > 0 for old, new in zip(before, after))
     q1, old, q3 = _quartiles(before)
     p1, new, p3 = _quartiles(after)
-    gain = wins >= 0.9 * len(before) and sign * (new - old) > q3 - q1
+    gain = len(before) >= 10 and wins >= 0.9 * len(before) and sign * (new - old) > q3 - q1
     bound = metric["bound"] * abs(old)
     beats_every_run = min(sign * v for v in after) > max(sign * v for v in before)
-    if q3 - q1 > bound and not beats_every_run:
+    if (len(before) < 2 or q3 - q1 > bound) and not beats_every_run:
         verdict = "unresolved"
     elif sign * (old - new) > bound:
         verdict = f"worse than its {metric['bound']:.0%} bound"
